@@ -12,9 +12,11 @@ Exit codes: 0 all monitored tolerances met, 1 a tolerance was violated,
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import click
@@ -77,24 +79,68 @@ def _fmt(x: float) -> str:
 # -- schedules and config loading ----------------------------------------
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_number(raw, field: str) -> float:
+    try:
+        val = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(field, f"expected a number, got {raw!r}") from None
+    # Python's json reads NaN, Infinity and overflowing literals like 1e999.
+    if not math.isfinite(val):
+        raise ConfigError(field, f"must be a finite number, got {val!r}")
+    return val
+
+
+def _interp(ts: list[float], vs: list[float]):
+    # Scalar np.interp(t, ts, vs) in pure Python, bit for bit: the same knot
+    # search and the same slope formula, including numpy's fallbacks, without
+    # the per-call array dispatch.
+    if len(ts) == 1:
+        return lambda t: vs[0]
+    first, last = ts[0], ts[-1]
+
+    def value(t):
+        t = float(t)
+        if t != t:
+            return t
+        if t > last:
+            return vs[-1]
+        if t < first:
+            return vs[0]
+        j = bisect.bisect_right(ts, t) - 1
+        if ts[j] == t:
+            return vs[j]
+        slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+        out = slope * (t - ts[j]) + vs[j]
+        if out != out:
+            out = slope * (t - ts[j + 1]) + vs[j + 1]
+            if out != out and vs[j] == vs[j + 1]:
+                out = vs[j]
+        return out
+
+    return value
+
+
 def make_schedule(spec, field: str):
     """Constant or piecewise-linear schedule from a config entry."""
 
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        value = float(spec)
+    if _is_number(spec):
+        value = _as_number(spec, field)
         return lambda t: value
     if isinstance(spec, list):
         if not spec or not all(
-            isinstance(p, list) and len(p) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
+            isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p)
             for p in spec
         ):
             raise ConfigError(field, "schedule must be a number or a list of [t, value] pairs")
-        ts = np.array([p[0] for p in spec], dtype=float)
-        vs = np.array([p[1] for p in spec], dtype=float)
-        if np.any(np.diff(ts) <= 0):
+        ts = [_as_number(p[0], f"{field}[{i}][0]") for i, p in enumerate(spec)]
+        vs = [_as_number(p[1], f"{field}[{i}][1]") for i, p in enumerate(spec)]
+        if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(field, "schedule times must be strictly increasing")
-        return lambda t: float(np.interp(t, ts, vs))
+        return _interp(ts, vs)
     raise ConfigError(field, "schedule must be a number or a list of [t, value] pairs")
 
 
@@ -110,12 +156,12 @@ def _get(cfg: dict, field: str, default=None, required: bool = False):
     return node
 
 
+def _number(cfg: dict, field: str, default=None) -> float:
+    return _as_number(_get(cfg, field, default, required=default is None), field)
+
+
 def _positive(cfg: dict, field: str, default=None) -> float:
-    raw = _get(cfg, field, default, required=default is None)
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number, got {raw!r}") from None
+    val = _number(cfg, field, default)
     if not val > 0:
         raise ConfigError(field, f"must be positive, got {val!r}")
     return val
@@ -125,8 +171,10 @@ def _vector(cfg: dict, field: str, n: int, default=None) -> np.ndarray:
     raw = _get(cfg, field, default, required=default is None)
     try:
         vec = np.asarray(raw, dtype=float).reshape(n)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(field, f"expected {n} numbers") from None
+    for i, val in enumerate(vec):
+        _as_number(val, f"{field}[{i}]")
     return vec
 
 
@@ -285,13 +333,13 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     base = th.ideal_gas_fixture(
         c=_positive(cfg, "system.c", 1.0),
         T0=_positive(cfg, "system.T0", 1.0),
-        s0=float(_get(cfg, "system.s0", 1.0)),
+        s0=_number(cfg, "system.s0", 1.0),
         mass=_positive(cfg, "system.mass", 1.0),
         stiffness=_positive(cfg, "system.stiffness", 1.0),
         n_q=n_q,
     )
 
-    gamma = float(_get(cfg, "system.friction_gamma", 0.0))
+    gamma = _number(cfg, "system.friction_gamma", 0.0)
     if gamma < 0:
         raise ConfigError("system.friction_gamma", "must be nonnegative")
     friction = th.linear_friction(gamma) if gamma > 0 else None
@@ -339,7 +387,7 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
             raise ConfigError(fld, "needs a T schedule")
         T_sched = make_schedule(hcfg["T"], fld + ".T")
         if "kappa" in hcfg:
-            kappa = float(hcfg["kappa"])
+            kappa = _as_number(hcfg["kappa"], fld + ".kappa")
             if kappa < 0:
                 raise ConfigError(fld + ".kappa", "must be nonnegative")
             J_S = lambda t, ts, k=kappa, f=T_sched: k * (f(t) - sys_T(ts))
@@ -408,15 +456,24 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
     kind = _get(cfg, "system.kind", required=True)
     h = _positive(cfg, "integrator.h")
     horizon = _positive(cfg, "integrator.horizon")
-    n_steps = int(round(horizon / h))
+    steps = horizon / h
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ConfigError("integrator.horizon", "must cover at least one step")
+    if abs(steps - n_steps) > 1e-9 * steps:
+        raise ConfigError(
+            "integrator.horizon",
+            f"{horizon!r} is not a whole number of steps of h = {h!r}",
+        )
     formulation = formulation_override or _get(
         cfg, "integrator.formulation", "pontryagin"
     )
-    t0 = float(_get(cfg, "initial.t0", 0.0))
+    t0 = _number(cfg, "initial.t0", 0.0)
     prefix = str(_get(cfg, "output.prefix", "run"))
     tolerances = dict(_get(cfg, "tolerances", {}) or {})
+    for name, val in tolerances.items():
+        if val is not None:
+            _as_number(val, f"tolerances.{name}")
 
     if kind == "ideal_gas":
         system, n_q = _build_thermo_system(cfg)
@@ -430,11 +487,11 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         ts0 = th.ThermoState(
             q=_vector(cfg, "initial.q", n_q),
             v_q=_vector(cfg, "initial.v_q", n_q),
-            S=float(_get(cfg, "initial.S", required=True)),
-            N=float(_get(cfg, "initial.N", required=True)),
-            Gamma=float(_get(cfg, "initial.Gamma", 0.0)),
-            W=float(_get(cfg, "initial.W", 0.0)),
-            Sigma=float(_get(cfg, "initial.Sigma", 0.0)),
+            S=_number(cfg, "initial.S"),
+            N=_number(cfg, "initial.N"),
+            Gamma=_number(cfg, "initial.Gamma", 0.0),
+            W=_number(cfg, "initial.W", 0.0),
+            Sigma=_number(cfg, "initial.Sigma", 0.0),
         )
         L = th.build_extended_lagrangian(system)
         force = None
@@ -577,7 +634,12 @@ def _lam_column(traj: Trajectory) -> np.ndarray:
     return np.concatenate([[lam[0]], lam])
 
 
-def write_trajectory_csv(path: Path, problem: Problem, traj: Trajectory, inv) -> None:
+def write_trajectory_csv(
+    path: Path, problem: Problem, traj: Trajectory, inv, first_law: np.ndarray | None
+) -> None:
+    """Write one row per node; first_law is the first-law residual of a
+    thermodynamic run (None for a mechanical one)."""
+
     lam_col = _lam_column(traj)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -585,7 +647,6 @@ def write_trajectory_csv(path: Path, problem: Problem, traj: Trajectory, inv) ->
             system = problem.system
             lay = system.layout
             n_q = system.n_q
-            flr = th.first_law_residual(system, traj)
             header = (
                 ["t"]
                 + [f"q_{i}" for i in range(n_q)]
@@ -619,7 +680,7 @@ def write_trajectory_csv(path: Path, problem: Problem, traj: Trajectory, inv) ->
                         flows.matter,
                         prod.total,
                         inv.kinematic_residual[k],
-                        flr[k],
+                        first_law[k],
                     ]
                 )
                 wr.writerow([_fmt(vv) for vv in row])
@@ -781,7 +842,7 @@ def _run_and_report(problem: Problem, formulation: str, outdir: Path, tol_overri
         cov_drift = inv.covariant_energy_drift - work
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = problem.prefix
-    write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv)
+    write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv, first_law)
     write_invariants_csv(outdir / f"{prefix}_invariants.csv", inv)
     passed, lines = evaluate_tolerances(
         problem, formulation, inv, first_law, tol_override, cov_drift=cov_drift

@@ -254,6 +254,9 @@ class ConstraintSet:
     where the third argument is the velocity (or, for momentum-side constraint
     sets, the momentum) the coefficients may depend on. The kinematic condition
     is A w + B = 0 and the variational one is A dx + B dt = 0.
+
+    eval_A and eval_B at the same point may share one evaluation of the row,
+    so callers must not write to the arrays they return.
     """
 
     n: int

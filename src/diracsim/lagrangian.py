@@ -48,6 +48,58 @@ class LegendreConvergenceError(RuntimeError):
     """Raised when the fiber derivative inversion fails to converge."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _PointMemo:
+    """fn(t, x, w) remembered at the last `size` distinct points.
+
+    t is compared by value, x and w by their bytes, kept as copies, so an
+    array mutated in place after a call is a new point. fn must return
+    results that callers cannot write to; they are handed out as stored.
+    """
+
+    def __init__(self, fn: Callable, size: int = 1):
+        self._fn = fn
+        self._size = size
+        self._entries: list[tuple[tuple, object]] = []
+
+    def __call__(self, t, x, w):
+        key = (
+            t,
+            np.asarray(x, dtype=float).tobytes(),
+            np.asarray(w, dtype=float).tobytes(),
+        )
+        for k, result in self._entries:
+            if k == key:
+                return result
+        result = self._fn(t, x, w)
+        self._entries = (self._entries + [(key, result)])[-self._size :]
+        return result
+
+
+# Shape and bytes of the last matrix that passed _require_nonsingular. It
+# memoizes a pure test, so sharing it between callers changes how often the
+# SVD runs, never an outcome.
+_last_nonsingular: tuple | None = None
+
+
+def _require_nonsingular(M: np.ndarray, message: str) -> None:
+    # Singular-value test of a Hessian block before a solve. The SVD runs once
+    # per distinct matrix: one bitwise equal to the last that passed is not
+    # checked again, which makes constant mass matrices cost one SVD.
+    global _last_nonsingular
+    key = (M.shape, M.tobytes())
+    if key == _last_nonsingular:
+        return
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+        raise HyperregularityError(message)
+    _last_nonsingular = key
+
+
 @dataclass(frozen=True)
 class TimeLagrangian:
     """Lagrangian L(t, x, v) with analytic partials.
@@ -249,12 +301,11 @@ def legendre_invert(
             return v
         J = np.asarray(L.d_vv(t, x, v), dtype=float).reshape(L.n, L.n)
         J = J[np.ix_(idx, idx)]
-        s = np.linalg.svd(J, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-            raise HyperregularityError(
-                "velocity Hessian is singular on the declared regular block; "
-                "the fiber derivative cannot be inverted there"
-            )
+        _require_nonsingular(
+            J,
+            "velocity Hessian is singular on the declared regular block; "
+            "the fiber derivative cannot be inverted there",
+        )
         v[idx] -= np.linalg.solve(J, r)
 
     r = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)[idx] - p_target[idx]
@@ -274,7 +325,9 @@ def legendre_dual(
 
     H(t, x, p) = <p, v(p)> - L(t, x, v(p)) with v(p) solving dL/dv = p. The
     partials follow from the envelope identities: dH/dp = v(p) and the t, x
-    partials are the negatives of those of L at the inverted velocity.
+    partials are the negatives of those of L at the inverted velocity. value,
+    d_t, d_x and d_p at one (t, x, p) share one inversion; d_p returns an
+    array that callers must not write to.
 
     Raises HyperregularityError for a Lagrangian with a declared partial
     regular block, since the transform then does not exist globally. In that
@@ -290,13 +343,17 @@ def legendre_dual(
             "reduced thermodynamic path"
         )
 
-    def invert(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def fiber_velocity(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         guess = (
             np.asarray(v_guess_fn(t, x, p), dtype=float).reshape(L.n)
             if v_guess_fn is not None
             else np.asarray(p, dtype=float).reshape(L.n).copy()
         )
-        return legendre_invert(L, t, x, p, guess)
+        return _read_only(legendre_invert(L, t, x, p, guess))
+
+    # A step residual asks for the midpoint, then the new node, then the
+    # midpoint again; two remembered points make that two inversions.
+    invert = _PointMemo(fiber_velocity, size=2)
 
     def value(t, x, p):
         v = invert(t, x, p)

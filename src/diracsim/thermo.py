@@ -20,13 +20,20 @@ treated as a modeling error and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import StepFailureError, Trajectory
 from .geometry import ConstraintSet, PontryaginState, TangentP
-from .lagrangian import HyperregularityError, TimeLagrangian
+from .lagrangian import (
+    HyperregularityError,
+    TimeLagrangian,
+    _PointMemo,
+    _read_only,
+    _require_nonsingular,
+)
 
 __all__ = [
     "NonpositiveTemperatureError",
@@ -208,7 +215,7 @@ class SimpleOpenSystem:
     def n(self) -> int:
         return self.mech.n_q + 5
 
-    @property
+    @cached_property
     def layout(self) -> ThermoLayout:
         return ThermoLayout(self.mech.n_q)
 
@@ -370,20 +377,30 @@ def _constraint_row(
     return A, B
 
 
+def _row_constraints(
+    sys: SimpleOpenSystem, state_at: Callable[[float, np.ndarray, np.ndarray], ThermoState]
+) -> ConstraintSet:
+    # eval_A and eval_B at the same (t, x, w) share one row build. A step
+    # residual asks for the midpoint and the new node; remembering both lets
+    # Jacobian columns that move neither (multiplier, pt and the momenta or
+    # velocities the row does not read) build no row at all.
+    def build(t, x, w):
+        A, B = _constraint_row(sys, t, state_at(t, x, w))
+        return _read_only(A[None, :]), _read_only(np.array([B]))
+
+    row = _PointMemo(build, size=2)
+    return ConstraintSet(
+        n=sys.n,
+        m=1,
+        eval_A=lambda t, x, w: row(t, x, w)[0],
+        eval_B=lambda t, x, w: row(t, x, w)[1],
+    )
+
+
 def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     """Velocity-side constraint set (coefficients at (t, x, v))."""
 
-    lay = sys.layout
-
-    def eval_A(t, x, v):
-        A, _ = _constraint_row(sys, t, state_from_arrays(sys, x, v))
-        return A[None, :]
-
-    def eval_B(t, x, v):
-        _, B = _constraint_row(sys, t, state_from_arrays(sys, x, v))
-        return np.array([B])
-
-    return ConstraintSet(n=lay.n, m=1, eval_A=eval_A, eval_B=eval_B)
+    return _row_constraints(sys, lambda t, x, v: state_from_arrays(sys, x, v))
 
 
 def _vq_from_pq(
@@ -403,9 +420,7 @@ def _vq_from_pq(
         if np.max(np.abs(r), initial=0.0) <= tol * (1.0 + np.max(np.abs(p_q), initial=0.0)):
             return v
         M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-            raise HyperregularityError("mechanical mass matrix is singular")
+        _require_nonsingular(M, "mechanical mass matrix is singular")
         v = v - np.linalg.solve(M, r)
     raise HyperregularityError("mass matrix inversion did not converge")
 
@@ -434,15 +449,7 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
             Sigma=x[lay.Sigma],
         )
 
-    def eval_A(t, x, p):
-        A, _ = _constraint_row(sys, t, ts_from_p(t, x, p))
-        return A[None, :]
-
-    def eval_B(t, x, p):
-        _, B = _constraint_row(sys, t, ts_from_p(t, x, p))
-        return np.array([B])
-
-    return ConstraintSet(n=lay.n, m=1, eval_A=eval_A, eval_B=eval_B)
+    return _row_constraints(sys, ts_from_p)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,16 @@ commands, their exit codes (0 pass, 1 tolerance violation, 2 config error,
 
 import csv
 import json
+import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from diracsim.cli import ConfigError, load_config, main, make_schedule
+from diracsim import thermo as th
+from diracsim.cli import BUILTINS, ConfigError, build_problem, load_config, main, make_schedule
 
 
 def invoke(*args):
@@ -70,6 +75,37 @@ def test_schedule_interpolates_and_clamps():
     assert f(0.5) == pytest.approx(1.0)
     assert f(-1.0) == 0.0
     assert f(5.0) == 2.0
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schedule_and_time(draw):
+    ts = sorted(draw(st.lists(finite, min_size=1, max_size=6, unique=True)))
+    vs = draw(st.lists(finite, min_size=len(ts), max_size=len(ts)))
+    i = draw(st.integers(0, len(ts) - 1))
+    frac = draw(st.floats(0.0, 1.0))
+    between = ts[i] + frac * (ts[min(i + 1, len(ts) - 1)] - ts[i])
+    t = draw(
+        st.sampled_from(ts)                                 # at a knot
+        | st.just(between)                                  # between knots
+        | st.floats(max_value=ts[0], allow_nan=False)       # before
+        | st.floats(min_value=ts[-1], allow_nan=False)      # after
+        | finite
+    )
+    return ts, vs, t
+
+
+@settings(max_examples=500, deadline=None)
+@given(schedule_and_time())
+def test_schedule_matches_np_interp_bitwise(case):
+    ts, vs, t = case
+    f = make_schedule([[a, b] for a, b in zip(ts, vs)], "x")
+    got = f(t)
+    want = float(np.interp(t, ts, vs))
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +328,88 @@ def test_run_config_errors_exit_2(tmp_path, case):
     result = invoke("run", path, "--out", str(tmp_path))
     assert result.exit_code == 2, all_text(result)
     assert needle in all_text(result)
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "make, path, value, field",
+    [
+        (thermo_cfg, ("initial", "S"), INF, "initial.S"),
+        (thermo_cfg, ("initial", "N"), NAN, "initial.N"),
+        (thermo_cfg, ("initial", "q"), [NAN], "initial.q[0]"),
+        (thermo_cfg, ("initial", "Sigma"), -INF, "initial.Sigma"),
+        (thermo_cfg, ("integrator", "h"), INF, "integrator.h"),
+        (thermo_cfg, ("system", "friction_gamma"), NAN, "system.friction_gamma"),
+        (thermo_cfg, ("system", "ports", 0, "T"), NAN, "system.ports[0].T"),
+        (thermo_cfg, ("system", "ports", 0, "J"), [[0.0, 0.01], [1.0, INF]], "system.ports[0].J[1][1]"),
+        (thermo_cfg, ("system", "sources", 0, "kappa"), NAN, "system.sources[0].kappa"),
+        (thermo_cfg, ("system", "sources", 0, "T"), [[NAN, 1.1]], "system.sources[0].T[0][0]"),
+        (thermo_cfg, ("system", "external_force"), -INF, "system.external_force"),
+        (thermo_cfg, ("tolerances",), {"first_law": NAN}, "tolerances.first_law"),
+        (mech_cfg, ("system", "mass"), NAN, "system.mass"),
+        (mech_cfg, ("system", "beta"), [[0.0, 0.0], [INF, 3.0]], "system.beta[1][0]"),
+        (mech_cfg, ("initial", "x"), [0.0, INF], "initial.x[1]"),
+    ],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, make, path, value, field):
+    # json.dumps writes NaN and Infinity, which Python's json reads back.
+    cfg_path = write_cfg(tmp_path, _set(make(), path, value))
+    result = invoke("run", cfg_path, "--out", str(tmp_path))
+    assert result.exit_code == 2, all_text(result)
+    assert f"config error at {field}:" in all_text(result)
+    assert "Traceback" not in all_text(result)
+
+
+def test_run_rejects_overflowing_literal(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(thermo_cfg()).replace('"S": 1.0', '"S": 1e999'))
+    result = invoke("run", str(path), "--out", str(tmp_path))
+    assert result.exit_code == 2, all_text(result)
+    assert "config error at initial.S:" in all_text(result)
+
+
+def test_run_rejects_partial_last_step(tmp_path):
+    cfg = _set(_set(thermo_cfg(), ("integrator", "h"), 0.3), ("integrator", "horizon"), 0.5)
+    result = invoke("run", write_cfg(tmp_path, cfg), "--out", str(tmp_path))
+    assert result.exit_code == 2, all_text(result)
+    assert "config error at integrator.horizon:" in all_text(result)
+
+
+def test_whole_step_horizons_still_load():
+    for name in BUILTINS:
+        build_problem(load_config(name))
+    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
+        build_problem(load_config(str(path)))
+    # Horizons written as steps * h, as scripts generate them.
+    for h in (1e-3, 2e-3, 5e-4, 0.01, 0.3):
+        for steps in range(1, 3000, 37):
+            cfg = mech_cfg()
+            cfg["integrator"].update(h=h, horizon=steps * h)
+            assert build_problem(cfg).n_steps == steps
+
+
+def test_run_computes_first_law_once(tmp_path, monkeypatch):
+    calls = []
+    original = th.first_law_residual
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(th, "first_law_residual", counted)
+    result = invoke("run", write_cfg(tmp_path, thermo_cfg()), "--out", str(tmp_path))
+    assert result.exit_code == 0, all_text(result)
+    assert len(calls) == 1
 
 
 def test_run_hamilton_dirac_unavailable_for_thermo(tmp_path):

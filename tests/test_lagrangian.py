@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from diracsim import lagrangian as lagrangian_module
 from diracsim.geometry import PhasePoint, PontryaginState
 from diracsim.lagrangian import (
     DerivativeReport,
@@ -353,3 +354,68 @@ def test_check_derivatives_deterministic():
     r1 = check_derivatives(make_mechanical(), n_points=25, seed=7)
     r2 = check_derivatives(make_mechanical(), n_points=25, seed=7)
     assert r1 == r2
+
+
+def count_inversions(monkeypatch):
+    calls = []
+    original = lagrangian_module.legendre_invert
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian_module, "legendre_invert", counted)
+    return calls
+
+
+def test_legendre_dual_inverts_once_per_point(monkeypatch):
+    L = make_mechanical(n=2, mass=2.0)
+    H = legendre_dual(L)
+    calls = count_inversions(monkeypatch)
+    t, x, p = 0.5, np.array([0.2, 0.4]), np.array([1.0, -0.6])
+    H.d_p(t, x, p)
+    H.d_x(t, x, p)
+    H.d_t(t, x, p)
+    H.value(t, x, p)
+    assert len(calls) == 1
+    # The step residual pattern: midpoint, new node, midpoint again.
+    x1, p1 = x + 0.1, p - 0.2
+    H.d_p(t + 0.5, x1, p1)
+    H.d_t(t, x, p)
+    assert len(calls) == 2
+
+
+def test_legendre_dual_cache_follows_the_point():
+    L = make_mechanical(n=2, mass=2.0)
+    H = legendre_dual(L)
+    t, x, p = 0.5, np.array([0.2, 0.4]), np.array([1.0, -0.6])
+    v = H.d_p(t, x, p)
+    npt.assert_allclose(v, p / 2.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        v[0] = 5.0
+    p[0] = 3.0  # mutated in place: a new point
+    npt.assert_allclose(H.d_p(t, x, p), p / 2.0, atol=1e-12)
+    npt.assert_array_equal(H.d_x(t, x, p), legendre_dual(L).d_x(t, x, p.copy()))
+
+
+def test_singularity_check_once_per_distinct_matrix(monkeypatch):
+    svd_calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svd_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian_module, "_last_nonsingular", None)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    L = make_mechanical(n=2, mass=2.0)
+    for p0 in (1.0, 2.0, 3.0):
+        legendre_invert(L, 0.0, np.zeros(2), np.array([p0, 0.5]), v_guess=np.zeros(2))
+    assert len(svd_calls) == 1
+    # A different matrix is checked again, and a singular one still raises.
+    legendre_invert(make_mechanical(n=2, mass=3.0), 0.0, np.zeros(2), np.ones(2), np.zeros(2))
+    assert len(svd_calls) == 2
+    with pytest.raises(HyperregularityError):
+        legendre_invert(
+            make_quartic(), 0.0, np.zeros(1), np.array([8.0]), v_guess=np.array([0.0])
+        )

@@ -16,6 +16,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracsim import thermo as thermo_module
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
     monitor_invariants,
@@ -643,3 +644,96 @@ def test_random_physical_point_is_physical():
         assert np.all(np.isfinite(pt_.x))
         assert np.all(np.isfinite(pt_.p))
         assert 0.0 <= pt_.t <= 10.0
+
+
+# -- shared row builds -----------------------------------------------------
+
+
+def count_row_builds(monkeypatch):
+    calls = []
+    original = thermo_module._constraint_row
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(thermo_module, "_constraint_row", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "formulation, builder",
+    [("pontryagin", build_constraints), ("lagrange-dirac", build_momentum_constraints)],
+)
+def test_step_residual_builds_each_row_once(monkeypatch, formulation, builder):
+    # A step residual needs the row at the midpoint and at the new node; A and
+    # B at each point share one build.
+    sys0 = small_open_system()
+    stepper = ImplicitMidpointStepper(
+        formulation, lagrangian=build_extended_lagrangian(sys0), constraints=builder(sys0)
+    )
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    residual = stepper._residual_fn(s0, 1e-3)
+    guess = stepper._guess(s0, 1e-3)
+    calls = count_row_builds(monkeypatch)
+    residual(guess)
+    assert len(calls) == 2
+    residual(guess + 1e-6)
+    assert len(calls) == 4
+    # A Jacobian column that moves only the multiplier moves neither point.
+    moved = guess + 1e-6
+    moved[-1] += 1e-3
+    residual(moved)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("builder", [build_constraints, build_momentum_constraints])
+def test_shared_row_is_never_stale(builder):
+    ramp = PortModel(
+        J=lambda t, ts: 0.01 * (1.0 + t),
+        J_S=lambda t, ts: 0.0102,
+        mu=lambda t, ts: 0.02,
+        T_port=lambda t, ts: 1.05,
+    )
+    sys0 = dataclasses.replace(small_open_system(), ports=(ramp,))
+    C = builder(sys0)
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    w = s0.v if builder is build_constraints else s0.p
+    x = s0.x.copy()
+
+    def fresh(t):
+        F = builder(sys0)
+        return F.A(t, x.copy(), w.copy()), F.B(t, x.copy(), w.copy())
+
+    A0, B0 = C.A(0.5, x, w), C.B(0.5, x, w)
+    npt.assert_array_equal(A0, fresh(0.5)[0])
+    npt.assert_array_equal(B0, fresh(0.5)[1])
+    # A new time.
+    A1, B1 = C.A(2.0, x, w), C.B(2.0, x, w)
+    assert not np.array_equal(A1, A0)
+    npt.assert_array_equal(A1, fresh(2.0)[0])
+    npt.assert_array_equal(B1, fresh(2.0)[1])
+    # The same array object, mutated in place, is a new point.
+    x[sys0.layout.S] += 0.1
+    A2, B2 = C.A(2.0, x, w), C.B(2.0, x, w)
+    assert not np.array_equal(A2, A1)
+    npt.assert_array_equal(A2, fresh(2.0)[0])
+    npt.assert_array_equal(B2, fresh(2.0)[1])
+    # Returned arrays cannot be written to, so the next result is intact.
+    with pytest.raises(ValueError):
+        A2[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        B2[0] = 99.0
+    npt.assert_array_equal(C.A(2.0, x, w), fresh(2.0)[0])
+    npt.assert_array_equal(C.B(2.0, x, w), fresh(2.0)[1])
+
+
+def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
+    sys0 = small_open_system()
+    L = build_extended_lagrangian(sys0)
+    C = build_constraints(sys0)
+    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 20)
+    calls = count_row_builds(monkeypatch)
+    monitor_invariants(L, C, traj)
+    # One build per node (A and B) plus one per midpoint (B only).
+    assert len(calls) == traj.n_steps + 1 + traj.n_steps

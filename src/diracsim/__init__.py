@@ -55,7 +55,6 @@ from .lagrangian import (
     legendre_invert,
 )
 from .dynamics import (
-    DaeUnknowns,
     ImplicitMidpointStepper,
     InvariantSeries,
     MultiplierEstimate,
@@ -70,7 +69,6 @@ from .dynamics import (
     monitor_invariants,
     pontryagin_dirac_residual,
     recover_multipliers,
-    solve_step,
 )
 from .thermo import (
     EntropyBreakdown,

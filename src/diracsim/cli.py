@@ -26,6 +26,7 @@ from .dynamics import (
     ImplicitMidpointStepper,
     StepFailureError,
     Trajectory,
+    _cumulative_trapezoid,
     monitor_invariants,
     recover_multipliers,
 )
@@ -42,7 +43,6 @@ from .lagrangian import (
     TimeLagrangian,
     check_derivatives,
     d_covariant_energy,
-    generalized_energy,
     lagrangian_energy,
     legendre_dual,
     lift_external_force,
@@ -634,78 +634,52 @@ def _lam_column(traj: Trajectory) -> np.ndarray:
     return np.concatenate([[lam[0]], lam])
 
 
-def write_trajectory_csv(
-    path: Path, problem: Problem, traj: Trajectory, inv, first_law: np.ndarray | None
-) -> None:
-    """Write one row per node; first_law is the first-law residual of a
-    thermodynamic run (None for a mechanical one)."""
+def write_trajectory_csv(path: Path, problem: Problem, traj: Trajectory, inv) -> None:
+    """Write one row per node: the state, then the node columns of inv."""
 
-    lam_col = _lam_column(traj)
+    if problem.kind == "ideal_gas":
+        lay = problem.system.layout
+        n_q = problem.system.n_q
+        # x and p hold (q, S, N, Gamma, W, Sigma) in this order.
+        header = (
+            ["t"]
+            + [f"q_{i}" for i in range(n_q)]
+            + [f"v_q_{i}" for i in range(n_q)]
+            + ["S", "N", "Gamma", "W", "Sigma"]
+            + [f"p_q_{i}" for i in range(n_q)]
+            + ["p_S", "p_N", "p_Gamma", "p_W", "p_Sigma", "pt", "lam"]
+            + ["E", "cov_E", "P_W", "P_H", "P_M", "I", "kinematic_res", "first_law_res"]
+        )
+        state = [traj.x[:, lay.q], traj.v[:, lay.q], traj.x[:, lay.S :], traj.p]
+        diagnostics = [
+            inv.power_mechanical,
+            inv.power_heating,
+            inv.power_matter,
+            inv.entropy_production,
+            inv.kinematic_residual,
+            inv.first_law_residual,
+        ]
+    else:
+        n = traj.n
+        header = (
+            ["t"]
+            + [f"x_{i}" for i in range(n)]
+            + [f"v_{i}" for i in range(n)]
+            + [f"p_{i}" for i in range(n)]
+            + ["pt", "lam", "E", "cov_E", "kinematic_res"]
+        )
+        state = [traj.x, traj.v, traj.p]
+        diagnostics = [inv.kinematic_residual]
+    # cov_E is pt + E, which can round differently from inv.covariant_energy.
+    table = np.column_stack(
+        [traj.t, *state, traj.pt, _lam_column(traj), inv.energy, traj.pt + inv.energy]
+        + diagnostics
+    )
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        if problem.kind == "ideal_gas":
-            system = problem.system
-            lay = system.layout
-            n_q = system.n_q
-            header = (
-                ["t"]
-                + [f"q_{i}" for i in range(n_q)]
-                + [f"v_q_{i}" for i in range(n_q)]
-                + ["S", "N", "Gamma", "W", "Sigma"]
-                + [f"p_q_{i}" for i in range(n_q)]
-                + ["p_S", "p_N", "p_Gamma", "p_W", "p_Sigma", "pt", "lam"]
-                + ["E", "cov_E", "P_W", "P_H", "P_M", "I", "kinematic_res", "first_law_res"]
-            )
-            wr.writerow(header)
-            for k in range(traj.n_steps + 1):
-                t = traj.t[k]
-                x, v, p = traj.x[k], traj.v[k], traj.p[k]
-                ts = th.state_from_arrays(system, x, v)
-                E = generalized_energy(problem.L, t, x, v, p)
-                flows = th.power_flows(system, t, ts)
-                prod = th.entropy_production(system, t, ts)
-                row = (
-                    [t]
-                    + list(x[lay.q])
-                    + list(v[lay.q])
-                    + [x[lay.S], x[lay.N], x[lay.Gamma], x[lay.W], x[lay.Sigma]]
-                    + list(p[lay.q])
-                    + [p[lay.S], p[lay.N], p[lay.Gamma], p[lay.W], p[lay.Sigma]]
-                    + [traj.pt[k], lam_col[k]]
-                    + [
-                        E,
-                        traj.pt[k] + E,
-                        flows.mechanical,
-                        flows.heating,
-                        flows.matter,
-                        prod.total,
-                        inv.kinematic_residual[k],
-                        first_law[k],
-                    ]
-                )
-                wr.writerow([_fmt(vv) for vv in row])
-        else:
-            n = traj.n
-            header = (
-                ["t"]
-                + [f"x_{i}" for i in range(n)]
-                + [f"v_{i}" for i in range(n)]
-                + [f"p_{i}" for i in range(n)]
-                + ["pt", "lam", "E", "cov_E", "kinematic_res"]
-            )
-            wr.writerow(header)
-            for k in range(traj.n_steps + 1):
-                t = traj.t[k]
-                x, v, p = traj.x[k], traj.v[k], traj.p[k]
-                E = generalized_energy(problem.L, t, x, v, p)
-                row = (
-                    [t]
-                    + list(x)
-                    + list(v)
-                    + list(p)
-                    + [traj.pt[k], lam_col[k], E, traj.pt[k] + E, inv.kinematic_residual[k]]
-                )
-                wr.writerow([_fmt(vv) for vv in row])
+        wr.writerow(header)
+        for row in table:
+            wr.writerow([_fmt(v) for v in row.tolist()])
 
 
 def write_invariants_csv(path: Path, inv) -> None:
@@ -731,7 +705,6 @@ def evaluate_tolerances(
     problem: Problem,
     formulation: str,
     inv,
-    first_law: np.ndarray | None,
     tol_override,
     cov_drift: np.ndarray | None = None,
 ) -> tuple[bool, list[str]]:
@@ -778,7 +751,7 @@ def evaluate_tolerances(
         checks.append(
             (
                 "max |first law residual|",
-                float(np.max(np.abs(first_law))),
+                float(np.max(np.abs(inv.first_law_residual))),
                 tol_of("first_law", 1e-6),
                 True,
             )
@@ -822,30 +795,20 @@ def _run_and_report(problem: Problem, formulation: str, outdir: Path, tol_overri
     inv = monitor_invariants(
         problem.L, problem.vel_constraints, traj, thermo_system=problem.system
     )
-    first_law = (
-        th.first_law_residual(problem.system, traj)
-        if problem.kind == "ideal_gas"
-        else None
-    )
     cov_drift = None
     if problem.kind == "ideal_gas" and problem.system.f_ext is not None:
         # External forces do work on the mechanics, which the covariant energy
         # legitimately accumulates; the conserved quantity is the drift net of
         # the external work integral (trapezoid on the nodes, matching the
         # first-law quadrature).
-        P_W = np.empty(traj.n_steps + 1)
-        for k in range(traj.n_steps + 1):
-            ts = th.state_from_arrays(problem.system, traj.x[k], traj.v[k])
-            P_W[k] = th.power_flows(problem.system, traj.t[k], ts).mechanical
-        dt = np.diff(traj.t)
-        work = np.concatenate([[0.0], np.cumsum(0.5 * dt * (P_W[:-1] + P_W[1:]))])
+        work = _cumulative_trapezoid(inv.t, inv.power_mechanical)
         cov_drift = inv.covariant_energy_drift - work
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = problem.prefix
-    write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv, first_law)
+    write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv)
     write_invariants_csv(outdir / f"{prefix}_invariants.csv", inv)
     passed, lines = evaluate_tolerances(
-        problem, formulation, inv, first_law, tol_override, cov_drift=cov_drift
+        problem, formulation, inv, tol_override, cov_drift=cov_drift
     )
     head = [
         f"system: {problem.kind}",

@@ -45,7 +45,6 @@ __all__ = [
     "NonSectionError",
     "StepFailureError",
     "SingularJacobianError",
-    "DaeUnknowns",
     "pontryagin_dirac_residual",
     "lagrange_dirac_residual",
     "hamilton_dirac_residual",
@@ -55,7 +54,6 @@ __all__ = [
     "StepResult",
     "Trajectory",
     "ImplicitMidpointStepper",
-    "solve_step",
     "InvariantSeries",
     "monitor_invariants",
 ]
@@ -79,31 +77,6 @@ def _check_section(dt: float) -> None:
     if abs(dt - 1.0) > 1e-12:
         raise NonSectionError(
             f"rate has dt = {dt!r}; trajectories must be sections over time (dt = 1)"
-        )
-
-
-@dataclass(frozen=True)
-class DaeUnknowns:
-    """Unknowns (x, v, p, pt, lam) of one implicit step, with flat packing."""
-
-    x: np.ndarray
-    v: np.ndarray
-    p: np.ndarray
-    pt: float
-    lam: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.v, self.p, [self.pt], self.lam])
-
-    @staticmethod
-    def from_vector(vec: np.ndarray, n: int, m: int) -> "DaeUnknowns":
-        vec = np.asarray(vec, dtype=float)
-        return DaeUnknowns(
-            x=vec[:n].copy(),
-            v=vec[n : 2 * n].copy(),
-            p=vec[2 * n : 3 * n].copy(),
-            pt=float(vec[3 * n]),
-            lam=vec[3 * n + 1 :].copy(),
         )
 
 
@@ -339,6 +312,9 @@ class Trajectory:
 
 # Residual floor for the polish iterations after the main tolerance is met.
 _POLISH_FLOOR = 1e-15
+# Converged steps after which the cached Jacobian is rebuilt even if the
+# chord iteration has not stalled.
+_JACOBIAN_REFRESH = 50
 
 
 class ImplicitMidpointStepper:
@@ -348,11 +324,7 @@ class ImplicitMidpointStepper:
     the finite-difference Jacobian) and must not be shared across threads.
     scales optionally gives per-residual-row characteristic magnitudes used to
     nondimensionalize the convergence test; the default is 1 for every row.
-
-    pt_mode selects how the momentum conjugate to time is advanced: "coupled"
-    keeps it inside the Newton system, "post" drops its row and updates it
-    explicitly from the midpoint balance after each step. Both give identical
-    trajectories because no other row depends on it.
+    The momentum conjugate to time is one of the Newton unknowns.
     """
 
     def __init__(
@@ -365,8 +337,6 @@ class ImplicitMidpointStepper:
         newton_tol: float = 1e-11,
         max_iter: int = 50,
         scales: np.ndarray | None = None,
-        pt_mode: str = "coupled",
-        jacobian_refresh: int = 50,
     ):
         if formulation not in FORMULATIONS:
             raise ValueError(
@@ -386,8 +356,6 @@ class ImplicitMidpointStepper:
             raise ValueError("constraint dimension does not match the system")
         if f_ext is not None and formulation != "pontryagin":
             raise ValueError("external forces are only supported on the pontryagin path")
-        if pt_mode not in ("coupled", "post"):
-            raise ValueError("pt_mode must be 'coupled' or 'post'")
 
         self.formulation = formulation
         self.L = lagrangian
@@ -396,14 +364,9 @@ class ImplicitMidpointStepper:
         self.f_ext = f_ext
         self.newton_tol = float(newton_tol)
         self.max_iter = int(max_iter)
-        self.pt_mode = pt_mode
-        self.jacobian_refresh = int(jacobian_refresh)
 
         n, m = self.n, constraints.m
-        if formulation == "hamilton-dirac":
-            self._nunk = 2 * n + m + (1 if pt_mode == "coupled" else 0)
-        else:
-            self._nunk = 3 * n + m + (1 if pt_mode == "coupled" else 0)
+        self._nunk = (2 if formulation == "hamilton-dirac" else 3) * n + 1 + m
         if scales is None:
             self._scales = np.ones(self._nunk)
         else:
@@ -416,7 +379,6 @@ class ImplicitMidpointStepper:
     def _residual_fn(self, state, h: float) -> Callable[[np.ndarray], np.ndarray]:
         n, m = self.n, self.constraints.m
         C = self.constraints
-        coupled = self.pt_mode == "coupled"
 
         if self.formulation == "hamilton-dirac":
             H = self.H
@@ -427,11 +389,8 @@ class ImplicitMidpointStepper:
             def residual(y: np.ndarray) -> np.ndarray:
                 x1 = y[:n]
                 p1 = y[n : 2 * n]
-                if coupled:
-                    pt1 = y[2 * n]
-                    lam = y[2 * n + 1 :]
-                else:
-                    lam = y[2 * n :]
+                pt1 = y[2 * n]
+                lam = y[2 * n + 1 :]
                 xm = 0.5 * (x0 + x1)
                 pm = 0.5 * (p0 + p1)
                 A = C.A(tm, xm, pm)
@@ -447,10 +406,8 @@ class ImplicitMidpointStepper:
                 B1 = C.B(t1, x1, p1)
                 w1 = np.asarray(H.d_p(t1, x1, p1), dtype=float).reshape(n)
                 r4 = A1 @ w1 + B1
-                if coupled:
-                    r2 = (pt1 - pt0) / h + float(H.d_t(tm, xm, pm)) - float(B @ lam)
-                    return np.concatenate([r1, r3, r4, [r2]])
-                return np.concatenate([r1, r3, r4])
+                r2 = (pt1 - pt0) / h + float(H.d_t(tm, xm, pm)) - float(B @ lam)
+                return np.concatenate([r1, r3, r4, [r2]])
 
             return residual
 
@@ -464,11 +421,8 @@ class ImplicitMidpointStepper:
             x1 = y[:n]
             v1 = y[n : 2 * n]
             p1 = y[2 * n : 3 * n]
-            if coupled:
-                pt1 = y[3 * n]
-                lam = y[3 * n + 1 :]
-            else:
-                lam = y[3 * n :]
+            pt1 = y[3 * n]
+            lam = y[3 * n + 1 :]
             xm = 0.5 * (x0 + x1)
             vm = 0.5 * (v0 + v1)
             pm = 0.5 * (p0 + p1)
@@ -487,35 +441,10 @@ class ImplicitMidpointStepper:
             A1 = C.A(t1, x1, w1)
             B1 = C.B(t1, x1, w1)
             r4 = A1 @ v1 + B1
-            if coupled:
-                r5 = (pt1 - pt0) / h - float(L.d_t(tm, xm, vm)) - float(B @ lam)
-                return np.concatenate([r1, r2, r3, r4, [r5]])
-            return np.concatenate([r1, r2, r3, r4])
+            r5 = (pt1 - pt0) / h - float(L.d_t(tm, xm, vm)) - float(B @ lam)
+            return np.concatenate([r1, r2, r3, r4, [r5]])
 
         return residual
-
-    def _post_pt_update(self, state, h: float, y: np.ndarray) -> float:
-        n = self.n
-        C = self.constraints
-        tm = state.t + 0.5 * h
-        if self.formulation == "hamilton-dirac":
-            x1 = y[:n]
-            p1 = y[n : 2 * n]
-            lam = y[2 * n :]
-            xm = 0.5 * (state.x + x1)
-            pm = 0.5 * (state.p + p1)
-            B = C.B(tm, xm, pm)
-            return state.pt + h * (-float(self.H.d_t(tm, xm, pm)) + float(B @ lam))
-        x1 = y[:n]
-        v1 = y[n : 2 * n]
-        p1 = y[2 * n : 3 * n]
-        lam = y[3 * n :]
-        xm = 0.5 * (state.x + x1)
-        vm = 0.5 * (state.v + v1)
-        pm = 0.5 * (state.p + p1)
-        wm = pm if self.formulation == "lagrange-dirac" else vm
-        B = C.B(tm, xm, wm)
-        return state.pt + h * (float(self.L.d_t(tm, xm, vm)) + float(B @ lam))
 
     # -- Newton machinery -------------------------------------------------
 
@@ -555,7 +484,7 @@ class ImplicitMidpointStepper:
         for attempt in (0, 1):
             y = guess.copy()
             if attempt == 1 or self._lu is None or (
-                self._steps_since_refresh >= self.jacobian_refresh
+                self._steps_since_refresh >= _JACOBIAN_REFRESH
             ):
                 self._factor(residual, y)
             lu = self._lu
@@ -601,20 +530,11 @@ class ImplicitMidpointStepper:
 
     def _guess(self, state, h: float) -> np.ndarray:
         n, m = self.n, self.constraints.m
-        coupled = self.pt_mode == "coupled"
         lam0 = getattr(self, "_last_lam", np.zeros(m))
         if self.formulation == "hamilton-dirac":
             w0 = np.asarray(self.H.d_p(state.t, state.x, state.p), dtype=float).reshape(n)
-            parts = [state.x + h * w0, state.p]
-            if coupled:
-                parts.append([state.pt])
-            parts.append(lam0)
-            return np.concatenate(parts)
-        parts = [state.x + h * state.v, state.v, state.p]
-        if coupled:
-            parts.append([state.pt])
-        parts.append(lam0)
-        return np.concatenate(parts)
+            return np.concatenate([state.x + h * w0, state.p, [state.pt], lam0])
+        return np.concatenate([state.x + h * state.v, state.v, state.p, [state.pt], lam0])
 
     def step(self, state, h: float) -> StepResult:
         """Advance one step of size h from the given state."""
@@ -622,16 +542,13 @@ class ImplicitMidpointStepper:
         residual = self._residual_fn(state, h)
         y, rn, iters = self._newton(residual, self._guess(state, h))
         n = self.n
-        coupled = self.pt_mode == "coupled"
         if self.formulation == "hamilton-dirac":
-            pt1 = y[2 * n] if coupled else self._post_pt_update(state, h, y)
-            lam = y[2 * n + 1 :] if coupled else y[2 * n :]
-            new = PhasePoint(t=state.t + h, x=y[:n], pt=pt1, p=y[n : 2 * n])
+            lam = y[2 * n + 1 :]
+            new = PhasePoint(t=state.t + h, x=y[:n], pt=y[2 * n], p=y[n : 2 * n])
         else:
-            pt1 = y[3 * n] if coupled else self._post_pt_update(state, h, y)
-            lam = y[3 * n + 1 :] if coupled else y[3 * n :]
+            lam = y[3 * n + 1 :]
             new = PontryaginState(
-                t=state.t + h, x=y[:n], v=y[n : 2 * n], pt=pt1, p=y[2 * n : 3 * n]
+                t=state.t + h, x=y[:n], v=y[n : 2 * n], pt=y[3 * n], p=y[2 * n : 3 * n]
             )
         self._last_lam = lam.copy()
         return StepResult(state=new, lam=lam.copy(), newton_iters=iters, residual_norm=rn)
@@ -703,48 +620,39 @@ class ImplicitMidpointStepper:
         )
 
 
-def solve_step(
-    formulation: str,
-    state,
-    h: float,
-    lagrangian: TimeLagrangian | None = None,
-    hamiltonian: TimeHamiltonian | None = None,
-    constraints: ConstraintSet | None = None,
-    f_ext: ExternalForce | None = None,
-    **options,
-) -> StepResult:
-    """One implicit midpoint step without keeping a stepper around."""
-
-    stepper = ImplicitMidpointStepper(
-        formulation,
-        lagrangian=lagrangian,
-        hamiltonian=hamiltonian,
-        constraints=constraints,
-        f_ext=f_ext,
-        **options,
-    )
-    return stepper.step(state, h)
+def _cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Trapezoid integral of node values y from t[0] to each node (0 at t[0]).
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t) * (y[:-1] + y[1:]))])
 
 
 @dataclass(frozen=True)
 class InvariantSeries:
-    """Per-step diagnostic series for a trajectory.
+    """Per-node and per-step diagnostic series for a trajectory.
 
-    Node arrays (length K + 1): covariant_energy, covariant_energy_drift
-    (relative to the initial node), kinematic_residual, entropy_production.
+    Node arrays (length K + 1): t, energy (E = <p, v> - L), covariant_energy
+    (pt + <p, v> - L), covariant_energy_drift (relative to the initial node),
+    kinematic_residual, and for open thermodynamic systems the external power
+    flows power_mechanical (P_W), power_heating (P_H) and power_matter (P_M),
+    entropy_production (I), and first_law_residual (E(t) - E(0) minus the
+    trapezoid integral of P_W + P_H + P_M, zero at the first node).
     Step arrays (length K): t_mid, energy_balance_residual (discrete balance
     of the momentum conjugate to time), entropy_decomposition_residual. The
-    entropy fields are None for purely mechanical systems.
+    thermodynamic fields are None for purely mechanical systems.
     """
 
     t: np.ndarray
     t_mid: np.ndarray
+    energy: np.ndarray
     covariant_energy: np.ndarray
     covariant_energy_drift: np.ndarray
     energy_balance_residual: np.ndarray
     kinematic_residual: np.ndarray
     entropy_decomposition_residual: np.ndarray | None = None
     entropy_production: np.ndarray | None = None
+    power_mechanical: np.ndarray | None = None
+    power_heating: np.ndarray | None = None
+    power_matter: np.ndarray | None = None
+    first_law_residual: np.ndarray | None = None
 
     def summary(self) -> dict[str, float]:
         out = {
@@ -773,23 +681,39 @@ def monitor_invariants(
 ) -> InvariantSeries:
     """Evaluate conservation and consistency diagnostics along a trajectory.
 
-    The energy balance residual is the discrete rate of the momentum conjugate
-    to time minus its law, with coefficients at the step midpoint, using the
-    stored midpoint multipliers. The kinematic residual is evaluated at every
-    node. When thermo_system is given (a SimpleOpenSystem), the entropy
-    decomposition residual (Sdot - Sigmadot - p_Gamma_dot) and the internal
-    entropy production at the nodes are included.
+    One pass over the nodes evaluates <p, v> and L once per node for the
+    energy and the covariant energy, and the constraint row for the
+    kinematic residual. The energy balance residual is the discrete rate of
+    the momentum conjugate to time minus its law, with coefficients at the
+    step midpoint, using the stored midpoint multipliers. When thermo_system
+    is given (a SimpleOpenSystem), the same pass evaluates the power flows
+    and the internal entropy production once per node; the first-law
+    residual and the entropy decomposition residual (Sdot - Sigmadot -
+    p_Gamma_dot) follow from those columns and the state arrays.
     """
 
     K = traj.n_steps
+    E = np.empty(K + 1)
     ce = np.empty(K + 1)
     kin = np.empty(K + 1)
+    if thermo_system is not None:
+        from .thermo import entropy_production, power_flows, state_from_arrays
+
+        P_W, P_H, P_M, prod = (np.empty(K + 1) for _ in range(4))
     for k in range(K + 1):
         t, xk, vk, pk = traj.t[k], traj.x[k], traj.v[k], traj.p[k]
-        ce[k] = traj.pt[k] + float(pk @ vk) - float(L.value(t, xk, vk))
+        pv = float(pk @ vk)
+        Lv = float(L.value(t, xk, vk))
+        E[k] = pv - Lv
+        ce[k] = traj.pt[k] + pv - Lv
         A = constraints.A(t, xk, vk)
         B = constraints.B(t, xk, vk)
         kin[k] = float(np.max(np.abs(A @ vk + B), initial=0.0))
+        if thermo_system is not None:
+            ts = state_from_arrays(thermo_system, xk, vk)
+            flows = power_flows(thermo_system, t, ts)
+            P_W[k], P_H[k], P_M[k] = flows.mechanical, flows.heating, flows.matter
+            prod[k] = entropy_production(thermo_system, t, ts).total
 
     t_mid = 0.5 * (traj.t[:-1] + traj.t[1:])
     ebr = np.empty(K)
@@ -799,29 +723,29 @@ def monitor_invariants(
         ptdot = (traj.pt[k + 1] - traj.pt[k]) / (traj.t[k + 1] - traj.t[k])
         ebr[k] = ptdot - float(L.d_t(sm.t, sm.x, sm.v)) - float(B @ traj.lam[k])
 
-    entropy_res = None
-    entropy_prod = None
+    thermo = {}
     if thermo_system is not None:
-        from .thermo import entropy_production, state_from_arrays
-
         lay = thermo_system.layout
         S = traj.x[:, lay.S]
         Sg = traj.x[:, lay.Sigma]
         pG = traj.p[:, lay.Gamma]
-        h = traj.h
-        entropy_res = ((S[1:] - S[:-1]) - (Sg[1:] - Sg[:-1]) - (pG[1:] - pG[:-1])) / h
-        entropy_prod = np.empty(K + 1)
-        for k in range(K + 1):
-            ts = state_from_arrays(thermo_system, traj.x[k], traj.v[k])
-            entropy_prod[k] = entropy_production(thermo_system, traj.t[k], ts).total
-
+        thermo = dict(
+            entropy_decomposition_residual=(
+                (S[1:] - S[:-1]) - (Sg[1:] - Sg[:-1]) - (pG[1:] - pG[:-1])
+            ) / traj.h,
+            entropy_production=prod,
+            power_mechanical=P_W,
+            power_heating=P_H,
+            power_matter=P_M,
+            first_law_residual=(E - E[0]) - _cumulative_trapezoid(traj.t, P_W + P_H + P_M),
+        )
     return InvariantSeries(
         t=traj.t.copy(),
         t_mid=t_mid,
+        energy=E,
         covariant_energy=ce,
         covariant_energy_drift=ce - ce[0],
         energy_balance_residual=ebr,
         kinematic_residual=kin,
-        entropy_decomposition_residual=entropy_res,
-        entropy_production=entropy_prod,
+        **thermo,
     )

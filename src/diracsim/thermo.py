@@ -691,6 +691,7 @@ def run_reduced(
     -(P_M + P_H). The returned trajectory is lifted to the full bundle arrays
     (velocities of the bookkeeping slots are the reduced rates, momenta the
     fiber derivative, multiplier exactly 1), with formulation "reduced".
+    newton_iters counts each step's Newton updates, polish iterations included.
     """
 
     if h <= 0:
@@ -702,6 +703,7 @@ def run_reduced(
     K = int(n_steps)
     ys = np.empty((K + 1, dim))
     pts = np.empty(K + 1)
+    iters = np.zeros(K, dtype=int)
     ys[0] = _reduced_state_vector(ts0)
     pts[0] = float(pt0)
 
@@ -736,6 +738,7 @@ def run_reduced(
             if converged:
                 break
             y = y - lu_solve(lu, r)
+            iters[k] += 1
             r = residual(y)
             prev, rn = rn, float(np.max(np.abs(r)))
             if rn <= newton_tol:
@@ -755,6 +758,7 @@ def run_reduced(
             if rn2 >= rn:
                 break
             y, r, rn = y2, r2, rn2
+            iters[k] += 1
         ys[k + 1] = y
         ym = _reduced_state_from_vector(sys, 0.5 * (y0 + y))
         pts[k + 1] = pts[k] + h * reduced_rhs(sys, tm, ym).ptdot
@@ -779,7 +783,7 @@ def run_reduced(
         p=p,
         pt=pts,
         lam=np.ones((K, 1)),
-        newton_iters=np.zeros(K, dtype=int),
+        newton_iters=iters,
     )
 
 

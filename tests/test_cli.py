@@ -3,6 +3,7 @@ commands, their exit codes (0 pass, 1 tolerance violation, 2 config error,
 3 solver failure), and the output files."""
 
 import csv
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from diracsim import thermo as th
+from diracsim import cli, thermo as th
 from diracsim.cli import BUILTINS, ConfigError, build_problem, load_config, main, make_schedule
+from diracsim.dynamics import monitor_invariants
+from diracsim.lagrangian import generalized_energy
 
 
 def invoke(*args):
@@ -398,18 +401,100 @@ def test_whole_step_horizons_still_load():
             assert build_problem(cfg).n_steps == steps
 
 
-def test_run_computes_first_law_once(tmp_path, monkeypatch):
-    calls = []
-    original = th.first_law_residual
+def forced_thermo_cfg():
+    cfg = thermo_cfg()
+    cfg["system"]["external_force"] = [[0.0, 0.0], [0.05, 0.1]]
+    return cfg
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(th, "first_law_residual", counted)
-    result = invoke("run", write_cfg(tmp_path, thermo_cfg()), "--out", str(tmp_path))
-    assert result.exit_code == 0, all_text(result)
-    assert len(calls) == 1
+def test_run_evaluates_each_node_diagnostic_once(tmp_path, monkeypatch):
+    problem = build_problem(forced_thermo_cfg())
+    traj = cli.run_formulation(problem, "pontryagin")
+    K = traj.n_steps
+    calls = {"L.value": 0, "power_flows": 0, "entropy_production": 0, "first_law_residual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    problem = dataclasses.replace(
+        problem, L=dataclasses.replace(problem.L, value=counted("L.value", problem.L.value))
+    )
+    for name in ("power_flows", "entropy_production", "first_law_residual"):
+        monkeypatch.setattr(th, name, counted(name, getattr(th, name)))
+    monkeypatch.setattr(cli, "run_formulation", lambda problem, formulation: traj)
+    passed, summary, _ = cli._run_and_report(problem, "pontryagin", tmp_path, None)
+    assert passed, summary
+    assert calls == {
+        "L.value": K + 1,
+        "power_flows": K + 1,
+        "entropy_production": K + 1,
+        "first_law_residual": 0,
+    }
+
+
+def test_invariant_columns_equal_node_functions_bitwise(tmp_path):
+    problem = build_problem(forced_thermo_cfg(), "reduced")
+    sys0 = problem.system
+    traj = cli.run_formulation(problem, "reduced")
+    inv = monitor_invariants(problem.L, problem.vel_constraints, traj, thermo_system=sys0)
+    # The CSV writes these columns as they are; cov_E is pt + E, which may
+    # round differently from inv.covariant_energy.
+    cli.write_trajectory_csv(tmp_path / "traj.csv", problem, traj, inv)
+    with open(tmp_path / "traj.csv") as fh:
+        rows = list(csv.reader(fh))
+    col = {name: np.array([float(r[i]) for r in rows[1:]]) for i, name in enumerate(rows[0])}
+    for name, want in (
+        ("E", inv.energy),
+        ("cov_E", traj.pt + inv.energy),
+        ("P_W", inv.power_mechanical),
+        ("P_H", inv.power_heating),
+        ("P_M", inv.power_matter),
+        ("I", inv.entropy_production),
+        ("kinematic_res", inv.kinematic_residual),
+        ("first_law_res", inv.first_law_residual),
+    ):
+        np.testing.assert_array_equal(col[name], want, err_msg=name)
+    nodes = range(traj.n_steps + 1)
+    states = [th.state_from_arrays(sys0, traj.x[k], traj.v[k]) for k in nodes]
+    flows = [th.power_flows(sys0, traj.t[k], states[k]) for k in nodes]
+    assert any(f.mechanical != 0.0 for f in flows)
+    np.testing.assert_array_equal(
+        inv.energy,
+        [generalized_energy(problem.L, traj.t[k], traj.x[k], traj.v[k], traj.p[k]) for k in nodes],
+    )
+    np.testing.assert_array_equal(inv.power_mechanical, [f.mechanical for f in flows])
+    np.testing.assert_array_equal(inv.power_heating, [f.heating for f in flows])
+    np.testing.assert_array_equal(inv.power_matter, [f.matter for f in flows])
+    np.testing.assert_array_equal(
+        inv.entropy_production,
+        [th.entropy_production(sys0, traj.t[k], states[k]).total for k in nodes],
+    )
+    np.testing.assert_array_equal(inv.first_law_residual, th.first_law_residual(sys0, traj))
+
+    cfg = load_config("nonholonomic_particle")
+    cfg["integrator"]["horizon"] = 0.05
+    mech = build_problem(cfg, "pontryagin")
+    traj = cli.run_formulation(mech, "pontryagin")
+    inv = monitor_invariants(mech.L, mech.vel_constraints, traj)
+    np.testing.assert_array_equal(
+        inv.energy,
+        [
+            generalized_energy(mech.L, traj.t[k], traj.x[k], traj.v[k], traj.p[k])
+            for k in range(traj.n_steps + 1)
+        ],
+    )
+    assert inv.power_mechanical is None and inv.first_law_residual is None
+
+
+def test_reduced_run_records_newton_iterations():
+    problem = build_problem(load_config("two_port_piston"), "reduced")
+    traj = th.run_reduced(problem.system, 0.0, problem.ts0, problem.h, 50)
+    assert traj.newton_iters.shape == (50,)
+    assert np.all(traj.newton_iters >= 1)
 
 
 def test_run_hamilton_dirac_unavailable_for_thermo(tmp_path):

@@ -26,7 +26,6 @@ from diracsim.dynamics import (
     monitor_invariants,
     pontryagin_dirac_residual,
     recover_multipliers,
-    solve_step,
 )
 from diracsim.geometry import (
     ConstraintSet,
@@ -287,7 +286,7 @@ def test_single_step_matches_collocation_oracle():
     sol = least_squares(oracle_residual, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15)
     assert np.max(np.abs(oracle_residual(sol.x))) < 1e-12
 
-    result = solve_step("pontryagin", s0, h, lagrangian=L, constraints=C)
+    result = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C).step(s0, h)
     npt.assert_allclose(result.state.x, sol.x[0:2], atol=1e-9)
     npt.assert_allclose(result.state.v, sol.x[2:4], atol=1e-9)
     npt.assert_allclose(result.state.p, sol.x[2:4], atol=1e-9)
@@ -393,20 +392,6 @@ def test_three_formulations_agree():
         assert np.max(np.abs(tp.pt - other.pt)) < 1e-10
 
 
-def test_pt_mode_post_matches_coupled():
-    L = free_particle()
-    C = affine_constraint()
-    s0 = nonholonomic_initial()
-    a = ImplicitMidpointStepper(
-        "pontryagin", lagrangian=L, constraints=C, pt_mode="coupled"
-    ).run(s0, 1e-2, 100)
-    b = ImplicitMidpointStepper(
-        "pontryagin", lagrangian=L, constraints=C, pt_mode="post"
-    ).run(s0, 1e-2, 100)
-    npt.assert_allclose(a.x, b.x, atol=1e-12)
-    npt.assert_allclose(a.pt, b.pt, atol=1e-12)
-
-
 # -- stepper interface and failure modes -----------------------------------
 
 
@@ -424,10 +409,6 @@ def test_stepper_validates_inputs():
     F = ExternalForce(n=2, value=lambda t, x, v: np.zeros(2))
     with pytest.raises(ValueError):
         ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C, f_ext=F)
-    with pytest.raises(ValueError):
-        ImplicitMidpointStepper(
-            "pontryagin", lagrangian=L, constraints=C, pt_mode="both"
-        )
 
 
 def test_run_rejects_inconsistent_initial_state():
@@ -462,18 +443,6 @@ def test_duplicate_constraint_rows_singular_jacobian():
     # Through run the failure is wrapped with the step index.
     with pytest.raises(StepFailureError, match="step 0"):
         stepper.run(s0, 1e-2, 5)
-
-
-def test_solve_step_equals_stepper_step():
-    L = free_particle()
-    C = affine_constraint()
-    s0 = nonholonomic_initial()
-    r1 = solve_step("pontryagin", s0, 1e-2, lagrangian=L, constraints=C)
-    r2 = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C).step(
-        s0, 1e-2
-    )
-    npt.assert_allclose(r1.state.x, r2.state.x, atol=1e-14)
-    npt.assert_allclose(r1.lam, r2.lam, atol=1e-14)
 
 
 def test_scales_shape_is_validated():

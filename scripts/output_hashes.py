@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Fingerprint every output of the bundled scenarios, for bit-identity checks.
+
+Runs `diracsim run` on every builtin scenario with each formulation it
+supports, and on configs/forced_piston.json with pontryagin and reduced, all
+at their default horizons; then `diracsim check <builtin> --seed 0`. Each run
+writes into OUTDIR/<scenario>__<formulation>/ (its CSVs, its summary, and its
+standard output as stdout.txt), each check into OUTDIR/check/<builtin>.txt.
+Prints `sha256  relpath` for every file under OUTDIR, sorted by path, so the
+listings of two source trees can be compared with diff.
+
+The package is imported from the src/ directory next to this script, so a
+copy of the script in another checkout fingerprints that checkout:
+
+    python3 scripts/output_hashes.py /tmp/out > hashes.txt
+
+Takes a few minutes: the thermodynamic runs are 10 000 steps each.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+THERMO = ("pontryagin", "lagrange-dirac", "reduced")
+RUNS = [
+    *((name, f) for name in ("closed_piston", "conduction_piston",
+                             "matched_port_piston", "two_port_piston") for f in THERMO),
+    *(("nonholonomic_particle", f) for f in ("pontryagin", "lagrange-dirac", "hamilton-dirac")),
+    *((str(ROOT / "configs" / "forced_piston.json"), f) for f in ("pontryagin", "reduced")),
+]
+CHECKS = ("closed_piston", "conduction_piston", "matched_port_piston",
+          "nonholonomic_particle", "two_port_piston")
+
+
+def _cli(args: list[str], stdout_path: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open(stdout_path, "w") as fh:
+        return subprocess.run(
+            [sys.executable, "-m", "diracsim.cli", *args], stdout=fh, env=env
+        ).returncode
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("outdir", type=Path, help="Directory for the outputs (created).")
+    args = ap.parse_args()
+    out = args.outdir
+
+    failed = []
+    for config, formulation in RUNS:
+        rundir = out / f"{Path(config).stem}__{formulation}"
+        rundir.mkdir(parents=True, exist_ok=True)
+        cmd = ["run", config, "--formulation", formulation, "--out", str(rundir)]
+        if _cli(cmd, rundir / "stdout.txt") != 0:
+            failed.append(f"{Path(config).stem} {formulation}")
+    (out / "check").mkdir(parents=True, exist_ok=True)
+    for name in CHECKS:
+        if _cli(["check", name, "--seed", "0"], out / "check" / f"{name}.txt") != 0:
+            failed.append(f"check {name}")
+
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    for what in failed:
+        print(f"nonzero exit: {what}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -76,7 +76,9 @@ class _PointMemo:
             if k == key:
                 return result
         result = self._fn(t, x, w)
-        self._entries = (self._entries + [(key, result)])[-self._size :]
+        self._entries.append((key, result))
+        if len(self._entries) > self._size:
+            del self._entries[0]
         return result
 
 

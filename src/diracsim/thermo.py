@@ -19,13 +19,14 @@ treated as a modeling error and raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import StepFailureError, Trajectory
+from .dynamics import StepFailureError, Trajectory, _chord_solve, _max_norm
 from .geometry import ConstraintSet, PontryaginState, TangentP
 from .lagrangian import (
     HyperregularityError,
@@ -72,35 +73,39 @@ class NonpositiveTemperatureError(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermoLayout:
-    """Index layout of the extended state x = (q, S, N, Gamma, W, Sigma)."""
+    """Index layout of the extended state x = (q, S, N, Gamma, W, Sigma).
+
+    The indices are computed once per layout; the hot path reads them on
+    every constraint row.
+    """
 
     n_q: int
 
-    @property
+    @cached_property
     def q(self) -> slice:
         return slice(0, self.n_q)
 
-    @property
+    @cached_property
     def S(self) -> int:
         return self.n_q
 
-    @property
+    @cached_property
     def N(self) -> int:
         return self.n_q + 1
 
-    @property
+    @cached_property
     def Gamma(self) -> int:
         return self.n_q + 2
 
-    @property
+    @cached_property
     def W(self) -> int:
         return self.n_q + 3
 
-    @property
+    @cached_property
     def Sigma(self) -> int:
         return self.n_q + 4
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.n_q + 5
 
@@ -118,10 +123,15 @@ class ThermoState:
     Sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "v_q", np.atleast_1d(np.asarray(self.v_q, dtype=float)))
+        # Coerce to 1-d float64 arrays and Python floats, touching only what
+        # is not one already: states are built several times per residual.
+        for name in ("q", "v_q"):
+            a = getattr(self, name)
+            if not (type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1):
+                object.__setattr__(self, name, np.atleast_1d(np.asarray(a, dtype=float)))
         for name in ("S", "N", "Gamma", "W", "Sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            if type(getattr(self, name)) is not float:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -228,14 +238,15 @@ def state_from_arrays(
     lay = sys.layout
     x = np.asarray(x, dtype=float).reshape(lay.n)
     v = np.asarray(v, dtype=float).reshape(lay.n)
+    xs = x.tolist()  # the scalar slots as Python floats, in one call
     return ThermoState(
         q=x[lay.q].copy(),
         v_q=v[lay.q].copy(),
-        S=x[lay.S],
-        N=x[lay.N],
-        Gamma=x[lay.Gamma],
-        W=x[lay.W],
-        Sigma=x[lay.Sigma],
+        S=xs[lay.S],
+        N=xs[lay.N],
+        Gamma=xs[lay.Gamma],
+        W=xs[lay.W],
+        Sigma=xs[lay.Sigma],
     )
 
 
@@ -257,8 +268,7 @@ def chemical_potential(sys: SimpleOpenSystem, ts: ThermoState) -> float:
     return -float(sys.mech.d_N(ts.q, ts.v_q, ts.S, ts.N))
 
 
-@dataclass(frozen=True)
-class _PortSums:
+class _PortSums(NamedTuple):
     J: float            # total molar inflow
     J_S_ports: float    # entropy inflow through matter ports
     J_S_sources: float  # entropy inflow through heating ports
@@ -282,7 +292,7 @@ def _port_sums(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> _PortSums:
         js = float(src.J_S(t, ts))
         JS_b += js
         P_H += js * float(src.T_source(t, ts))
-    return _PortSums(J=J, J_S_ports=JS_a, J_S_sources=JS_b, P_M=P_M, P_H=P_H)
+    return _PortSums(J, JS_a, JS_b, P_M, P_H)
 
 
 def _friction_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
@@ -417,7 +427,7 @@ def _vq_from_pq(
     v = np.zeros(sys.n_q)
     for _ in range(max_iter):
         r = np.asarray(mech.d_v(q, v, S, N), dtype=float).reshape(sys.n_q) - p_q
-        if np.max(np.abs(r), initial=0.0) <= tol * (1.0 + np.max(np.abs(p_q), initial=0.0)):
+        if np.abs(r).max(initial=0.0) <= tol * (1.0 + np.abs(p_q).max(initial=0.0)):
             return v
         M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
         _require_nonsingular(M, "mechanical mass matrix is singular")
@@ -439,14 +449,15 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
         p = np.asarray(p, dtype=float).reshape(lay.n)
         x = np.asarray(x, dtype=float).reshape(lay.n)
         vq = _vq_from_pq(sys, x[lay.q], x[lay.S], x[lay.N], p[lay.q])
+        xs = x.tolist()
         return ThermoState(
             q=x[lay.q].copy(),
             v_q=vq,
-            S=x[lay.S],
-            N=x[lay.N],
-            Gamma=x[lay.Gamma],
-            W=x[lay.W],
-            Sigma=x[lay.Sigma],
+            S=xs[lay.S],
+            N=xs[lay.N],
+            Gamma=xs[lay.Gamma],
+            W=xs[lay.W],
+            Sigma=xs[lay.Sigma],
         )
 
     return _row_constraints(sys, ts_from_p)
@@ -655,14 +666,9 @@ def _reduced_state_vector(ts: ThermoState) -> np.ndarray:
 
 def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoState:
     n_q = sys.n_q
+    S, N, Gamma, W, Sigma = y[2 * n_q :].tolist()
     return ThermoState(
-        q=y[:n_q],
-        v_q=y[n_q : 2 * n_q],
-        S=y[2 * n_q],
-        N=y[2 * n_q + 1],
-        Gamma=y[2 * n_q + 2],
-        W=y[2 * n_q + 3],
-        Sigma=y[2 * n_q + 4],
+        q=y[:n_q], v_q=y[n_q : 2 * n_q], S=S, N=N, Gamma=Gamma, W=W, Sigma=Sigma
     )
 
 
@@ -674,6 +680,9 @@ def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> np.ndarray
     )
 
 
+# Overflow in a trial evaluation shows in the values (a non-finite Jacobian
+# or residual ends in StepFailureError); numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_reduced(
     sys: SimpleOpenSystem,
     t0: float,
@@ -708,7 +717,7 @@ def run_reduced(
     pts[0] = float(pt0)
 
     lu = None
-    from scipy.linalg import lu_factor, lu_solve
+    from scipy.linalg import lu_factor
 
     def factor(residual, y):
         r0 = residual(y)
@@ -718,6 +727,11 @@ def run_reduced(
             yp = y.copy()
             yp[j] += eps
             J[:, j] = (residual(yp) - r0) / eps
+        if not np.isfinite(J).all():
+            raise StepFailureError(
+                f"reduced step {k}: the finite-difference Jacobian is not finite; "
+                "the rates overflow or are undefined near this state"
+            )
         return lu_factor(J)
 
     for k in range(K):
@@ -732,15 +746,15 @@ def run_reduced(
         if lu is None:
             lu = factor(residual, y)
         r = residual(y)
-        rn = float(np.max(np.abs(r)))
+        rn = _max_norm(r)
         converged = rn <= newton_tol
         for it in range(max_iter):
-            if converged:
+            if converged or not math.isfinite(rn):
                 break
-            y = y - lu_solve(lu, r)
+            y = y - _chord_solve(lu, r)
             iters[k] += 1
             r = residual(y)
-            prev, rn = rn, float(np.max(np.abs(r)))
+            prev, rn = rn, _max_norm(r)
             if rn <= newton_tol:
                 converged = True
             elif it >= 2 and rn > 0.9 * prev:
@@ -752,10 +766,10 @@ def run_reduced(
         for _ in range(3):
             if rn <= 1e-15:
                 break
-            y2 = y - lu_solve(lu, r)
+            y2 = y - _chord_solve(lu, r)
             r2 = residual(y2)
-            rn2 = float(np.max(np.abs(r2)))
-            if rn2 >= rn:
+            rn2 = _max_norm(r2)
+            if not rn2 < rn:
                 break
             y, r, rn = y2, r2, rn2
             iters[k] += 1

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +552,24 @@ def test_run_draining_port_exits_3(tmp_path):
     result = invoke("run", path, "--out", str(tmp_path))
     assert result.exit_code == 3, all_text(result)
     assert "mole number" in all_text(result)
+
+
+@pytest.mark.parametrize("formulation", ["pontryagin", "lagrange-dirac", "reduced"])
+def test_run_non_finite_jacobian_exits_3(tmp_path, formulation):
+    # At S = 700 the initial state is finite, but the exponential in the
+    # ideal gas energy overflows within one finite-difference step of it.
+    cfg = BUILTINS["closed_piston"]()
+    cfg["initial"]["S"] = 700
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        # A numpy warning would be a second line on the terminal.
+        warnings.simplefilter("error")
+        result = invoke("run", path, "--formulation", formulation, "--out", str(tmp_path))
+    assert result.exit_code == 3, all_text(result)
+    text = all_text(result).strip()
+    assert "Traceback" not in text
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "step 0" in text and "Jacobian is not finite" in text
 
 
 # -- compare ---------------------------------------------------------------

@@ -11,7 +11,9 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import least_squares
 
 from diracsim.dynamics import (
@@ -20,6 +22,7 @@ from diracsim.dynamics import (
     SingularJacobianError,
     StepFailureError,
     Trajectory,
+    _chord_solve,
     hamilton_dirac_residual,
     initialize_covariant_momentum,
     lagrange_dirac_residual,
@@ -445,13 +448,36 @@ def test_duplicate_constraint_rows_singular_jacobian():
         stepper.run(s0, 1e-2, 5)
 
 
-def test_scales_shape_is_validated():
-    L = free_particle()
-    C = affine_constraint()
-    with pytest.raises(ValueError):
-        ImplicitMidpointStepper(
-            "pontryagin", lagrangian=L, constraints=C, scales=np.ones(3)
-        )
+def test_non_finite_jacobian_is_a_step_failure():
+    # The force law overflows once time has started: every step residual is
+    # infinite, so the finite-difference Jacobian is not finite.
+    n = 2
+    L = dataclasses.replace(
+        free_particle(n), d_x=lambda t, x, v: np.full(n, np.inf if t > 0 else 0.0)
+    )
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=L, constraints=affine_constraint()
+    )
+    with pytest.raises(StepFailureError, match="not finite"), np.errstate(invalid="ignore"):
+        stepper.step(nonholonomic_initial(), 1e-2)
+    with pytest.raises(StepFailureError, match="step 0 .*not finite"):
+        stepper.run(nonholonomic_initial(), 1e-2, 5)
+
+
+# -- chord solve -------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 25), st.integers(0, 2**32 - 1))
+def test_chord_solve_equals_lu_solve_bitwise(n, seed):
+    rng = np.random.default_rng(seed)
+    J = rng.standard_normal((n, n)) + n * np.eye(n)
+    r = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 3)
+    lu = lu_factor(J)
+    x = _chord_solve(lu, r)
+    expected = lu_solve(lu, r)
+    assert x.shape == expected.shape == (n,)
+    assert x.tobytes() == expected.tobytes()
 
 
 # -- trajectory record -----------------------------------------------------

@@ -15,10 +15,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lu_solve
 
 from diracsim import thermo as thermo_module
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
+    _chord_solve,
     monitor_invariants,
     pontryagin_dirac_residual,
 )
@@ -124,6 +126,43 @@ def test_layout_indices():
     assert lay.n == 7
     assert lay.q == slice(0, 2)
     assert (lay.S, lay.N, lay.Gamma, lay.W, lay.Sigma) == (2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3])
+def test_layout_fields_are_the_index_formulas(n_q):
+    lay = ThermoLayout(n_q=n_q)
+    for _ in range(2):  # computed once, then read back
+        assert lay.q == slice(0, n_q)
+        assert (lay.S, lay.N, lay.Gamma, lay.W, lay.Sigma, lay.n) == tuple(
+            n_q + k for k in range(6)
+        )
+    assert lay == ThermoLayout(n_q=n_q) and hash(lay) == hash(ThermoLayout(n_q=n_q))
+
+
+@pytest.mark.parametrize(
+    "q, scalar",
+    [
+        ([0.5], 1),
+        (0.5, np.float64(1.0)),
+        (np.array(0.5), np.array(1.0)),
+        (np.array([0.5], dtype=np.float32), np.float32(1.0)),
+        ((1, 2), True),
+    ],
+)
+def test_state_coerces_to_float64_arrays_and_floats(q, scalar):
+    ts = ThermoState(q=q, v_q=q, S=scalar, N=scalar, Gamma=scalar, W=scalar, Sigma=scalar)
+    for a in (ts.q, ts.v_q):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1
+        npt.assert_array_equal(a, np.atleast_1d(np.asarray(q, dtype=float)))
+    for name in ("S", "N", "Gamma", "W", "Sigma"):
+        assert type(getattr(ts, name)) is float
+        assert getattr(ts, name) == float(scalar)
+
+
+def test_state_keeps_float64_vectors_as_given():
+    q = np.array([0.1, 0.2])
+    ts = ThermoState(q=q, v_q=q, S=1.0, N=1.0, Gamma=0.0, W=0.0, Sigma=0.0)
+    assert ts.q is q and ts.v_q is q
 
 
 def test_state_round_trip():
@@ -685,6 +724,23 @@ def test_step_residual_builds_each_row_once(monkeypatch, formulation, builder):
     moved[-1] += 1e-3
     residual(moved)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "formulation, builder",
+    [("pontryagin", build_constraints), ("lagrange-dirac", build_momentum_constraints)],
+)
+def test_chord_solve_on_an_open_system_step_jacobian(formulation, builder):
+    sys0 = small_open_system()
+    stepper = ImplicitMidpointStepper(
+        formulation, lagrangian=build_extended_lagrangian(sys0), constraints=builder(sys0)
+    )
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    residual = stepper._residual_fn(s0, 1e-3)
+    guess = stepper._guess(s0, 1e-3)
+    lu = stepper._factor(residual, guess)
+    r = residual(guess)
+    assert _chord_solve(lu, r).tobytes() == lu_solve(lu, r).tobytes()
 
 
 @pytest.mark.parametrize("builder", [build_constraints, build_momentum_constraints])

@@ -32,6 +32,7 @@ from .dynamics import (
 )
 from .geometry import (
     ConstraintSet,
+    PhasePoint,
     PontryaginState,
     dirac_membership_P,
     dirac_pairing,
@@ -452,6 +453,16 @@ def _nonholonomic_setup(cfg: dict) -> tuple[TimeLagrangian, ConstraintSet]:
     return L, constraints
 
 
+def _finite_initial(state: PontryaginState) -> PontryaginState:
+    # An initial point whose energy overflows would only fail later, inside
+    # the first Newton step or the structure checks.
+    if not all(np.isfinite(a).all() for a in (state.x, state.v, state.p, state.pt)):
+        raise ConfigError(
+            "initial", "the initial state is not finite (its energy or rates overflow)"
+        )
+    return state
+
+
 def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem:
     kind = _get(cfg, "system.kind", required=True)
     h = _positive(cfg, "integrator.h")
@@ -510,13 +521,17 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
                 return out
 
             force = ExternalForce(n=lay.n, value=full_force)
+        # Overflow shows in the values, which _finite_initial rejects; numpy's
+        # warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            initial = th.initial_pontryagin_state(system, t0, ts0)
         return Problem(
             kind=kind,
             cfg=cfg,
             L=L,
             vel_constraints=th.build_constraints(system),
             mom_constraints=th.build_momentum_constraints(system),
-            initial=th.initial_pontryagin_state(system, t0, ts0),
+            initial=_finite_initial(initial),
             h=h,
             n_steps=n_steps,
             formulation=formulation,
@@ -552,7 +567,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             L=L,
             vel_constraints=constraints,
             mom_constraints=constraints,
-            initial=state0,
+            initial=_finite_initial(state0),
             h=h,
             n_steps=n_steps,
             formulation=formulation,
@@ -567,59 +582,37 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
 
 
 def run_formulation(problem: Problem, formulation: str) -> Trajectory:
-    if problem.kind == "ideal_gas":
-        if formulation == "hamilton-dirac":
-            raise FormulationUnavailable(HAMILTON_DIRAC_THERMO_MESSAGE)
-        if formulation == "reduced":
-            return th.run_reduced(
-                problem.system,
-                problem.initial.t,
-                problem.ts0,
-                problem.h,
-                problem.n_steps,
-                pt0=problem.initial.pt,
-            )
-        constraints = (
-            problem.mom_constraints
-            if formulation == "lagrange-dirac"
-            else problem.vel_constraints
-        )
-        stepper = ImplicitMidpointStepper(
-            formulation,
-            lagrangian=problem.L,
-            constraints=constraints,
-            f_ext=problem.f_ext_force if formulation == "pontryagin" else None,
-        )
-        return stepper.run(problem.initial, problem.h, problem.n_steps)
-
     if formulation == "reduced":
-        raise ConfigError(
-            "integrator.formulation",
-            "the reduced path applies to thermodynamic systems only",
+        if problem.kind != "ideal_gas":
+            raise ConfigError(
+                "integrator.formulation",
+                "the reduced path applies to thermodynamic systems only",
+            )
+        return th.run_reduced(
+            problem.system,
+            problem.initial.t,
+            problem.ts0,
+            problem.h,
+            problem.n_steps,
+            pt0=problem.initial.pt,
         )
+    start = problem.initial
+    model = {"lagrangian": problem.L}
     if formulation == "hamilton-dirac":
-        H = legendre_dual(problem.L)
-        from .geometry import PhasePoint
-
-        z0 = PhasePoint(
-            t=problem.initial.t,
-            x=problem.initial.x,
-            pt=problem.initial.pt,
-            p=problem.initial.p,
-        )
-        stepper = ImplicitMidpointStepper(
-            "hamilton-dirac", hamiltonian=H, constraints=problem.mom_constraints
-        )
-        return stepper.run(z0, problem.h, problem.n_steps)
-    constraints = (
-        problem.mom_constraints
-        if formulation == "lagrange-dirac"
-        else problem.vel_constraints
-    )
+        if problem.kind == "ideal_gas":
+            raise FormulationUnavailable(HAMILTON_DIRAC_THERMO_MESSAGE)
+        model = {"hamiltonian": legendre_dual(problem.L)}
+        start = PhasePoint(t=start.t, x=start.x, pt=start.pt, p=start.p)
+    elif formulation == "pontryagin":
+        model["f_ext"] = problem.f_ext_force
     stepper = ImplicitMidpointStepper(
-        formulation, lagrangian=problem.L, constraints=constraints
+        formulation,
+        constraints=(
+            problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
+        ),
+        **model,
     )
-    return stepper.run(problem.initial, problem.h, problem.n_steps)
+    return stepper.run(start, problem.h, problem.n_steps)
 
 
 # -- output ---------------------------------------------------------------
@@ -877,10 +870,10 @@ def compare(config, formulations, out, tol):
         _fail(ConfigError("--formulations", "need at least one formulation"), 2)
     try:
         cfg = load_config(config)
-        problem = build_problem(cfg, names[0])
-        trajs = {}
-        for name in names:
-            trajs[name] = run_formulation(problem, name)
+        # One problem per name validates every name before anything runs.
+        problems = {name: build_problem(cfg, name) for name in names}
+        trajs = {name: run_formulation(problems[name], name) for name in names}
+        problem = problems[names[0]]
     except ConfigError as exc:
         _fail(exc, 2)
     except FormulationUnavailable as exc:

@@ -90,7 +90,7 @@ def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.nda
 
 
 def _max_norm(r: np.ndarray) -> float:
-    # Convergence measure of both chord iterations; NaN when r holds one.
+    # Convergence measure of the chord iteration; NaN when r holds one.
     return float(np.abs(r).max())
 
 
@@ -336,14 +336,115 @@ _POLISH_FLOOR = 1e-15
 # Converged steps after which the cached Jacobian is rebuilt even if the
 # chord iteration has not stalled.
 _JACOBIAN_REFRESH = 50
+# Chord iterations per attempt before the attempt counts as stalled.
+_MAX_ITER = 50
+# Max-norm residual tolerance of the stepper's Newton iteration.
+_NEWTON_TOL = 1e-11
 
 
-class ImplicitMidpointStepper:
+class ChordNewton:
+    """Simplified (chord) Newton solver for the implicit midpoint equations.
+
+    Holds the LU factorization of a finite-difference Jacobian and reuses it
+    across solves (Hairer-Wanner, Solving ODEs II, IV.8). The Jacobian is
+    rebuilt after _JACOBIAN_REFRESH converged solves, and a solve that stalls
+    restarts once from its guess with a fresh one. A converged solve is
+    polished toward _POLISH_FLOOR. The convergence test is the max-norm of
+    the residual against tol. An instance must not be shared across threads.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = float(tol)
+        self._lu = None
+        self._steps_since_refresh = 0
+
+    def _factor(self, residual, y: np.ndarray):
+        K = y.size
+        r0 = residual(y)
+        J = np.empty((K, K))
+        for j in range(K):
+            eps = 1.49e-8 * (1.0 + abs(y[j]))
+            yp = y.copy()
+            yp[j] += eps
+            J[:, j] = (residual(yp) - r0) / eps
+        if not np.isfinite(J).all():
+            raise StepFailureError(
+                "the finite-difference step Jacobian is not finite; the residual "
+                "overflows or is undefined near this state"
+            )
+        try:
+            with warnings.catch_warnings():
+                # The diagonal inspection below turns exact singularity into a
+                # typed error; scipy's advance warning would be redundant.
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu = lu_factor(J)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(str(exc)) from exc
+        d = np.abs(np.diag(lu[0]))
+        if d.min() <= 1e-14 * max(d.max(), 1e-300):
+            raise SingularJacobianError(
+                "step Jacobian is numerically singular; the equations are "
+                "degenerate at this state"
+            )
+        self._lu = lu
+        self._steps_since_refresh = 0
+        return lu
+
+    def _newton(self, residual, guess: np.ndarray) -> tuple[np.ndarray, float, int]:
+        tol = self.tol
+        for attempt in (0, 1):
+            y = guess.copy()
+            if attempt == 1 or self._lu is None or (
+                self._steps_since_refresh >= _JACOBIAN_REFRESH
+            ):
+                self._factor(residual, y)
+            lu = self._lu
+            r = residual(y)
+            rn = _max_norm(r)
+            iters = 0
+            converged = rn <= tol
+            # A non-finite residual is never solved against: it ends the
+            # attempt like a stall.
+            while not converged and iters < _MAX_ITER and math.isfinite(rn):
+                y = y - _chord_solve(lu, r)
+                r = residual(y)
+                prev, rn = rn, _max_norm(r)
+                iters += 1
+                if rn <= tol:
+                    converged = True
+                    break
+                if iters >= 2 and rn > 0.9 * prev:
+                    # Chord iteration stalled; retry once with a fresh Jacobian.
+                    break
+            if converged:
+                # Free polish iterations push the residual toward round-off so
+                # per-step errors stay far below the monitoring tolerances.
+                for _ in range(3):
+                    if rn <= _POLISH_FLOOR:
+                        break
+                    y2 = y - _chord_solve(lu, r)
+                    r2 = residual(y2)
+                    rn2 = _max_norm(r2)
+                    if not rn2 < rn:
+                        break
+                    y, r, rn = y2, r2, rn2
+                    iters += 1
+                self._steps_since_refresh += 1
+                return y, rn, iters
+            if attempt == 1:
+                raise StepFailureError(
+                    f"Newton did not converge: residual {rn:.3e} after "
+                    f"{iters} iterations (tol {tol:.1e})"
+                )
+            self._lu = None
+        raise AssertionError("unreachable")
+
+
+class ImplicitMidpointStepper(ChordNewton):
     """Fixed-step implicit midpoint integrator for one formulation.
 
-    A stepper instance owns its Newton workspace (cached LU factorization of
-    the finite-difference Jacobian) and must not be shared across threads.
-    The convergence test is the max-norm of the residual against newton_tol.
+    Each step is one ChordNewton solve to tolerance _NEWTON_TOL, so a stepper
+    instance owns its Newton workspace and must not be shared across threads.
     The momentum conjugate to time is one of the Newton unknowns.
     """
 
@@ -354,8 +455,6 @@ class ImplicitMidpointStepper:
         hamiltonian: TimeHamiltonian | None = None,
         constraints: ConstraintSet | None = None,
         f_ext: ExternalForce | None = None,
-        newton_tol: float = 1e-11,
-        max_iter: int = 50,
     ):
         if formulation not in FORMULATIONS:
             raise ValueError(
@@ -376,18 +475,12 @@ class ImplicitMidpointStepper:
         if f_ext is not None and formulation != "pontryagin":
             raise ValueError("external forces are only supported on the pontryagin path")
 
+        super().__init__(_NEWTON_TOL)
         self.formulation = formulation
         self.L = lagrangian
         self.H = hamiltonian
         self.constraints = constraints
         self.f_ext = f_ext
-        self.newton_tol = float(newton_tol)
-        self.max_iter = int(max_iter)
-
-        n, m = self.n, constraints.m
-        self._nunk = (2 if formulation == "hamilton-dirac" else 3) * n + 1 + m
-        self._lu = None
-        self._steps_since_refresh = 0
 
     # -- residual assembly ------------------------------------------------
 
@@ -461,90 +554,6 @@ class ImplicitMidpointStepper:
 
         return residual
 
-    # -- Newton machinery -------------------------------------------------
-
-    def _factor(self, residual, y: np.ndarray):
-        K = y.size
-        r0 = residual(y)
-        J = np.empty((K, K))
-        for j in range(K):
-            eps = 1.49e-8 * (1.0 + abs(y[j]))
-            yp = y.copy()
-            yp[j] += eps
-            J[:, j] = (residual(yp) - r0) / eps
-        if not np.isfinite(J).all():
-            raise StepFailureError(
-                "the finite-difference step Jacobian is not finite; the residual "
-                "overflows or is undefined near this state"
-            )
-        try:
-            with warnings.catch_warnings():
-                # The diagonal inspection below turns exact singularity into a
-                # typed error; scipy's advance warning would be redundant.
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(J)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        d = np.abs(np.diag(lu[0]))
-        if d.min() <= 1e-14 * max(d.max(), 1e-300):
-            raise SingularJacobianError(
-                "step Jacobian is numerically singular; the formulation is "
-                "degenerate at this state (for open thermodynamic systems use "
-                "the pontryagin formulation or the reduced path)"
-            )
-        self._lu = lu
-        self._steps_since_refresh = 0
-        return lu
-
-    def _newton(self, residual, guess: np.ndarray) -> tuple[np.ndarray, float, int]:
-        tol = self.newton_tol
-        for attempt in (0, 1):
-            y = guess.copy()
-            if attempt == 1 or self._lu is None or (
-                self._steps_since_refresh >= _JACOBIAN_REFRESH
-            ):
-                self._factor(residual, y)
-            lu = self._lu
-            r = residual(y)
-            rn = _max_norm(r)
-            iters = 0
-            converged = rn <= tol
-            # A non-finite residual is never solved against: it ends the
-            # attempt like a stall.
-            while not converged and iters < self.max_iter and math.isfinite(rn):
-                y = y - _chord_solve(lu, r)
-                r = residual(y)
-                prev, rn = rn, _max_norm(r)
-                iters += 1
-                if rn <= tol:
-                    converged = True
-                    break
-                if iters >= 2 and rn > 0.9 * prev:
-                    # Chord iteration stalled; retry once with a fresh Jacobian.
-                    break
-            if converged:
-                # Free polish iterations push the residual toward round-off so
-                # per-step errors stay far below the monitoring tolerances.
-                for _ in range(3):
-                    if rn <= _POLISH_FLOOR:
-                        break
-                    y2 = y - _chord_solve(lu, r)
-                    r2 = residual(y2)
-                    rn2 = _max_norm(r2)
-                    if not rn2 < rn:
-                        break
-                    y, r, rn = y2, r2, rn2
-                    iters += 1
-                self._steps_since_refresh += 1
-                return y, rn, iters
-            if attempt == 1:
-                raise StepFailureError(
-                    f"Newton did not converge: residual {rn:.3e} after "
-                    f"{iters} iterations (tol {tol:.1e})"
-                )
-            self._lu = None
-        raise AssertionError("unreachable")
-
     # -- stepping ---------------------------------------------------------
 
     def _guess(self, state, h: float) -> np.ndarray:
@@ -595,7 +604,7 @@ class ImplicitMidpointStepper:
         if h <= 0:
             raise ValueError("step size must be positive")
         res0 = self._initial_kinematic_residual(state)
-        if res0 > 1e-8:
+        if not res0 <= 1e-8:
             raise ValueError(
                 f"initial state violates the kinematic constraint (residual {res0:.3e})"
             )

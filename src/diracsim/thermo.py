@@ -19,14 +19,13 @@ treated as a modeling error and raises.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import StepFailureError, Trajectory, _chord_solve, _max_norm
+from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
 from .geometry import ConstraintSet, PontryaginState, TangentP
 from .lagrangian import (
     HyperregularityError,
@@ -680,6 +679,10 @@ def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> np.ndarray
     )
 
 
+# Max-norm residual tolerance of the reduced path's Newton iteration.
+_REDUCED_NEWTON_TOL = 1e-12
+
+
 # Overflow in a trial evaluation shows in the values (a non-finite Jacobian
 # or residual ends in StepFailureError); numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -690,17 +693,17 @@ def run_reduced(
     h: float,
     n_steps: int,
     pt0: float | None = None,
-    newton_tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> Trajectory:
     """Integrate the reduced path with the implicit midpoint rule.
 
-    Each step solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) by a chord Newton
-    iteration; the momentum conjugate to time advances with the midpoint rate
-    -(P_M + P_H). The returned trajectory is lifted to the full bundle arrays
-    (velocities of the bookkeeping slots are the reduced rates, momenta the
-    fiber derivative, multiplier exactly 1), with formulation "reduced".
-    newton_iters counts each step's Newton updates, polish iterations included.
+    Each step solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's
+    chord Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL) from an
+    explicit Euler guess; the momentum conjugate to time advances with the
+    midpoint rate -(P_M + P_H). The returned trajectory is lifted to the full
+    bundle arrays (velocities of the bookkeeping slots are the reduced rates,
+    momenta the fiber derivative, multiplier exactly 1), with formulation
+    "reduced". newton_iters counts each step's Newton updates, polish
+    iterations included.
     """
 
     if h <= 0:
@@ -716,24 +719,7 @@ def run_reduced(
     ys[0] = _reduced_state_vector(ts0)
     pts[0] = float(pt0)
 
-    lu = None
-    from scipy.linalg import lu_factor
-
-    def factor(residual, y):
-        r0 = residual(y)
-        J = np.empty((dim, dim))
-        for j in range(dim):
-            eps = 1.49e-8 * (1.0 + abs(y[j]))
-            yp = y.copy()
-            yp[j] += eps
-            J[:, j] = (residual(yp) - r0) / eps
-        if not np.isfinite(J).all():
-            raise StepFailureError(
-                f"reduced step {k}: the finite-difference Jacobian is not finite; "
-                "the rates overflow or are undefined near this state"
-            )
-        return lu_factor(J)
-
+    solver = ChordNewton(_REDUCED_NEWTON_TOL)
     for k in range(K):
         t = t0 + k * h
         tm = t + 0.5 * h
@@ -742,37 +728,10 @@ def run_reduced(
         def residual(y1):
             return (y1 - y0) / h - _reduced_field(sys, tm, 0.5 * (y0 + y1))
 
-        y = y0 + h * _reduced_field(sys, t, y0)
-        if lu is None:
-            lu = factor(residual, y)
-        r = residual(y)
-        rn = _max_norm(r)
-        converged = rn <= newton_tol
-        for it in range(max_iter):
-            if converged or not math.isfinite(rn):
-                break
-            y = y - _chord_solve(lu, r)
-            iters[k] += 1
-            r = residual(y)
-            prev, rn = rn, _max_norm(r)
-            if rn <= newton_tol:
-                converged = True
-            elif it >= 2 and rn > 0.9 * prev:
-                lu = factor(residual, y)
-        if not converged:
-            raise StepFailureError(
-                f"reduced step {k} did not converge (residual {rn:.3e})"
-            )
-        for _ in range(3):
-            if rn <= 1e-15:
-                break
-            y2 = y - _chord_solve(lu, r)
-            r2 = residual(y2)
-            rn2 = _max_norm(r2)
-            if not rn2 < rn:
-                break
-            y, r, rn = y2, r2, rn2
-            iters[k] += 1
+        try:
+            y, _, iters[k] = solver._newton(residual, y0 + h * _reduced_field(sys, t, y0))
+        except (StepFailureError, SingularJacobianError) as exc:
+            raise StepFailureError(f"reduced step {k} (t = {t!r}) failed: {exc}") from exc
         ys[k + 1] = y
         ym = _reduced_state_from_vector(sys, 0.5 * (y0 + y))
         pts[k + 1] = pts[k] + h * reduced_rhs(sys, tm, ym).ptdot

@@ -572,6 +572,32 @@ def test_run_non_finite_jacobian_exits_3(tmp_path, formulation):
     assert "step 0" in text and "Jacobian is not finite" in text
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--formulation", "pontryagin"],
+        ["run", "--formulation", "lagrange-dirac"],
+        ["run", "--formulation", "reduced"],
+        ["compare"],
+        ["check"],
+    ],
+    ids=["run-pontryagin", "run-lagrange-dirac", "run-reduced", "compare", "check"],
+)
+def test_overflowing_initial_state_is_a_config_error(tmp_path, command):
+    # At S = 720 the ideal gas energy of the initial state itself overflows.
+    cfg = BUILTINS["closed_piston"]()
+    cfg["initial"]["S"] = 720
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke(command[0], path, *command[1:])
+    assert result.exit_code == 2, all_text(result)
+    assert result.stderr.strip().splitlines() == [
+        "config error at initial: the initial state is not finite "
+        "(its energy or rates overflow)"
+    ]
+
+
 # -- compare ---------------------------------------------------------------
 
 
@@ -597,6 +623,26 @@ def test_compare_needs_a_formulation(tmp_path):
     result = invoke("compare", path, "--formulations", " , ")
     assert result.exit_code == 2
     assert "at least one" in all_text(result)
+
+
+@pytest.mark.parametrize(
+    "config, formulations, field",
+    [
+        ("closed_piston", "reduced,foo", "integrator.formulation"),
+        ("forced_piston", "pontryagin,lagrange-dirac", "system.external_force"),
+        ("forced_piston", "lagrange-dirac,pontryagin", "system.external_force"),
+    ],
+)
+def test_compare_validates_every_formulation(config, formulations, field):
+    # Each name is checked against the scenario before anything runs, not only
+    # the first: lagrange-dirac would silently drop the external force.
+    if config == "forced_piston":
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
+    result = invoke("compare", config, "--formulations", formulations)
+    assert result.exit_code == 2, all_text(result)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {field}:")
+    assert result.stdout == ""
 
 
 def test_compare_impossible_tolerance_exits_1(tmp_path):

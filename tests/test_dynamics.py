@@ -429,6 +429,17 @@ def test_run_rejects_inconsistent_initial_state():
         stepper.run(bad, 1e-2, 10)
 
 
+def test_run_rejects_a_nan_initial_residual():
+    # Every comparison with NaN is false, so a guard written as
+    # `residual > tol` would let this state through.
+    bad = dataclasses.replace(nonholonomic_initial(), v=np.array([np.nan, 0.0]))
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=free_particle(), constraints=affine_constraint()
+    )
+    with pytest.raises(ValueError, match="kinematic .*nan"):
+        stepper.run(bad, 1e-2, 10)
+
+
 def test_duplicate_constraint_rows_singular_jacobian():
     L = free_particle(n=3)
     C = ConstraintSet(

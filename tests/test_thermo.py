@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_solve
 
-from diracsim import thermo as thermo_module
+from diracsim import dynamics as dynamics_module, thermo as thermo_module
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
+    StepFailureError,
     _chord_solve,
     monitor_invariants,
     pontryagin_dirac_residual,
@@ -590,6 +591,45 @@ def test_first_law_residual_small_on_reduced_run():
     res = first_law_residual(sys0, traj)
     assert res[0] == 0.0
     assert np.max(np.abs(res)) < 1e-9
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    original = dynamics_module.lu_factor
+
+    def counting(J):
+        calls.append(J.shape)
+        return original(J)
+
+    monkeypatch.setattr(dynamics_module, "lu_factor", counting)
+    return calls
+
+
+def test_reduced_path_refreshes_its_jacobian_every_50_steps(monkeypatch):
+    factors = count_factorizations(monkeypatch)
+    run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 100)
+    # The first step, then the refresh at step 50; no step stalls.
+    assert len(factors) == 2
+
+
+def test_stalled_reduced_step_retries_once_with_a_fresh_jacobian(monkeypatch):
+    # From step 2 on, the field carries noise far below the step size but
+    # with a slope far above 1/h, so the chord iteration stalls.
+    field = thermo_module._reduced_field
+
+    def noisy(sys, t, y):
+        f = field(sys, t, y)
+        return f + 1e-8 * np.sin(y / 1e-14) if t > 0.002 else f
+
+    monkeypatch.setattr(thermo_module, "_reduced_field", noisy)
+    factors = count_factorizations(monkeypatch)
+    with pytest.raises(
+        StepFailureError,
+        match=r"^reduced step 2 \(t = 0\.002\) failed: Newton did not converge",
+    ):
+        run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 5)
+    # One factorization at step 0, one for the retry of step 2.
+    assert len(factors) == 2
 
 
 # -- cross Hessians --------------------------------------------------------

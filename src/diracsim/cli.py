@@ -24,6 +24,7 @@ import numpy as np
 
 from .dynamics import (
     ImplicitMidpointStepper,
+    InconsistentInitialStateError,
     StepFailureError,
     Trajectory,
     _cumulative_trapezoid,
@@ -523,8 +524,11 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             force = ExternalForce(n=lay.n, value=full_force)
         # Overflow shows in the values, which _finite_initial rejects; numpy's
         # warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            initial = th.initial_pontryagin_state(system, t0, ts0)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                initial = th.initial_pontryagin_state(system, t0, ts0)
+        except th.NonpositiveTemperatureError as exc:
+            raise ConfigError("initial", str(exc)) from exc
         return Problem(
             kind=kind,
             cfg=cfg,
@@ -841,9 +845,7 @@ def run(config, formulation, out, tol):
         passed, summary, _ = _run_and_report(
             problem, problem.formulation, Path(out), tol
         )
-    except ConfigError as exc:
-        _fail(exc, 2)
-    except FormulationUnavailable as exc:
+    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
         _fail(exc, 2)
     except (StepFailureError, th.NonpositiveTemperatureError) as exc:
         _fail(exc, 3)
@@ -874,9 +876,7 @@ def compare(config, formulations, out, tol):
         problems = {name: build_problem(cfg, name) for name in names}
         trajs = {name: run_formulation(problems[name], name) for name in names}
         problem = problems[names[0]]
-    except ConfigError as exc:
-        _fail(exc, 2)
-    except FormulationUnavailable as exc:
+    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
         _fail(exc, 2)
     except (StepFailureError, th.NonpositiveTemperatureError) as exc:
         _fail(exc, 3)
@@ -1019,6 +1019,8 @@ def check(config, seed, samples, steps, tol, corrupt):
                 dataclasses.replace(problem, h=h_check, n_steps=n_run), "pontryagin"
             )
             samples_iter = traj.midpoint_samples()
+    except InconsistentInitialStateError as exc:
+        _fail(exc, 2)
     except (StepFailureError, th.NonpositiveTemperatureError) as exc:
         _fail(exc, 3)
 

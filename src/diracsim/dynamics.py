@@ -47,6 +47,7 @@ __all__ = [
     "NonSectionError",
     "StepFailureError",
     "SingularJacobianError",
+    "InconsistentInitialStateError",
     "pontryagin_dirac_residual",
     "lagrange_dirac_residual",
     "hamilton_dirac_residual",
@@ -73,6 +74,10 @@ class StepFailureError(RuntimeError):
 
 class SingularJacobianError(RuntimeError):
     """Raised when the step Jacobian is numerically singular."""
+
+
+class InconsistentInitialStateError(ValueError):
+    """Raised when a run starts from a state off the kinematic constraint."""
 
 
 def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
@@ -581,7 +586,10 @@ class ImplicitMidpointStepper(ChordNewton):
         self._last_lam = lam.copy()
         return StepResult(state=new, lam=lam.copy(), newton_iters=iters, residual_norm=rn)
 
-    def _initial_kinematic_residual(self, state) -> float:
+    def _initial_kinematic_residual(self, state) -> tuple[float, float]:
+        # max |A w + B| and the row's term scale max(1, |A_ij w_j|, |B_i|):
+        # a consistent state at a large physical scale leaves round-off of
+        # the size of its largest term. A NaN anywhere gives a NaN scale.
         C = self.constraints
         if self.formulation == "hamilton-dirac":
             A = C.A(state.t, state.x, state.p)
@@ -592,7 +600,8 @@ class ImplicitMidpointStepper(ChordNewton):
             A = C.A(state.t, state.x, wcoef)
             B = C.B(state.t, state.x, wcoef)
             w = state.v
-        return float(np.max(np.abs(A @ w + B), initial=0.0))
+        terms = np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))
+        return float(np.max(np.abs(A @ w + B), initial=0.0)), float(np.max(terms))
 
     # Overflow in a trial evaluation shows in the values, which the Newton
     # iteration turns into a StepFailureError; numpy's warnings would only
@@ -603,10 +612,11 @@ class ImplicitMidpointStepper(ChordNewton):
 
         if h <= 0:
             raise ValueError("step size must be positive")
-        res0 = self._initial_kinematic_residual(state)
-        if not res0 <= 1e-8:
-            raise ValueError(
-                f"initial state violates the kinematic constraint (residual {res0:.3e})"
+        res0, scale = self._initial_kinematic_residual(state)
+        if not res0 <= 1e-8 * scale:
+            raise InconsistentInitialStateError(
+                f"initial state violates the kinematic constraint (residual {res0:.3e}, "
+                f"row scale {scale:.3e})"
             )
         n, m = self.n, self.constraints.m
         K = int(n_steps)
@@ -718,10 +728,11 @@ def monitor_invariants(
     kinematic residual. The energy balance residual is the discrete rate of
     the momentum conjugate to time minus its law, with coefficients at the
     step midpoint, using the stored midpoint multipliers. When thermo_system
-    is given (a SimpleOpenSystem), the same pass evaluates the power flows
-    and the internal entropy production once per node; the first-law
-    residual and the entropy decomposition residual (Sdot - Sigmadot -
-    p_Gamma_dot) follow from those columns and the state arrays.
+    is given (a SimpleOpenSystem), the same pass evaluates the open-system
+    model once per node for the power flows and the internal entropy
+    production; the first-law residual and the entropy decomposition
+    residual (Sdot - Sigmadot - p_Gamma_dot) follow from those columns and
+    the state arrays.
     """
 
     K = traj.n_steps
@@ -729,7 +740,7 @@ def monitor_invariants(
     ce = np.empty(K + 1)
     kin = np.empty(K + 1)
     if thermo_system is not None:
-        from .thermo import entropy_production, power_flows, state_from_arrays
+        from .thermo import _model_point, state_from_arrays
 
         P_W, P_H, P_M, prod = (np.empty(K + 1) for _ in range(4))
     for k in range(K + 1):
@@ -743,9 +754,9 @@ def monitor_invariants(
         kin[k] = float(np.max(np.abs(A @ vk + B), initial=0.0))
         if thermo_system is not None:
             ts = state_from_arrays(thermo_system, xk, vk)
-            flows = power_flows(thermo_system, t, ts)
-            P_W[k], P_H[k], P_M[k] = flows.mechanical, flows.heating, flows.matter
-            prod[k] = entropy_production(thermo_system, t, ts).total
+            m = _model_point(thermo_system, t, ts)
+            P_W[k], P_H[k], P_M[k] = float(m.F_ext @ ts.v_q), m.P_H, m.P_M
+            prod[k] = m.total
 
     t_mid = 0.5 * (traj.t[:-1] + traj.t[1:])
     ebr = np.empty(K)

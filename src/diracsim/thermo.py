@@ -20,12 +20,14 @@ treated as a modeling error and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf
 
 from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
+from .dynamics import _chord_solve
 from .geometry import ConstraintSet, PontryaginState, TangentP
 from .lagrangian import (
     HyperregularityError,
@@ -267,31 +269,70 @@ def chemical_potential(sys: SimpleOpenSystem, ts: ThermoState) -> float:
     return -float(sys.mech.d_N(ts.q, ts.v_q, ts.S, ts.N))
 
 
-class _PortSums(NamedTuple):
-    J: float            # total molar inflow
-    J_S_ports: float    # entropy inflow through matter ports
-    J_S_sources: float  # entropy inflow through heating ports
-    P_M: float          # sum J^a mu^a + J_S^a T^a over matter ports
-    P_H: float          # sum J_S^b T^b over heating ports
-
-
-def _port_sums(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> _PortSums:
-    J = 0.0
-    JS_a = 0.0
-    P_M = 0.0
+def _port_sums(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> tuple:
+    # The sums J, J_S_ports, J_S_sources, P_M, P_H of _ModelPoint. The DAE
+    # row reads only these, and skips _model_point's mu and production terms.
+    J = JS_a = P_M = 0.0
     for port in sys.ports:
         j = float(port.J(t, ts))
         js = float(port.J_S(t, ts))
         J += j
         JS_a += js
         P_M += j * float(port.mu(t, ts)) + js * float(port.T_port(t, ts))
-    JS_b = 0.0
-    P_H = 0.0
+    JS_b = P_H = 0.0
     for src in sys.sources:
         js = float(src.J_S(t, ts))
         JS_b += js
         P_H += js * float(src.T_source(t, ts))
-    return _PortSums(J, JS_a, JS_b, P_M, P_H)
+    return J, JS_a, JS_b, P_M, P_H
+
+
+class _ModelPoint(NamedTuple):
+    # Everything the open-system model gives at one (t, ThermoState).
+    T: float
+    mu: float
+    F_fr: np.ndarray    # friction force
+    F_ext: np.ndarray   # external force
+    J: float            # total molar inflow
+    J_S_ports: float    # entropy inflow through matter ports
+    J_S_sources: float  # entropy inflow through heating ports
+    P_M: float          # sum J^a mu^a + J_S^a T^a over matter ports
+    P_H: float          # sum J_S^b T^b over heating ports
+    friction: float     # the production terms of entropy_production
+    mixing: float
+    heating: float
+    total: float
+
+
+def _model_point(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> _ModelPoint:
+    # One call of each model callable at the point, for reduced_rhs,
+    # entropy_production, power_flows and monitor_invariants. Each sum keeps
+    # the operation order of its formula.
+    T = temperature(sys, ts)
+    mu = chemical_potential(sys, ts)
+    F_fr = _friction_vec(sys, t, ts)
+    J = JS_a = P_M = mixing = 0.0
+    for port in sys.ports:
+        j = float(port.J(t, ts))
+        js = float(port.J_S(t, ts))
+        mu_a = float(port.mu(t, ts))
+        T_a = float(port.T_port(t, ts))
+        J += j
+        JS_a += js
+        P_M += j * mu_a + js * T_a
+        mixing += (j * (mu_a - mu) + js * (T_a - T)) / T
+    JS_b = P_H = heating = 0.0
+    for src in sys.sources:
+        js = float(src.J_S(t, ts))
+        T_b = float(src.T_source(t, ts))
+        JS_b += js
+        P_H += js * T_b
+        heating += js * (T_b - T) / T
+    fric = -float(F_fr @ ts.v_q) / T
+    return _ModelPoint(
+        T, mu, F_fr, _f_ext_vec(sys, t, ts), J, JS_a, JS_b, P_M, P_H,
+        fric, mixing, heating, fric + mixing + heating,
+    )
 
 
 def _friction_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
@@ -376,13 +417,13 @@ def _constraint_row(
     # with T = -dL_mech/dS so the Sigma coefficient equals -dL_mech/dS.
     lay = sys.layout
     T = temperature(sys, ts)
-    ps = _port_sums(sys, t, ts)
+    J, JS_a, JS_b, P_M, P_H = _port_sums(sys, t, ts)
     A = np.zeros(lay.n)
     A[lay.q] = _friction_vec(sys, t, ts)
-    A[lay.Gamma] = ps.J_S_ports + ps.J_S_sources
-    A[lay.W] = ps.J
+    A[lay.Gamma] = JS_a + JS_b
+    A[lay.W] = J
     A[lay.Sigma] = T
-    B = -(ps.P_M + ps.P_H)
+    B = -(P_M + P_H)
     return A, B
 
 
@@ -412,6 +453,21 @@ def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     return _row_constraints(sys, lambda t, x, v: state_from_arrays(sys, x, v))
 
 
+@lru_cache(maxsize=1)
+def _mass_lu(shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # LU of a mass matrix, keyed on its shape and bytes: a constant matrix is
+    # factored once, and a point-dependent one is factored at each new value.
+    lu, piv, info = dgetrf(np.frombuffer(data).reshape(shape))
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return _read_only(lu), _read_only(piv)
+
+
+def _mass_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # getrs on the LU of M: the same result as np.linalg.solve, bit for bit.
+    return _chord_solve(_mass_lu(M.shape, M.tobytes()), r)
+
+
 def _vq_from_pq(
     sys: SimpleOpenSystem,
     q: np.ndarray,
@@ -430,7 +486,7 @@ def _vq_from_pq(
             return v
         M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
         _require_nonsingular(M, "mechanical mass matrix is singular")
-        v = v - np.linalg.solve(M, r)
+        v = v - _mass_solve(M, r)
     raise HyperregularityError("mass matrix inversion did not converge")
 
 
@@ -488,24 +544,8 @@ def entropy_production(
       + (1/T) sum_b J_S^b (T^b - T).
     """
 
-    T = temperature(sys, ts)
-    mu = chemical_potential(sys, ts)
-    fric = -float(_friction_vec(sys, t, ts) @ ts.v_q) / T
-    mixing = 0.0
-    for port in sys.ports:
-        mixing += (
-            float(port.J(t, ts)) * (float(port.mu(t, ts)) - mu)
-            + float(port.J_S(t, ts)) * (float(port.T_port(t, ts)) - T)
-        ) / T
-    heating = 0.0
-    for src in sys.sources:
-        heating += float(src.J_S(t, ts)) * (float(src.T_source(t, ts)) - T) / T
-    return EntropyBreakdown(
-        total=fric + mixing + heating,
-        friction=fric,
-        mixing=mixing,
-        heating=heating,
-    )
+    m = _model_point(sys, t, ts)
+    return EntropyBreakdown(m.total, m.friction, m.mixing, m.heating)
 
 
 @dataclass(frozen=True)
@@ -524,12 +564,8 @@ class PowerFlows:
 def power_flows(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> PowerFlows:
     """External power flows at a state."""
 
-    ps = _port_sums(sys, t, ts)
-    return PowerFlows(
-        mechanical=float(_f_ext_vec(sys, t, ts) @ ts.v_q),
-        heating=ps.P_H,
-        matter=ps.P_M,
-    )
+    m = _model_point(sys, t, ts)
+    return PowerFlows(mechanical=float(m.F_ext @ ts.v_q), heating=m.P_H, matter=m.P_M)
 
 
 @dataclass(frozen=True)
@@ -560,19 +596,13 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
     """
 
     mech = sys.mech
-    T = temperature(sys, ts)
-    mu = chemical_potential(sys, ts)
-    ps = _port_sums(sys, t, ts)
-    prod = entropy_production(sys, t, ts)
+    m = _model_point(sys, t, ts)
 
-    Ndot = ps.J
-    Sdot = prod.total + ps.J_S_ports + ps.J_S_sources
+    Ndot = m.J
+    Sdot = m.total + m.J_S_ports + m.J_S_sources
     q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
-    rhs = (
-        np.asarray(mech.d_q(q, vq, S, N), dtype=float).reshape(sys.n_q)
-        + _friction_vec(sys, t, ts)
-        + _f_ext_vec(sys, t, ts)
-    )
+    d_q = np.asarray(mech.d_q(q, vq, S, N), dtype=float).reshape(sys.n_q)
+    rhs = d_q + m.F_fr + m.F_ext
     if mech.d_vq is not None:
         rhs = rhs - np.asarray(mech.d_vq(q, vq, S, N), dtype=float).reshape(
             sys.n_q, sys.n_q
@@ -586,19 +616,18 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
             sys.n_q
         )
     M = np.asarray(mech.d_vv(q, vq, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
-    vqdot = np.linalg.solve(M, rhs)
 
     return ReducedRates(
         qdot=vq.copy(),
-        vqdot=vqdot,
+        vqdot=_mass_solve(M, rhs),
         Sdot=Sdot,
         Ndot=Ndot,
-        Gammadot=T,
-        Wdot=mu,
-        Sigmadot=prod.total,
-        pGammadot=ps.J_S_ports + ps.J_S_sources,
-        pWdot=ps.J,
-        ptdot=-(ps.P_M + ps.P_H),
+        Gammadot=m.T,
+        Wdot=m.mu,
+        Sigmadot=m.total,
+        pGammadot=m.J_S_ports + m.J_S_sources,
+        pWdot=m.J,
+        ptdot=-(m.P_M + m.P_H),
     )
 
 
@@ -619,26 +648,6 @@ def momenta_from_state(sys: SimpleOpenSystem, ts: ThermoState) -> np.ndarray:
     return p
 
 
-def _full_arrays(sys: SimpleOpenSystem, t: float, ts: ThermoState):
-    lay = sys.layout
-    rates = reduced_rhs(sys, t, ts)
-    x = np.zeros(lay.n)
-    x[lay.q] = ts.q
-    x[lay.S] = ts.S
-    x[lay.N] = ts.N
-    x[lay.Gamma] = ts.Gamma
-    x[lay.W] = ts.W
-    x[lay.Sigma] = ts.Sigma
-    v = np.zeros(lay.n)
-    v[lay.q] = ts.v_q
-    v[lay.S] = rates.Sdot
-    v[lay.N] = rates.Ndot
-    v[lay.Gamma] = rates.Gammadot
-    v[lay.W] = rates.Wdot
-    v[lay.Sigma] = rates.Sigmadot
-    return x, v, rates
-
-
 def initial_pontryagin_state(
     sys: SimpleOpenSystem, t0: float, ts0: ThermoState
 ) -> PontryaginState:
@@ -650,7 +659,8 @@ def initial_pontryagin_state(
     the covariant energy starts at zero.
     """
 
-    x, v, _ = _full_arrays(sys, t0, ts0)
+    y0 = _reduced_state_vector(ts0)
+    x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[0][2 * sys.n_q :])
     p = momenta_from_state(sys, ts0)
     L = build_extended_lagrangian(sys)
     E0 = float(p @ v) - float(L.value(t0, x, v))
@@ -671,12 +681,19 @@ def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoSt
     )
 
 
-def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> np.ndarray:
-    ts = _reduced_state_from_vector(sys, y)
-    r = reduced_rhs(sys, t, ts)
-    return np.concatenate(
-        [r.qdot, r.vqdot, [r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot]]
-    )
+def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> tuple:
+    # The rate of the reduced state vector y, and the rate of pt, from one
+    # evaluation of reduced_rhs (looked up on the module at each call).
+    r = reduced_rhs(sys, t, _reduced_state_from_vector(sys, y))
+    rates = [r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot]
+    return np.concatenate([r.qdot, r.vqdot, rates]), r.ptdot
+
+
+def _lift(n_q: int, y: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Bundle arrays x and v of reduced state vectors y (one, or one per row);
+    # the bookkeeping velocities are the rates Sdot, Ndot, Gammadot, Wdot, Sigmadot.
+    x = np.concatenate([y[..., :n_q], y[..., 2 * n_q :]], axis=-1)
+    return x, np.concatenate([y[..., n_q : 2 * n_q], rates], axis=-1)
 
 
 # Max-norm residual tolerance of the reduced path's Newton iteration.
@@ -704,6 +721,10 @@ def run_reduced(
     momenta the fiber derivative, multiplier exactly 1), with formulation
     "reduced". newton_iters counts each step's Newton updates, polish
     iterations included.
+
+    A step evaluates the field once per Newton residual plus once at its
+    start node, for the Euler guess and the lift alike; the midpoint rate of
+    pt is read from the residual evaluated at the accepted iterate.
     """
 
     if h <= 0:
@@ -711,46 +732,47 @@ def run_reduced(
     if pt0 is None:
         pt0 = initial_pontryagin_state(sys, t0, ts0).pt
 
-    dim = 2 * sys.n_q + 5
+    n_q = sys.n_q
     K = int(n_steps)
-    ys = np.empty((K + 1, dim))
+    ys = np.empty((K + 1, 2 * n_q + 5))
+    rates = np.empty((K + 1, 5))  # each node's (Sdot, Ndot, Gammadot, Wdot, Sigmadot)
     pts = np.empty(K + 1)
     iters = np.zeros(K, dtype=int)
     ys[0] = _reduced_state_vector(ts0)
     pts[0] = float(pt0)
 
     solver = ChordNewton(_REDUCED_NEWTON_TOL)
-    for k in range(K):
+    for k in range(K + 1):
         t = t0 + k * h
-        tm = t + 0.5 * h
         y0 = ys[k]
+        f0, _ = _reduced_field(sys, t, y0)
+        rates[k] = f0[2 * n_q :]
+        if k == K:
+            break
+        tm = t + 0.5 * h
+        ptdots = {}  # midpoint ptdot of each iterate evaluated, by its bytes
 
         def residual(y1):
-            return (y1 - y0) / h - _reduced_field(sys, tm, 0.5 * (y0 + y1))
+            f, ptdots[y1.tobytes()] = _reduced_field(sys, tm, 0.5 * (y0 + y1))
+            return (y1 - y0) / h - f
 
         try:
-            y, _, iters[k] = solver._newton(residual, y0 + h * _reduced_field(sys, t, y0))
+            y, _, iters[k] = solver._newton(residual, y0 + h * f0)
         except (StepFailureError, SingularJacobianError) as exc:
             raise StepFailureError(f"reduced step {k} (t = {t!r}) failed: {exc}") from exc
         ys[k + 1] = y
-        ym = _reduced_state_from_vector(sys, 0.5 * (y0 + y))
-        pts[k + 1] = pts[k] + h * reduced_rhs(sys, tm, ym).ptdot
+        # _newton returns an iterate whose residual it evaluated (the last
+        # one, or the one before a rejected polish iterate).
+        pts[k + 1] = pts[k] + h * ptdots[y.tobytes()]
 
-    lay = sys.layout
-    t_nodes = t0 + h * np.arange(K + 1)
-    x = np.empty((K + 1, lay.n))
-    v = np.empty((K + 1, lay.n))
-    p = np.empty((K + 1, lay.n))
+    x, v = _lift(n_q, ys, rates)
+    p = np.empty_like(x)
     for k in range(K + 1):
-        ts = _reduced_state_from_vector(sys, ys[k])
-        xk, vk, _ = _full_arrays(sys, t_nodes[k], ts)
-        x[k] = xk
-        v[k] = vk
-        p[k] = momenta_from_state(sys, ts)
+        p[k] = momenta_from_state(sys, _reduced_state_from_vector(sys, ys[k]))
     return Trajectory(
         formulation="reduced",
         h=float(h),
-        t=t_nodes,
+        t=t0 + h * np.arange(K + 1),
         x=x,
         v=v,
         p=p,
@@ -776,16 +798,9 @@ def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
         tm = 0.5 * (traj.t[k] + traj.t[k + 1])
         xm = 0.5 * (traj.x[k] + traj.x[k + 1])
         vqm = 0.5 * (traj.v[k][lay.q] + traj.v[k + 1][lay.q])
-        tsm = ThermoState(
-            q=xm[lay.q],
-            v_q=vqm,
-            S=xm[lay.S],
-            N=xm[lay.N],
-            Gamma=xm[lay.Gamma],
-            W=xm[lay.W],
-            Sigma=xm[lay.Sigma],
-        )
-        _, vm, _ = _full_arrays(sys, tm, tsm)
+        ym = np.concatenate([xm[lay.q], vqm, xm[lay.S :]])
+        tsm = _reduced_state_from_vector(sys, ym)
+        _, vm = _lift(sys.n_q, ym, _reduced_field(sys, tm, ym)[0][2 * sys.n_q :])
         pm = momenta_from_state(sys, tsm)
         state = PontryaginState(
             t=tm,
@@ -929,8 +944,10 @@ def ideal_gas_fixture(
     def d_N(q, v, S, N):
         return -T_of(S, N) * (c - S / N)
 
+    mass_matrix = _read_only(mass * np.eye(n_q))
+
     def d_vv(q, v, S, N):
-        return mass * np.eye(n_q)
+        return mass_matrix
 
     mech = MechanicalLagrangian(
         n_q=n_q,

@@ -412,7 +412,13 @@ def test_run_evaluates_each_node_diagnostic_once(tmp_path, monkeypatch):
     problem = build_problem(forced_thermo_cfg())
     traj = cli.run_formulation(problem, "pontryagin")
     K = traj.n_steps
-    calls = {"L.value": 0, "power_flows": 0, "entropy_production": 0, "first_law_residual": 0}
+    calls = {
+        "L.value": 0,
+        "_model_point": 0,
+        "power_flows": 0,
+        "entropy_production": 0,
+        "first_law_residual": 0,
+    }
 
     def counted(name, fn):
         def wrapper(*args):
@@ -424,15 +430,17 @@ def test_run_evaluates_each_node_diagnostic_once(tmp_path, monkeypatch):
     problem = dataclasses.replace(
         problem, L=dataclasses.replace(problem.L, value=counted("L.value", problem.L.value))
     )
-    for name in ("power_flows", "entropy_production", "first_law_residual"):
+    for name in ("_model_point", "power_flows", "entropy_production", "first_law_residual"):
         monkeypatch.setattr(th, name, counted(name, getattr(th, name)))
     monkeypatch.setattr(cli, "run_formulation", lambda problem, formulation: traj)
     passed, summary, _ = cli._run_and_report(problem, "pontryagin", tmp_path, None)
     assert passed, summary
+    # One model evaluation per node feeds the power flows and the production.
     assert calls == {
         "L.value": K + 1,
-        "power_flows": K + 1,
-        "entropy_production": K + 1,
+        "_model_point": K + 1,
+        "power_flows": 0,
+        "entropy_production": 0,
         "first_law_residual": 0,
     }
 
@@ -596,6 +604,50 @@ def test_overflowing_initial_state_is_a_config_error(tmp_path, command):
         "config error at initial: the initial state is not finite "
         "(its energy or rates overflow)"
     ]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("initial", "N", 0, "mole number N = 0.0 must be positive"),
+        # T = T0 exp(S - 1000 N) underflows to 0.
+        ("system", "s0", 1000, "temperature -dL/dS = 0.0 at S = 1.0, N = 1.0"),
+    ],
+    ids=["N=0", "s0=1000"],
+)
+def test_nonphysical_initial_state_is_a_config_error(
+    tmp_path, command, section, key, value, message
+):
+    cfg = BUILTINS["closed_piston"]()
+    cfg[section][key] = value
+    path = write_cfg(tmp_path, cfg)
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke(command, path, *out)
+    assert result.exit_code == 2, all_text(result)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, all_text(result)
+    assert lines[0].startswith(f"config error at initial: {message}")
+
+
+@pytest.mark.parametrize("formulation", ["pontryagin", "lagrange-dirac"])
+def test_large_temperature_scale_passes_the_initial_guard(tmp_path, formulation):
+    # At T0 = 1e8 the row terms sum J_S T are about 1e14, so the consistent
+    # initial state's residual of ~6e-2 is round-off and must not be taken
+    # for a kinematic violation. The Newton tolerance is absolute, so the
+    # run may still fail as a solver error, with one line.
+    cfg = BUILTINS["two_port_piston"]()
+    cfg["system"]["T0"] = 1e8
+    path = write_cfg(tmp_path, cfg)
+    result = invoke("run", path, "--formulation", formulation, "--out", str(tmp_path))
+    text = all_text(result)
+    # Anything but the CLI's own exit would be a traceback outside the runner.
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert result.exit_code in (0, 1, 3) and "kinematic" not in text, text
+    if result.exit_code == 3:
+        assert len(result.stderr.strip().splitlines()) == 1, text
 
 
 # -- compare ---------------------------------------------------------------

@@ -18,6 +18,7 @@ from scipy.optimize import least_squares
 
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
+    InconsistentInitialStateError,
     NonSectionError,
     SingularJacobianError,
     StepFailureError,
@@ -438,6 +439,33 @@ def test_run_rejects_a_nan_initial_residual():
     )
     with pytest.raises(ValueError, match="kinematic .*nan"):
         stepper.run(bad, 1e-2, 10)
+
+
+def scaled_row_stepper(scale):
+    # The row scale * v1 - v2 - scale = 0: its terms are of size `scale`.
+    C = ConstraintSet(
+        n=2,
+        m=1,
+        eval_A=lambda t, x, w: np.array([[scale, -1.0]]),
+        eval_B=lambda t, x, w: np.array([-scale]),
+    )
+    return ImplicitMidpointStepper("pontryagin", lagrangian=free_particle(), constraints=C)
+
+
+def test_initial_guard_is_relative_to_the_row_terms():
+    # One ulp of v1 at row terms of 1e12 leaves a residual of 2.4e-4, far
+    # above an absolute 1e-8 but round-off relative to the terms.
+    v = np.array([np.nextafter(1.0, 2.0), 0.0])
+    state = PontryaginState(t=0.0, x=np.zeros(2), v=v, pt=0.0, p=v.copy())
+    traj = scaled_row_stepper(1e12).run(state, 1e-3, 1)
+    assert traj.n_steps == 1
+    v_bad = np.array([1.0 + 1e-6, 0.0])
+    bad = dataclasses.replace(state, v=v_bad, p=v_bad.copy())
+    with pytest.raises(
+        InconsistentInitialStateError,
+        match=r"residual 1\.000e\+06, row scale 1\.000e\+12",
+    ):
+        scaled_row_stepper(1e12).run(bad, 1e-3, 1)
 
 
 def test_duplicate_constraint_rows_singular_jacobian():

@@ -10,6 +10,7 @@ T_source = 320. Then P_M = 0.4 + 3.1 = 3.5, P_H = 3.2, and the production
 I = 2/300 + 0.5/300 + 0.2/300 = 0.009."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -618,8 +619,8 @@ def test_stalled_reduced_step_retries_once_with_a_fresh_jacobian(monkeypatch):
     field = thermo_module._reduced_field
 
     def noisy(sys, t, y):
-        f = field(sys, t, y)
-        return f + 1e-8 * np.sin(y / 1e-14) if t > 0.002 else f
+        f, ptdot = field(sys, t, y)
+        return (f + 1e-8 * np.sin(y / 1e-14) if t > 0.002 else f), ptdot
 
     monkeypatch.setattr(thermo_module, "_reduced_field", noisy)
     factors = count_factorizations(monkeypatch)
@@ -833,3 +834,189 @@ def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
     monitor_invariants(L, C, traj)
     # One build per node (A and B) plus one per midpoint (B only).
     assert len(calls) == traj.n_steps + 1 + traj.n_steps
+
+
+# -- one model evaluation per point ----------------------------------------
+
+
+def ref_port_sums(sys, t, ts):
+    # The separate port loop that fed reduced_rhs and power_flows before the
+    # model was evaluated once per point; kept as the bitwise reference.
+    J = JS_a = P_M = 0.0
+    for port in sys.ports:
+        j = float(port.J(t, ts))
+        js = float(port.J_S(t, ts))
+        J += j
+        JS_a += js
+        P_M += j * float(port.mu(t, ts)) + js * float(port.T_port(t, ts))
+    JS_b = P_H = 0.0
+    for src in sys.sources:
+        js = float(src.J_S(t, ts))
+        JS_b += js
+        P_H += js * float(src.T_source(t, ts))
+    return J, JS_a, JS_b, P_M, P_H
+
+
+def ref_entropy_production(sys, t, ts):
+    T = temperature(sys, ts)
+    mu = chemical_potential(sys, ts)
+    fric = -float(thermo_module._friction_vec(sys, t, ts) @ ts.v_q) / T
+    mixing = 0.0
+    for port in sys.ports:
+        mixing += (
+            float(port.J(t, ts)) * (float(port.mu(t, ts)) - mu)
+            + float(port.J_S(t, ts)) * (float(port.T_port(t, ts)) - T)
+        ) / T
+    heating = 0.0
+    for src in sys.sources:
+        heating += float(src.J_S(t, ts)) * (float(src.T_source(t, ts)) - T) / T
+    return [fric + mixing + heating, fric, mixing, heating]
+
+
+def ref_power_flows(sys, t, ts):
+    _, _, _, P_M, P_H = ref_port_sums(sys, t, ts)
+    return [float(thermo_module._f_ext_vec(sys, t, ts) @ ts.v_q), P_H, P_M]
+
+
+def ref_reduced_rhs(sys, t, ts):
+    mech = sys.mech
+    T = temperature(sys, ts)
+    mu = chemical_potential(sys, ts)
+    J, JS_a, JS_b, P_M, P_H = ref_port_sums(sys, t, ts)
+    total = ref_entropy_production(sys, t, ts)[0]
+    Sdot = total + JS_a + JS_b
+    q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
+    rhs = (
+        np.asarray(mech.d_q(q, vq, S, N), dtype=float).reshape(sys.n_q)
+        + thermo_module._friction_vec(sys, t, ts)
+        + thermo_module._f_ext_vec(sys, t, ts)
+    )
+    M = np.asarray(mech.d_vv(q, vq, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
+    vqdot = np.linalg.solve(M, rhs)
+    return [vq, vqdot, Sdot, J, T, mu, total, JS_a + JS_b, J, -(P_M + P_H)]
+
+
+def bits(values):
+    # Bytes of every number, so that 0.0 and -0.0 differ too.
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def builtin_systems():
+    from diracsim import cli
+
+    forced = Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json"
+    names = ["closed_piston", "conduction_piston", "matched_port_piston", "two_port_piston"]
+    problems = [cli.build_problem(cli.load_config(n)) for n in names + [str(forced)]]
+    return [(p.system, p.ts0) for p in problems]
+
+
+BUILTIN_SYSTEMS = builtin_systems()
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(0, len(BUILTIN_SYSTEMS) - 1), seed=st.integers(0, 2**32 - 1))
+def test_model_readers_equal_the_separate_formulas_bitwise(which, seed):
+    sys0, ts0 = BUILTIN_SYSTEMS[which]
+    pt_ = random_physical_point(sys0, np.random.default_rng(seed), ts0)
+    ts = state_from_arrays(sys0, pt_.x, pt_.v)
+    r = reduced_rhs(sys0, pt_.t, ts)
+    got = [
+        r.qdot, r.vqdot, r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot,
+        r.pGammadot, r.pWdot, r.ptdot,
+    ]
+    assert bits(got) == bits(ref_reduced_rhs(sys0, pt_.t, ts))
+    br = entropy_production(sys0, pt_.t, ts)
+    got = [br.total, br.friction, br.mixing, br.heating]
+    assert bits(got) == bits(ref_entropy_production(sys0, pt_.t, ts))
+    flows = power_flows(sys0, pt_.t, ts)
+    got = [flows.mechanical, flows.heating, flows.matter]
+    assert bits(got) == bits(ref_power_flows(sys0, pt_.t, ts))
+
+
+def test_builtin_systems_cover_every_model_part():
+    # The property above must reach a matched port, a conduction source and
+    # an external force.
+    assert any(s.f_ext is not None for s, _ in BUILTIN_SYSTEMS)
+    assert any(s.sources for s, _ in BUILTIN_SYSTEMS)
+    assert sum(len(s.ports) for s, _ in BUILTIN_SYSTEMS) >= 3
+
+
+def count_field_evaluations(monkeypatch):
+    calls = []
+    original = thermo_module.reduced_rhs
+
+    def counting(sys, t, ts):
+        calls.append(t)
+        return original(sys, t, ts)
+
+    monkeypatch.setattr(thermo_module, "reduced_rhs", counting)
+    return calls
+
+
+def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch):
+    calls = count_field_evaluations(monkeypatch)
+    run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 100, pt0=0.0)
+    # 101 nodes (the Euler guess of a step and the lift of its start node
+    # share one evaluation) plus 413 Newton residuals, FD columns included.
+    # A separate Euler guess, midpoint ptdot and lift evaluation per step
+    # would make it 714.
+    assert len(calls) == 101 + 413
+
+
+def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():
+    sys0 = small_open_system()
+    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 30, pt0=0.0)
+    lay = sys0.layout
+    y = np.concatenate([traj.x[:, lay.q], traj.v[:, lay.q], traj.x[:, lay.S :]], axis=1)
+    for k in range(traj.n_steps):
+        ym = thermo_module._reduced_state_from_vector(sys0, 0.5 * (y[k] + y[k + 1]))
+        ptdot = reduced_rhs(sys0, traj.t[k] + 0.5 * 1e-3, ym).ptdot
+        assert traj.pt[k + 1] == traj.pt[k] + 1e-3 * ptdot
+
+
+def count_mass_factorizations(monkeypatch):
+    calls = []
+    original = thermo_module.dgetrf
+
+    def counting(M):
+        calls.append(M.copy())
+        return original(M)
+
+    thermo_module._mass_lu.cache_clear()
+    monkeypatch.setattr(thermo_module, "dgetrf", counting)
+    return calls
+
+
+def test_constant_mass_matrix_is_factored_once_per_run(monkeypatch):
+    calls = count_mass_factorizations(monkeypatch)
+    sys0 = small_open_system()
+    run_reduced(sys0, 0.0, small_initial(), 1e-3, 100)
+    L = build_extended_lagrangian(sys0)
+    C = build_momentum_constraints(sys0)
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C).run(s0, 1e-3, 20)
+    assert len(calls) == 1
+    thermo_module._mass_lu.cache_clear()
+
+
+def test_point_dependent_mass_matrix_is_factored_at_each_new_value(monkeypatch):
+    sys0 = make_varying_mass_system()
+    calls = count_mass_factorizations(monkeypatch)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        ts = dataclasses.replace(small_initial(), q=rng.uniform(-1, 1, 1))
+        for _ in range(2):  # the same point twice: factored once
+            reduced_rhs(sys0, 0.0, ts)
+        npt.assert_array_equal(calls[-1], sys0.mech.d_vv(ts.q, ts.v_q, ts.S, ts.N))
+    assert len(calls) == 20
+    thermo_module._mass_lu.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), mass=st.floats(1e-6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_cached_mass_solve_equals_numpy_solve_bitwise(n, mass, seed):
+    M = mass * np.eye(n)
+    r = np.random.default_rng(seed).normal(size=n)
+    expect = np.linalg.solve(M, r).tobytes()
+    assert thermo_module._mass_solve(M, r).tobytes() == expect
+    assert thermo_module._mass_solve(M, r).tobytes() == expect  # from the cache

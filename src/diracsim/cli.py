@@ -33,6 +33,7 @@ from .dynamics import (
 )
 from .geometry import (
     ConstraintSet,
+    DegenerateConstraintError,
     PhasePoint,
     PontryaginState,
     dirac_membership_P,
@@ -831,11 +832,24 @@ def _fail(exc: Exception, code: int):
     raise SystemExit(code)
 
 
+def _min(lo):
+    # Option callback: a value below lo, NaN or infinity is a usage error,
+    # reported in one line with exit code 2.
+    def callback(ctx, param, value):
+        if value is not None and not lo <= value < math.inf:
+            _fail(ConfigError(param.opts[0], f"must be finite and >= {lo}, got {value}"), 2)
+        return value
+
+    return callback
+
+
 @main.command()
 @click.argument("config")
 @click.option("--formulation", default=None, help="Override integrator.formulation.")
 @click.option("--out", default=".", help="Output directory.")
-@click.option("--tol", type=float, default=None, help="Override all residual tolerances.")
+@click.option(
+    "--tol", type=float, default=None, callback=_min(0), help="Override all residual tolerances."
+)
 def run(config, formulation, out, tol):
     """Integrate a scenario, write CSVs and a summary, check tolerances."""
 
@@ -862,7 +876,9 @@ def run(config, formulation, out, tol):
     help="Comma-separated formulations to run and compare.",
 )
 @click.option("--out", default=None, help="Optional output directory for a report.")
-@click.option("--tol", type=float, default=None, help="Agreement tolerance (default 1e-6).")
+@click.option(
+    "--tol", type=float, default=None, callback=_min(0), help="Agreement tolerance (default 1e-6)."
+)
 def compare(config, formulations, out, tol):
     """Run several formulations of one scenario and compare pointwise."""
 
@@ -912,10 +928,14 @@ def compare(config, formulations, out, tol):
 
 @main.command()
 @click.argument("config")
-@click.option("--seed", type=int, default=0, help="Seed for the randomized checks.")
-@click.option("--samples", type=int, default=30, help="Random points per check.")
-@click.option("--steps", type=int, default=200, help="Trajectory steps for the flow checks.")
-@click.option("--tol", type=float, default=1e-8, help="Membership tolerance.")
+@click.option(
+    "--seed", type=int, default=0, callback=_min(0), help="Seed for the randomized checks."
+)
+@click.option("--samples", type=int, default=30, callback=_min(1), help="Random points per check.")
+@click.option(
+    "--steps", type=int, default=200, callback=_min(1), help="Trajectory steps for the flow checks."
+)
+@click.option("--tol", type=float, default=1e-8, callback=_min(0), help="Membership tolerance.")
 @click.option(
     "--corrupt",
     type=float,
@@ -959,7 +979,10 @@ def check(config, seed, samples, steps, tol, corrupt):
     worst_member = 0.0
     for _ in range(samples):
         pt_ = sample_point()
-        r = dirac_rank(pt_, problem.vel_constraints)
+        try:
+            r = dirac_rank(pt_, problem.vel_constraints)
+        except DegenerateConstraintError as exc:
+            _fail(exc, 3)
         worst_rank_defect = max(worst_rank_defect, abs(r - expected_rank))
         e1 = random_dirac_element(pt_, problem.vel_constraints, rng)
         e2 = random_dirac_element(pt_, problem.vel_constraints, rng)

@@ -363,9 +363,9 @@ class ChordNewton:
         self._lu = None
         self._steps_since_refresh = 0
 
-    def _factor(self, residual, y: np.ndarray):
+    def _factor(self, residual, y: np.ndarray, r0: np.ndarray):
+        # r0 is residual(y), which the caller has already evaluated.
         K = y.size
-        r0 = residual(y)
         J = np.empty((K, K))
         for j in range(K):
             eps = 1.49e-8 * (1.0 + abs(y[j]))
@@ -399,12 +399,12 @@ class ChordNewton:
         tol = self.tol
         for attempt in (0, 1):
             y = guess.copy()
+            r = residual(y)
             if attempt == 1 or self._lu is None or (
                 self._steps_since_refresh >= _JACOBIAN_REFRESH
             ):
-                self._factor(residual, y)
+                self._factor(residual, y, r)
             lu = self._lu
-            r = residual(y)
             rn = _max_norm(r)
             iters = 0
             converged = rn <= tol

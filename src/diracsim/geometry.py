@@ -59,7 +59,7 @@ RANK_RTOL = 1e-10
 
 
 class DegenerateConstraintError(RuntimeError):
-    """Raised when the constraint rows A(t, x, v) are rank deficient."""
+    """Raised when the constraint rows A(t, x, v) are rank deficient or not finite."""
 
 
 def _vec(a, n: int | None = None) -> np.ndarray:
@@ -255,8 +255,9 @@ class ConstraintSet:
     sets, the momentum) the coefficients may depend on. The kinematic condition
     is A w + B = 0 and the variational one is A dx + B dt = 0.
 
-    eval_A and eval_B at the same point may share one evaluation of the row,
-    so callers must not write to the arrays they return.
+    eval_A and eval_B depend on (t, x, w) alone: at a point asked for again they
+    may share one evaluation of the row, so callers must not write to the
+    arrays they return.
     """
 
     n: int
@@ -352,18 +353,74 @@ def kinematic_constraint_residual(
     return A @ xdot + B * float(tdot)
 
 
-def _check_full_rank(A: np.ndarray, B: np.ndarray) -> None:
-    # Rank decision on the combined rows [B | A]; a dependent combination of
-    # rows means the annihilator loses a dimension and lstsq multipliers stop
-    # being well defined.
-    if A.shape[0] == 0:
-        return
-    M = np.hstack([B[:, None], A])
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
-        raise DegenerateConstraintError(
-            f"constraint rows are rank deficient: singular values {s}"
-        )
+class _DiracPoint:
+    """The induced Dirac structure at one point, from one row evaluation.
+
+    A, B and M = [B | A] are private copies that passed the full-rank test.
+    The distribution basis costs a null space SVD and is built on first use.
+    No array of the record is handed out; callers get copies or new arrays.
+    """
+
+    __slots__ = ("A", "B", "M", "_basis")
+
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        # Rank decision on the combined rows M; a dependent combination of
+        # rows means the annihilator loses a dimension and lstsq multipliers
+        # stop being well defined.
+        M = np.hstack([B[:, None], A])
+        if not np.isfinite(M).all():
+            raise DegenerateConstraintError(
+                "constraint rows are not finite; the model overflows at this point"
+            )
+        s = np.linalg.svd(M, compute_uv=False) if M.shape[0] else None
+        if s is not None and (s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]):
+            raise DegenerateConstraintError(
+                f"constraint rows are rank deficient: singular values {s}"
+            )
+        self.A, self.B, self.M, self._basis = A.copy(), B.copy(), M, None
+
+    def basis(self) -> np.ndarray:
+        """Distribution basis as rows (dt, dx, dv, dpt, dp): the kernel of M
+        in the (dt, dx) slots, then the identity on (dv, dpt, dp)."""
+
+        if self._basis is None:
+            m, n1 = self.M.shape
+            kernel = null_space(self.M) if m else np.eye(n1)
+            k = kernel.shape[1]
+            D = np.zeros((k + 2 * n1 - 1, 3 * n1 - 1))
+            D[:k, :n1] = kernel.T
+            D[k:, n1:] = np.eye(2 * n1 - 1)
+            self._basis = D
+        return self._basis
+
+
+# (constraints, (t, x bytes, w bytes), record) of the last point that passed
+# the rank test; holding the set keeps its identity from being reused. x must
+# be a 1-d float array already, as `_vec` or a point record makes it.
+_last_point: tuple | None = None
+
+
+def _dirac_point(constraints: ConstraintSet, t, x: np.ndarray, w) -> _DiracPoint:
+    global _last_point
+    key = (t, x.tobytes(), np.asarray(w, dtype=float).tobytes())
+    last = _last_point
+    if last is not None and last[0] is constraints and last[1] == key:
+        return last[2]
+    point = _DiracPoint(constraints.A(t, x, w), constraints.B(t, x, w))
+    _last_point = (constraints, key, point)
+    return point
+
+
+def _slots(vec: np.ndarray, n: int) -> tuple:
+    # (dt, dx, dv, dpt, dp) of a stacked vector on P, as views.
+    return vec[0], vec[1 : n + 1], vec[n + 1 : 2 * n + 1], vec[2 * n + 1], vec[2 * n + 2 :]
+
+
+def _flat(u: np.ndarray, n: int) -> np.ndarray:
+    # Omega-flat along the last axis: the signed column permutation
+    # (dt, dx, dv, dpt, dp) -> (-dpt, -dp, 0, dt, dx).
+    zero = np.zeros(u.shape[:-1] + (n,))
+    return np.concatenate((-u[..., 2 * n + 1 :], zero, u[..., : n + 1]), axis=-1)
 
 
 def annihilator_basis(
@@ -378,11 +435,8 @@ def annihilator_basis(
     Raises DegenerateConstraintError when the rows are dependent.
     """
 
-    x = _vec(x, constraints.n)
-    A = constraints.A(t, x, v)
-    B = constraints.B(t, x, v)
-    _check_full_rank(A, B)
-    return [CotangentY(pt=B[r], p=A[r].copy()) for r in range(constraints.m)]
+    structure = _dirac_point(constraints, t, _vec(x, constraints.n), v)
+    return [CotangentY(pt=b, p=a.copy()) for b, a in zip(structure.B, structure.A)]
 
 
 def presymplectic_apply(u: TangentP, w: TangentP) -> float:
@@ -403,14 +457,7 @@ def presymplectic_apply(u: TangentP, w: TangentP) -> float:
 def presymplectic_flat(u: TangentP) -> CotangentP:
     """Covector Omega-flat(u), so that pair_P(flat(u), w) = Omega(u, w)."""
 
-    n = u.n
-    return CotangentP(
-        pi=-u.dpt,
-        alpha=-u.dp.copy(),
-        beta=np.zeros(n),
-        gamma=u.dt,
-        w=u.dx.copy(),
-    )
+    return CotangentP(*_slots(_flat(u.as_vector(), u.n), u.n))
 
 
 def lift_annihilator(row: CotangentY, n: int) -> CotangentP:
@@ -463,17 +510,31 @@ class MembershipReport:
         return name, self.residuals[name]
 
 
-def _span_condition(
-    M: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, float]:
-    # Least squares multipliers for target = M lam; M has one column per
+def _membership(
+    structure: _DiracPoint, u, a, residuals: dict[str, float], tol: float
+) -> MembershipReport:
+    # The conditions shared by P and T*Y, after the bundle's own. The span
+    # multipliers solve target = M lam by least squares; M has one column per
     # constraint row, so with m < n + 1 the system is overdetermined and the
     # residual measures distance from the span.
+    A, B = structure.A, structure.B
+    residuals["variational_constraint"] = float(np.abs(A @ u.dx + B * u.dt).max(initial=0.0))
+    M = np.ascontiguousarray(structure.M.T)
+    target = np.concatenate(([u.dpt + a.pi], u.dp + a.alpha))
     if M.shape[1] == 0:
-        return np.zeros(0), float(np.max(np.abs(target), initial=0.0))
-    lam, *_ = np.linalg.lstsq(M, target, rcond=None)
-    res = float(np.max(np.abs(M @ lam - target), initial=0.0))
-    return lam, res
+        lam, res = np.zeros(0), float(np.abs(target).max(initial=0.0))
+    else:
+        lam, *_ = np.linalg.lstsq(M, target, rcond=None)
+        res = float(np.abs(M @ lam - target).max(initial=0.0))
+    residuals["momentum_in_annihilator_span"] = res
+    violated = tuple(k for k, r in residuals.items() if r > tol)
+    return MembershipReport(
+        member=not violated,
+        multiplier=lam,
+        residuals=residuals,
+        tol=tol,
+        violated=violated,
+    )
 
 
 def dirac_membership_P(
@@ -501,31 +562,13 @@ def dirac_membership_P(
     n = point.n
     if u.n != n or a.n != n or constraints.n != n:
         raise ValueError("dimension mismatch between point, element and constraints")
-    A = constraints.A(point.t, point.x, point.v)
-    B = constraints.B(point.t, point.x, point.v)
-    _check_full_rank(A, B)
-
     residuals = {
-        "velocity_matches_dx": float(np.max(np.abs(a.w - u.dx), initial=0.0)),
+        "velocity_matches_dx": float(np.abs(a.w - u.dx).max(initial=0.0)),
         "time_matches_dt": abs(a.gamma - u.dt),
-        "beta_vanishes": float(np.max(np.abs(a.beta), initial=0.0)),
-        "variational_constraint": float(
-            np.max(np.abs(A @ u.dx + B * u.dt), initial=0.0)
-        ),
+        "beta_vanishes": float(np.abs(a.beta).max(initial=0.0)),
     }
-    M = np.vstack([B[None, :], A.T]) if constraints.m else np.zeros((n + 1, 0))
-    target = np.concatenate(([u.dpt + a.pi], u.dp + a.alpha))
-    lam, span_res = _span_condition(M, target)
-    residuals["momentum_in_annihilator_span"] = span_res
-
-    violated = tuple(k for k, r in residuals.items() if r > tol)
-    return MembershipReport(
-        member=not violated,
-        multiplier=lam,
-        residuals=residuals,
-        tol=tol,
-        violated=violated,
-    )
+    structure = _dirac_point(constraints, point.t, point.x, point.v)
+    return _membership(structure, u, a, residuals, tol)
 
 
 def dirac_membership_TstarY(
@@ -551,30 +594,12 @@ def dirac_membership_TstarY(
     n = point.n
     if constraints.n != n:
         raise ValueError("dimension mismatch between point and constraints")
-    A = constraints.A(point.t, point.x, point.p)
-    B = constraints.B(point.t, point.x, point.p)
-    _check_full_rank(A, B)
-
     residuals = {
-        "velocity_matches_dx": float(np.max(np.abs(a.w - u.dx), initial=0.0)),
+        "velocity_matches_dx": float(np.abs(a.w - u.dx).max(initial=0.0)),
         "time_matches_dt": abs(a.gamma - u.dt),
-        "variational_constraint": float(
-            np.max(np.abs(A @ u.dx + B * u.dt), initial=0.0)
-        ),
     }
-    M = np.vstack([B[None, :], A.T]) if constraints.m else np.zeros((n + 1, 0))
-    target = np.concatenate(([u.dpt + a.pi], u.dp + a.alpha))
-    lam, span_res = _span_condition(M, target)
-    residuals["momentum_in_annihilator_span"] = span_res
-
-    violated = tuple(k for k, r in residuals.items() if r > tol)
-    return MembershipReport(
-        member=not violated,
-        multiplier=lam,
-        residuals=residuals,
-        tol=tol,
-        violated=violated,
-    )
+    structure = _dirac_point(constraints, point.t, point.x, point.p)
+    return _membership(structure, u, a, residuals, tol)
 
 
 def distribution_basis(
@@ -586,33 +611,8 @@ def distribution_basis(
     (dv, dpt, dp) directions are free. Returns 3n + 2 - m vectors.
     """
 
-    n = constraints.n
-    x = _vec(x, n)
-    A = constraints.A(t, x, v)
-    B = constraints.B(t, x, v)
-    _check_full_rank(A, B)
-
-    if constraints.m:
-        kernel = null_space(np.hstack([B[:, None], A]))
-    else:
-        kernel = np.eye(n + 1)
-    out: list[TangentP] = []
-    for j in range(kernel.shape[1]):
-        col = kernel[:, j]
-        out.append(
-            TangentP(dt=col[0], dx=col[1:], dv=np.zeros(n), dpt=0.0, dp=np.zeros(n))
-        )
-    zero = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out.append(TangentP(dt=0.0, dx=zero, dv=e, dpt=0.0, dp=zero))
-    out.append(TangentP(dt=0.0, dx=zero, dv=zero, dpt=1.0, dp=zero))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        out.append(TangentP(dt=0.0, dx=zero, dv=zero, dpt=0.0, dp=e))
-    return out
+    D = _dirac_point(constraints, t, _vec(x, constraints.n), v).basis().copy()
+    return [TangentP(*_slots(row, constraints.n)) for row in D]
 
 
 def random_dirac_element(
@@ -629,32 +629,20 @@ def random_dirac_element(
     """
 
     n = point.n
-    basis = distribution_basis(constraints, point.t, point.x, point.v)
-    coeffs = rng.normal(scale=scale, size=len(basis))
-    vec = sum(
-        (c * b.as_vector() for c, b in zip(coeffs, basis)),
-        start=np.zeros(3 * n + 2),
-    )
-    u = TangentP(
-        dt=vec[0],
-        dx=vec[1 : n + 1],
-        dv=vec[n + 1 : 2 * n + 1],
-        dpt=vec[2 * n + 1],
-        dp=vec[2 * n + 2 :],
-    )
-    a_vec = presymplectic_flat(u).as_vector()
-    rows = annihilator_basis(constraints, point.t, point.x, point.v)
-    lams = rng.normal(scale=scale, size=len(rows))
-    for lam, row in zip(lams, rows):
-        a_vec = a_vec + lam * lift_annihilator(row, n).as_vector()
-    a = CotangentP(
-        pi=a_vec[0],
-        alpha=a_vec[1 : n + 1],
-        beta=a_vec[n + 1 : 2 * n + 1],
-        gamma=a_vec[2 * n + 1],
-        w=a_vec[2 * n + 2 :],
-    )
-    return u, a
+    structure = _dirac_point(constraints, point.t, point.x, point.v)
+    D = structure.basis()
+    coeffs = rng.normal(scale=scale, size=D.shape[0])
+    k = D.shape[0] - (2 * n + 1)
+    # Kernel rows are summed one by one in basis order, so the element is
+    # bitwise the sum over the whole basis; the identity rows add coeffs[k:].
+    vec = np.zeros(n + 1)
+    for c, row in zip(coeffs[:k], D[:k, : n + 1]):
+        vec += c * row
+    u_vec = np.concatenate((vec, coeffs[k:]))
+    a_vec = _flat(u_vec, n)
+    for lam, row in zip(rng.normal(scale=scale, size=constraints.m), structure.M):
+        a_vec[: n + 1] += lam * row
+    return TangentP(*_slots(u_vec, n)), CotangentP(*_slots(a_vec, n))
 
 
 def dirac_generators(
@@ -669,15 +657,14 @@ def dirac_generators(
     """
 
     n = point.n
-    basis = distribution_basis(constraints, point.t, point.x, point.v)
-    rows = []
-    for u in basis:
-        rows.append(np.concatenate([u.as_vector(), presymplectic_flat(u).as_vector()]))
-    for ann in annihilator_basis(constraints, point.t, point.x, point.v):
-        rows.append(
-            np.concatenate([np.zeros(3 * n + 2), lift_annihilator(ann, n).as_vector()])
-        )
-    return np.vstack(rows)
+    structure = _dirac_point(constraints, point.t, point.x, point.v)
+    D = structure.basis()
+    k = D.shape[0]
+    G = np.zeros((k + constraints.m, 6 * n + 4))
+    G[:k, : 3 * n + 2] = D
+    G[:k, 3 * n + 2 :] = _flat(D, n)
+    G[k:, 3 * n + 2 : 4 * n + 3] = structure.M
+    return G
 
 
 def dirac_rank(point: PontryaginState, constraints: ConstraintSet) -> int:

@@ -861,13 +861,22 @@ def random_physical_point(
     t = float(rng.uniform(*t_span))
     x = np.zeros(lay.n)
     x[lay.q] = around.q + rng.uniform(-spread, spread, sys.n_q)
-    x[lay.S] = around.S + 0.4 * spread * rng.uniform(-1.0, 1.0)
-    x[lay.N] = around.N * (1.0 + 0.4 * spread * rng.uniform(-1.0, 1.0))
+    dS = 0.4 * spread * rng.uniform(-1.0, 1.0)
+    dN = 0.4 * spread * rng.uniform(-1.0, 1.0)
     x[lay.Gamma] = around.Gamma + rng.uniform(-spread, spread)
     x[lay.W] = around.W + rng.uniform(-spread, spread)
     x[lay.Sigma] = around.Sigma + rng.uniform(-spread, spread)
     v = rng.uniform(-spread, spread, lay.n)
     v[lay.q] = around.v_q + rng.uniform(-spread, spread, sys.n_q)
+    # The offsets of S and N can overflow T when the heat capacity is small;
+    # halve both until T is finite and positive.
+    q, v_q = x[lay.q], v[lay.q]
+    S, N = around.S + dS, around.N * (1.0 + dN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (dS or dN) and not 0.0 < -float(sys.mech.d_S(q, v_q, S, N)) < np.inf:
+            dS, dN = 0.5 * dS, 0.5 * dN
+            S, N = around.S + dS, around.N * (1.0 + dN)
+    x[lay.S], x[lay.N] = S, N
     return PontryaginState(
         t=t,
         x=x,

@@ -747,3 +747,44 @@ def test_check_reports_seed(tmp_path):
     path = write_cfg(tmp_path, thermo_cfg())
     result = invoke("check", path, "--samples", "3", "--steps", "3", "--seed", "7")
     assert "check seed: 7" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("run", "--tol", "nan"),
+        ("run", "--tol", "-1"),
+        ("compare", "--tol", "nan"),
+        ("compare", "--tol", "-1"),
+        ("check", "--tol", "nan"),
+        ("check", "--tol", "-1"),
+        ("check", "--tol", "inf"),
+        ("check", "--seed", "-1"),
+        ("check", "--samples", "0"),
+        ("check", "--samples", "-3"),
+        ("check", "--steps", "0"),
+    ],
+)
+def test_option_out_of_range_is_a_usage_error(tmp_path, command, option, value):
+    # Each of these used to verify nothing (exit 0), report FAIL (exit 1) or
+    # end in a numpy traceback.
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    result = invoke(command, "closed_piston", *out, option, value)
+    assert result.exit_code == 2, all_text(result)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {option}: "), lines
+
+
+def test_check_with_a_tiny_heat_capacity_ends_without_a_traceback(tmp_path):
+    # At c = 1e-6 the old sample offsets in S and N overflowed T and the rows
+    # of the structure check, which ended in a numpy traceback.
+    cfg = BUILTINS["closed_piston"]()
+    cfg["system"]["c"] = 1e-6
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke("check", path, "--samples", "5", "--steps", "5")
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert result.exit_code in (0, 1, 3), all_text(result)
+    if result.exit_code == 3:
+        assert len(result.stderr.strip().splitlines()) == 1, all_text(result)

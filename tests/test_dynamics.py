@@ -567,3 +567,36 @@ def test_monitor_invariants_shapes():
     assert inv.entropy_decomposition_residual is None
     assert inv.entropy_production is None
     assert inv.summary()["max_abs_energy_balance_residual"] < 1e-10
+
+
+def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
+    # 200 steps of the bundled particle refresh the Jacobian 101 times. The
+    # residual at the point a Jacobian is built around is its finite-difference
+    # base and the first Newton residual at once: 2282 evaluations, where a
+    # second evaluation there would make 2383.
+    from diracsim import dynamics
+    from diracsim.cli import BUILTINS, build_problem, run_formulation
+
+    calls = {"residual": 0, "factor": 0}
+    residual_fn = dynamics.ImplicitMidpointStepper._residual_fn
+    factor = dynamics.ChordNewton._factor
+
+    def counting_residual_fn(self, *args):
+        fn = residual_fn(self, *args)
+
+        def residual(y):
+            calls["residual"] += 1
+            return fn(y)
+
+        return residual
+
+    def counting_factor(self, *args):
+        calls["factor"] += 1
+        return factor(self, *args)
+
+    monkeypatch.setattr(dynamics.ImplicitMidpointStepper, "_residual_fn", counting_residual_fn)
+    monkeypatch.setattr(dynamics.ChordNewton, "_factor", counting_factor)
+    cfg = BUILTINS["nonholonomic_particle"]()
+    cfg["integrator"]["horizon"] = 0.2
+    run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
+    assert calls == {"residual": 2383 - 101, "factor": 101}

@@ -513,3 +513,200 @@ def test_extended_point_and_phase_point_shapes():
         t=0.0, x=np.zeros(2), v=np.ones(2), pt=0.0, p=np.zeros(2)
     )
     assert s.n == 2
+
+
+# -- one structure per point ----------------------------------------------
+#
+# The reference below builds the structure from one TangentP or CotangentP
+# record per vector and evaluates the rows on every call. The array code must
+# equal it bitwise, apart from the sign of an exact zero.
+
+
+def _ref_rows(c, t, x, v):
+    return c.A(t, x, v), c.B(t, x, v)
+
+
+def _ref_basis(c, t, x, v):
+    n = c.n
+    A, B = _ref_rows(c, t, x, v)
+    kernel = null_space(np.hstack([B[:, None], A])) if c.m else np.eye(n + 1)
+    z = np.zeros(n)
+    out = [TangentP(dt=k[0], dx=k[1:], dv=z, dpt=0.0, dp=z) for k in kernel.T]
+    out += [TangentP(dt=0.0, dx=z, dv=e, dpt=0.0, dp=z) for e in np.eye(n)]
+    out.append(TangentP(dt=0.0, dx=z, dv=z, dpt=1.0, dp=z))
+    out += [TangentP(dt=0.0, dx=z, dv=z, dpt=0.0, dp=e) for e in np.eye(n)]
+    return out
+
+
+def _ref_flat(u):
+    return CotangentP(pi=-u.dpt, alpha=-u.dp, beta=np.zeros(u.n), gamma=u.dt, w=u.dx)
+
+
+def _ref_element(point, c, rng, scale):
+    n = point.n
+    basis = _ref_basis(c, point.t, point.x, point.v)
+    coeffs = rng.normal(scale=scale, size=len(basis))
+    vec = sum((k * b.as_vector() for k, b in zip(coeffs, basis)), start=np.zeros(3 * n + 2))
+    u = TangentP(vec[0], vec[1 : n + 1], vec[n + 1 : 2 * n + 1], vec[2 * n + 1], vec[2 * n + 2 :])
+    a_vec = _ref_flat(u).as_vector()
+    A, B = _ref_rows(c, point.t, point.x, point.v)
+    for r, lam in enumerate(rng.normal(scale=scale, size=c.m)):
+        lift = CotangentP(pi=B[r], alpha=A[r], beta=np.zeros(n), gamma=0.0, w=np.zeros(n))
+        a_vec = a_vec + lam * lift.as_vector()
+    return u.as_vector(), a_vec
+
+
+def _ref_generators(point, c):
+    n = point.n
+    A, B = _ref_rows(c, point.t, point.x, point.v)
+    basis = _ref_basis(c, point.t, point.x, point.v)
+    rows = [np.concatenate([u.as_vector(), _ref_flat(u).as_vector()]) for u in basis]
+    rows += [
+        np.concatenate([np.zeros(3 * n + 2), [B[r]], A[r], np.zeros(2 * n + 1)])
+        for r in range(c.m)
+    ]
+    return np.vstack(rows)
+
+
+def _bits(a):
+    # Bytes with -0.0 folded into 0.0.
+    return (np.asarray(a, dtype=float) + 0.0).tobytes()
+
+
+def _point_dependent_constraint(n, m, seed):
+    # Rows that move with (t, x, v), so a stale structure would show.
+    rng = np.random.default_rng(seed)
+    A0, B0, C0 = rng.normal(size=(m, n)), rng.normal(size=m), rng.normal(size=(m, n))
+    return ConstraintSet(
+        n=n,
+        m=m,
+        eval_A=lambda t, x, w: A0 + np.sin(t) * C0 * x * w,
+        eval_B=lambda t, x, w: B0 * np.cos(t + x.sum()),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.1, 10.0),
+)
+def test_structure_equals_the_list_based_reference_bitwise(n, m, seed, scale):
+    m %= n
+    c = _point_dependent_constraint(n, m, seed)
+    for k in range(2):
+        point = _random_state(n, seed=seed + k)
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        # The order of check: rank, two elements, membership, then the rest.
+        rank = dirac_rank(point, c)
+        G_ref = _ref_generators(point, c)
+        s = np.linalg.svd(G_ref, compute_uv=False)
+        assert rank == int(np.sum(s > RANK_RTOL * s[0])) == 3 * n + 2
+        for _ in range(2):
+            u, a = random_dirac_element(point, c, rng, scale)
+            u_ref, a_ref = _ref_element(point, c, ref_rng, scale)
+            assert _bits(u.as_vector()) == _bits(u_ref)
+            assert _bits(a.as_vector()) == _bits(a_ref)
+        assert rng.normal() == ref_rng.normal()
+        assert dirac_membership_P(point, c, u, a).member
+        assert _bits(dirac_generators(point, c)) == _bits(G_ref)
+        basis = distribution_basis(c, point.t, point.x, point.v)
+        ref = _ref_basis(c, point.t, point.x, point.v)
+        assert [_bits(b.as_vector()) for b in basis] == [_bits(b.as_vector()) for b in ref]
+
+
+def test_a_check_sample_builds_its_structure_once(monkeypatch):
+    from diracsim import geometry
+
+    n, m = 4, 2
+    calls = {"A": 0, "B": 0, "rank_svd": 0, "null_space": 0}
+    A0, B0 = np.random.default_rng(3).normal(size=(m, n)), np.ones(m)
+
+    def eval_A(t, x, w):
+        calls["A"] += 1
+        return A0
+
+    def eval_B(t, x, w):
+        calls["B"] += 1
+        return B0
+
+    svd, kernel = np.linalg.svd, geometry.null_space
+
+    def counting_svd(M, *args, **kwargs):
+        calls["rank_svd"] += M.shape == (m, n + 1)
+        return svd(M, *args, **kwargs)
+
+    def counting_null_space(M, *args, **kwargs):
+        calls["null_space"] += 1
+        return kernel(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(geometry, "null_space", counting_null_space)
+    c = ConstraintSet(n=n, m=m, eval_A=eval_A, eval_B=eval_B)
+    point = _random_state(n, seed=5)
+    rng = np.random.default_rng(0)
+
+    def sample():
+        assert dirac_rank(point, c) == 3 * n + 2
+        e1 = random_dirac_element(point, c, rng)
+        random_dirac_element(point, c, rng)
+        assert dirac_membership_P(point, c, *e1).member
+
+    sample()
+    assert calls == {"A": 1, "B": 1, "rank_svd": 1, "null_space": 1}
+    # A point moved in place is a new point, and so is another constraint set.
+    point.x[0] += 1.0
+    sample()
+    assert calls == {"A": 2, "B": 2, "rank_svd": 2, "null_space": 2}
+    c = ConstraintSet(n=n, m=m, eval_A=eval_A, eval_B=eval_B)
+    sample()
+    assert calls == {"A": 3, "B": 3, "rank_svd": 3, "null_space": 3}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(0.0, "rank deficient"), (np.inf, "not finite"), (np.nan, "not finite")],
+)
+def test_a_failing_point_raises_on_every_call(row, message):
+    calls = []
+
+    def eval_A(t, x, w):
+        calls.append(t)
+        return np.full((1, 2), row)
+
+    c = ConstraintSet(n=2, m=1, eval_A=eval_A, eval_B=lambda t, x, w: np.zeros(1))
+    point = _random_state(2)
+    rng = np.random.default_rng(0)
+    z = np.zeros(2)
+    u, a = TangentP(0.0, z, z, 0.0, z), CotangentP(0.0, z, z, 0.0, z)
+    for call in (
+        lambda: dirac_rank(point, c),
+        lambda: random_dirac_element(point, c, rng),
+        lambda: dirac_membership_P(point, c, u, a),
+        lambda: distribution_basis(c, point.t, point.x, point.v),
+        lambda: annihilator_basis(c, point.t, point.x, point.v),
+    ):
+        with pytest.raises(DegenerateConstraintError, match=message):
+            call()
+    assert len(calls) == 5
+
+
+def test_returned_arrays_do_not_alias_the_structure():
+    c = _affine_constraint(3, 1, seed=2)
+    point = _random_state(3, seed=2)
+    args = (c, point.t, point.x, point.v)
+    basis = [b.as_vector() for b in distribution_basis(*args)]
+    G = dirac_generators(point, c)
+    rows = annihilator_basis(*args)
+    for b in distribution_basis(*args):
+        b.dx[:] = 7.0
+    rows[0].p[:] = 7.0
+    dirac_generators(point, c)[:] = 7.0
+    u, a = random_dirac_element(point, c, np.random.default_rng(0))
+    u.dx[:] = 7.0
+    a.alpha[:] = 7.0
+    assert [_bits(b.as_vector()) for b in distribution_basis(*args)] == list(map(_bits, basis))
+    assert _bits(dirac_generators(point, c)) == _bits(G)
+    assert _bits(annihilator_basis(*args)[0].p) == _bits(c.A(*args[1:])[0])

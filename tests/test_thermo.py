@@ -779,8 +779,8 @@ def test_chord_solve_on_an_open_system_step_jacobian(formulation, builder):
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
     residual = stepper._residual_fn(s0, 1e-3)
     guess = stepper._guess(s0, 1e-3)
-    lu = stepper._factor(residual, guess)
     r = residual(guess)
+    lu = stepper._factor(residual, guess, r)
     assert _chord_solve(lu, r).tobytes() == lu_solve(lu, r).tobytes()
 
 
@@ -957,10 +957,11 @@ def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch)
     calls = count_field_evaluations(monkeypatch)
     run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 100, pt0=0.0)
     # 101 nodes (the Euler guess of a step and the lift of its start node
-    # share one evaluation) plus 413 Newton residuals, FD columns included.
+    # share one evaluation) plus 411 Newton residuals, FD columns included.
     # A separate Euler guess, midpoint ptdot and lift evaluation per step
-    # would make it 714.
-    assert len(calls) == 101 + 413
+    # would add 200; a second residual at the base point of each of the
+    # run's 2 Jacobians would add 2.
+    assert len(calls) == 101 + 411
 
 
 def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():
@@ -1020,3 +1021,21 @@ def test_cached_mass_solve_equals_numpy_solve_bitwise(n, mass, seed):
     expect = np.linalg.solve(M, r).tobytes()
     assert thermo_module._mass_solve(M, r).tobytes() == expect
     assert thermo_module._mass_solve(M, r).tobytes() == expect  # from the cache
+
+
+def test_random_physical_point_halves_offsets_that_overflow_T():
+    # At c = 1e-6 an offset of 0.2 in S, or of 20% in N, makes
+    # T = T0 exp((S - N s0) / (c N)) overflow. The offsets are halved toward
+    # the reference state instead, with the same draws from the generator.
+    tiny, stock = ideal_gas_fixture(c=1e-6), ideal_gas_fixture()
+    around = small_initial()
+    rng, same = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(50):
+        pt_ = random_physical_point(tiny, rng, around)
+        ref = random_physical_point(stock, same, around)
+        assert np.isfinite(temperature(tiny, state_from_arrays(tiny, pt_.x, pt_.v)))
+        lay = tiny.layout
+        keep = np.ones(lay.n, dtype=bool)
+        keep[[lay.S, lay.N]] = False
+        assert pt_.x[keep].tobytes() == ref.x[keep].tobytes()
+    assert rng.uniform() == same.uniform()

@@ -11,19 +11,10 @@ approach 4 until the Newton tolerance floor takes over.
 import argparse
 import dataclasses
 
+import numpy as np
+
 from diracsim.cli import BUILTINS, build_problem, run_formulation
-
-
-def max_cov_energy(L, traj) -> float:
-    worst = 0.0
-    for k in range(traj.n_steps + 1):
-        e = (
-            traj.pt[k]
-            + float(traj.p[k] @ traj.v[k])
-            - float(L.value(traj.t[k], traj.x[k], traj.v[k]))
-        )
-        worst = max(worst, abs(e))
-    return worst
+from diracsim.dynamics import monitor_invariants
 
 
 def main() -> int:
@@ -44,7 +35,8 @@ def main() -> int:
         n_steps = max(1, round(args.horizon / h))
         prob = dataclasses.replace(base, h=h, n_steps=n_steps)
         traj = run_formulation(prob, args.formulation)
-        drift = max_cov_energy(prob.L, traj)
+        cov_e = monitor_invariants(prob.L, prob.vel_constraints, traj).covariant_energy
+        drift = float(np.max(np.abs(cov_e)))
         ratio = "" if prev is None else f"{prev / drift:7.2f}"
         print(f"{h:12.2e}  {n_steps:7d}  {drift:12.3e}  {ratio:>7}")
         prev = drift

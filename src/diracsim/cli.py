@@ -28,6 +28,7 @@ from .dynamics import (
     StepFailureError,
     Trajectory,
     _cumulative_trapezoid,
+    initialize_covariant_momentum,
     monitor_invariants,
     recover_multipliers,
 )
@@ -46,7 +47,6 @@ from .lagrangian import (
     TimeLagrangian,
     check_derivatives,
     d_covariant_energy,
-    lagrangian_energy,
     legendre_dual,
     lift_external_force,
 )
@@ -564,7 +564,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             )
         p0 = np.asarray(L.d_v(t0, x0, v0), dtype=float)
         state0 = PontryaginState(
-            t=t0, x=x0, v=v0, pt=-lagrangian_energy(L, t0, x0, v0), p=p0
+            t=t0, x=x0, v=v0, pt=initialize_covariant_momentum(L, t0, x0, v0), p=p0
         )
         return Problem(
             kind=kind,

@@ -10,9 +10,11 @@ Three equivalent local formulations are supported:
 * "hamilton-dirac": unknowns (x, p, pt) on T*Y for a hyperregular
   Hamiltonian.
 
-The integrator is a fixed-step implicit midpoint rule. Differential rows are
-collocated at the step midpoint, the constraint row is enforced at the new
-node, and the multiplier is a per-step algebraic unknown reported at the
+Each formulation's rows are written once, in _mixed_rows or _phase_rows.
+The integrator is a fixed-step implicit midpoint rule: a step's rows are the
+formulation's instantaneous residual at the averaged midpoint, on the
+difference quotients across the step, with the kinematic row taken at the new
+node instead. The multiplier is a per-step algebraic unknown reported at the
 midpoint. The nonlinear system is solved by a chord Newton iteration with a
 finite-difference Jacobian that is reused across steps and refreshed when
 convergence degrades.
@@ -112,6 +114,34 @@ def _force_vec(f_ext: ExternalForce | None, t, x, v, n: int) -> np.ndarray:
     return np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
 
 
+def _mixed_rows(L, C, t, x, v, p, w, dx, dp, dpt, lam, f_ext):
+    # The mixed-bundle rows at (t, x, v, p) on the rate (dx, dp, dpt): velocity
+    # match, fiber derivative, momentum balance and pt balance; A, B at (t, x, w).
+    n = L.n
+    A = C.A(t, x, w)
+    B = C.B(t, x, w)
+    r_vel = dx - v
+    r_fib = p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
+    r_mom = dp - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n) - A.T @ lam
+    if f_ext is not None:
+        r_mom = r_mom - _force_vec(f_ext, t, x, v, n)
+    r_pt = dpt - float(L.d_t(t, x, v)) - float(B @ lam)
+    return r_vel, r_fib, r_mom, r_pt, A, B
+
+
+def _phase_rows(H, C, t, x, p, dx, dp, dpt, lam):
+    # The T*Y rows at (t, x, p) on the rate (dx, dp, dpt): velocity match,
+    # momentum balance and pt balance; then A and B at (t, x, p) and w = dH/dp.
+    n = H.n
+    A = C.A(t, x, p)
+    B = C.B(t, x, p)
+    w = np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
+    r_vel = dx - w
+    r_mom = dp + np.asarray(H.d_x(t, x, p), dtype=float).reshape(n) - A.T @ lam
+    r_pt = dpt + float(H.d_t(t, x, p)) - float(B @ lam)
+    return r_vel, r_mom, r_pt, A, B, w
+
+
 def pontryagin_dirac_residual(
     L: TimeLagrangian,
     constraints: ConstraintSet,
@@ -130,22 +160,12 @@ def pontryagin_dirac_residual(
     """
 
     _check_section(rate.dt)
-    t, x, v = state.t, state.x, state.v
-    n = L.n
     lam = np.asarray(lam, dtype=float).reshape(constraints.m)
-    A = constraints.A(t, x, v)
-    B = constraints.B(t, x, v)
-    r1 = rate.dx - v
-    r2 = state.p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
-    r3 = (
-        rate.dp
-        - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n)
-        - A.T @ lam
-        - _force_vec(f_ext, t, x, v, n)
+    r_vel, r_fib, r_mom, r_pt, A, B = _mixed_rows(
+        L, constraints, state.t, state.x, state.v, state.p, state.v,
+        rate.dx, rate.dp, rate.dpt, lam, f_ext,
     )
-    r4 = A @ v + B
-    r5 = rate.dpt - float(L.d_t(t, x, v)) - float(B @ lam)
-    return np.concatenate([r1, r2, r3, r4, [r5]])
+    return np.concatenate([r_vel, r_fib, r_mom, A @ state.v + B, [r_pt]])
 
 
 def lagrange_dirac_residual(
@@ -165,18 +185,13 @@ def lagrange_dirac_residual(
     """
 
     _check_section(rate.dt)
-    t, x, v, p = state.t, state.x, state.v, state.p
-    n = L.n
     lam = np.asarray(lam, dtype=float).reshape(momentum_constraints.m)
-    A = momentum_constraints.A(t, x, p)
-    B = momentum_constraints.B(t, x, p)
-    r1 = rate.dx - v
-    r2 = rate.dpt - float(L.d_t(t, x, v)) - float(B @ lam)
-    r3 = rate.dp - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n) - A.T @ lam
-    r4 = A @ rate.dx + B
-    r5 = p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
-    r6 = state.pt + lagrangian_energy(L, t, x, v)
-    return np.concatenate([r1, [r2], r3, r4, r5, [r6]])
+    r_vel, r_fib, r_mom, r_pt, A, B = _mixed_rows(
+        L, momentum_constraints, state.t, state.x, state.v, state.p, state.p,
+        rate.dx, rate.dp, rate.dpt, lam, None,
+    )
+    r_base = state.pt + lagrangian_energy(L, state.t, state.x, state.v)
+    return np.concatenate([r_vel, [r_pt], r_mom, A @ rate.dx + B, r_fib, [r_base]])
 
 
 def hamilton_dirac_residual(
@@ -195,17 +210,11 @@ def hamilton_dirac_residual(
     """
 
     _check_section(rate.dt)
-    t, x, p = z.t, z.x, z.p
-    n = H.n
     lam = np.asarray(lam, dtype=float).reshape(momentum_constraints.m)
-    A = momentum_constraints.A(t, x, p)
-    B = momentum_constraints.B(t, x, p)
-    w = np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
-    r1 = rate.dx - w
-    r2 = rate.dpt + float(H.d_t(t, x, p)) - float(B @ lam)
-    r3 = rate.dp + np.asarray(H.d_x(t, x, p), dtype=float).reshape(n) - A.T @ lam
-    r4 = A @ w + B
-    return np.concatenate([r1, [r2], r3, r4])
+    r_vel, r_mom, r_pt, A, B, w = _phase_rows(
+        H, momentum_constraints, z.t, z.x, z.p, rate.dx, rate.dp, rate.dpt, lam
+    )
+    return np.concatenate([r_vel, [r_pt], r_mom, A @ w + B])
 
 
 def initialize_covariant_momentum(
@@ -486,84 +495,69 @@ class ImplicitMidpointStepper(ChordNewton):
         self.H = hamiltonian
         self.constraints = constraints
         self.f_ext = f_ext
+        # Multiplier of the last accepted step, the next step's guess.
+        self._last_lam = np.zeros(constraints.m)
 
     # -- residual assembly ------------------------------------------------
 
-    def _residual_fn(self, state, h: float) -> Callable[[np.ndarray], np.ndarray]:
-        n, m = self.n, self.constraints.m
+    def _node_row(self) -> Callable:
+        # (t, x, v, p) -> (A, B, w) of the kinematic row A w + B at a node,
+        # with the formulation's coefficient point and w chosen here, once.
         C = self.constraints
+        if self.formulation == "hamilton-dirac":
+            H, n = self.H, self.n
+            return lambda t, x, v, p: (
+                C.A(t, x, p), C.B(t, x, p), np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
+            )
+        if self.formulation == "lagrange-dirac":
+            return lambda t, x, v, p: (C.A(t, x, p), C.B(t, x, p), v)
+        return lambda t, x, v, p: (C.A(t, x, v), C.B(t, x, v), v)
+
+    def _residual_fn(self, state, h: float) -> Callable[[np.ndarray], np.ndarray]:
+        # The formulation's rows at the averaged midpoint, on the difference
+        # quotients across the step, closed by the kinematic row at the new
+        # node. y = (x1, [v1,] p1, pt1, lam); z stacks the node values.
+        n, C, node = self.n, self.constraints, self._node_row()
+        t1, tm = state.t + h, state.t + 0.5 * h
 
         if self.formulation == "hamilton-dirac":
             H = self.H
-            t0, x0, p0, pt0 = state.t, state.x, state.p, state.pt
-            t1 = t0 + h
-            tm = t0 + 0.5 * h
+            z0 = np.concatenate([state.x, state.p, [state.pt]])
 
             def residual(y: np.ndarray) -> np.ndarray:
-                x1 = y[:n]
-                p1 = y[n : 2 * n]
-                pt1 = y[2 * n]
-                lam = y[2 * n + 1 :]
-                xm = 0.5 * (x0 + x1)
-                pm = 0.5 * (p0 + p1)
-                A = C.A(tm, xm, pm)
-                B = C.B(tm, xm, pm)
-                wm = np.asarray(H.d_p(tm, xm, pm), dtype=float).reshape(n)
-                r1 = (x1 - x0) / h - wm
-                r3 = (
-                    (p1 - p0) / h
-                    + np.asarray(H.d_x(tm, xm, pm), dtype=float).reshape(n)
-                    - A.T @ lam
+                z1 = y[: 2 * n + 1]
+                zm = 0.5 * (z0 + z1)
+                dz = (z1 - z0) / h
+                r_vel, r_mom, r_pt, *_ = _phase_rows(
+                    H, C, tm, zm[:n], zm[n:-1], dz[:n], dz[n:-1], dz[-1], y[2 * n + 1 :]
                 )
-                A1 = C.A(t1, x1, p1)
-                B1 = C.B(t1, x1, p1)
-                w1 = np.asarray(H.d_p(t1, x1, p1), dtype=float).reshape(n)
-                r4 = A1 @ w1 + B1
-                r2 = (pt1 - pt0) / h + float(H.d_t(tm, xm, pm)) - float(B @ lam)
-                return np.concatenate([r1, r3, r4, [r2]])
+                A1, B1, w1 = node(t1, y[:n], None, y[n : 2 * n])
+                return np.concatenate([r_vel, r_mom, A1 @ w1 + B1, [r_pt]])
 
             return residual
 
-        L = self.L
-        t0, x0, v0, p0, pt0 = state.t, state.x, state.v, state.p, state.pt
-        t1 = t0 + h
-        tm = t0 + 0.5 * h
-        momentum_side = self.formulation == "lagrange-dirac"
+        L, f_ext = self.L, self.f_ext
+        z0 = np.concatenate([state.x, state.v, state.p, [state.pt]])
+        # The midpoint the constraint coefficients are taken at: v or p.
+        w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
 
         def residual(y: np.ndarray) -> np.ndarray:
-            x1 = y[:n]
-            v1 = y[n : 2 * n]
-            p1 = y[2 * n : 3 * n]
-            pt1 = y[3 * n]
-            lam = y[3 * n + 1 :]
-            xm = 0.5 * (x0 + x1)
-            vm = 0.5 * (v0 + v1)
-            pm = 0.5 * (p0 + p1)
-            wm = pm if momentum_side else vm
-            A = C.A(tm, xm, wm)
-            B = C.B(tm, xm, wm)
-            r1 = (x1 - x0) / h - vm
-            r2 = pm - np.asarray(L.d_v(tm, xm, vm), dtype=float).reshape(n)
-            r3 = (
-                (p1 - p0) / h
-                - np.asarray(L.d_x(tm, xm, vm), dtype=float).reshape(n)
-                - A.T @ lam
-                - _force_vec(self.f_ext, tm, xm, vm, n)
+            z1 = y[: 3 * n + 1]
+            zm = 0.5 * (z0 + z1)
+            dz = (z1 - z0) / h
+            r_vel, r_fib, r_mom, r_pt, *_ = _mixed_rows(
+                L, C, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[w],
+                dz[:n], dz[2 * n : -1], dz[-1], y[3 * n + 1 :], f_ext,
             )
-            w1 = p1 if momentum_side else v1
-            A1 = C.A(t1, x1, w1)
-            B1 = C.B(t1, x1, w1)
-            r4 = A1 @ v1 + B1
-            r5 = (pt1 - pt0) / h - float(L.d_t(tm, xm, vm)) - float(B @ lam)
-            return np.concatenate([r1, r2, r3, r4, [r5]])
+            A1, B1, w1 = node(t1, y[:n], y[n : 2 * n], y[2 * n : 3 * n])
+            return np.concatenate([r_vel, r_fib, r_mom, A1 @ w1 + B1, [r_pt]])
 
         return residual
 
     # -- stepping ---------------------------------------------------------
 
     def _guess(self, state, h: float) -> np.ndarray:
-        n, m = self.n, self.constraints.m
-        lam0 = getattr(self, "_last_lam", np.zeros(m))
+        n, lam0 = self.n, self._last_lam
         if self.formulation == "hamilton-dirac":
             w0 = np.asarray(self.H.d_p(state.t, state.x, state.p), dtype=float).reshape(n)
             return np.concatenate([state.x + h * w0, state.p, [state.pt], lam0])
@@ -574,12 +568,10 @@ class ImplicitMidpointStepper(ChordNewton):
 
         residual = self._residual_fn(state, h)
         y, rn, iters = self._newton(residual, self._guess(state, h))
-        n = self.n
+        n, lam = self.n, y[y.size - self.constraints.m :]
         if self.formulation == "hamilton-dirac":
-            lam = y[2 * n + 1 :]
             new = PhasePoint(t=state.t + h, x=y[:n], pt=y[2 * n], p=y[n : 2 * n])
         else:
-            lam = y[3 * n + 1 :]
             new = PontryaginState(
                 t=state.t + h, x=y[:n], v=y[n : 2 * n], pt=y[3 * n], p=y[2 * n : 3 * n]
             )
@@ -590,16 +582,7 @@ class ImplicitMidpointStepper(ChordNewton):
         # max |A w + B| and the row's term scale max(1, |A_ij w_j|, |B_i|):
         # a consistent state at a large physical scale leaves round-off of
         # the size of its largest term. A NaN anywhere gives a NaN scale.
-        C = self.constraints
-        if self.formulation == "hamilton-dirac":
-            A = C.A(state.t, state.x, state.p)
-            B = C.B(state.t, state.x, state.p)
-            w = np.asarray(self.H.d_p(state.t, state.x, state.p), dtype=float)
-        else:
-            wcoef = state.p if self.formulation == "lagrange-dirac" else state.v
-            A = C.A(state.t, state.x, wcoef)
-            B = C.B(state.t, state.x, wcoef)
-            w = state.v
+        A, B, w = self._node_row()(state.t, state.x, getattr(state, "v", None), state.p)
         terms = np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))
         return float(np.max(np.abs(A @ w + B), initial=0.0)), float(np.max(terms))
 
@@ -619,6 +602,8 @@ class ImplicitMidpointStepper(ChordNewton):
                 f"row scale {scale:.3e})"
             )
         n, m = self.n, self.constraints.m
+        # A fresh workspace: no Jacobian or guess carries over from an earlier run.
+        self._lu, self._steps_since_refresh, self._last_lam = None, 0, np.zeros(m)
         K = int(n_steps)
         t = np.empty(K + 1)
         x = np.empty((K + 1, n))

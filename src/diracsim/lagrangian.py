@@ -353,8 +353,8 @@ def legendre_dual(
         )
         return _read_only(legendre_invert(L, t, x, p, guess))
 
-    # A step residual asks for the midpoint, then the new node, then the
-    # midpoint again; two remembered points make that two inversions.
+    # A step residual asks for the midpoint, then the new node; two
+    # remembered points make that two inversions.
     invert = _PointMemo(fiber_velocity, size=2)
 
     def value(t, x, p):

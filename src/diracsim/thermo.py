@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dgetrf
 
 from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
 from .dynamics import _chord_solve
-from .geometry import ConstraintSet, PontryaginState, TangentP
+from .geometry import ConstraintSet, PontryaginState
 from .lagrangian import (
     HyperregularityError,
     TimeLagrangian,
@@ -809,15 +809,7 @@ def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
             pt=0.5 * (traj.pt[k] + traj.pt[k + 1]),
             p=pm,
         )
-        h = traj.t[k + 1] - traj.t[k]
-        rate = TangentP(
-            dt=1.0,
-            dx=(traj.x[k + 1] - traj.x[k]) / h,
-            dv=(traj.v[k + 1] - traj.v[k]) / h,
-            dpt=(traj.pt[k + 1] - traj.pt[k]) / h,
-            dp=(traj.p[k + 1] - traj.p[k]) / h,
-        )
-        yield state, rate, np.ones(1)
+        yield state, traj.midpoint_rate(k), np.ones(1)
 
 
 def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:

@@ -187,21 +187,37 @@ def test_residuals_reject_non_sections():
         pontryagin_dirac_residual(L, HAND_CONSTRAINT, HAND_STATE, bad, np.array([0.0]))
 
 
-def test_residual_vanishes_on_exact_flow():
+def free_hamiltonian(n=2):
+    return TimeHamiltonian(
+        n=n,
+        value=lambda t, x, p: 0.5 * float(p @ p),
+        d_t=lambda t, x, p: 0.0,
+        d_x=lambda t, x, p: np.zeros(n),
+        d_p=lambda t, x, p: p,
+    )
+
+
+@pytest.mark.parametrize("formulation", ["pontryagin", "lagrange-dirac", "hamilton-dirac"])
+def test_residual_vanishes_on_exact_flow(formulation):
     # Manufacture an exact solution point of the continuous equations and
-    # check every row vanishes.
+    # check every row vanishes: p = dL/dv, pt = -E_L, and H = |p|^2 / 2.
     L = free_particle()
     C = affine_constraint()
     s = nonholonomic_initial()
     lam = -(s.v[0] + 0.3) / 1.0  # lam at t = 0
-    rate = TangentP(
-        dt=1.0,
-        dx=s.v.copy(),
-        dv=np.array([lam * 0.0, -lam]),
-        dpt=0.3 * np.sin(0.0) * lam,
-        dp=np.array([lam * 0.0, -lam]),
-    )
-    r = pontryagin_dirac_residual(L, C, s, rate, np.array([lam]))
+    dp = np.array([lam * 0.0, -lam])
+    dpt = 0.3 * np.sin(0.0) * lam
+    if formulation == "hamilton-dirac":
+        z = PhasePoint(t=s.t, x=s.x, pt=s.pt, p=s.p)
+        rate = TangentTstarY(dt=1.0, dx=s.v.copy(), dpt=dpt, dp=dp)
+        r = hamilton_dirac_residual(free_hamiltonian(), C, z, rate, np.array([lam]))
+    else:
+        rate = TangentP(dt=1.0, dx=s.v.copy(), dv=dp.copy(), dpt=dpt, dp=dp)
+        residual = (
+            pontryagin_dirac_residual if formulation == "pontryagin" else lagrange_dirac_residual
+        )
+        r = residual(L, C, s, rate, np.array([lam]))
+    assert r.size == {"pontryagin": 8, "lagrange-dirac": 9, "hamilton-dirac": 6}[formulation]
     npt.assert_allclose(r, 0.0, atol=1e-14)
 
 
@@ -397,6 +413,23 @@ def test_three_formulations_agree():
 
 
 # -- stepper interface and failure modes -----------------------------------
+
+
+def test_a_second_run_on_one_stepper_repeats_the_first():
+    # No Jacobian, refresh count or multiplier guess carries over between runs.
+    from diracsim.cli import BUILTINS, build_problem
+
+    problem = build_problem(BUILTINS["two_port_piston"]())
+    stepper = ImplicitMidpointStepper(
+        "pontryagin",
+        lagrangian=problem.L,
+        constraints=problem.vel_constraints,
+        f_ext=problem.f_ext_force,
+    )
+    first = stepper.run(problem.initial, problem.h, 300)
+    second = stepper.run(problem.initial, problem.h, 300)
+    for name in ("x", "v", "p", "pt", "lam", "newton_iters"):
+        assert getattr(second, name).tobytes() == getattr(first, name).tobytes(), name
 
 
 def test_stepper_validates_inputs():

@@ -23,11 +23,19 @@ from diracsim.dynamics import (
     ImplicitMidpointStepper,
     StepFailureError,
     _chord_solve,
+    hamilton_dirac_residual,
+    lagrange_dirac_residual,
     monitor_invariants,
     pontryagin_dirac_residual,
 )
-from diracsim.geometry import kinematic_constraint_residual
-from diracsim.lagrangian import check_derivatives
+from diracsim.geometry import (
+    PhasePoint,
+    PontryaginState,
+    TangentP,
+    TangentTstarY,
+    kinematic_constraint_residual,
+)
+from diracsim.lagrangian import check_derivatives, legendre_dual
 from diracsim.thermo import (
     HeatSourceModel,
     MechanicalLagrangian,
@@ -782,6 +790,108 @@ def test_chord_solve_on_an_open_system_step_jacobian(formulation, builder):
     r = residual(guess)
     lu = stepper._factor(residual, guess, r)
     assert _chord_solve(lu, r).tobytes() == lu_solve(lu, r).tobytes()
+
+
+def step_residual_from_public_rows(stepper, s0, h, y):
+    """A step residual assembled from the public instantaneous residual.
+
+    The residual is taken at the averaged midpoint on the difference
+    quotients across the step; its kinematic rows (and the Lagrange-Dirac
+    base-point row) give way to the kinematic row at the new node, and the
+    rows are put in the stepper's order.
+    """
+
+    n, C = stepper.n, stepper.constraints
+    m = C.m
+    tm, t1 = s0.t + 0.5 * h, s0.t + h
+    lam = y[y.size - m :]
+    if stepper.formulation == "hamilton-dirac":
+        H = stepper.H
+        x1, p1, pt1 = y[:n], y[n : 2 * n], y[2 * n]
+        zm = PhasePoint(t=tm, x=0.5 * (s0.x + x1), pt=0.5 * (s0.pt + pt1), p=0.5 * (s0.p + p1))
+        rate = TangentTstarY(
+            dt=1.0, dx=(x1 - s0.x) / h, dpt=(pt1 - s0.pt) / h, dp=(p1 - s0.p) / h
+        )
+        r = hamilton_dirac_residual(H, C, zm, rate, lam)
+        node = C.A(t1, x1, p1) @ H.d_p(t1, x1, p1) + C.B(t1, x1, p1)
+        # velocity | pt | momentum | kinematic  ->  velocity | momentum | node | pt
+        return np.concatenate([r[:n], r[n + 1 : 2 * n + 1], node, r[n : n + 1]])
+    x1, v1, p1, pt1 = y[:n], y[n : 2 * n], y[2 * n : 3 * n], y[3 * n]
+    sm = PontryaginState(
+        t=tm,
+        x=0.5 * (s0.x + x1),
+        v=0.5 * (s0.v + v1),
+        pt=0.5 * (s0.pt + pt1),
+        p=0.5 * (s0.p + p1),
+    )
+    rate = TangentP(
+        dt=1.0,
+        dx=(x1 - s0.x) / h,
+        dv=(v1 - s0.v) / h,
+        dpt=(pt1 - s0.pt) / h,
+        dp=(p1 - s0.p) / h,
+    )
+    if stepper.formulation == "pontryagin":
+        r = pontryagin_dirac_residual(stepper.L, C, sm, rate, lam, stepper.f_ext)
+        node = C.A(t1, x1, v1) @ v1 + C.B(t1, x1, v1)
+        # velocity | fiber | momentum | kinematic | pt
+        return np.concatenate([r[: 3 * n], node, r[3 * n + m :]])
+    r = lagrange_dirac_residual(stepper.L, C, sm, rate, lam)
+    node = C.A(t1, x1, p1) @ v1 + C.B(t1, x1, p1)
+    # velocity | pt | momentum | kinematic | fiber | pt + E_L
+    #   ->  velocity | fiber | momentum | node | pt
+    fiber = r[2 * n + 1 + m : 3 * n + 1 + m]
+    return np.concatenate([r[:n], fiber, r[n + 1 : 2 * n + 1], node, r[n : n + 1]])
+
+
+def particle_stepper(formulation):
+    from diracsim.cli import BUILTINS, build_problem
+
+    problem = build_problem(BUILTINS["nonholonomic_particle"]())
+    s0 = problem.initial
+    if formulation == "hamilton-dirac":
+        model = {"hamiltonian": legendre_dual(problem.L)}
+        s0 = PhasePoint(t=s0.t, x=s0.x, pt=s0.pt, p=s0.p)
+    else:
+        model = {"lagrangian": problem.L}
+    C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
+    return ImplicitMidpointStepper(formulation, constraints=C, **model), s0, problem.h
+
+
+def open_system_stepper(formulation):
+    sys0 = small_open_system()
+    builder = build_constraints if formulation == "pontryagin" else build_momentum_constraints
+    stepper = ImplicitMidpointStepper(
+        formulation, lagrangian=build_extended_lagrangian(sys0), constraints=builder(sys0)
+    )
+    return stepper, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3
+
+
+@pytest.mark.parametrize(
+    "build, formulation",
+    [
+        (particle_stepper, "pontryagin"),
+        (particle_stepper, "lagrange-dirac"),
+        (particle_stepper, "hamilton-dirac"),
+        (open_system_stepper, "pontryagin"),
+        (open_system_stepper, "lagrange-dirac"),
+    ],
+)
+def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation):
+    # The stepper solves the formulation's own instantaneous equations, bit
+    # for bit, at random points around its first Newton guess, on a step
+    # that starts away from t = 0.
+    stepper, s0, h = build(formulation)
+    s0 = dataclasses.replace(s0, t=0.9)
+    residual = stepper._residual_fn(s0, h)
+    guess = stepper._guess(s0, h)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        y = guess + 1e-3 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
+        got = residual(y)
+        want = step_residual_from_public_rows(stepper, s0, h, y)
+        assert got.shape == want.shape == guess.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("builder", [build_constraints, build_momentum_constraints])

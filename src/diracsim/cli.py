@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import csv
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -100,11 +101,12 @@ def _as_number(raw, field: str) -> float:
 def _interp(ts: list[float], vs: list[float]):
     # Scalar np.interp(t, ts, vs) in pure Python, bit for bit: the same knot
     # search and the same slope formula, including numpy's fallbacks, without
-    # the per-call array dispatch.
-    if len(ts) == 1:
-        return lambda t: vs[0]
+    # the per-call array dispatch. Two values are remembered: a step residual
+    # reads a schedule several times at its midpoint and at its new node. The
+    # state argument of a port or source callable is ignored.
     first, last = ts[0], ts[-1]
 
+    @functools.lru_cache(maxsize=2)
     def value(t):
         t = float(t)
         if t != t:
@@ -124,15 +126,28 @@ def _interp(ts: list[float], vs: list[float]):
                 out = vs[j]
         return out
 
-    return value
+    return lambda t, _state=None: value(t)
+
+
+def _schedule(folded):
+    # The callable (t, state=None) -> float of a folded schedule.
+    return (lambda t, _state=None: folded) if isinstance(folded, float) else folded
 
 
 def make_schedule(spec, field: str):
-    """Constant or piecewise-linear schedule from a config entry."""
+    """Constant or piecewise-linear schedule t -> float from a config entry.
 
+    The callable also takes a second, ignored argument, so a schedule serves
+    as a port or source callable (t, state) -> float as it is.
+    """
+
+    return _schedule(_fold_schedule(spec, field))
+
+
+def _fold_schedule(spec, field: str):
+    # A constant schedule folded to its float, or a piecewise-linear one.
     if _is_number(spec):
-        value = _as_number(spec, field)
-        return lambda t: value
+        return _as_number(spec, field)
     if isinstance(spec, list):
         if not spec or not all(
             isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p)
@@ -143,7 +158,7 @@ def make_schedule(spec, field: str):
         vs = [_as_number(p[1], f"{field}[{i}][1]") for i, p in enumerate(spec)]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ConfigError(field, "schedule times must be strictly increasing")
-        return _interp(ts, vs)
+        return vs[0] if len(ts) == 1 else _interp(ts, vs)
     raise ConfigError(field, "schedule must be a number or a list of [t, value] pairs")
 
 
@@ -347,39 +362,33 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
         raise ConfigError("system.friction_gamma", "must be nonnegative")
     friction = th.linear_friction(gamma) if gamma > 0 else None
 
-    def sys_T(ts):
-        return th.temperature(base, ts)
-
-    def sys_mu(ts):
-        return th.chemical_potential(base, ts)
-
+    # Port and source callables are the schedules themselves, and a product
+    # of two constant schedules is folded to one constant.
     ports = []
     for i, pcfg in enumerate(scfg.get("ports", [])):
         fld = f"system.ports[{i}]"
         if not isinstance(pcfg, dict):
             raise ConfigError(fld, "must be an object")
-        J_sched = make_schedule(pcfg.get("J", 0.0), fld + ".J")
+        J = _fold_schedule(pcfg.get("J", 0.0), fld + ".J")
         if "J_S" in pcfg and "molar_entropy" in pcfg:
             raise ConfigError(fld, "give J_S or molar_entropy, not both")
         if "molar_entropy" in pcfg:
-            s_sched = make_schedule(pcfg["molar_entropy"], fld + ".molar_entropy")
-            J_S = lambda t, ts, J=J_sched, s=s_sched: s(t) * J(t)
+            s = _fold_schedule(pcfg["molar_entropy"], fld + ".molar_entropy")
+            if isinstance(s, float) and isinstance(J, float):
+                J_S = _schedule(s * J)
+            else:
+                J_S = lambda t, ts, s=_schedule(s), J=_schedule(J): s(t) * J(t)
         else:
-            JS_sched = make_schedule(pcfg.get("J_S", 0.0), fld + ".J_S")
-            J_S = lambda t, ts, f=JS_sched: f(t)
+            J_S = make_schedule(pcfg.get("J_S", 0.0), fld + ".J_S")
         if pcfg.get("matched", False):
-            mu = lambda t, ts: sys_mu(ts)
-            T_port = lambda t, ts: sys_T(ts)
+            mu = lambda t, ts: th.chemical_potential(base, ts)
+            T_port = lambda t, ts: th.temperature(base, ts)
         else:
             if "mu" not in pcfg or "T" not in pcfg:
                 raise ConfigError(fld, "needs mu and T schedules (or matched: true)")
-            mu_sched = make_schedule(pcfg["mu"], fld + ".mu")
-            T_sched = make_schedule(pcfg["T"], fld + ".T")
-            mu = lambda t, ts, f=mu_sched: f(t)
-            T_port = lambda t, ts, f=T_sched: f(t)
-        ports.append(
-            th.PortModel(J=lambda t, ts, f=J_sched: f(t), J_S=J_S, mu=mu, T_port=T_port)
-        )
+            mu = make_schedule(pcfg["mu"], fld + ".mu")
+            T_port = make_schedule(pcfg["T"], fld + ".T")
+        ports.append(th.PortModel(J=_schedule(J), J_S=J_S, mu=mu, T_port=T_port))
 
     sources = []
     for i, hcfg in enumerate(scfg.get("sources", [])):
@@ -388,18 +397,15 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
             raise ConfigError(fld, "must be an object")
         if "T" not in hcfg:
             raise ConfigError(fld, "needs a T schedule")
-        T_sched = make_schedule(hcfg["T"], fld + ".T")
+        T_b = make_schedule(hcfg["T"], fld + ".T")
         if "kappa" in hcfg:
             kappa = _as_number(hcfg["kappa"], fld + ".kappa")
             if kappa < 0:
                 raise ConfigError(fld + ".kappa", "must be nonnegative")
-            J_S = lambda t, ts, k=kappa, f=T_sched: k * (f(t) - sys_T(ts))
+            J_S = lambda t, ts, k=kappa, f=T_b: k * (f(t) - th.temperature(base, ts))
         else:
-            JS_sched = make_schedule(hcfg.get("J_S", 0.0), fld + ".J_S")
-            J_S = lambda t, ts, f=JS_sched: f(t)
-        sources.append(
-            th.HeatSourceModel(J_S=J_S, T_source=lambda t, ts, f=T_sched: f(t))
-        )
+            J_S = make_schedule(hcfg.get("J_S", 0.0), fld + ".J_S")
+        sources.append(th.HeatSourceModel(J_S=J_S, T_source=T_b))
 
     f_ext = None
     if "external_force" in scfg:
@@ -514,15 +520,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
                     "system.external_force",
                     "external forces run on the pontryagin or reduced path",
                 )
-            lay = system.layout
-
-            def full_force(t, x, v, lay=lay, system=system):
-                out = np.zeros(lay.n)
-                ts = th.state_from_arrays(system, x, v)
-                out[lay.q] = system.f_ext(t, ts)
-                return out
-
-            force = ExternalForce(n=lay.n, value=full_force)
+            force = th.build_external_force(system)
         # Overflow shows in the values, which _finite_initial rejects; numpy's
         # warnings would only repeat it.
         try:
@@ -719,56 +717,26 @@ def evaluate_tolerances(
     if cov_drift is None:
         cov_drift = inv.covariant_energy_drift
 
-    checks: list[tuple[str, float, float, bool]] = []
-    checks.append(
-        (
-            "max |covariant energy drift|"
-            + (" net of external work" if forced else ""),
-            float(np.max(np.abs(cov_drift))),
-            tol_of("covariant_energy", 1e-6),
-            True,
-        )
-    )
-    checks.append(
-        (
-            "max |energy balance residual|",
-            float(np.max(np.abs(inv.energy_balance_residual), initial=0.0)),
-            tol_of("energy_balance", 1e-8),
-            True,
-        )
-    )
-    checks.append(
-        (
-            "max kinematic residual",
-            float(np.max(inv.kinematic_residual)),
-            tol_of("kinematic", 1e-9),
-            True,
-        )
-    )
+    # (name, value, tolerance key, default tolerance)
+    drift = "max |covariant energy drift|" + (" net of external work" if forced else "")
+    ebr = np.max(np.abs(inv.energy_balance_residual), initial=0.0)
+    checks = [
+        (drift, np.max(np.abs(cov_drift)), "covariant_energy", 1e-6),
+        ("max |energy balance residual|", ebr, "energy_balance", 1e-8),
+        ("max kinematic residual", np.max(inv.kinematic_residual), "kinematic", 1e-9),
+    ]
     if is_thermo:
-        checks.append(
-            (
-                "max |first law residual|",
-                float(np.max(np.abs(inv.first_law_residual))),
-                tol_of("first_law", 1e-6),
-                True,
-            )
-        )
-        ed_default = 1e-10 if formulation == "reduced" else 1e-9
-        checks.append(
-            (
-                "max |entropy decomposition residual|",
-                float(
-                    np.max(np.abs(inv.entropy_decomposition_residual), initial=0.0)
-                ),
-                tol_of("entropy_decomposition", ed_default),
-                True,
-            )
-        )
+        edr = np.max(np.abs(inv.entropy_decomposition_residual), initial=0.0)
+        checks += [
+            ("max |first law residual|", np.max(np.abs(inv.first_law_residual)), "first_law", 1e-6),
+            ("max |entropy decomposition residual|", edr, "entropy_decomposition",
+             1e-10 if formulation == "reduced" else 1e-9),
+        ]
 
     lines = []
     passed = True
-    for name, value, tol, upper in checks:
+    for name, value, key, default in checks:
+        value, tol = float(value), tol_of(key, default)
         ok = value <= tol
         passed &= ok
         lines.append(f"{name}: {_fmt(value)} (tol {_fmt(tol)}) {'OK' if ok else 'FAIL'}")

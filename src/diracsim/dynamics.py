@@ -29,7 +29,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
-from scipy.linalg.lapack import dgetrs
 
 from .geometry import (
     ConstraintSet,
@@ -42,6 +41,7 @@ from .lagrangian import (
     ExternalForce,
     TimeHamiltonian,
     TimeLagrangian,
+    _chord_solve,
     lagrangian_energy,
 )
 
@@ -80,20 +80,6 @@ class SingularJacobianError(RuntimeError):
 
 class InconsistentInitialStateError(ValueError):
     """Raised when a run starts from a state off the kinematic constraint."""
-
-
-def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
-    """Solve J x = r for a float64 r on the (lu, piv) of scipy's lu_factor.
-
-    The LAPACK getrs call that scipy.linalg.lu_solve makes, without its input
-    checks: the same result bit for bit at a tenth of the call cost. r is not
-    checked for finite entries; the callers test the residual norm first.
-    """
-
-    x, info = dgetrs(lu_piv[0], lu_piv[1], r)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
 
 
 def _max_norm(r: np.ndarray) -> float:
@@ -714,8 +700,9 @@ def monitor_invariants(
     the momentum conjugate to time minus its law, with coefficients at the
     step midpoint, using the stored midpoint multipliers. When thermo_system
     is given (a SimpleOpenSystem), the same pass evaluates the open-system
-    model once per node for the power flows and the internal entropy
-    production; the first-law residual and the entropy decomposition
+    model once per node for the power flows, the internal entropy
+    production and the kinematic residual, whose row is then the system's
+    velocity-side row; the first-law residual and the entropy decomposition
     residual (Sdot - Sigmadot - p_Gamma_dot) follow from those columns and
     the state arrays.
     """
@@ -725,8 +712,9 @@ def monitor_invariants(
     ce = np.empty(K + 1)
     kin = np.empty(K + 1)
     if thermo_system is not None:
-        from .thermo import _model_point, state_from_arrays
+        from .thermo import _balance_row, _model_point, state_from_arrays
 
+        lay = thermo_system.layout
         P_W, P_H, P_M, prod = (np.empty(K + 1) for _ in range(4))
     for k in range(K + 1):
         t, xk, vk, pk = traj.t[k], traj.x[k], traj.v[k], traj.p[k]
@@ -734,14 +722,16 @@ def monitor_invariants(
         Lv = float(L.value(t, xk, vk))
         E[k] = pv - Lv
         ce[k] = traj.pt[k] + pv - Lv
-        A = constraints.A(t, xk, vk)
-        B = constraints.B(t, xk, vk)
-        kin[k] = float(np.max(np.abs(A @ vk + B), initial=0.0))
-        if thermo_system is not None:
+        if thermo_system is None:
+            A = constraints.A(t, xk, vk)
+            B = constraints.B(t, xk, vk)
+        else:
             ts = state_from_arrays(thermo_system, xk, vk)
             m = _model_point(thermo_system, t, ts)
             P_W[k], P_H[k], P_M[k] = float(m.F_ext @ ts.v_q), m.P_H, m.P_M
             prod[k] = m.total
+            A, B = _balance_row(lay, m.F_fr, m.J_S_ports + m.J_S_sources, m.J, m.T, m.P_M, m.P_H)
+        kin[k] = float(np.max(np.abs(A @ vk + B), initial=0.0))
 
     t_mid = 0.5 * (traj.t[:-1] + traj.t[1:])
     ebr = np.empty(K)
@@ -753,7 +743,6 @@ def monitor_invariants(
 
     thermo = {}
     if thermo_system is not None:
-        lay = thermo_system.layout
         S = traj.x[:, lay.S]
         Sg = traj.x[:, lay.Sigma]
         pG = traj.p[:, lay.Gamma]

@@ -57,6 +57,16 @@ __all__ = [
 # Relative singular value threshold for all rank decisions in this module.
 RANK_RTOL = 1e-10
 
+_F64 = np.dtype(np.float64)
+
+
+def _conform(a, shape: tuple) -> np.ndarray:
+    # a as a float64 array of the given shape: a itself when it is one
+    # already, else a coerced copy or view.
+    if type(a) is np.ndarray and a.dtype is _F64 and a.shape == shape:
+        return a
+    return np.asarray(a, dtype=float).reshape(shape)
+
 
 class DegenerateConstraintError(RuntimeError):
     """Raised when the constraint rows A(t, x, v) are rank deficient or not finite."""
@@ -272,14 +282,10 @@ class ConstraintSet:
             raise ValueError(f"need 0 <= m < n, got m={self.m}, n={self.n}")
 
     def A(self, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.eval_A(t, x, w), dtype=float)
-        out = out.reshape(self.m, self.n)
-        return out
+        return _conform(self.eval_A(t, x, w), (self.m, self.n))
 
     def B(self, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.eval_B(t, x, w), dtype=float))
-        out = out.reshape(self.m)
-        return out
+        return _conform(self.eval_B(t, x, w), (self.m,))
 
 
 def unconstrained(n: int) -> ConstraintSet:

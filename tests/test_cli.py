@@ -112,6 +112,46 @@ def test_schedule_matches_np_interp_bitwise(case):
     assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
 
 
+def bits(value):
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("spec", [2.5, 3, -0.0, 1e-300, -7, [[0.0, 4.25]], [[3.0, -1.5]]])
+def test_folded_constant_schedule_is_the_float_make_schedule_gives(spec):
+    folded = cli._fold_schedule(spec, "x")
+    want = float(spec) if not isinstance(spec, list) else spec[0][1]
+    assert type(folded) is float and bits(folded) == bits(want)
+    f = make_schedule(spec, "x")
+    for t in (-1.0, 0.0, 2.5, 1e9):
+        got = f(t)
+        assert type(got) is float and bits(got) == bits(want)
+        assert bits(f(t, "ignored state")) == bits(want)
+
+
+def test_port_callables_fold_constant_products():
+    cfg = thermo_cfg()
+    cfg["system"]["ports"].append(
+        {"J": [[0.0, -0.006], [1.0, -0.01]], "molar_entropy": 0.98, "mu": -0.01, "T": 0.97}
+    )
+    problem = build_problem(cfg)
+    ts = problem.ts0
+    const, table = problem.system.ports
+    for t in (0.0, 0.25, 0.25, 0.5, 0.25, 2.0):
+        # The formulas of the per-call schedules, evaluated anew.
+        J = float(np.interp(t, [0.0, 1.0], [-0.006, -0.01]))
+        assert bits(const.J_S(t, ts)) == bits(1.02 * 0.01)
+        assert bits(const.J(t, ts)) == bits(0.01)
+        assert bits(table.J(t, ts)) == bits(J)
+        assert bits(table.J_S(t, ts)) == bits(0.98 * J)
+        assert bits(problem.system.sources[0].T_source(t, ts)) == bits(1.1)
+
+
+def test_table_schedule_remembers_only_equal_times():
+    f = make_schedule([[0.0, 1.0], [1.0, 3.0]], "x")
+    for t in (0.5, 0.25, 0.5, -0.0, 0.0, 0.75, 0.25, 2.0, 0.5):
+        assert bits(f(t)) == bits(float(np.interp(t, [0.0, 1.0], [1.0, 3.0])))
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -236,6 +236,40 @@ def test_legendre_invert_iteration_budget():
         )
 
 
+def well_conditioned(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + n * np.eye(n), rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("seed", range(20))
+def test_mass_solve_equals_numpy_solve_bitwise(n, seed):
+    M, r = well_conditioned(n, seed)
+    expect = np.linalg.solve(M, r).tobytes()
+    assert lagrangian_module._mass_solve(M, r).tobytes() == expect
+    assert lagrangian_module._mass_solve(M, r).tobytes() == expect  # from the cache
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_legendre_invert_step_is_the_numpy_solve_bitwise(n, seed):
+    # d_v = M v + b is affine, so one Newton step from v0 converges; it must
+    # be v0 - solve(M, M v0 + b - p) bit for bit, as np.linalg.solve gives it.
+    M, b = well_conditioned(n, seed)
+    p, v0 = np.random.default_rng(100 + seed).normal(size=(2, n))
+    L = TimeLagrangian(
+        n=n,
+        value=lambda t, x, v: 0.5 * float(v @ M @ v) + float(b @ v),
+        d_t=lambda t, x, v: 0.0,
+        d_x=lambda t, x, v: np.zeros(n),
+        d_v=lambda t, x, v: M @ v + b,
+        d_vv=lambda t, x, v: M,
+    )
+    expect = v0 - np.linalg.solve(M, M @ v0 + b - p)
+    got = legendre_invert(L, 0.0, np.zeros(n), p, v_guess=v0)
+    assert got.tobytes() == expect.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(-3, 3, allow_nan=False),

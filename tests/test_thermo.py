@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lu_solve
 
-from diracsim import dynamics as dynamics_module, thermo as thermo_module
+from diracsim import dynamics as dynamics_module, lagrangian as lagrangian_module
+from diracsim import thermo as thermo_module
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
     StepFailureError,
@@ -946,6 +947,124 @@ def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
     assert len(calls) == traj.n_steps + 1 + traj.n_steps
 
 
+def test_monitor_invariants_reads_the_node_row_from_the_model_point(monkeypatch):
+    # With the open system given, the node's kinematic residual comes from
+    # the model record that feeds the power flows: one state per node, plus
+    # one per step for the midpoint row of the energy balance.
+    problem = cli_problem("two_port_piston")
+    sys0 = problem.system
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=problem.L, constraints=problem.vel_constraints
+    )
+    traj = stepper.run(problem.initial, problem.h, 20)
+    by_row = monitor_invariants(problem.L, build_constraints(sys0), traj)
+    states = []
+    original = thermo_module.state_from_arrays
+
+    def counted(*args):
+        states.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(thermo_module, "state_from_arrays", counted)
+    inv = monitor_invariants(problem.L, build_constraints(sys0), traj, thermo_system=sys0)
+    assert len(states) == (traj.n_steps + 1) + traj.n_steps
+    assert len(states) <= 2 * (traj.n_steps + 1)
+    assert inv.kinematic_residual.tobytes() == by_row.kinematic_residual.tobytes()
+    assert inv.energy_balance_residual.tobytes() == by_row.energy_balance_residual.tobytes()
+
+
+def cli_problem(name):
+    from diracsim import cli
+
+    return cli.build_problem(cli.load_config(name))
+
+
+@pytest.mark.parametrize("name", ["two_port_piston", "matched_port_piston", "conduction_piston"])
+def test_step_residual_evaluates_dS_once_per_point(name):
+    # The row, its conduction sources and matched ports, and L.d_x at the
+    # midpoint read one temperature; the new node computes its own.
+    problem = cli_problem(name)
+    mech = problem.system.mech
+    points = []
+    d_S = mech.d_S
+
+    def counted(q, v, S, N):
+        points.append((q.tobytes(), v.tobytes(), S, N))
+        return d_S(q, v, S, N)
+
+    # The builder's sources and ports hold the same mechanical Lagrangian.
+    object.__setattr__(mech, "d_S", counted)
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=problem.L, constraints=problem.vel_constraints
+    )
+    residual = stepper._residual_fn(problem.initial, problem.h)
+    guess = stepper._guess(problem.initial, problem.h)
+    residual(guess)
+    assert len(points) == 2 and len(set(points)) == 2
+    residual(guess + 1e-6)
+    assert len(points) == 4 and len(set(points)) == 4
+
+
+def test_state_from_arrays_copies():
+    sys0 = small_open_system()
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    x, v = s0.x.copy(), s0.v.copy()
+    ts = state_from_arrays(sys0, x, v)
+    lay = sys0.layout
+    assert not np.shares_memory(ts.q, x) and not np.shares_memory(ts.v_q, v)
+    assert ts.q.flags.writeable and ts.v_q.flags.writeable
+    assert [type(getattr(ts, f)) for f in ("S", "N", "Gamma", "W", "Sigma")] == [float] * 5
+    want = ThermoState(
+        q=x[lay.q].copy(), v_q=v[lay.q].copy(), S=x[lay.S], N=x[lay.N],
+        Gamma=x[lay.Gamma], W=x[lay.W], Sigma=x[lay.Sigma],
+    )
+    # Lists and (1, n) arrays are coerced as before.
+    again = state_from_arrays(sys0, x.tolist(), v[None, :])
+    assert again.q.tobytes() == want.q.tobytes() and again.v_q.tobytes() == want.v_q.tobytes()
+    x += 1.0
+    v += 1.0
+    for f in ("q", "v_q", "S", "N", "Gamma", "W", "Sigma"):
+        assert np.asarray(getattr(ts, f)).tobytes() == np.asarray(getattr(want, f)).tobytes()
+
+
+def test_shared_point_is_never_stale():
+    # L.d_x, L.d_v and the row share the point at (t, x, v); an array
+    # mutated in place is a new point for all of them.
+    sys0 = small_open_system()
+    L, C = build_extended_lagrangian(sys0), build_constraints(sys0)
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    x, v = s0.x.copy(), s0.v.copy()
+    lay = sys0.layout
+
+    def fresh():
+        F, G = build_extended_lagrangian(sys0), build_constraints(sys0)
+        xc, vc = x.copy(), v.copy()
+        return [F.d_x(0.5, xc, vc), F.d_v(0.5, xc, vc), G.A(0.5, xc, vc), G.B(0.5, xc, vc)]
+
+    def shared():
+        return [L.d_x(0.5, x, v), L.d_v(0.5, x, v), C.A(0.5, x, v), C.B(0.5, x, v)]
+
+    assert bits(shared()) == bits(fresh())
+    x[lay.S] += 0.1  # moves T
+    assert bits(shared()) == bits(fresh())
+    v[lay.q] += 0.3  # moves the friction force
+    assert bits(shared()) == bits(fresh())
+    # A state shared at a point is read-only.
+    ts = sys0._points(0.5, x, v).ts
+    with pytest.raises(ValueError):
+        ts.q[0] = 1.0
+
+
+def test_temperature_reads_a_point_only_under_its_own_mechanics():
+    sys0 = small_open_system()
+    hot = ideal_gas_fixture(T0=2.0)
+    s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
+    ts = sys0._points(0.5, s0.x, s0.v).ts
+    plain = state_from_arrays(sys0, s0.x, s0.v)
+    assert temperature(sys0, ts) == temperature(sys0, plain)
+    assert temperature(hot, ts) == temperature(hot, plain) == 2.0 * temperature(sys0, plain)
+
+
 # -- one model evaluation per point ----------------------------------------
 
 
@@ -1087,14 +1206,14 @@ def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():
 
 def count_mass_factorizations(monkeypatch):
     calls = []
-    original = thermo_module.dgetrf
+    original = lagrangian_module.dgetrf
 
     def counting(M):
         calls.append(M.copy())
         return original(M)
 
-    thermo_module._mass_lu.cache_clear()
-    monkeypatch.setattr(thermo_module, "dgetrf", counting)
+    lagrangian_module._mass_lu.cache_clear()
+    monkeypatch.setattr(lagrangian_module, "dgetrf", counting)
     return calls
 
 
@@ -1107,7 +1226,7 @@ def test_constant_mass_matrix_is_factored_once_per_run(monkeypatch):
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
     ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C).run(s0, 1e-3, 20)
     assert len(calls) == 1
-    thermo_module._mass_lu.cache_clear()
+    lagrangian_module._mass_lu.cache_clear()
 
 
 def test_point_dependent_mass_matrix_is_factored_at_each_new_value(monkeypatch):
@@ -1120,7 +1239,7 @@ def test_point_dependent_mass_matrix_is_factored_at_each_new_value(monkeypatch):
             reduced_rhs(sys0, 0.0, ts)
         npt.assert_array_equal(calls[-1], sys0.mech.d_vv(ts.q, ts.v_q, ts.S, ts.N))
     assert len(calls) == 20
-    thermo_module._mass_lu.cache_clear()
+    lagrangian_module._mass_lu.cache_clear()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1129,8 +1248,8 @@ def test_cached_mass_solve_equals_numpy_solve_bitwise(n, mass, seed):
     M = mass * np.eye(n)
     r = np.random.default_rng(seed).normal(size=n)
     expect = np.linalg.solve(M, r).tobytes()
-    assert thermo_module._mass_solve(M, r).tobytes() == expect
-    assert thermo_module._mass_solve(M, r).tobytes() == expect  # from the cache
+    assert lagrangian_module._mass_solve(M, r).tobytes() == expect
+    assert lagrangian_module._mass_solve(M, r).tobytes() == expect  # from the cache
 
 
 def test_random_physical_point_halves_offsets_that_overflow_T():

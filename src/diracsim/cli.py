@@ -13,7 +13,7 @@ Exit codes: 0 all monitored tolerances met, 1 a tolerance was violated,
 from __future__ import annotations
 
 import bisect
-import csv
+import contextlib
 import dataclasses
 import functools
 import json
@@ -488,11 +488,14 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         cfg, "integrator.formulation", "pontryagin"
     )
     t0 = _number(cfg, "initial.t0", 0.0)
-    prefix = str(_get(cfg, "output.prefix", "run"))
     tolerances = dict(_get(cfg, "tolerances", {}) or {})
     for name, val in tolerances.items():
         if val is not None:
             _as_number(val, f"tolerances.{name}")
+    common = dict(
+        kind=kind, cfg=cfg, h=h, n_steps=n_steps, formulation=formulation,
+        tolerances=tolerances, prefix=str(_get(cfg, "output.prefix", "run")),
+    )
 
     if kind == "ideal_gas":
         system, n_q = _build_thermo_system(cfg)
@@ -529,17 +532,11 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         except th.NonpositiveTemperatureError as exc:
             raise ConfigError("initial", str(exc)) from exc
         return Problem(
-            kind=kind,
-            cfg=cfg,
+            **common,
             L=L,
             vel_constraints=th.build_constraints(system),
             mom_constraints=th.build_momentum_constraints(system),
             initial=_finite_initial(initial),
-            h=h,
-            n_steps=n_steps,
-            formulation=formulation,
-            tolerances=tolerances,
-            prefix=prefix,
             system=system,
             ts0=ts0,
             f_ext_force=force,
@@ -565,17 +562,11 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             t=t0, x=x0, v=v0, pt=initialize_covariant_momentum(L, t0, x0, v0), p=p0
         )
         return Problem(
-            kind=kind,
-            cfg=cfg,
+            **common,
             L=L,
             vel_constraints=constraints,
             mom_constraints=constraints,
             initial=_finite_initial(state0),
-            h=h,
-            n_steps=n_steps,
-            formulation=formulation,
-            tolerances=tolerances,
-            prefix=prefix,
         )
 
     raise ConfigError("system.kind", f"unknown kind {kind!r}")
@@ -667,34 +658,27 @@ def write_trajectory_csv(path: Path, problem: Problem, traj: Trajectory, inv) ->
         state = [traj.x, traj.v, traj.p]
         diagnostics = [inv.kinematic_residual]
     # cov_E is pt + E, which can round differently from inv.covariant_energy.
-    table = np.column_stack(
-        [traj.t, *state, traj.pt, _lam_column(traj), inv.energy, traj.pt + inv.energy]
-        + diagnostics
-    )
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in table:
-            wr.writerow([_fmt(v) for v in row.tolist()])
+    columns = [traj.t, *state, traj.pt, _lam_column(traj), inv.energy, traj.pt + inv.energy]
+    _write_table(path, header, np.column_stack(columns + diagnostics))
 
 
 def write_invariants_csv(path: Path, inv) -> None:
+    """Write one row per step: t_mid, then the step columns of inv."""
+
+    header = ["t_mid", "covariant_energy_drift", "energy_balance_residual"]
+    columns = [inv.t_mid, inv.covariant_energy_drift[1:], inv.energy_balance_residual]
+    if inv.entropy_decomposition_residual is not None:
+        header.append("entropy_decomposition_residual")
+        columns.append(inv.entropy_decomposition_residual)
+    _write_table(path, header, np.column_stack(columns))
+
+
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    # The bytes of csv.writer with _fmt cells: neither a header here nor the
+    # repr of a float needs quoting, and the excel dialect ends rows in \r\n.
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        header = ["t_mid", "covariant_energy_drift", "energy_balance_residual"]
-        has_entropy = inv.entropy_decomposition_residual is not None
-        if has_entropy:
-            header.append("entropy_decomposition_residual")
-        wr.writerow(header)
-        for k in range(inv.t_mid.shape[0]):
-            row = [
-                inv.t_mid[k],
-                inv.covariant_energy_drift[k + 1],
-                inv.energy_balance_residual[k],
-            ]
-            if has_entropy:
-                row.append(inv.entropy_decomposition_residual[k])
-            wr.writerow([_fmt(vv) for vv in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
 def evaluate_tolerances(
@@ -800,6 +784,17 @@ def _fail(exc: Exception, code: int):
     raise SystemExit(code)
 
 
+@contextlib.contextmanager
+def _exit_codes():
+    # A config or formulation error exits 2, a solver failure 3, in one line.
+    try:
+        yield
+    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
+        _fail(exc, 2)
+    except (StepFailureError, th.NonpositiveTemperatureError) as exc:
+        _fail(exc, 3)
+
+
 def _min(lo):
     # Option callback: a value below lo, NaN or infinity is a usage error,
     # reported in one line with exit code 2.
@@ -821,16 +816,12 @@ def _min(lo):
 def run(config, formulation, out, tol):
     """Integrate a scenario, write CSVs and a summary, check tolerances."""
 
-    try:
+    with _exit_codes():
         cfg = load_config(config)
         problem = build_problem(cfg, formulation)
         passed, summary, _ = _run_and_report(
             problem, problem.formulation, Path(out), tol
         )
-    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
-        _fail(exc, 2)
-    except (StepFailureError, th.NonpositiveTemperatureError) as exc:
-        _fail(exc, 3)
     for line in summary:
         click.echo(line)
     raise SystemExit(0 if passed else 1)
@@ -854,16 +845,12 @@ def compare(config, formulations, out, tol):
     names = [f.strip() for f in formulations.split(",") if f.strip()]
     if not names:
         _fail(ConfigError("--formulations", "need at least one formulation"), 2)
-    try:
+    with _exit_codes():
         cfg = load_config(config)
         # One problem per name validates every name before anything runs.
         problems = {name: build_problem(cfg, name) for name in names}
         trajs = {name: run_formulation(problems[name], name) for name in names}
         problem = problems[names[0]]
-    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
-        _fail(exc, 2)
-    except (StepFailureError, th.NonpositiveTemperatureError) as exc:
-        _fail(exc, 3)
 
     lines = [f"compare: {', '.join(names)} over {problem.n_steps} steps at h = {_fmt(problem.h)}"]
     worst = 0.0
@@ -914,11 +901,8 @@ def compare(config, formulations, out, tol):
 def check(config, seed, samples, steps, tol, corrupt):
     """Verify structure: ranks, pairings, memberships, declared derivatives."""
 
-    try:
-        cfg = load_config(config)
-        problem = build_problem(cfg, None)
-    except (ConfigError, FormulationUnavailable) as exc:
-        _fail(exc, 2)
+    with _exit_codes():
+        problem = build_problem(load_config(config), None)
 
     rng = np.random.default_rng(seed)
     click.echo(f"check seed: {seed}  samples: {samples}")
@@ -997,7 +981,7 @@ def check(config, seed, samples, steps, tol, corrupt):
     # constraint row is imposed at the new node, so its midpoint value carries
     # an O(h^2) placement term; cap the check step so that term sits below the
     # membership tolerance.
-    try:
+    with _exit_codes():
         n_run = min(steps, problem.n_steps)
         if is_thermo:
             traj = th.run_reduced(
@@ -1010,10 +994,6 @@ def check(config, seed, samples, steps, tol, corrupt):
                 dataclasses.replace(problem, h=h_check, n_steps=n_run), "pontryagin"
             )
             samples_iter = traj.midpoint_samples()
-    except InconsistentInitialStateError as exc:
-        _fail(exc, 2)
-    except (StepFailureError, th.NonpositiveTemperatureError) as exc:
-        _fail(exc, 3)
 
     slot = problem.system.layout.S if is_thermo else 0
     slot_name = "p_S" if is_thermo else "p_0"

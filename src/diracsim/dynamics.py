@@ -392,9 +392,11 @@ class ChordNewton:
 
     def _newton(self, residual, guess: np.ndarray) -> tuple[np.ndarray, float, int]:
         tol = self.tol
+        # Both attempts start from the guess; its residual is evaluated once.
+        y0 = guess.copy()
+        r0 = residual(y0)
         for attempt in (0, 1):
-            y = guess.copy()
-            r = residual(y)
+            y, r = y0, r0
             if attempt == 1 or self._lu is None or (
                 self._steps_since_refresh >= _JACOBIAN_REFRESH
             ):
@@ -702,9 +704,10 @@ def monitor_invariants(
     is given (a SimpleOpenSystem), the same pass evaluates the open-system
     model once per node for the power flows, the internal entropy
     production and the kinematic residual, whose row is then the system's
-    velocity-side row; the first-law residual and the entropy decomposition
-    residual (Sdot - Sigmadot - p_Gamma_dot) follow from those columns and
-    the state arrays.
+    velocity-side row; its midpoint offset B is read without building the
+    row, and each state carries its temperature. The first-law residual and
+    the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
+    follow from those columns and the state arrays.
     """
 
     K = traj.n_steps
@@ -712,7 +715,7 @@ def monitor_invariants(
     ce = np.empty(K + 1)
     kin = np.empty(K + 1)
     if thermo_system is not None:
-        from .thermo import _balance_row, _model_point, state_from_arrays
+        from .thermo import _balance_row, _known_state, _model_point, _row_offset
 
         lay = thermo_system.layout
         P_W, P_H, P_M, prod = (np.empty(K + 1) for _ in range(4))
@@ -726,20 +729,26 @@ def monitor_invariants(
             A = constraints.A(t, xk, vk)
             B = constraints.B(t, xk, vk)
         else:
-            ts = state_from_arrays(thermo_system, xk, vk)
+            ts = _known_state(thermo_system, xk, vk)
             m = _model_point(thermo_system, t, ts)
             P_W[k], P_H[k], P_M[k] = float(m.F_ext @ ts.v_q), m.P_H, m.P_M
             prod[k] = m.total
             A, B = _balance_row(lay, m.F_fr, m.J_S_ports + m.J_S_sources, m.J, m.T, m.P_M, m.P_H)
-        kin[k] = float(np.max(np.abs(A @ vk + B), initial=0.0))
+        kin[k] = float(np.abs(A @ vk + B).max(initial=0.0))
 
+    # The step midpoints and pt rates, each the same bits as per step.
     t_mid = 0.5 * (traj.t[:-1] + traj.t[1:])
+    x_mid, v_mid = (0.5 * (a[:-1] + a[1:]) for a in (traj.x, traj.v))
+    ptdot = (traj.pt[1:] - traj.pt[:-1]) / (traj.t[1:] - traj.t[:-1])
     ebr = np.empty(K)
-    for k in range(K):
-        sm = traj.midpoint_state(k)
-        B = constraints.B(sm.t, sm.x, sm.v)
-        ptdot = (traj.pt[k + 1] - traj.pt[k]) / (traj.t[k + 1] - traj.t[k])
-        ebr[k] = ptdot - float(L.d_t(sm.t, sm.x, sm.v)) - float(B @ traj.lam[k])
+    for k, t in enumerate(t_mid.tolist()):
+        xm, vm = x_mid[k], v_mid[k]
+        if thermo_system is None:
+            lam_B = float(constraints.B(t, xm, vm) @ traj.lam[k])
+        else:
+            tsm = _known_state(thermo_system, xm, vm)
+            lam_B = _row_offset(thermo_system, t, tsm) * traj.lam[k, 0]
+        ebr[k] = ptdot[k] - float(L.d_t(t, xm, vm)) - lam_B
 
     thermo = {}
     if thermo_system is not None:

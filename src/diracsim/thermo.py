@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
+from .dynamics import _cumulative_trapezoid
 from .geometry import ConstraintSet, PontryaginState, _conform
 from .lagrangian import (
     ExternalForce,
@@ -460,6 +461,18 @@ def _constraint_row(
     return _balance_row(sys.layout, _friction_vec(sys, t, ts), JS_a + JS_b, J, T, P_M, P_H)
 
 
+def _row_offset(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> float:
+    # _constraint_row's B, bit for bit, without A; keeps the row's T > 0 check.
+    temperature(sys, ts)
+    *_, P_M, P_H = _port_sums(sys, t, ts)
+    return -(P_M + P_H)
+
+
+def _known_state(sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray) -> ThermoState:
+    # state_from_arrays carrying its temperature, as on an open-system point.
+    return _Point(sys, None, state_from_arrays(sys, x, v)).ts
+
+
 def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo) -> ConstraintSet:
     # eval_A and eval_B at the same (t, x, w) share one point and one row
     # build. A step residual asks for the midpoint and the new node; two
@@ -837,11 +850,8 @@ def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:
     for k in range(K + 1):
         t, xk, vk, pk = traj.t[k], traj.x[k], traj.v[k], traj.p[k]
         E[k] = float(pk @ vk) - float(L.value(t, xk, vk))
-        ts = state_from_arrays(sys, xk, vk)
-        P[k] = power_flows(sys, t, ts).total
-    h = np.diff(traj.t)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * h * (P[:-1] + P[1:]))])
-    return (E - E[0]) - integral
+        P[k] = power_flows(sys, t, state_from_arrays(sys, xk, vk)).total
+    return (E - E[0]) - _cumulative_trapezoid(traj.t, P)
 
 
 def random_physical_point(

@@ -828,3 +828,100 @@ def test_check_with_a_tiny_heat_capacity_ends_without_a_traceback(tmp_path):
     assert result.exit_code in (0, 1, 3), all_text(result)
     if result.exit_code == 3:
         assert len(result.stderr.strip().splitlines()) == 1, all_text(result)
+
+
+SPECIAL_VALUES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324, 1e16, 0.1,
+    -2.5e-300, 1.0 / 3.0, 123456789.0,
+]
+
+
+def special_columns(rows, width, shift):
+    # A (rows, width) table cycling through SPECIAL_VALUES from an offset.
+    vals = [SPECIAL_VALUES[(shift + i) % len(SPECIAL_VALUES)] for i in range(rows * width)]
+    return np.array(vals).reshape(rows, width)
+
+
+def csv_writer_bytes(header, table):
+    # The rendering the writers must reproduce: csv.writer with _fmt cells.
+    import io
+
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(header)
+    for row in table:
+        wr.writerow([cli._fmt(v) for v in row.tolist()])
+    return buf.getvalue().encode()
+
+
+def special_run(problem, K):
+    # A trajectory and its invariants whose every column holds special values.
+    from diracsim.dynamics import InvariantSeries, Trajectory
+
+    n = problem.L.n
+    col = lambda rows, shift: special_columns(rows, 1, shift)[:, 0]
+    traj = Trajectory(
+        formulation="pontryagin", h=0.1, t=np.arange(K + 1) * 0.1,
+        x=special_columns(K + 1, n, 1), v=special_columns(K + 1, n, 2),
+        p=special_columns(K + 1, n, 3), pt=np.full(K + 1, 0.25),
+        lam=special_columns(K, 1, 4), newton_iters=np.ones(K, dtype=int),
+    )
+    thermo = problem.kind == "ideal_gas"
+    extra = lambda shift: col(K + 1, shift) if thermo else None
+    inv = InvariantSeries(
+        t=traj.t, t_mid=col(K, 5), energy=col(K + 1, 6), covariant_energy=col(K + 1, 7),
+        covariant_energy_drift=col(K + 1, 8), energy_balance_residual=col(K, 9),
+        kinematic_residual=col(K + 1, 10),
+        entropy_decomposition_residual=col(K, 11) if thermo else None,
+        entropy_production=extra(0), power_mechanical=extra(1), power_heating=extra(2),
+        power_matter=extra(3), first_law_residual=extra(4),
+    )
+    return traj, inv
+
+
+@pytest.mark.parametrize("name", ["two_port_piston", "nonholonomic_particle"])
+def test_csv_writers_give_the_csv_writer_bytes(tmp_path, name):
+    problem = build_problem(load_config(name))
+    traj, inv = special_run(problem, 12)
+    lam = np.concatenate([traj.lam[:1, 0], traj.lam[:, 0]])
+    E, cov_E = inv.energy, traj.pt + inv.energy
+    if problem.kind == "ideal_gas":
+        header = (
+            ["t", "q_0", "v_q_0", "S", "N", "Gamma", "W", "Sigma", "p_q_0"]
+            + ["p_S", "p_N", "p_Gamma", "p_W", "p_Sigma", "pt", "lam", "E", "cov_E"]
+            + ["P_W", "P_H", "P_M", "I", "kinematic_res", "first_law_res"]
+        )
+        columns = [traj.t, traj.x[:, :1], traj.v[:, :1], traj.x[:, 1:], traj.p, traj.pt,
+                   lam, E, cov_E, inv.power_mechanical, inv.power_heating,
+                   inv.power_matter, inv.entropy_production, inv.kinematic_residual,
+                   inv.first_law_residual]
+        inv_header = ["t_mid", "covariant_energy_drift", "energy_balance_residual",
+                      "entropy_decomposition_residual"]
+        inv_columns = [inv.t_mid, inv.covariant_energy_drift[1:],
+                       inv.energy_balance_residual, inv.entropy_decomposition_residual]
+    else:
+        header = ["t", "x_0", "x_1", "v_0", "v_1", "p_0", "p_1", "pt", "lam", "E", "cov_E",
+                  "kinematic_res"]
+        columns = [traj.t, traj.x, traj.v, traj.p, traj.pt, lam, E, cov_E,
+                   inv.kinematic_residual]
+        inv_header = ["t_mid", "covariant_energy_drift", "energy_balance_residual"]
+        inv_columns = [inv.t_mid, inv.covariant_energy_drift[1:],
+                       inv.energy_balance_residual]
+    cli.write_trajectory_csv(tmp_path / "traj.csv", problem, traj, inv)
+    cli.write_invariants_csv(tmp_path / "inv.csv", inv)
+    table = np.column_stack(columns)
+    # Every special value reaches the file.
+    for v in SPECIAL_VALUES:
+        assert any(repr(v) in row for row in map(repr, table.tolist()))
+    assert (tmp_path / "traj.csv").read_bytes() == csv_writer_bytes(header, table)
+    inv_table = np.column_stack(inv_columns)
+    assert (tmp_path / "inv.csv").read_bytes() == csv_writer_bytes(inv_header, inv_table)
+
+
+def test_invariants_csv_of_a_run_without_steps_is_its_header(tmp_path):
+    problem = build_problem(load_config("two_port_piston"))
+    _, inv = special_run(problem, 0)
+    cli.write_invariants_csv(tmp_path / "inv.csv", inv)
+    header = ["t_mid", "covariant_energy_drift", "energy_balance_residual",
+              "entropy_decomposition_residual"]
+    assert (tmp_path / "inv.csv").read_bytes() == csv_writer_bytes(header, np.empty((0, 4)))

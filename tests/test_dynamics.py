@@ -603,10 +603,12 @@ def test_monitor_invariants_shapes():
 
 
 def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
-    # 200 steps of the bundled particle refresh the Jacobian 101 times. The
-    # residual at the point a Jacobian is built around is its finite-difference
-    # base and the first Newton residual at once: 2282 evaluations, where a
-    # second evaluation there would make 2383.
+    # 200 steps of the bundled particle refresh the Jacobian 101 times: at the
+    # first step and at 100 stall restarts. The residual at the point a
+    # Jacobian is built around is its finite-difference base and the first
+    # Newton residual at once, and a restart reuses its stalled attempt's
+    # residual at the guess: 2182 evaluations, where a second evaluation at
+    # each base point would make 2283 and one more per restart 2383.
     from diracsim import dynamics
     from diracsim.cli import BUILTINS, build_problem, run_formulation
 
@@ -632,4 +634,35 @@ def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
     cfg = BUILTINS["nonholonomic_particle"]()
     cfg["integrator"]["horizon"] = 0.2
     run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
-    assert calls == {"residual": 2383 - 101, "factor": 101}
+    assert calls == {"residual": 2383 - 101 - 100, "factor": 101}
+
+
+def test_stalled_solve_evaluates_the_guess_residual_once():
+    # A stale Jacobian of 20 times the true one makes each chord update cut
+    # the error by only 5%, so the first attempt stalls after two updates and
+    # the solve restarts from its guess with a fresh Jacobian. The restart
+    # reuses the first attempt's residual at the guess: the stalled solve makes
+    # exactly the fresh solve's evaluations plus its two stalled updates (a
+    # second evaluation at the guess would make one more).
+    from diracsim.dynamics import ChordNewton
+
+    M = np.array([[2.0, 0.5], [0.0, 1.0]])
+    target = np.array([1.0, -1.0])
+    guess = np.zeros(2)
+
+    def solve(solver):
+        points = []
+
+        def residual(y):
+            points.append(y.copy())
+            return M @ (y - target)
+
+        return solver._newton(residual, guess), points
+
+    (y_fresh, rn_fresh, it_fresh), fresh = solve(ChordNewton(1e-11))
+    stale = ChordNewton(1e-11)
+    stale._lu = lu_factor(20.0 * M)
+    (y, rn, iters), stalled = solve(stale)
+    assert len(stalled) == len(fresh) + 2
+    assert sum(p.tobytes() == guess.tobytes() for p in stalled) == 1
+    assert y.tobytes() == y_fresh.tobytes() and rn == rn_fresh and iters == it_fresh

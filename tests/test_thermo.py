@@ -1005,6 +1005,66 @@ def test_step_residual_evaluates_dS_once_per_point(name):
     assert len(points) == 4 and len(set(points)) == 4
 
 
+def row_based_invariant_columns(problem, traj):
+    # The diagnostics column by column from the public functions: the
+    # constraint row at each node and step midpoint, power_flows and
+    # entropy_production at each node.
+    sys0, L, C = problem.system, problem.L, build_constraints(problem.system)
+    kin, P, prod, ebr = [], [], [], []
+    for k in range(traj.n_steps + 1):
+        t, x, v = traj.t[k], traj.x[k], traj.v[k]
+        kin.append(float(np.max(np.abs(C.A(t, x, v) @ v + C.B(t, x, v)))))
+        flows = power_flows(sys0, t, state_from_arrays(sys0, x, v))
+        P.append([flows.mechanical, flows.heating, flows.matter])
+        prod.append(entropy_production(sys0, t, state_from_arrays(sys0, x, v)).total)
+    for k in range(traj.n_steps):
+        sm = traj.midpoint_state(k)
+        ptdot = (traj.pt[k + 1] - traj.pt[k]) / (traj.t[k + 1] - traj.t[k])
+        B = C.B(sm.t, sm.x, sm.v)
+        ebr.append(ptdot - float(L.d_t(sm.t, sm.x, sm.v)) - float(B @ traj.lam[k]))
+    return np.array(kin), np.array(P).T, np.array(prod), np.array(ebr)
+
+
+@pytest.mark.parametrize("name", ["conduction_piston", "matched_port_piston"])
+def test_monitor_invariants_builds_no_row_and_one_temperature_per_state(name):
+    # The open-system pass reads the midpoint offset B without building a
+    # constraint row, and each node and midpoint state carries its
+    # temperature, which the conduction sources and matched ports read:
+    # -dL/dS runs K + 1 + K times, and no eval_A or eval_B is called.
+    problem = cli_problem(name)
+    sys0, mech = problem.system, problem.system.mech
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=problem.L, constraints=problem.vel_constraints
+    )
+    traj = stepper.run(problem.initial, problem.h, 20)
+    kin, (P_W, P_H, P_M), prod, ebr = row_based_invariant_columns(problem, traj)
+    rows = []
+    C = dataclasses.replace(
+        problem.vel_constraints,
+        eval_A=lambda *a: rows.append("A"),
+        eval_B=lambda *a: rows.append("B"),
+    )
+    temperatures = []
+    d_S = mech.d_S
+
+    def counted(q, v, S, N):
+        temperatures.append((q.tobytes(), v.tobytes(), S, N))
+        return d_S(q, v, S, N)
+
+    # The builder's sources and ports hold the same mechanical Lagrangian.
+    object.__setattr__(mech, "d_S", counted)
+    inv = monitor_invariants(problem.L, C, traj, thermo_system=sys0)
+    K = traj.n_steps
+    assert rows == []
+    assert len(temperatures) == 2 * K + 1 and len(set(temperatures)) == 2 * K + 1
+    assert bits(inv.kinematic_residual) == bits(kin)
+    assert bits(inv.energy_balance_residual) == bits(ebr)
+    assert bits([inv.power_mechanical, inv.power_heating, inv.power_matter]) == bits(
+        [P_W, P_H, P_M]
+    )
+    assert bits(inv.entropy_production) == bits(prod)
+
+
 def test_state_from_arrays_copies():
     sys0 = small_open_system()
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())

@@ -102,8 +102,9 @@ def _interp(ts: list[float], vs: list[float]):
     # Scalar np.interp(t, ts, vs) in pure Python, bit for bit: the same knot
     # search and the same slope formula, including numpy's fallbacks, without
     # the per-call array dispatch. Two values are remembered: a step residual
-    # reads a schedule several times at its midpoint and at its new node. The
-    # state argument of a port or source callable is ignored.
+    # reads a schedule several times at its midpoint and at its new node. An
+    # array of times goes to np.interp itself. The state argument of a port
+    # or source callable is ignored.
     first, last = ts[0], ts[-1]
 
     @functools.lru_cache(maxsize=2)
@@ -126,7 +127,13 @@ def _interp(ts: list[float], vs: list[float]):
                 out = vs[j]
         return out
 
-    return lambda t, _state=None: value(t)
+    def schedule(t, _state=None):
+        try:
+            return value(t)
+        except TypeError:  # an array of times is unhashable
+            return np.interp(t, ts, vs)
+
+    return schedule
 
 
 def _schedule(folded):
@@ -138,7 +145,8 @@ def make_schedule(spec, field: str):
     """Constant or piecewise-linear schedule t -> float from a config entry.
 
     The callable also takes a second, ignored argument, so a schedule serves
-    as a port or source callable (t, state) -> float as it is.
+    as a port or source callable (t, state) -> float as it is. Given an array
+    of times, a piecewise-linear schedule returns one value per time.
     """
 
     return _schedule(_fold_schedule(spec, field))
@@ -199,122 +207,35 @@ def _vector(cfg: dict, field: str, n: int, default=None) -> np.ndarray:
 # -- builtin scenarios ----------------------------------------------------
 
 
-def _two_port_piston() -> dict:
-    return {
-        "system": {
-            "kind": "ideal_gas",
-            "n_q": 1,
-            "c": 1.0,
-            "T0": 1.0,
-            "s0": 1.0,
-            "mass": 1.0,
-            "stiffness": 1.0,
-            "friction_gamma": 0.05,
-            "ports": [
-                {"J": 0.01, "molar_entropy": 1.02, "mu": 0.02, "T": 1.05},
-                {
-                    "J": [[0.0, -0.006], [10.0, -0.01]],
-                    "molar_entropy": 0.98,
-                    "mu": -0.01,
-                    "T": 0.97,
-                },
-            ],
-            "sources": [{"kappa": 0.02, "T": [[0.0, 1.1], [10.0, 1.05]]}],
-        },
-        "initial": {"q": [0.2], "v_q": [0.0], "S": 1.0, "N": 1.0},
-        "integrator": {"formulation": "pontryagin", "h": 0.001, "horizon": 10.0},
-        "output": {"prefix": "two_port_piston"},
-    }
+def _read_config(path: Path) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(str(path), "top level must be an object")
+    return cfg
 
 
-def _conduction_piston() -> dict:
-    return {
-        "system": {
-            "kind": "ideal_gas",
-            "n_q": 1,
-            "c": 1.0,
-            "T0": 1.0,
-            "s0": 1.0,
-            "mass": 1.0,
-            "stiffness": 1.0,
-            "friction_gamma": 0.05,
-            "sources": [{"kappa": 0.05, "T": [[0.0, 1.2], [10.0, 1.05]]}],
-        },
-        "initial": {"q": [0.2], "v_q": [0.0], "S": 1.0, "N": 1.0},
-        "integrator": {"formulation": "pontryagin", "h": 0.001, "horizon": 10.0},
-        "tolerances": {"entropy_production_min": -1e-12},
-        "output": {"prefix": "conduction_piston"},
-    }
-
-
-def _matched_port_piston() -> dict:
-    return {
-        "system": {
-            "kind": "ideal_gas",
-            "n_q": 1,
-            "c": 1.0,
-            "T0": 1.0,
-            "s0": 1.0,
-            "mass": 1.0,
-            "stiffness": 1.0,
-            "ports": [{"J": 0.02, "molar_entropy": 1.0, "matched": True}],
-        },
-        "initial": {"q": [0.2], "v_q": [0.0], "S": 1.0, "N": 1.0},
-        "integrator": {"formulation": "pontryagin", "h": 0.001, "horizon": 10.0},
-        "output": {"prefix": "matched_port_piston"},
-    }
-
-
-def _closed_piston() -> dict:
-    return {
-        "system": {
-            "kind": "ideal_gas",
-            "n_q": 1,
-            "c": 1.0,
-            "T0": 1.0,
-            "s0": 1.0,
-            "mass": 1.0,
-            "stiffness": 1.0,
-        },
-        "initial": {"q": [0.3], "v_q": [0.0], "S": 1.0, "N": 1.0},
-        "integrator": {"formulation": "pontryagin", "h": 0.001, "horizon": 10.0},
-        "output": {"prefix": "closed_piston"},
-    }
-
-
-def _nonholonomic_particle() -> dict:
-    return {
-        "system": {
-            "kind": "nonholonomic_particle",
-            "mass": 1.0,
-            "beta": [[0.0, 0.0], [10.0, 3.0]],
-        },
-        "initial": {"x": [0.0, 0.0], "v": [1.0, 0.0]},
-        "integrator": {"formulation": "pontryagin", "h": 0.001, "horizon": 1.0},
-        "output": {"prefix": "nonholonomic_particle"},
-    }
-
-
+# The bundled scenarios, package data under scenarios/: name -> a function
+# returning a fresh copy of the scenario's config.
 BUILTINS = {
-    "two_port_piston": _two_port_piston,
-    "conduction_piston": _conduction_piston,
-    "matched_port_piston": _matched_port_piston,
-    "closed_piston": _closed_piston,
-    "nonholonomic_particle": _nonholonomic_particle,
+    name: functools.partial(_read_config, Path(__file__).parent / "scenarios" / f"{name}.json")
+    for name in (
+        "two_port_piston",
+        "conduction_piston",
+        "matched_port_piston",
+        "closed_piston",
+        "nonholonomic_particle",
+    )
 }
 
 
 def load_config(source: str) -> dict:
     path = Path(source)
     if path.exists():
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(path), f"invalid JSON ({exc})") from None
-        if not isinstance(cfg, dict):
-            raise ConfigError(str(path), "top level must be an object")
-        return cfg
+        return _read_config(path)
     if source in BUILTINS:
         return BUILTINS[source]()
     raise ConfigError(
@@ -363,7 +284,8 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     friction = th.linear_friction(gamma) if gamma > 0 else None
 
     # Port and source callables are the schedules themselves, and a product
-    # of two constant schedules is folded to one constant.
+    # of two constant schedules is folded to one constant. Each callable
+    # broadcasts over node arrays, as the open-system model requires.
     ports = []
     for i, pcfg in enumerate(scfg.get("ports", [])):
         fld = f"system.ports[{i}]"
@@ -425,7 +347,10 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
             raise ConfigError(
                 "system.external_force", f"needs {n_q} component schedules"
             )
-        f_ext = lambda t, ts: np.array([f(t) for f in scheds])
+        def f_ext(t, ts):
+            if isinstance(t, np.ndarray):  # node times: one row per node
+                return np.stack([np.broadcast_to(f(t), t.shape) for f in scheds], axis=-1)
+            return np.array([f(t) for f in scheds])
 
     return (
         dataclasses.replace(

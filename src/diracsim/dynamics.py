@@ -50,6 +50,7 @@ __all__ = [
     "StepFailureError",
     "SingularJacobianError",
     "InconsistentInitialStateError",
+    "OutsideDomainError",
     "pontryagin_dirac_residual",
     "lagrange_dirac_residual",
     "hamilton_dirac_residual",
@@ -80,6 +81,13 @@ class SingularJacobianError(RuntimeError):
 
 class InconsistentInitialStateError(ValueError):
     """Raised when a run starts from a state off the kinematic constraint."""
+
+
+class OutsideDomainError(RuntimeError):
+    """Raised by a model evaluated outside its physical domain.
+
+    A Newton trial iterate that raises it counts as a stalled iteration.
+    """
 
 
 def _max_norm(r: np.ndarray) -> float:
@@ -348,9 +356,11 @@ class ChordNewton:
     Holds the LU factorization of a finite-difference Jacobian and reuses it
     across solves (Hairer-Wanner, Solving ODEs II, IV.8). The Jacobian is
     rebuilt after _JACOBIAN_REFRESH converged solves, and a solve that stalls
-    restarts once from its guess with a fresh one. A converged solve is
-    polished toward _POLISH_FLOOR. The convergence test is the max-norm of
-    the residual against tol. An instance must not be shared across threads.
+    restarts once from its guess with a fresh one. A trial iterate outside
+    the model's domain (OutsideDomainError) stalls its attempt the same way;
+    the guess itself must lie inside. A converged solve is polished toward
+    _POLISH_FLOOR. The convergence test is the max-norm of the residual
+    against tol. An instance must not be shared across threads.
     """
 
     def __init__(self, tol: float):
@@ -395,12 +405,23 @@ class ChordNewton:
         # Both attempts start from the guess; its residual is evaluated once.
         y0 = guess.copy()
         r0 = residual(y0)
+        outside = []  # the last OutsideDomainError of a trial iterate
+
+        def trial(y):
+            # Outside the domain the residual reads NaN, which ends the
+            # attempt like a stall and rejects a polish iterate.
+            try:
+                return residual(y)
+            except OutsideDomainError as exc:
+                outside[:] = [exc]
+                return np.full(y.size, np.nan)
+
         for attempt in (0, 1):
             y, r = y0, r0
             if attempt == 1 or self._lu is None or (
                 self._steps_since_refresh >= _JACOBIAN_REFRESH
             ):
-                self._factor(residual, y, r)
+                self._factor(trial, y, r)
             lu = self._lu
             rn = _max_norm(r)
             iters = 0
@@ -409,7 +430,7 @@ class ChordNewton:
             # attempt like a stall.
             while not converged and iters < _MAX_ITER and math.isfinite(rn):
                 y = y - _chord_solve(lu, r)
-                r = residual(y)
+                r = trial(y)
                 prev, rn = rn, _max_norm(r)
                 iters += 1
                 if rn <= tol:
@@ -425,7 +446,7 @@ class ChordNewton:
                     if rn <= _POLISH_FLOOR:
                         break
                     y2 = y - _chord_solve(lu, r)
-                    r2 = residual(y2)
+                    r2 = trial(y2)
                     rn2 = _max_norm(r2)
                     if not rn2 < rn:
                         break
@@ -434,9 +455,10 @@ class ChordNewton:
                 self._steps_since_refresh += 1
                 return y, rn, iters
             if attempt == 1:
+                why = f"; a trial iterate was outside the domain: {outside[0]}" if outside else ""
                 raise StepFailureError(
                     f"Newton did not converge: residual {rn:.3e} after "
-                    f"{iters} iterations (tol {tol:.1e})"
+                    f"{iters} iterations (tol {tol:.1e}){why}"
                 )
             self._lu = None
         raise AssertionError("unreachable")
@@ -696,82 +718,65 @@ def monitor_invariants(
 ) -> InvariantSeries:
     """Evaluate conservation and consistency diagnostics along a trajectory.
 
-    One pass over the nodes evaluates <p, v> and L once per node for the
-    energy and the covariant energy, and the constraint row for the
-    kinematic residual. The energy balance residual is the discrete rate of
-    the momentum conjugate to time minus its law, with coefficients at the
-    step midpoint, using the stored midpoint multipliers. When thermo_system
-    is given (a SimpleOpenSystem), the same pass evaluates the open-system
-    model once per node for the power flows, the internal entropy
-    production and the kinematic residual, whose row is then the system's
-    velocity-side row; its midpoint offset B is read without building the
-    row, and each state carries its temperature. The first-law residual and
-    the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
+    <p, v> and L give the energy and the covariant energy at each node, and
+    the constraint row the kinematic residual. The energy balance residual
+    is the discrete rate of the momentum conjugate to time minus its law,
+    with coefficients at the step midpoint, using the stored midpoint
+    multipliers. Without thermo_system the model is called once per node and
+    step. When thermo_system is given (a SimpleOpenSystem, whose extended
+    Lagrangian L must be), each column is one array pass over all nodes or
+    all step midpoints instead: the open-system balance gives the row, the
+    power flows and the internal entropy production. The first-law residual
+    and the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
     follow from those columns and the state arrays.
     """
 
     K = traj.n_steps
-    E = np.empty(K + 1)
-    ce = np.empty(K + 1)
-    kin = np.empty(K + 1)
-    if thermo_system is not None:
-        from .thermo import _balance_row, _known_state, _model_point, _row_offset
-
-        lay = thermo_system.layout
-        P_W, P_H, P_M, prod = (np.empty(K + 1) for _ in range(4))
-    for k in range(K + 1):
-        t, xk, vk, pk = traj.t[k], traj.x[k], traj.v[k], traj.p[k]
-        pv = float(pk @ vk)
-        Lv = float(L.value(t, xk, vk))
-        E[k] = pv - Lv
-        ce[k] = traj.pt[k] + pv - Lv
-        if thermo_system is None:
-            A = constraints.A(t, xk, vk)
-            B = constraints.B(t, xk, vk)
-        else:
-            ts = _known_state(thermo_system, xk, vk)
-            m = _model_point(thermo_system, t, ts)
-            P_W[k], P_H[k], P_M[k] = float(m.F_ext @ ts.v_q), m.P_H, m.P_M
-            prod[k] = m.total
-            A, B = _balance_row(lay, m.F_fr, m.J_S_ports + m.J_S_sources, m.J, m.T, m.P_M, m.P_H)
-        kin[k] = float(np.abs(A @ vk + B).max(initial=0.0))
-
     # The step midpoints and pt rates, each the same bits as per step.
-    t_mid = 0.5 * (traj.t[:-1] + traj.t[1:])
-    x_mid, v_mid = (0.5 * (a[:-1] + a[1:]) for a in (traj.x, traj.v))
+    mid = (
+        0.5 * (traj.t[:-1] + traj.t[1:]),
+        *(0.5 * (a[:-1] + a[1:]) for a in (traj.x, traj.v)),
+    )
     ptdot = (traj.pt[1:] - traj.pt[:-1]) / (traj.t[1:] - traj.t[:-1])
-    ebr = np.empty(K)
-    for k, t in enumerate(t_mid.tolist()):
-        xm, vm = x_mid[k], v_mid[k]
-        if thermo_system is None:
-            lam_B = float(constraints.B(t, xm, vm) @ traj.lam[k])
-        else:
-            tsm = _known_state(thermo_system, xm, vm)
-            lam_B = _row_offset(thermo_system, t, tsm) * traj.lam[k, 0]
-        ebr[k] = ptdot[k] - float(L.d_t(t, xm, vm)) - lam_B
-
     thermo = {}
+    if thermo_system is None:
+        pv, Lv, kin = (np.empty(K + 1) for _ in range(3))
+        for k in range(K + 1):
+            t, xk, vk = traj.t[k], traj.x[k], traj.v[k]
+            pv[k] = float(traj.p[k] @ vk)
+            Lv[k] = float(L.value(t, xk, vk))
+            A, B = constraints.A(t, xk, vk), constraints.B(t, xk, vk)
+            kin[k] = float(np.abs(A @ vk + B).max(initial=0.0))
+        d_t, lam_B = np.empty(K), np.empty(K)
+        for k, (t, xm, vm) in enumerate(zip(mid[0].tolist(), *mid[1:])):
+            d_t[k] = float(L.d_t(t, xm, vm))
+            lam_B[k] = float(constraints.B(t, xm, vm) @ traj.lam[k])
+    else:
+        from .thermo import _invariant_columns
+
+        pv, Lv, kin, d_t, lam_B, thermo = _invariant_columns(thermo_system, L, traj, mid)
+    E = pv - Lv
+    ce = traj.pt + pv - Lv
+
     if thermo_system is not None:
+        lay = thermo_system.layout
         S = traj.x[:, lay.S]
         Sg = traj.x[:, lay.Sigma]
         pG = traj.p[:, lay.Gamma]
-        thermo = dict(
+        P = thermo["power_mechanical"] + thermo["power_heating"] + thermo["power_matter"]
+        thermo.update(
             entropy_decomposition_residual=(
                 (S[1:] - S[:-1]) - (Sg[1:] - Sg[:-1]) - (pG[1:] - pG[:-1])
             ) / traj.h,
-            entropy_production=prod,
-            power_mechanical=P_W,
-            power_heating=P_H,
-            power_matter=P_M,
-            first_law_residual=(E - E[0]) - _cumulative_trapezoid(traj.t, P_W + P_H + P_M),
+            first_law_residual=(E - E[0]) - _cumulative_trapezoid(traj.t, P),
         )
     return InvariantSeries(
         t=traj.t.copy(),
-        t_mid=t_mid,
+        t_mid=mid[0],
         energy=E,
         covariant_energy=ce,
         covariant_energy_drift=ce - ce[0],
-        energy_balance_residual=ebr,
+        energy_balance_residual=ptdot - d_t - lam_B,
         kinematic_residual=kin,
         **thermo,
     )

@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import ChordNewton, SingularJacobianError, StepFailureError, Trajectory
-from .dynamics import _cumulative_trapezoid
+from .dynamics import ChordNewton, OutsideDomainError, SingularJacobianError, StepFailureError
+from .dynamics import Trajectory, monitor_invariants
 from .geometry import ConstraintSet, PontryaginState, _conform
 from .lagrangian import (
     ExternalForce,
@@ -70,7 +70,7 @@ __all__ = [
 ]
 
 
-class NonpositiveTemperatureError(RuntimeError):
+class NonpositiveTemperatureError(OutsideDomainError):
     """Raised when -dL_mech/dS is not positive at an evaluation point."""
 
 
@@ -115,7 +115,13 @@ class ThermoLayout:
 
 @dataclass(frozen=True)
 class ThermoState:
-    """Core open-system state (q, v_q, S, N, Gamma, W, Sigma)."""
+    """Core open-system state (q, v_q, S, N, Gamma, W, Sigma).
+
+    Built through __init__ it is one point: q and v_q of shape (n_q,), the
+    rest floats. The passes over a whole trajectory build states whose q and
+    v_q have shape (K, n_q) and whose other fields are arrays of shape (K,),
+    one entry per node.
+    """
 
     q: np.ndarray
     v_q: np.ndarray
@@ -125,8 +131,8 @@ class ThermoState:
     W: float
     Sigma: float
 
-    # (mech, -dL_mech/dS) on a state built at an open-system point (see
-    # _Point), whose arrays are read-only; None on any other state.
+    # (mech, -dL_mech/dS) on a state built by _with_temperature; None on
+    # any other state.
     _T = None
 
     def __post_init__(self):
@@ -150,6 +156,12 @@ class MechanicalLagrangian:
     and d_vN (shape (n_q,)) are needed by the reduced path only when the mass
     matrix depends on q, S or N; None means identically zero, exact for
     constant mass matrices.
+
+    value, d_q, d_v, d_S and d_N broadcast over a leading node axis: given q
+    and v of shape (K, n_q) and S, N of shape (K,), they return shape (K,)
+    or (K, n_q), each entry bitwise equal to the call at that node alone (a
+    dot product over q uses _dot). d_vv and the cross derivatives are only
+    evaluated at single points.
     """
 
     n_q: int
@@ -172,7 +184,9 @@ class PortModel:
     it, both (t, state) -> float. mu and T_port give the reservoir chemical
     potential and temperature as (t, state) -> float; reservoirs defined by
     pure schedules simply ignore the state argument, while matched ports may
-    track the system's own intensive variables.
+    track the system's own intensive variables. Every callable broadcasts:
+    given node times t of shape (K,) and a state over K nodes it returns a
+    float or an array of shape (K,), entry by entry the value at that node.
     """
 
     J: Callable[[float, ThermoState], float]
@@ -203,7 +217,10 @@ class PortModel:
 
 @dataclass(frozen=True)
 class HeatSourceModel:
-    """Pure heating port: entropy flow J_S at source temperature T_source."""
+    """Pure heating port: entropy flow J_S at source temperature T_source.
+
+    Both callables broadcast over node arrays as PortModel's do.
+    """
 
     J_S: Callable[[float, ThermoState], float]
     T_source: Callable[[float, ThermoState], float]
@@ -214,8 +231,9 @@ class SimpleOpenSystem:
     """Open system: mechanics plus entropy/matter bookkeeping and its ports.
 
     friction gives the friction force covector (t, state) -> (n_q,) acting on
-    q (None means zero), f_ext an external force of the same signature. ports
-    and sources are the matter and heating connections.
+    q (None means zero), f_ext an external force of the same signature; over
+    K nodes both return shape (K, n_q), or a shape that broadcasts to it.
+    ports and sources are the matter and heating connections.
     """
 
     mech: MechanicalLagrangian
@@ -245,10 +263,19 @@ class SimpleOpenSystem:
 
 def _new_state(q: np.ndarray, v_q: np.ndarray, scalars: np.ndarray) -> ThermoState:
     # A ThermoState holding the float64 arrays q and v_q as given and the
-    # slots (S, N, Gamma, W, Sigma) of `scalars`, without __init__'s coercion.
+    # slots (S, N, Gamma, W, Sigma) of `scalars`, without __init__'s
+    # coercion: floats from one row, or node columns from a (K, 5) array.
     ts = object.__new__(ThermoState)
-    S, N, Gamma, W, Sigma = scalars.tolist()
+    S, N, Gamma, W, Sigma = scalars.tolist() if scalars.ndim == 1 else scalars.T
     ts.__dict__.update(q=q, v_q=v_q, S=S, N=N, Gamma=Gamma, W=W, Sigma=Sigma)
+    return ts
+
+
+def _with_temperature(sys: SimpleOpenSystem, ts: ThermoState) -> ThermoState:
+    # ts given (mech, -dL_mech/dS), which temperature(), d_x, matched ports
+    # and conduction sources read instead of evaluating it again.
+    T = -sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N)
+    ts.__dict__["_T"] = (sys.mech, T if isinstance(ts.S, np.ndarray) else float(T))
     return ts
 
 
@@ -262,62 +289,86 @@ def state_from_arrays(
     return _new_state(x[lay.q].copy(), _conform(v, (lay.n,))[lay.q].copy(), x[lay.S :])
 
 
+def _node_state(sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray) -> ThermoState:
+    # The state over the rows of (K, n) arrays x and v, carrying its
+    # temperature; its fields are views of x and v.
+    lay = sys.layout
+    return _with_temperature(sys, _new_state(x[:, lay.q], v[:, lay.q], x[:, lay.S :]))
+
+
 class _Point:
     # The open-system model at one (t, x, w), from a state that owns its
     # arrays. Everything evaluated there shares the state, made read-only and
-    # given (mech, -dL_mech/dS) for temperature() and d_x, and the constraint
-    # row (A, B), built on first use.
+    # given its temperature, and the constraint row (A, B), built on first use.
     __slots__ = ("t", "ts", "row")
 
     def __init__(self, sys: SimpleOpenSystem, t: float, ts: ThermoState):
         ts.q.setflags(write=False)
         ts.v_q.setflags(write=False)
-        ts.__dict__["_T"] = (sys.mech, -float(sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N)))
-        self.t, self.ts, self.row = t, ts, None
+        self.t, self.ts, self.row = t, _with_temperature(sys, ts), None
 
 
-def temperature(sys: SimpleOpenSystem, ts: ThermoState) -> float:
-    """Temperature -dL_mech/dS; raises when it is not positive."""
+def _dot(a: np.ndarray, b: np.ndarray):
+    # a @ b over the last axis: a float at one point, one entry per node over
+    # (K, n) arrays. The stacked matmul runs the same dot kernel per row as
+    # a @ b does, so the bits match; einsum and (a * b).sum(-1) round
+    # differently.
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def temperature(sys: SimpleOpenSystem, ts: ThermoState):
+    """Temperature -dL_mech/dS; raises when it is not positive.
+
+    A float at one point; over K nodes an array, and the error names the
+    first node where it is not positive.
+    """
 
     known = ts._T
     if known is not None and known[0] is sys.mech:
         T = known[1]
+    elif isinstance(ts.S, np.ndarray):
+        T = -sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N)
     else:
         T = -float(sys.mech.d_S(ts.q, ts.v_q, ts.S, ts.N))
-    if not T > 0.0:
-        raise NonpositiveTemperatureError(
-            f"temperature -dL/dS = {T!r} at S = {ts.S!r}, N = {ts.N!r}; "
-            "the thermodynamic part is outside its physical domain"
-        )
+    if isinstance(T, np.ndarray):
+        bad = ~(T > 0.0)
+        if bad.any():
+            k = int(bad.argmax())
+            _nonpositive(float(T[k]), float(ts.S[k]), float(ts.N[k]), f" (node {k})")
+    elif not T > 0.0:
+        _nonpositive(T, ts.S, ts.N, "")
     return T
 
 
-def chemical_potential(sys: SimpleOpenSystem, ts: ThermoState) -> float:
-    """Chemical potential -dL_mech/dN."""
-
-    return -float(sys.mech.d_N(ts.q, ts.v_q, ts.S, ts.N))
-
-
-def _port_sums(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> tuple:
-    # The sums J, J_S_ports, J_S_sources, P_M, P_H of _ModelPoint. The DAE
-    # row reads only these, and skips _model_point's mu and production terms.
-    J = JS_a = P_M = 0.0
-    for port in sys.ports:
-        j = float(port.J(t, ts))
-        js = float(port.J_S(t, ts))
-        J += j
-        JS_a += js
-        P_M += j * float(port.mu(t, ts)) + js * float(port.T_port(t, ts))
-    JS_b = P_H = 0.0
-    for src in sys.sources:
-        js = float(src.J_S(t, ts))
-        JS_b += js
-        P_H += js * float(src.T_source(t, ts))
-    return J, JS_a, JS_b, P_M, P_H
+def _nonpositive(T: float, S: float, N: float, where: str):
+    raise NonpositiveTemperatureError(
+        f"temperature -dL/dS = {T!r} at S = {S!r}, N = {N!r}{where}; "
+        "the thermodynamic part is outside its physical domain"
+    )
 
 
-class _ModelPoint(NamedTuple):
-    # Everything the open-system model gives at one (t, ThermoState).
+def chemical_potential(sys: SimpleOpenSystem, ts: ThermoState):
+    """Chemical potential -dL_mech/dN (a float, or one entry per node)."""
+
+    mu = -sys.mech.d_N(ts.q, ts.v_q, ts.S, ts.N)
+    return mu if isinstance(ts.S, np.ndarray) else float(mu)
+
+
+def _force(f, t, ts: ThermoState) -> np.ndarray:
+    # The covector f(t, ts) on q, shape (n_q,) or (K, n_q); None is zero.
+    shape = ts.q.shape
+    if f is None:
+        return np.zeros(shape)
+    if len(shape) == 1:
+        return _conform(f(t, ts), shape)
+    return np.broadcast_to(np.asarray(f(t, ts), dtype=float), shape)
+
+
+class _Balance(NamedTuple):
+    # The entropy production balance at (t, state): floats at one point,
+    # arrays of one entry per node over K nodes.
     T: float
     mu: float
     F_fr: np.ndarray    # friction force
@@ -333,47 +384,72 @@ class _ModelPoint(NamedTuple):
     total: float
 
 
-def _model_point(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> _ModelPoint:
-    # One call of each model callable at the point, for reduced_rhs,
-    # entropy_production, power_flows and monitor_invariants. Each sum keeps
-    # the operation order of its formula.
-    T = temperature(sys, ts)
-    mu = chemical_potential(sys, ts)
-    F_fr = _friction_vec(sys, t, ts)
+def _flows(sys: SimpleOpenSystem, t, ts: ThermoState, T, mu=None) -> tuple:
+    # J, J_S of the ports, J_S of the sources, P_M and P_H at (t, ts), and,
+    # given mu, the mixing and heating production terms: one call of each
+    # port and source callable, summed left to right in each formula's
+    # operation order, at one point or over all nodes at once.
     J = JS_a = P_M = mixing = 0.0
     for port in sys.ports:
-        j = float(port.J(t, ts))
-        js = float(port.J_S(t, ts))
-        mu_a = float(port.mu(t, ts))
-        T_a = float(port.T_port(t, ts))
+        j, js = port.J(t, ts), port.J_S(t, ts)
+        mu_a, T_a = port.mu(t, ts), port.T_port(t, ts)
         J += j
         JS_a += js
         P_M += j * mu_a + js * T_a
-        mixing += (j * (mu_a - mu) + js * (T_a - T)) / T
+        if mu is not None:
+            mixing += (j * (mu_a - mu) + js * (T_a - T)) / T
     JS_b = P_H = heating = 0.0
     for src in sys.sources:
-        js = float(src.J_S(t, ts))
-        T_b = float(src.T_source(t, ts))
+        js, T_b = src.J_S(t, ts), src.T_source(t, ts)
         JS_b += js
         P_H += js * T_b
-        heating += js * (T_b - T) / T
-    fric = -float(F_fr @ ts.v_q) / T
-    return _ModelPoint(
-        T, mu, F_fr, _f_ext_vec(sys, t, ts), J, JS_a, JS_b, P_M, P_H,
+        if mu is not None:
+            heating += js * (T_b - T) / T
+    if isinstance(T, np.ndarray):
+        # Constant schedules give floats; every sum has one entry per node.
+        return np.broadcast_arrays(J, JS_a, JS_b, P_M, P_H, mixing, heating, T)[:-1]
+    return J, JS_a, JS_b, P_M, P_H, mixing, heating
+
+
+def _balance(sys: SimpleOpenSystem, t, ts: ThermoState) -> _Balance:
+    # The whole balance, for reduced_rhs, entropy_production, power_flows
+    # and the diagnostics.
+    T = temperature(sys, ts)
+    mu = chemical_potential(sys, ts)
+    F_fr = _force(sys.friction, t, ts)
+    J, JS_a, JS_b, P_M, P_H, mixing, heating = _flows(sys, t, ts, T, mu)
+    fric = -_dot(F_fr, ts.v_q) / T
+    return _Balance(
+        T, mu, F_fr, _force(sys.f_ext, t, ts), J, JS_a, JS_b, P_M, P_H,
         fric, mixing, heating, fric + mixing + heating,
     )
 
 
-def _friction_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
-    if sys.friction is None:
-        return np.zeros(sys.n_q)
-    return _conform(sys.friction(t, ts), (sys.n_q,))
+def _balance_row(sys: SimpleOpenSystem, F_fr, J_S, J, T, P) -> tuple[np.ndarray, np.ndarray]:
+    # Entropy production balance as one affine velocity constraint A v + B = 0:
+    #   <F_fr, v_q> + (sum J_S) v_Gamma + (sum J) v_W + T v_Sigma
+    #     - sum_a (J mu^a + J_S T^a) - sum_b (J_S T^b) = 0
+    # with T = -dL_mech/dS so the Sigma coefficient equals -dL_mech/dS, and
+    # P = P_M + P_H. A is (1, n) and B (1,) at a point; over K nodes,
+    # (K, 1, n) and (K, 1).
+    lay = sys.layout
+    point = F_fr.ndim == 1
+    A = np.zeros((1, lay.n) if point else (len(F_fr), 1, lay.n))
+    slots = A[0] if point else A[:, 0].T  # slots[i]: slot i, or its node column
+    slots[lay.q] = F_fr.T
+    slots[lay.Gamma] = J_S
+    slots[lay.W] = J
+    slots[lay.Sigma] = T
+    return A, np.array([-P]) if point else -P[:, None]
 
 
-def _f_ext_vec(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
-    if sys.f_ext is None:
-        return np.zeros(sys.n_q)
-    return _conform(sys.f_ext(t, ts), (sys.n_q,))
+def _constraint_row(
+    sys: SimpleOpenSystem, t: float, ts: ThermoState
+) -> tuple[np.ndarray, np.ndarray]:
+    # The DAE row reads no production terms and no mu.
+    T = temperature(sys, ts)
+    J, JS_a, JS_b, P_M, P_H, _, _ = _flows(sys, t, ts, T)
+    return _balance_row(sys, _force(sys.friction, t, ts), JS_a + JS_b, J, T, P_M + P_H)
 
 
 def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
@@ -383,7 +459,8 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     Hessian is invertible only on the q block, which is declared as the
     regular block; the extension is deliberately degenerate in the
     thermodynamic velocities. d_x and d_v read the system's open-system
-    point at (t, x, v), which the velocity-side row shares.
+    point at (t, x, v), which the velocity-side row shares. value also takes
+    node arrays t (K,), x and v (K, n) and returns one value per node.
     """
 
     lay = sys.layout
@@ -392,15 +469,14 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     points = sys._points
 
     def split(x, v):
-        return x[lay.q], v[lay.q], x[lay.S], x[lay.N], x[lay.Sigma]
+        # x.T[i] is slot i at one point and the node column of a (K, n) x.
+        xT = x.T
+        return x[..., lay.q], v[..., lay.q], xT[lay.S], xT[lay.N], xT[lay.Sigma]
 
     def value(t, x, v):
         q, vq, S, N, Sigma = split(x, v)
-        return (
-            float(mech.value(q, vq, S, N))
-            + v[lay.W] * N
-            + v[lay.Gamma] * (S - Sigma)
-        )
+        vT = v.T
+        return mech.value(q, vq, S, N) + vT[lay.W] * N + vT[lay.Gamma] * (S - Sigma)
 
     def d_t(t, x, v):
         return 0.0
@@ -438,39 +514,6 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
         d_vv=d_vv,
         regular_block=tuple(range(sys.n_q)),
     )
-
-
-def _balance_row(lay: ThermoLayout, F_fr, J_S, J, T, P_M, P_H) -> tuple[np.ndarray, np.ndarray]:
-    # Entropy production balance as one affine velocity constraint A v + B = 0:
-    #   <F_fr, v_q> + (sum J_S) v_Gamma + (sum J) v_W + T v_Sigma
-    #     - sum_a (J mu^a + J_S T^a) - sum_b (J_S T^b) = 0
-    # with T = -dL_mech/dS so the Sigma coefficient equals -dL_mech/dS.
-    A = np.zeros((1, lay.n))
-    A[0, lay.q] = F_fr
-    A[0, lay.Gamma] = J_S
-    A[0, lay.W] = J
-    A[0, lay.Sigma] = T
-    return A, np.array([-(P_M + P_H)])
-
-
-def _constraint_row(
-    sys: SimpleOpenSystem, t: float, ts: ThermoState
-) -> tuple[np.ndarray, np.ndarray]:
-    T = temperature(sys, ts)
-    J, JS_a, JS_b, P_M, P_H = _port_sums(sys, t, ts)
-    return _balance_row(sys.layout, _friction_vec(sys, t, ts), JS_a + JS_b, J, T, P_M, P_H)
-
-
-def _row_offset(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> float:
-    # _constraint_row's B, bit for bit, without A; keeps the row's T > 0 check.
-    temperature(sys, ts)
-    *_, P_M, P_H = _port_sums(sys, t, ts)
-    return -(P_M + P_H)
-
-
-def _known_state(sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray) -> ThermoState:
-    # state_from_arrays carrying its temperature, as on an open-system point.
-    return _Point(sys, None, state_from_arrays(sys, x, v)).ts
 
 
 def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo) -> ConstraintSet:
@@ -578,7 +621,7 @@ def entropy_production(
       + (1/T) sum_b J_S^b (T^b - T).
     """
 
-    m = _model_point(sys, t, ts)
+    m = _balance(sys, t, ts)
     return EntropyBreakdown(m.total, m.friction, m.mixing, m.heating)
 
 
@@ -598,8 +641,8 @@ class PowerFlows:
 def power_flows(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> PowerFlows:
     """External power flows at a state."""
 
-    m = _model_point(sys, t, ts)
-    return PowerFlows(mechanical=float(m.F_ext @ ts.v_q), heating=m.P_H, matter=m.P_M)
+    m = _balance(sys, t, ts)
+    return PowerFlows(mechanical=_dot(m.F_ext, ts.v_q), heating=m.P_H, matter=m.P_M)
 
 
 @dataclass(frozen=True)
@@ -630,10 +673,8 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
     """
 
     mech = sys.mech
-    m = _model_point(sys, t, ts)
-
-    Ndot = m.J
-    Sdot = m.total + m.J_S_ports + m.J_S_sources
+    m = _balance(sys, t, ts)
+    Sdot, Ndot, Gammadot, Wdot, Sigmadot = _bookkeeping_rates(m)
     q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
     n_q = sys.n_q
     rhs = _conform(mech.d_q(q, vq, S, N), (n_q,)) + m.F_fr + m.F_ext
@@ -650,27 +691,33 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
         vqdot=_mass_solve(M, rhs),
         Sdot=Sdot,
         Ndot=Ndot,
-        Gammadot=m.T,
-        Wdot=m.mu,
-        Sigmadot=m.total,
+        Gammadot=Gammadot,
+        Wdot=Wdot,
+        Sigmadot=Sigmadot,
         pGammadot=m.J_S_ports + m.J_S_sources,
         pWdot=m.J,
         ptdot=-(m.P_M + m.P_H),
     )
 
 
+def _bookkeeping_rates(m: _Balance) -> tuple:
+    # The rates (Sdot, Ndot, Gammadot, Wdot, Sigmadot) of the reduced path:
+    # S gains the production and the entropy inflow, Sigma the production.
+    return m.total + m.J_S_ports + m.J_S_sources, m.J, m.T, m.mu, m.total
+
+
 def momenta_from_state(sys: SimpleOpenSystem, ts: ThermoState) -> np.ndarray:
     """Momenta of the extended Lagrangian along valid states.
 
     p_q is the mechanical fiber derivative, p_Gamma = S - Sigma, p_W = N, and
-    the S, N, Sigma slots vanish.
+    the S, N, Sigma slots vanish. Over K nodes the result has shape (K, n).
     """
 
     lay = sys.layout
-    p = np.zeros(lay.n)
-    p[lay.q] = _conform(sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N), (sys.n_q,))
-    p[lay.Gamma] = ts.S - ts.Sigma
-    p[lay.W] = ts.N
+    p = np.zeros(ts.q.shape[:-1] + (lay.n,))
+    p[..., lay.q] = sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N)
+    p[..., lay.Gamma] = ts.S - ts.Sigma
+    p[..., lay.W] = ts.N
     return p
 
 
@@ -700,8 +747,11 @@ def _reduced_state_vector(ts: ThermoState) -> np.ndarray:
 
 
 def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoState:
+    # The state of a reduced vector y, or over the rows of a 2-d y, carrying
+    # its temperature.
     n_q = sys.n_q
-    return _new_state(y[:n_q], y[n_q : 2 * n_q], y[2 * n_q :])
+    ts = _new_state(y[..., :n_q], y[..., n_q : 2 * n_q], y[..., 2 * n_q :])
+    return _with_temperature(sys, ts)
 
 
 def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> tuple:
@@ -789,16 +839,13 @@ def run_reduced(
         pts[k + 1] = pts[k] + h * ptdots[y.tobytes()]
 
     x, v = _lift(n_q, ys, rates)
-    p = np.empty_like(x)
-    for k in range(K + 1):
-        p[k] = momenta_from_state(sys, _reduced_state_from_vector(sys, ys[k]))
     return Trajectory(
         formulation="reduced",
         h=float(h),
         t=t0 + h * np.arange(K + 1),
         x=x,
         v=v,
-        p=p,
+        p=momenta_from_state(sys, _reduced_state_from_vector(sys, ys)),
         pt=pts,
         lam=np.ones((K, 1)),
         newton_iters=iters,
@@ -813,26 +860,45 @@ def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
     momenta evaluated at the averaged point) and the rate is the finite
     difference across the step with dt = 1. Along reduced runs the full
     mixed-bundle residual vanishes at these samples up to round-off for
-    constant mass matrices.
+    constant mass matrices. The midpoints are lifted in one pass over all
+    steps; the bookkeeping velocities need no mass solve.
     """
 
     lay = sys.layout
+    t, x, v, pt = traj.t, traj.x, traj.v, traj.pt
+    tm = 0.5 * (t[:-1] + t[1:])
+    xm = 0.5 * (x[:-1] + x[1:])
+    vqm = 0.5 * (v[:-1, lay.q] + v[1:, lay.q])
+    ym = np.concatenate([xm[:, lay.q], vqm, xm[:, lay.S :]], axis=1)
+    tsm = _reduced_state_from_vector(sys, ym)
+    _, vm = _lift(sys.n_q, ym, np.stack(_bookkeeping_rates(_balance(sys, tm, tsm)), axis=-1))
+    pm = momenta_from_state(sys, tsm)
+    ptm = 0.5 * (pt[:-1] + pt[1:])
     for k in range(traj.n_steps):
-        tm = 0.5 * (traj.t[k] + traj.t[k + 1])
-        xm = 0.5 * (traj.x[k] + traj.x[k + 1])
-        vqm = 0.5 * (traj.v[k][lay.q] + traj.v[k + 1][lay.q])
-        ym = np.concatenate([xm[lay.q], vqm, xm[lay.S :]])
-        tsm = _reduced_state_from_vector(sys, ym)
-        _, vm = _lift(sys.n_q, ym, _reduced_field(sys, tm, ym)[0][2 * sys.n_q :])
-        pm = momenta_from_state(sys, tsm)
-        state = PontryaginState(
-            t=tm,
-            x=xm,
-            v=vm,
-            pt=0.5 * (traj.pt[k] + traj.pt[k + 1]),
-            p=pm,
-        )
+        state = PontryaginState(t=tm[k], x=xm[k], v=vm[k], pt=ptm[k], p=pm[k])
         yield state, traj.midpoint_rate(k), np.ones(1)
+
+
+def _invariant_columns(sys: SimpleOpenSystem, L: TimeLagrangian, traj: Trajectory, mid):
+    # monitor_invariants' open-system columns, each from one array pass: at
+    # the nodes <p, v>, L, the kinematic residual of the row, the power flows
+    # and the production; at the step midpoints mid = (t, x, v), dL/dt and
+    # the row offset B times the multiplier. L follows the node balance, so
+    # that the ideal gas reuses the nodes' exp.
+    t, x, v = traj.t, traj.x, traj.v
+    ts = _node_state(sys, x, v)
+    b = _balance(sys, t, ts)
+    A, B = _balance_row(sys, b.F_fr, b.J_S_ports + b.J_S_sources, b.J, b.T, b.P_M + b.P_H)
+    node_columns = (_dot(traj.p, v), L.value(t, x, v), np.abs(_dot(A[:, 0], v) + B[:, 0]))
+    tsm = _node_state(sys, *mid[1:])
+    P_M, P_H = _flows(sys, mid[0], tsm, temperature(sys, tsm))[3:5]
+    columns = dict(
+        entropy_production=b.total,
+        power_mechanical=_dot(b.F_ext, ts.v_q),
+        power_heating=b.P_H,
+        power_matter=b.P_M,
+    )
+    return (*node_columns, L.d_t(*mid), -(P_M + P_H) * traj.lam[:, 0], columns)
 
 
 def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:
@@ -840,18 +906,11 @@ def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:
 
     The power flows are integrated with the trapezoid rule on the trajectory
     nodes, matching the integrator's order. Returns one residual per node
-    (zero at the first).
+    (zero at the first): monitor_invariants' column of that name.
     """
 
     L = build_extended_lagrangian(sys)
-    K = traj.n_steps
-    E = np.empty(K + 1)
-    P = np.empty(K + 1)
-    for k in range(K + 1):
-        t, xk, vk, pk = traj.t[k], traj.x[k], traj.v[k], traj.p[k]
-        E[k] = float(pk @ vk) - float(L.value(t, xk, vk))
-        P[k] = power_flows(sys, t, state_from_arrays(sys, xk, vk)).total
-    return (E - E[0]) - _cumulative_trapezoid(traj.t, P)
+    return monitor_invariants(L, build_constraints(sys), traj, sys).first_law_residual
 
 
 def random_physical_point(
@@ -933,25 +992,34 @@ def ideal_gas_fixture(
     if c <= 0 or T0 <= 0:
         raise ValueError("heat capacity and reference temperature must be positive")
 
-    def _z(S, N):
-        if N <= 0:
-            raise NonpositiveTemperatureError(
-                f"mole number N = {N!r} must be positive for the ideal gas energy"
-            )
-        return (S - N * s0) / (c * N)
+    # exp(z), z = (S - N s0) / (c N), is evaluated once per state: d_S, d_N
+    # and the energy at one (S, N), or at one pair of node arrays, share it.
+    point = [None, None, None]  # S, N and exp(z) of the last point
+    nodes = [None, None]  # the key and exp(z) of the last node arrays
 
-    def U(S, N):
-        return c * N * T0 * np.exp(_z(S, N))
+    def nonpositive(N):
+        raise NonpositiveTemperatureError(
+            f"mole number N = {float(N)!r} must be positive for the ideal gas energy"
+        )
 
-    def T_of(S, N):
-        return T0 * np.exp(_z(S, N))
+    def e_of(S, N):
+        if type(S) is np.ndarray or type(N) is np.ndarray:
+            S, N = np.asarray(S), np.asarray(N)
+            key = (S.shape, S.tobytes(), N.shape, N.tobytes())
+            if key != nodes[0]:
+                if (N <= 0).any():
+                    nonpositive(N[N <= 0][0])
+                nodes[:] = key, np.exp((S - N * s0) / (c * N))
+            return nodes[1]
+        if not (S == point[0] and N == point[1]):
+            if N <= 0:
+                nonpositive(N)
+            point[:] = S, N, np.exp((S - N * s0) / (c * N))
+        return point[2]
 
     def value(q, v, S, N):
-        return (
-            0.5 * mass * float(v @ v)
-            - 0.5 * stiffness * float(q @ q)
-            - U(S, N)
-        )
+        U = c * N * T0 * e_of(S, N)  # in this product order
+        return 0.5 * mass * _dot(v, v) - 0.5 * stiffness * _dot(q, q) - U
 
     def d_q(q, v, S, N):
         return -stiffness * q
@@ -960,10 +1028,10 @@ def ideal_gas_fixture(
         return mass * v
 
     def d_S(q, v, S, N):
-        return -T_of(S, N)
+        return -(T0 * e_of(S, N))
 
     def d_N(q, v, S, N):
-        return -T_of(S, N) * (c - S / N)
+        return -(T0 * e_of(S, N)) * (c - S / N)
 
     mass_matrix = _read_only(mass * np.eye(n_q))
 

@@ -451,34 +451,37 @@ def forced_thermo_cfg():
 def test_run_evaluates_each_node_diagnostic_once(tmp_path, monkeypatch):
     problem = build_problem(forced_thermo_cfg())
     traj = cli.run_formulation(problem, "pontryagin")
-    K = traj.n_steps
     calls = {
         "L.value": 0,
-        "_model_point": 0,
+        "_balance": 0,
+        "_flows": 0,
         "power_flows": 0,
         "entropy_production": 0,
         "first_law_residual": 0,
     }
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     problem = dataclasses.replace(
         problem, L=dataclasses.replace(problem.L, value=counted("L.value", problem.L.value))
     )
-    for name in ("_model_point", "power_flows", "entropy_production", "first_law_residual"):
+    for name in ("_balance", "_flows", "power_flows", "entropy_production", "first_law_residual"):
         monkeypatch.setattr(th, name, counted(name, getattr(th, name)))
     monkeypatch.setattr(cli, "run_formulation", lambda problem, formulation: traj)
     passed, summary, _ = cli._run_and_report(problem, "pontryagin", tmp_path, None)
     assert passed, summary
-    # One model evaluation per node feeds the power flows and the production.
+    # One balance over all K + 1 nodes feeds the power flows and the
+    # production, the port and source sums over all K step midpoints the
+    # energy balance, and L is evaluated once over all nodes.
     assert calls == {
-        "L.value": K + 1,
-        "_model_point": K + 1,
+        "L.value": 1,
+        "_balance": 1,
+        "_flows": 2,
         "power_flows": 0,
         "entropy_production": 0,
         "first_law_residual": 0,
@@ -925,3 +928,91 @@ def test_invariants_csv_of_a_run_without_steps_is_its_header(tmp_path):
     header = ["t_mid", "covariant_energy_drift", "energy_balance_residual",
               "entropy_decomposition_residual"]
     assert (tmp_path / "inv.csv").read_bytes() == csv_writer_bytes(header, np.empty((0, 4)))
+
+
+# -- exit codes over random configs ----------------------------------------
+
+
+def schedules(lo, hi):
+    # A constant or a two-knot table between lo and hi.
+    value = st.floats(lo, hi, allow_nan=False)
+    return value | st.tuples(value, value).map(lambda ab: [[0.0, ab[0]], [1.0, ab[1]]])
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs that load, from calm to stiff: short horizons, order-one to
+    large flows and steps, so that runs pass, miss a tolerance or fail to
+    solve."""
+
+    h = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    integrator = {"h": h, "horizon": h * draw(st.integers(1, 6))}
+    if draw(st.integers(0, 3)) == 0:
+        return {
+            "system": {
+                "kind": "nonholonomic_particle",
+                "mass": draw(st.floats(0.2, 5.0)),
+                "beta": draw(schedules(-3.0, 3.0)),
+            },
+            "initial": {"x": [0.0, 0.0], "v": [draw(st.floats(-2.0, 2.0)), 0.0]},
+            "integrator": integrator,
+        }
+    n_q = draw(st.integers(1, 2))
+    ports = []
+    for _ in range(draw(st.integers(0, 2))):
+        port = {"J": draw(schedules(-3.0, 3.0)), "molar_entropy": draw(schedules(0.0, 2.0))}
+        if draw(st.booleans()):
+            port["matched"] = True
+        else:
+            port.update(mu=draw(schedules(-1.0, 1.0)), T=draw(schedules(0.5, 2.0)))
+        ports.append(port)
+    system = {
+        "kind": "ideal_gas",
+        "n_q": n_q,
+        "c": draw(st.floats(0.3, 3.0)),
+        "T0": draw(st.floats(0.3, 3.0)),
+        "s0": draw(st.floats(0.0, 2.0)),
+        "mass": draw(st.floats(0.2, 5.0)),
+        "stiffness": draw(st.floats(0.2, 5.0)),
+        "friction_gamma": draw(st.floats(0.0, 1.0)),
+        "ports": ports,
+        "sources": [
+            {"kappa": draw(st.floats(0.0, 2.0)), "T": draw(schedules(0.5, 2.0))}
+            for _ in range(draw(st.integers(0, 1)))
+        ],
+    }
+    if draw(st.booleans()):
+        system["external_force"] = [draw(schedules(-1.0, 1.0)) for _ in range(n_q)]
+        if n_q == 1:
+            system["external_force"] = system["external_force"][0]
+    return {
+        "system": system,
+        "initial": {
+            "q": [draw(st.floats(-1.0, 1.0)) for _ in range(n_q)],
+            "v_q": [draw(st.floats(-1.0, 1.0)) for _ in range(n_q)],
+            "S": draw(st.floats(0.2, 2.0)),
+            "N": draw(st.floats(0.2, 2.0)),
+        },
+        "integrator": integrator,
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=valid_configs(), command=st.sampled_from(["run", "compare", "check"]))
+def test_commands_end_in_a_documented_exit_code_in_one_line(tmp_path_factory, cfg, command):
+    # run, compare and check end in exit 0, 1, 2 or 3, never in a traceback;
+    # a config or solver error is one line on stderr, with no numpy warning.
+    out = tmp_path_factory.mktemp("out")
+    path = write_cfg(out, cfg)
+    args = {
+        "run": ["--out", str(out)],
+        "compare": [],
+        "check": ["--samples", "3", "--steps", "3"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = invoke(command, path, *args)
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert result.exit_code in (0, 1, 2, 3), all_text(result)
+    if result.exit_code in (2, 3):
+        assert len(result.stderr.strip().splitlines()) == 1, all_text(result)

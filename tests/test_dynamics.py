@@ -666,3 +666,48 @@ def test_stalled_solve_evaluates_the_guess_residual_once():
     assert len(stalled) == len(fresh) + 2
     assert sum(p.tobytes() == guess.tobytes() for p in stalled) == 1
     assert y.tobytes() == y_fresh.tobytes() and rn == rn_fresh and iters == it_fresh
+
+
+def outside_below_zero(f):
+    # f as a residual whose model is defined only for y > 0, as an open
+    # system is only for a positive temperature.
+    from diracsim.thermo import NonpositiveTemperatureError
+
+    def residual(y):
+        if not y[0] > 0.0:
+            raise NonpositiveTemperatureError(f"temperature -dL/dS = {float(y[0])!r} is not positive")
+        return f(y)
+
+    return residual
+
+
+def test_trial_iterate_outside_the_domain_stalls_and_refreshes():
+    # A stale Jacobian of a tenth of the true slope throws the first chord
+    # update from y = 3 to y = -8, outside the domain. That iterate stalls
+    # the attempt instead of ending the solve, and the retry with a fresh
+    # Jacobian is the fresh solve, bit for bit.
+    from diracsim.dynamics import ChordNewton
+
+    residual = outside_below_zero(lambda y: (y - 2.0) + 0.1 * (y - 2.0) ** 2)
+    guess = np.array([3.0])
+    y_fresh, rn_fresh, it_fresh = ChordNewton(1e-12)._newton(residual, guess)
+    stale = ChordNewton(1e-12)
+    stale._lu = lu_factor(np.array([[0.1]]))
+    y, rn, iters = stale._newton(residual, guess)
+    assert abs(y_fresh[0] - 2.0) < 1e-12
+    assert y.tobytes() == y_fresh.tobytes() and rn == rn_fresh and iters == it_fresh
+    assert stale._lu[0][0, 0] != 0.1  # the Jacobian was refreshed
+
+
+def test_trial_iterates_outside_the_domain_in_both_attempts_fail_the_step():
+    # The root y = -1 lies outside the domain: both attempts leave it, and
+    # the solve ends in one StepFailureError that names the domain error.
+    from diracsim.dynamics import ChordNewton
+
+    residual = outside_below_zero(lambda y: y + 1.0)
+    with pytest.raises(StepFailureError) as info:
+        ChordNewton(1e-12)._newton(residual, np.array([1.0]))
+    message = str(info.value)
+    assert message.startswith("Newton did not converge: residual nan")
+    assert "; a trial iterate was outside the domain: temperature -dL/dS = -1.0" in message
+    assert message.endswith(" is not positive") and "\n" not in message

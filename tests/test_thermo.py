@@ -647,23 +647,24 @@ def test_stalled_reduced_step_retries_once_with_a_fresh_jacobian(monkeypatch):
 
 def make_varying_mass_system():
     """Piston with configuration-dependent mass M(q) = 1 + 0.3 sin q and the
-    ideal gas internal energy; declares the cross second derivatives."""
+    ideal gas internal energy; declares the cross second derivatives. Like
+    every mechanical Lagrangian, it broadcasts over a leading node axis."""
 
     base = ideal_gas_fixture(friction=linear_friction(0.05))
     gas = base.mech
 
     def M(q):
-        return 1.0 + 0.3 * np.sin(q[0])
+        return 1.0 + 0.3 * np.sin(q[..., :1])
 
     def Mp(q):
-        return 0.3 * np.cos(q[0])
+        return 0.3 * np.cos(q[..., :1])
 
     mech = MechanicalLagrangian(
         n_q=1,
-        value=lambda q, v, S, N: 0.5 * M(q) * float(v @ v)
-        + float(gas.value(q, np.zeros(1), S, N)),
-        d_q=lambda q, v, S, N: 0.5 * Mp(q) * float(v @ v)
-        + np.asarray(gas.d_q(q, np.zeros(1), S, N)),
+        value=lambda q, v, S, N: 0.5 * M(q)[..., 0] * v[..., 0] ** 2
+        + gas.value(q, np.zeros_like(v), S, N),
+        d_q=lambda q, v, S, N: 0.5 * Mp(q) * v[..., :1] ** 2
+        + np.asarray(gas.d_q(q, np.zeros_like(v), S, N)),
         d_v=lambda q, v, S, N: M(q) * v,
         d_S=gas.d_S,
         d_N=gas.d_N,
@@ -949,8 +950,9 @@ def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
 
 def test_monitor_invariants_reads_the_node_row_from_the_model_point(monkeypatch):
     # With the open system given, the node's kinematic residual comes from
-    # the model record that feeds the power flows: one state per node, plus
-    # one per step for the midpoint row of the energy balance.
+    # the balance that feeds the power flows: one state over all nodes, plus
+    # one over all step midpoints for the row offset of the energy balance,
+    # and no state per node.
     problem = cli_problem("two_port_piston")
     sys0 = problem.system
     stepper = ImplicitMidpointStepper(
@@ -958,17 +960,20 @@ def test_monitor_invariants_reads_the_node_row_from_the_model_point(monkeypatch)
     )
     traj = stepper.run(problem.initial, problem.h, 20)
     by_row = monitor_invariants(problem.L, build_constraints(sys0), traj)
-    states = []
-    original = thermo_module.state_from_arrays
+    states, per_point = [], []
+    original = thermo_module._node_state
 
-    def counted(*args):
-        states.append(args)
-        return original(*args)
+    def counted(sys, x, v):
+        states.append(x.shape)
+        return original(sys, x, v)
 
-    monkeypatch.setattr(thermo_module, "state_from_arrays", counted)
+    monkeypatch.setattr(thermo_module, "_node_state", counted)
+    monkeypatch.setattr(
+        thermo_module, "state_from_arrays", lambda *args: per_point.append(args)
+    )
     inv = monitor_invariants(problem.L, build_constraints(sys0), traj, thermo_system=sys0)
-    assert len(states) == (traj.n_steps + 1) + traj.n_steps
-    assert len(states) <= 2 * (traj.n_steps + 1)
+    K, n = traj.n_steps, traj.n
+    assert states == [(K + 1, n), (K, n)] and per_point == []
     assert inv.kinematic_residual.tobytes() == by_row.kinematic_residual.tobytes()
     assert inv.energy_balance_residual.tobytes() == by_row.energy_balance_residual.tobytes()
 
@@ -1030,7 +1035,8 @@ def test_monitor_invariants_builds_no_row_and_one_temperature_per_state(name):
     # The open-system pass reads the midpoint offset B without building a
     # constraint row, and each node and midpoint state carries its
     # temperature, which the conduction sources and matched ports read:
-    # -dL/dS runs K + 1 + K times, and no eval_A or eval_B is called.
+    # -dL/dS runs once over the K + 1 nodes and once over the K midpoints,
+    # 2K + 1 distinct states in all, and no eval_A or eval_B is called.
     problem = cli_problem(name)
     sys0, mech = problem.system, problem.system.mech
     stepper = ImplicitMidpointStepper(
@@ -1048,7 +1054,7 @@ def test_monitor_invariants_builds_no_row_and_one_temperature_per_state(name):
     d_S = mech.d_S
 
     def counted(q, v, S, N):
-        temperatures.append((q.tobytes(), v.tobytes(), S, N))
+        temperatures.append(np.column_stack([q, v, S, N]))
         return d_S(q, v, S, N)
 
     # The builder's sources and ports hold the same mechanical Lagrangian.
@@ -1056,7 +1062,8 @@ def test_monitor_invariants_builds_no_row_and_one_temperature_per_state(name):
     inv = monitor_invariants(problem.L, C, traj, thermo_system=sys0)
     K = traj.n_steps
     assert rows == []
-    assert len(temperatures) == 2 * K + 1 and len(set(temperatures)) == 2 * K + 1
+    assert [len(states) for states in temperatures] == [K + 1, K]
+    assert len(np.unique(np.vstack(temperatures), axis=0)) == 2 * K + 1
     assert bits(inv.kinematic_residual) == bits(kin)
     assert bits(inv.energy_balance_residual) == bits(ebr)
     assert bits([inv.power_mechanical, inv.power_heating, inv.power_matter]) == bits(
@@ -1149,7 +1156,7 @@ def ref_port_sums(sys, t, ts):
 def ref_entropy_production(sys, t, ts):
     T = temperature(sys, ts)
     mu = chemical_potential(sys, ts)
-    fric = -float(thermo_module._friction_vec(sys, t, ts) @ ts.v_q) / T
+    fric = -float(thermo_module._force(sys.friction, t, ts) @ ts.v_q) / T
     mixing = 0.0
     for port in sys.ports:
         mixing += (
@@ -1164,7 +1171,7 @@ def ref_entropy_production(sys, t, ts):
 
 def ref_power_flows(sys, t, ts):
     _, _, _, P_M, P_H = ref_port_sums(sys, t, ts)
-    return [float(thermo_module._f_ext_vec(sys, t, ts) @ ts.v_q), P_H, P_M]
+    return [float(thermo_module._force(sys.f_ext, t, ts) @ ts.v_q), P_H, P_M]
 
 
 def ref_reduced_rhs(sys, t, ts):
@@ -1177,8 +1184,8 @@ def ref_reduced_rhs(sys, t, ts):
     q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
     rhs = (
         np.asarray(mech.d_q(q, vq, S, N), dtype=float).reshape(sys.n_q)
-        + thermo_module._friction_vec(sys, t, ts)
-        + thermo_module._f_ext_vec(sys, t, ts)
+        + thermo_module._force(sys.friction, t, ts)
+        + thermo_module._force(sys.f_ext, t, ts)
     )
     M = np.asarray(mech.d_vv(q, vq, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
     vqdot = np.linalg.solve(M, rhs)
@@ -1328,3 +1335,183 @@ def test_random_physical_point_halves_offsets_that_overflow_T():
         keep[[lay.S, lay.N]] = False
         assert pt_.x[keep].tobytes() == ref.x[keep].tobytes()
     assert rng.uniform() == same.uniform()
+
+
+# -- the array pass ---------------------------------------------------------
+
+
+def array_pass_system(n_q):
+    """An open system on n_q coordinates, built by the CLI, with every model
+    part the array pass broadcasts: table and constant schedules, a matched
+    port, a conduction source, friction and an external force."""
+
+    from diracsim import cli
+
+    force = [[[0.0, 0.0], [0.5, 0.1], [1.0, -0.05]]]
+    force += [[[0.0, 0.02 * (i + 1)]] for i in range(n_q - 1)]  # constant components
+    cfg = {
+        "system": {
+            "kind": "ideal_gas", "n_q": n_q, "c": 1.3, "T0": 1.1, "s0": 0.9,
+            "mass": 1.7, "stiffness": 0.8, "friction_gamma": 0.05,
+            "ports": [
+                {
+                    "J": [[0.0, 0.01], [0.5, -0.02], [1.0, 0.03]],
+                    "molar_entropy": [[0.0, 1.0], [1.0, 1.2]],
+                    "mu": [[0.0, 0.02], [1.0, -0.01]],
+                    "T": 1.05,
+                },
+                {"J": 0.02, "molar_entropy": 1.0, "matched": True},
+                {"J": -0.01, "J_S": [[0.0, -0.01], [1.0, 0.0]], "mu": 0.1, "T": [[0.0, 1.0], [1.0, 1.1]]},
+            ],
+            "sources": [
+                {"kappa": 0.05, "T": [[0.0, 1.2], [1.0, 1.0]]},
+                {"J_S": [[0.0, 0.01], [1.0, -0.01]], "T": 1.3},
+            ],
+            "external_force": force if n_q > 1 else force[0],
+        },
+    }
+    return cli._build_thermo_system(cfg)[0]
+
+
+ARRAY_PASS_SYSTEMS = {n_q: array_pass_system(n_q) for n_q in (1, 2, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_q=st.sampled_from([1, 2, 3]), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_array_pass_equals_the_per_node_formula_bitwise(n_q, K, seed):
+    # The balance, the row's sums, the row, the momenta, L and <p, v> over K
+    # nodes at once are, node by node, the bits of the same formulas at that
+    # node alone.
+    sys0 = ARRAY_PASS_SYSTEMS[n_q]
+    lay = sys0.layout
+    rng = np.random.default_rng(seed)
+    # Times between and on the schedule knots, and beyond both ends.
+    t = np.where(rng.uniform(size=K) < 0.3, rng.choice([0.0, 0.5, 1.0], K), rng.uniform(-0.2, 1.2, K))
+    x, v, p = (rng.uniform(-1.0, 1.0, (K, lay.n)) for _ in range(3))
+    x[:, lay.S] = rng.uniform(0.7, 1.3, K)
+    x[:, lay.N] = rng.uniform(0.5, 1.5, K)
+    ts = thermo_module._node_state(sys0, x, v)
+    full = thermo_module._balance(sys0, t, ts)
+    flows = thermo_module._flows(sys0, t, ts, full.T)
+    A, B = thermo_module._balance_row(
+        sys0, full.F_fr, full.J_S_ports + full.J_S_sources, full.J, full.T, full.P_M + full.P_H
+    )
+    L = build_extended_lagrangian(sys0)
+    momenta, energies = momenta_from_state(sys0, ts), L.value(t, x, v)
+    pv, P_W = thermo_module._dot(p, v), thermo_module._dot(full.F_ext, ts.v_q)
+    for k, tk in enumerate(t.tolist()):
+        one = state_from_arrays(sys0, x[k], v[k])
+        at_k = thermo_module._balance(sys0, tk, one)
+        for got, want in zip(full, at_k):
+            assert bits([np.broadcast_to(got, (K,) + np.shape(want))[k]]) == bits([want])
+        flows_k = thermo_module._flows(sys0, tk, one, at_k.T)
+        assert bits([got[k] for got in flows]) == bits(flows_k)
+        assert bits([A[k], B[k]]) == bits(thermo_module._constraint_row(sys0, tk, one))
+        assert bits([momenta[k]]) == bits([momenta_from_state(sys0, one)])
+        assert bits([energies[k]]) == bits([L.value(tk, x[k], v[k])])
+        assert bits([pv[k], P_W[k]]) == bits([p[k] @ v[k], power_flows(sys0, tk, one).mechanical])
+
+
+def test_nonpositive_temperature_at_one_node_names_that_node():
+    # T = S - 1 is not positive at nodes 2 and 3; the error names node 2.
+    base = ideal_gas_fixture()
+    sys0 = dataclasses.replace(
+        base, mech=dataclasses.replace(base.mech, d_S=lambda q, v, S, N: 1.0 - S)
+    )
+    lay = sys0.layout
+    x, v = np.zeros((4, lay.n)), np.zeros((4, lay.n))
+    x[:, lay.S] = [1.5, 2.0, 0.75, 0.5]
+    x[:, lay.N] = [1.0, 1.1, 1.2, 1.3]
+    ts = thermo_module._node_state(sys0, x, v)
+    with pytest.raises(NonpositiveTemperatureError) as info:
+        temperature(sys0, ts)
+    assert str(info.value).startswith("temperature -dL/dS = -0.25 at S = 0.75, N = 1.2 (node 2);")
+    with pytest.raises(NonpositiveTemperatureError) as info:
+        temperature(sys0, state_from_arrays(sys0, x[2], v[2]))
+    assert str(info.value).startswith("temperature -dL/dS = -0.25 at S = 0.75, N = 1.2;")
+
+
+def count_exp(monkeypatch):
+    calls = []
+    exp = np.exp
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return exp(z)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["matched_port_piston", "conduction_piston"])
+def test_ideal_gas_evaluates_exp_once_per_state(monkeypatch, name):
+    # At one state, the temperature, the chemical potential, the matched
+    # port's or the conduction source's reading of them and the energy share
+    # one exp; over a trajectory, the nodes share one array exp and the step
+    # midpoints another.
+    problem = cli_problem(name)
+    sys0, L = problem.system, problem.L
+    stepper = ImplicitMidpointStepper(
+        "pontryagin", lagrangian=L, constraints=problem.vel_constraints
+    )
+    traj = stepper.run(problem.initial, problem.h, 5)
+    x, v = traj.x[3], traj.v[3]
+    ts = state_from_arrays(sys0, x, v)
+    calls = count_exp(monkeypatch)
+    reduced_rhs(sys0, 0.1, ts)
+    energy = L.value(0.1, x, v)
+    assert calls == [()]
+    # The energy keeps its product order c N T0 exp(z).
+    lay, S, N = sys0.layout, x[sys0.layout.S], x[sys0.layout.N]
+    z = (S - N * 1.0) / (1.0 * N)
+    U = 1.0 * N * 1.0 * np.exp(z)
+    want = 0.5 * float(v[lay.q] @ v[lay.q]) - 0.5 * float(x[lay.q] @ x[lay.q]) - U
+    assert bits([energy]) == bits([want + v[lay.W] * N + v[lay.Gamma] * (S - x[lay.Sigma])])
+    del calls[:]
+    monitor_invariants(L, problem.vel_constraints, traj, thermo_system=sys0)
+    assert calls == [(6,), (5,)]
+
+
+@pytest.mark.parametrize("name", ["matched_port_piston", "conduction_piston"])
+def test_reduced_states_carry_their_temperature(monkeypatch, name):
+    # A reduced-path state carries -dL/dS, which the balance, the matched
+    # port and the conduction source read: one evaluation per field
+    # evaluation, and one over all nodes for the final lift.
+    problem = cli_problem(name)
+    mech = problem.system.mech
+    fields, temperatures = count_field_evaluations(monkeypatch), []
+    d_S = mech.d_S
+
+    def counted(q, v, S, N):
+        temperatures.append(np.shape(S))
+        return d_S(q, v, S, N)
+
+    # The builder's sources and ports hold the same mechanical Lagrangian.
+    object.__setattr__(mech, "d_S", counted)
+    run_reduced(problem.system, 0.0, problem.ts0, 1e-3, 20, pt0=problem.initial.pt)
+    assert len(fields) > 20
+    assert temperatures == [()] * len(fields) + [(21,)]
+
+
+def test_step_whose_trial_iterates_leave_the_domain_fails_in_one_line(capsys):
+    # An outflow J = -0.3 / N drains the gas. Near N = 0 the chord iterates
+    # overshoot to N < 0, where the ideal gas raises. Such an iterate stalls
+    # its attempt instead of ending the run; when the retry with a fresh
+    # Jacobian leaves the domain too, the step fails, and the CLI's mapping
+    # ends in exit 3 with one line that names the domain error.
+    from diracsim import cli
+
+    port = PortModel(
+        J=lambda t, ts: -0.3 / ts.N,
+        J_S=lambda t, ts: 0.0,
+        mu=lambda t, ts: 0.0,
+        T_port=lambda t, ts: 1.0,
+    )
+    sys0 = ideal_gas_fixture(ports=(port,))
+    with pytest.raises(SystemExit) as info, cli._exit_codes():
+        run_reduced(sys0, 0.0, small_initial(), 0.05, 40, pt0=0.0)
+    assert info.value.code == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("reduced step 33 (t = 1.6500000000000001) failed: Newton did not")
+    assert "; a trial iterate was outside the domain: mole number N = -" in lines[0]

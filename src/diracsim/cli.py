@@ -29,27 +29,33 @@ from .dynamics import (
     StepFailureError,
     Trajectory,
     _cumulative_trapezoid,
+    _recovered_multipliers,
     initialize_covariant_momentum,
     monitor_invariants,
-    recover_multipliers,
+    recover_multipliers,  # noqa: F401 (the benchmark tracer patches it here)
 )
 from .geometry import (
     ConstraintSet,
     DegenerateConstraintError,
     PhasePoint,
     PontryaginState,
-    dirac_membership_P,
-    dirac_pairing,
-    dirac_rank,
-    random_dirac_element,
+    _dirac_pairing,
+    _dirac_points,
+    _dot,
+    _evaluate,
+    _membership,
+    _random_elements,
+    _slots,
+    dirac_membership_P,  # noqa: F401 (the benchmark tracer patches these three here)
+    dirac_rank,  # noqa: F401
+    random_dirac_element,  # noqa: F401
 )
 from .lagrangian import (
     ExternalForce,
     TimeLagrangian,
+    _covariant_differential,
     check_derivatives,
-    d_covariant_energy,
     legendre_dual,
-    lift_external_force,
 )
 from . import thermo as th
 
@@ -369,19 +375,27 @@ def _nonholonomic_setup(cfg: dict) -> tuple[TimeLagrangian, ConstraintSet]:
     beta = make_schedule(_get(cfg, "system.beta", 0.0), "system.beta")
     n = 2
 
+    # L broadcasts over stacked points, and eval_rows gives the constraint
+    # rows of stacked points.
     L = TimeLagrangian(
         n=n,
-        value=lambda t, x, v: 0.5 * mass * float(v @ v),
+        value=lambda t, x, v: 0.5 * mass * _dot(v, v),
         d_t=lambda t, x, v: 0.0,
         d_x=lambda t, x, v: np.zeros(n),
         d_v=lambda t, x, v: mass * v,
         d_vv=lambda t, x, v: mass * np.eye(n),
+        broadcasts=True,
     )
+
     constraints = ConstraintSet(
         n=n,
         m=1,
         eval_A=lambda t, x, w: np.array([[t, -1.0]]),
         eval_B=lambda t, x, w: np.array([beta(t)]),
+        eval_rows=lambda t, x, w: (
+            np.stack((t, np.full(t.shape, -1.0)), axis=-1)[:, None, :],
+            np.broadcast_to(beta(t), t.shape)[:, None],
+        ),
     )
     return L, constraints
 
@@ -716,7 +730,7 @@ def _exit_codes():
         yield
     except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
         _fail(exc, 2)
-    except (StepFailureError, th.NonpositiveTemperatureError) as exc:
+    except (StepFailureError, th.NonpositiveTemperatureError, DegenerateConstraintError) as exc:
         _fail(exc, 3)
 
 
@@ -833,64 +847,29 @@ def check(config, seed, samples, steps, tol, corrupt):
     click.echo(f"check seed: {seed}  samples: {samples}")
     failures = []
     is_thermo = problem.kind == "ideal_gas"
-    n = problem.L.n
     horizon = problem.n_steps * problem.h
 
-    def sample_point():
-        if is_thermo:
-            return th.random_physical_point(
-                problem.system, rng, problem.ts0, t_span=(0.0, horizon)
-            )
-        return PontryaginState(
-            t=float(rng.uniform(0.0, horizon)),
-            x=rng.uniform(-1.0, 1.0, n),
-            v=rng.uniform(-1.0, 1.0, n),
-            pt=float(rng.uniform(-1.0, 1.0)),
-            p=rng.uniform(-1.0, 1.0, n),
-        )
-
     # Structure at random points: rank, isotropy, membership of construction.
-    expected_rank = 3 * n + 2
-    worst_rank_defect = 0
-    worst_pairing = 0.0
-    worst_member = 0.0
-    for _ in range(samples):
-        pt_ = sample_point()
-        try:
-            r = dirac_rank(pt_, problem.vel_constraints)
-        except DegenerateConstraintError as exc:
-            _fail(exc, 3)
-        worst_rank_defect = max(worst_rank_defect, abs(r - expected_rank))
-        e1 = random_dirac_element(pt_, problem.vel_constraints, rng)
-        e2 = random_dirac_element(pt_, problem.vel_constraints, rng)
-        worst_pairing = max(
-            worst_pairing,
-            abs(dirac_pairing(e1, e2)),
-            abs(dirac_pairing(e1, e1)),
+    with _exit_codes():
+        worst_rank_defect, worst_pairing, worst_member = _structure_pass(
+            problem, rng, samples, horizon
         )
-        rep = dirac_membership_P(pt_, problem.vel_constraints, *e1, tol=tol)
-        worst_member = max(worst_member, max(rep.residuals.values()))
     click.echo(f"rank defect: {worst_rank_defect} (expect 0)")
     click.echo(f"max |pairing| on structure elements: {_fmt(worst_pairing)}")
     click.echo(f"max membership residual (constructed): {_fmt(worst_member)}")
     if worst_rank_defect:
         failures.append("rank")
-    if worst_pairing > 1e-9:
+    if not worst_pairing <= 1e-9:
         failures.append("isotropy")
-    if worst_member > tol:
+    if not worst_member <= tol:
         failures.append("membership-construction")
 
     # Declared derivatives of the Lagrangian.
     if is_thermo:
-        ts0 = problem.ts0
-
-        def dom(r):
-            p = th.random_physical_point(
-                problem.system, r, ts0, t_span=(0.0, horizon)
-            )
-            return p.t, p.x, p.v
-
-        report = check_derivatives(problem.L, sample=dom, n_points=50, seed=seed)
+        sys_ = problem.system
+        u = np.random.default_rng(seed).random((50, th._physical_draws(sys_)))
+        points = th._physical_points(sys_, u, problem.ts0, (0.0, horizon))[:3]
+        report = check_derivatives(problem.L, points=points)
     else:
         report = check_derivatives(problem.L, n_points=50, seed=seed)
     click.echo(
@@ -912,41 +891,21 @@ def check(config, seed, samples, steps, tol, corrupt):
             traj = th.run_reduced(
                 problem.system, problem.initial.t, problem.ts0, problem.h, n_run
             )
-            samples_iter = th.lifted_midpoint_samples(problem.system, traj)
+            states, rates = th._lifted_midpoints(problem.system, traj)
         else:
             h_check = min(problem.h, 2e-4)
             traj = run_formulation(
                 dataclasses.replace(problem, h=h_check, n_steps=n_run), "pontryagin"
             )
-            samples_iter = traj.midpoint_samples()
-
-    slot = problem.system.layout.S if is_thermo else 0
-    slot_name = "p_S" if is_thermo else "p_0"
-    worst_flow: dict[str, float] = {}
-    worst_recover = 0.0
-    for state, rate, lam in samples_iter:
+            states, rates = traj.midpoints()
         if corrupt:
-            p_bad = state.p.copy()
-            p_bad[slot] += corrupt
-            state = PontryaginState(
-                t=state.t, x=state.x, v=state.v, pt=state.pt, p=p_bad
-            )
-        a = d_covariant_energy(problem.L, state)
-        if problem.f_ext_force is not None:
-            lift = lift_external_force(problem.f_ext_force, state.t, state.x, state.v)
-            a = dataclasses.replace(a, alpha=a.alpha - lift.alpha)
-        rep = dirac_membership_P(state, problem.vel_constraints, rate, a, tol=tol)
-        for name, val in rep.residuals.items():
-            worst_flow[name] = max(worst_flow.get(name, 0.0), val)
-        est = recover_multipliers(
-            problem.L,
-            problem.vel_constraints,
-            state,
-            rate,
-            f_ext=problem.f_ext_force,
-        )
-        worst_recover = max(worst_recover, est.residual)
+            p_bad = states[4].copy()
+            p_bad[:, problem.system.layout.S if is_thermo else 0] += corrupt
+            states = (*states[:4], p_bad)
+        worst_flow, worst_recover = _flow_pass(problem, states, rates)
+
     if corrupt:
+        slot_name = "p_S" if is_thermo else "p_0"
         click.echo(f"note: {slot_name} offset by {_fmt(corrupt)} before the checks")
     for name in sorted(worst_flow):
         val = worst_flow[name]
@@ -965,6 +924,85 @@ def check(config, seed, samples, steps, tol, corrupt):
         raise SystemExit(1)
     click.echo("check PASSED")
     raise SystemExit(0)
+
+
+# Points per array pass of `check`: the structure samples and the flow
+# midpoints are evaluated this many at a time, which bounds the memory of
+# any --samples and --steps.
+_BLOCK = 128
+
+
+def _blocks(count: int):
+    # Consecutive slices of at most _BLOCK points covering range(count).
+    return (slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK))
+
+
+def _worst(values) -> float:
+    # The largest entry of the numbers and arrays in values, NaN if any is.
+    return float(np.max(np.concatenate([np.ravel(v) for v in values])))
+
+
+def _structure_pass(problem: Problem, rng, samples: int, horizon: float) -> tuple:
+    # Worst rank defect, |pairing| and membership residual of constructed
+    # elements over `samples` random points. rng gives each point's uniforms,
+    # then the normals of its two random elements, in the order of drawing
+    # one point and its elements at a time. The first point whose rows are
+    # degenerate raises DegenerateConstraintError.
+    C = problem.vel_constraints
+    n, m = C.n, C.m
+    n_basis = 3 * n + 2 - m  # basis coefficients per element, then m row ones
+    n_normal = n_basis + m
+    if problem.kind == "ideal_gas":
+        n_uniform = th._physical_draws(problem.system)
+
+        def points(u):
+            return th._physical_points(problem.system, u, problem.ts0, (0.0, horizon))[:3]
+    else:
+        n_uniform = 3 * n + 2  # t, x, v, pt, p; rng.uniform(lo, hi) is lo + (hi - lo) u
+
+        def points(u):
+            x, v = (-1.0 + 2.0 * u[:, 1 + i * n : 1 + (i + 1) * n] for i in (0, 1))
+            return 0.0 + horizon * u[:, 0], x, v
+
+    rank_defect, pairing, member = 0, [0.0], [0.0]
+    for block in _blocks(samples):
+        K = block.stop - block.start
+        u, g = np.empty((K, n_uniform)), np.empty((K, 2 * n_normal))
+        for k in range(K):
+            rng.random(out=u[k])
+            g[k] = rng.normal(size=2 * n_normal)
+        structure = _dirac_points(C, *points(u))
+        rank_defect = max(rank_defect, int(np.abs(structure.rank() - (3 * n + 2)).max()))
+        g1, g2 = g[:, :n_normal], g[:, n_normal:]
+        e1 = _random_elements(structure, g1[:, :n_basis], g1[:, n_basis:])
+        e2 = _random_elements(structure, g2[:, :n_basis], g2[:, n_basis:])
+        pairing.append(
+            _worst([np.abs(_dirac_pairing(e1, e2, n)), np.abs(_dirac_pairing(e1, e1, n))])
+        )
+        member.append(_worst(list(_membership(structure, *e1)[0].values())))
+    return rank_defect, _worst(pairing), _worst(member)
+
+
+def _flow_pass(problem: Problem, states: tuple, rates: np.ndarray) -> tuple[dict, float]:
+    # Worst residual of each flow membership condition, and the worst
+    # multiplier recovery residual, over the midpoint states (t, x, v, pt, p)
+    # with their rates (rows on P): the rate paired with the differential of
+    # the covariant energy, net of the external force.
+    L, C, force = problem.L, problem.vel_constraints, problem.f_ext_force
+    n = L.n
+    flow, recover = [], [0.0]
+    for block in _blocks(len(rates)):
+        t, x, v, _, p = (a[block] for a in states)
+        rate = rates[block]
+        a = _covariant_differential(L, t, x, v, p)
+        if force is not None:
+            a[:, 1 : n + 1] -= _evaluate(force.value, force.broadcasts, (n,), t, x, v)
+        structure = _dirac_points(C, t, x, v)
+        flow.append(_membership(structure, rate, a)[0])
+        dp = _slots(rate, n)[4]
+        recover.append(_worst(_recovered_multipliers(L, structure.A, t, x, v, dp, force)[1]))
+    worst = {name: _worst([0.0] + [r[name] for r in flow]) for name in flow[0]}
+    return worst, _worst(recover)
 
 
 if __name__ == "__main__":

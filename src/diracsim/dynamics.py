@@ -36,6 +36,10 @@ from .geometry import (
     PontryaginState,
     TangentP,
     TangentTstarY,
+    _dot,
+    _evaluate,
+    _least_squares,
+    _slots,
 )
 from .lagrangian import (
     ExternalForce,
@@ -102,12 +106,6 @@ def _check_section(dt: float) -> None:
         )
 
 
-def _force_vec(f_ext: ExternalForce | None, t, x, v, n: int) -> np.ndarray:
-    if f_ext is None:
-        return np.zeros(n)
-    return np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
-
-
 def _mixed_rows(L, C, t, x, v, p, w, dx, dp, dpt, lam, f_ext):
     # The mixed-bundle rows at (t, x, v, p) on the rate (dx, dp, dpt): velocity
     # match, fiber derivative, momentum balance and pt balance; A, B at (t, x, w).
@@ -118,7 +116,7 @@ def _mixed_rows(L, C, t, x, v, p, w, dx, dp, dpt, lam, f_ext):
     r_fib = p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
     r_mom = dp - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n) - A.T @ lam
     if f_ext is not None:
-        r_mom = r_mom - _force_vec(f_ext, t, x, v, n)
+        r_mom = r_mom - np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
     r_pt = dpt - float(L.d_t(t, x, v)) - float(B @ lam)
     return r_vel, r_fib, r_mom, r_pt, A, B
 
@@ -247,21 +245,21 @@ def recover_multipliers(
     vanishes along exact solutions.
     """
 
-    t, x, v = state.t, state.x, state.v
+    t, x, v, dp = (np.asarray(a)[None] for a in (state.t, state.x, state.v, rate.dp))
+    A = constraints.A(state.t, state.x, state.v)[None]
+    lam, residual = _recovered_multipliers(L, A, t, x, v, dp, f_ext)
+    return MultiplierEstimate(lam=lam[0], residual=float(residual[0]))
+
+
+def _recovered_multipliers(L, A, t, x, v, dp, f_ext) -> tuple[np.ndarray, np.ndarray]:
+    # recover_multipliers at K stacked points t (K,), x, v with their rows A
+    # (K, m, n) and rates dp (K, n): the multipliers (K, m) and the
+    # residuals (K,).
     n = L.n
-    rhs = (
-        rate.dp
-        - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n)
-        - _force_vec(f_ext, t, x, v, n)
-    )
-    A = constraints.A(t, x, v)
-    if constraints.m == 0:
-        return MultiplierEstimate(
-            lam=np.zeros(0), residual=float(np.max(np.abs(rhs), initial=0.0))
-        )
-    lam, *_ = np.linalg.lstsq(A.T, rhs, rcond=None)
-    res = float(np.max(np.abs(A.T @ lam - rhs), initial=0.0))
-    return MultiplierEstimate(lam=lam, residual=res)
+    rhs = dp - _evaluate(L.d_x, L.broadcasts, (n,), t, x, v)
+    if f_ext is not None:
+        rhs = rhs - _evaluate(f_ext.value, f_ext.broadcasts, (n,), t, x, v)
+    return _least_squares(A.transpose(0, 2, 1), rhs)
 
 
 @dataclass(frozen=True)
@@ -311,32 +309,36 @@ class Trajectory:
             t=self.t[k], x=self.x[k], v=self.v[k], pt=self.pt[k], p=self.p[k]
         )
 
+    def midpoints(self, steps: slice = slice(None)) -> tuple[tuple, np.ndarray]:
+        """Averaged states and finite-difference rates of the given steps.
+
+        Returns ((t, x, v, pt, p), rates): the fields of the averaged state at
+        each step's midpoint, one row per step, and each step's rate as a row
+        (dt, dx, dv, dpt, dp) on P with dt = 1 (a section rate).
+        """
+
+        k0, k1, _ = steps.indices(self.n_steps)
+        nodes = [a[k0 : k1 + 1] for a in (self.t, self.x, self.v, self.pt, self.p)]
+        h = nodes[0][1:] - nodes[0][:-1]
+        states = tuple(0.5 * (a[:-1] + a[1:]) for a in nodes)
+        diffs = [((a[1:] - a[:-1]).T / h).T for a in nodes[1:]]
+        return states, np.column_stack([np.ones(len(h)), *diffs])
+
     def midpoint_state(self, k: int) -> PontryaginState:
         """Averaged state at the midpoint of step k."""
 
-        return PontryaginState(
-            t=0.5 * (self.t[k] + self.t[k + 1]),
-            x=0.5 * (self.x[k] + self.x[k + 1]),
-            v=0.5 * (self.v[k] + self.v[k + 1]),
-            pt=0.5 * (self.pt[k] + self.pt[k + 1]),
-            p=0.5 * (self.p[k] + self.p[k + 1]),
-        )
+        return PontryaginState(*(a[0] for a in self.midpoints(slice(k, k + 1))[0]))
 
     def midpoint_rate(self, k: int) -> TangentP:
         """Finite-difference rate across step k, a section rate (dt = 1)."""
 
-        h = self.t[k + 1] - self.t[k]
-        return TangentP(
-            dt=1.0,
-            dx=(self.x[k + 1] - self.x[k]) / h,
-            dv=(self.v[k + 1] - self.v[k]) / h,
-            dpt=(self.pt[k + 1] - self.pt[k]) / h,
-            dp=(self.p[k + 1] - self.p[k]) / h,
-        )
+        return TangentP(*_slots(self.midpoints(slice(k, k + 1))[1][0], self.n))
 
     def midpoint_samples(self) -> Iterator[tuple[PontryaginState, TangentP, np.ndarray]]:
+        (t, x, v, pt, p), rates = self.midpoints()
         for k in range(self.n_steps):
-            yield self.midpoint_state(k), self.midpoint_rate(k), self.lam[k]
+            state = PontryaginState(t=t[k], x=x[k], v=v[k], pt=pt[k], p=p[k])
+            yield state, TangentP(*_slots(rates[k], self.n)), self.lam[k]
 
 
 # Residual floor for the polish iterations after the main tolerance is met.
@@ -722,16 +724,15 @@ def monitor_invariants(
     the constraint row the kinematic residual. The energy balance residual
     is the discrete rate of the momentum conjugate to time minus its law,
     with coefficients at the step midpoint, using the stored midpoint
-    multipliers. Without thermo_system the model is called once per node and
-    step. When thermo_system is given (a SimpleOpenSystem, whose extended
-    Lagrangian L must be), each column is one array pass over all nodes or
-    all step midpoints instead: the open-system balance gives the row, the
-    power flows and the internal entropy production. The first-law residual
-    and the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
+    multipliers. Each column is one array pass over all nodes or all step
+    midpoints (L and constraints that do not broadcast are called per point).
+    When thermo_system is given (a SimpleOpenSystem, whose extended
+    Lagrangian L must be), the open-system balance gives the row, the power
+    flows and the internal entropy production. The first-law residual and
+    the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
     follow from those columns and the state arrays.
     """
 
-    K = traj.n_steps
     # The step midpoints and pt rates, each the same bits as per step.
     mid = (
         0.5 * (traj.t[:-1] + traj.t[1:]),
@@ -740,17 +741,13 @@ def monitor_invariants(
     ptdot = (traj.pt[1:] - traj.pt[:-1]) / (traj.t[1:] - traj.t[:-1])
     thermo = {}
     if thermo_system is None:
-        pv, Lv, kin = (np.empty(K + 1) for _ in range(3))
-        for k in range(K + 1):
-            t, xk, vk = traj.t[k], traj.x[k], traj.v[k]
-            pv[k] = float(traj.p[k] @ vk)
-            Lv[k] = float(L.value(t, xk, vk))
-            A, B = constraints.A(t, xk, vk), constraints.B(t, xk, vk)
-            kin[k] = float(np.abs(A @ vk + B).max(initial=0.0))
-        d_t, lam_B = np.empty(K), np.empty(K)
-        for k, (t, xm, vm) in enumerate(zip(mid[0].tolist(), *mid[1:])):
-            d_t[k] = float(L.d_t(t, xm, vm))
-            lam_B[k] = float(constraints.B(t, xm, vm) @ traj.lam[k])
+        nodes = (traj.t, traj.x, traj.v)
+        A, B = constraints.rows(*nodes)
+        pv = _dot(traj.p, traj.v)
+        Lv = _evaluate(L.value, L.broadcasts, (), *nodes)
+        kin = np.abs(np.matmul(A, traj.v[..., None])[..., 0] + B).max(axis=-1, initial=0.0)
+        d_t = _evaluate(L.d_t, L.broadcasts, (), *mid)
+        lam_B = _dot(constraints.rows(*mid)[1], traj.lam)
     else:
         from .thermo import _invariant_columns
 

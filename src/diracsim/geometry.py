@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import null_space
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DegenerateConstraintError",
@@ -56,6 +56,8 @@ __all__ = [
 
 # Relative singular value threshold for all rank decisions in this module.
 RANK_RTOL = 1e-10
+# Points per stacked SVD of the generators in _DiracStack.rank.
+_RANK_CHUNK = 16
 
 _F64 = np.dtype(np.float64)
 
@@ -66,6 +68,29 @@ def _conform(a, shape: tuple) -> np.ndarray:
     if type(a) is np.ndarray and a.dtype is _F64 and a.shape == shape:
         return a
     return np.asarray(a, dtype=float).reshape(shape)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    # a @ b over the last axis: a float at one point, one entry per point over
+    # stacked (K, n) arrays. The stacked matmul runs the same dot kernel per
+    # row as a @ b does, so the bits match; einsum and (a * b).sum(-1) round
+    # differently.
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _evaluate(fn: Callable, broadcasts: bool, shape: tuple, t, x, w) -> np.ndarray:
+    # fn over K points t (K,), x and w (K, n), as a float array of shape
+    # (K, *shape) that callers must not write to: one call when fn
+    # broadcasts, else one call per point.
+    K = len(t)
+    if broadcasts:
+        return np.broadcast_to(np.asarray(fn(t, x, w), dtype=float), (K, *shape))
+    out = np.empty((K, *shape))
+    for k, tk in enumerate(t.tolist()):
+        out[k] = np.asarray(fn(tk, x[k], w[k]), dtype=float).reshape(shape)
+    return out
 
 
 class DegenerateConstraintError(RuntimeError):
@@ -267,13 +292,18 @@ class ConstraintSet:
 
     eval_A and eval_B depend on (t, x, w) alone: at a point asked for again they
     may share one evaluation of the row, so callers must not write to the
-    arrays they return.
+    arrays they return. eval_rows, if given, evaluates both at K stacked
+    points, t of shape (K,) and x, w of shape (K, n): it returns A and B as
+    (K, m, n) and (K, m) arrays (or arrays that broadcast to those shapes),
+    entry by entry the bits of eval_A and eval_B at that point. Without it,
+    the array passes call eval_A and eval_B point by point.
     """
 
     n: int
     m: int
     eval_A: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     eval_B: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    eval_rows: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -286,6 +316,22 @@ class ConstraintSet:
 
     def B(self, t: float, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         return _conform(self.eval_B(t, x, w), (self.m,))
+
+    def rows(self, t: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A (K, m, n) and B (K, m) at K points t (K,), x and w (K, n);
+        callers must not write to them."""
+
+        if self.eval_rows is None:
+            return (
+                _evaluate(self.eval_A, False, (self.m, self.n), t, x, w),
+                _evaluate(self.eval_B, False, (self.m,), t, x, w),
+            )
+        A, B = self.eval_rows(t, x, w)
+        K = len(t)
+        return (
+            np.broadcast_to(np.asarray(A, dtype=float), (K, self.m, self.n)),
+            np.broadcast_to(np.asarray(B, dtype=float), (K, self.m)),
+        )
 
 
 def unconstrained(n: int) -> ConstraintSet:
@@ -308,13 +354,7 @@ def pair_Y(a: CotangentY, u: TangentY) -> float:
 def pair_P(a: CotangentP, u: TangentP) -> float:
     """Canonical pairing of a covector and a tangent vector on the bundle P."""
 
-    return (
-        a.pi * u.dt
-        + float(a.alpha @ u.dx)
-        + float(a.beta @ u.dv)
-        + a.gamma * u.dpt
-        + float(a.w @ u.dp)
-    )
+    return float(_pair(a.as_vector(), u.as_vector(), u.n))
 
 
 def pair_TstarY(a: CotangentTstarY, u: TangentTstarY) -> float:
@@ -359,12 +399,13 @@ def kinematic_constraint_residual(
     return A @ xdot + B * float(tdot)
 
 
-class _DiracPoint:
-    """The induced Dirac structure at one point, from one row evaluation.
+class _DiracStack:
+    """The induced Dirac structure at K points, from one row evaluation each.
 
-    A, B and M = [B | A] are private copies that passed the full-rank test.
-    The distribution basis costs a null space SVD and is built on first use.
-    No array of the record is handed out; callers get copies or new arrays.
+    A (K, m, n), B (K, m) and M = [B | A] (K, m, n + 1) are private copies
+    that passed the full-rank test at every point. The distribution bases
+    cost one null space SVD per point and are built on first use. No array
+    of the record is handed out; callers get copies or new arrays.
     """
 
     __slots__ = ("A", "B", "M", "_basis")
@@ -372,32 +413,73 @@ class _DiracPoint:
     def __init__(self, A: np.ndarray, B: np.ndarray):
         # Rank decision on the combined rows M; a dependent combination of
         # rows means the annihilator loses a dimension and lstsq multipliers
-        # stop being well defined.
-        M = np.hstack([B[:, None], A])
-        if not np.isfinite(M).all():
+        # stop being well defined. The first point that fails raises.
+        M = np.concatenate((B[..., None], A), axis=-1)
+        finite = np.isfinite(M).all(axis=(1, 2))
+        ok, s = finite, None
+        if M.shape[1]:
+            s = np.linalg.svd(M if finite.all() else np.where(finite[:, None, None], M, 0.0),
+                              compute_uv=False)
+            ok = finite & (s[:, 0] != 0.0) & (s[:, -1] > RANK_RTOL * s[:, 0])
+        if not ok.all():
+            k = int(ok.argmin())
+            if not finite[k]:
+                raise DegenerateConstraintError(
+                    "constraint rows are not finite; the model overflows at this point"
+                )
             raise DegenerateConstraintError(
-                "constraint rows are not finite; the model overflows at this point"
-            )
-        s = np.linalg.svd(M, compute_uv=False) if M.shape[0] else None
-        if s is not None and (s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]):
-            raise DegenerateConstraintError(
-                f"constraint rows are rank deficient: singular values {s}"
+                f"constraint rows are rank deficient: singular values {s[k]}"
             )
         self.A, self.B, self.M, self._basis = A.copy(), B.copy(), M, None
 
     def basis(self) -> np.ndarray:
-        """Distribution basis as rows (dt, dx, dv, dpt, dp): the kernel of M
-        in the (dt, dx) slots, then the identity on (dv, dpt, dp)."""
+        """Distribution bases as rows (dt, dx, dv, dpt, dp), one block of
+        k + 2n + 1 rows per point: the kernel of M in the (dt, dx) slots,
+        then the identity on (dv, dpt, dp)."""
 
         if self._basis is None:
-            m, n1 = self.M.shape
-            kernel = null_space(self.M) if m else np.eye(n1)
-            k = kernel.shape[1]
-            D = np.zeros((k + 2 * n1 - 1, 3 * n1 - 1))
-            D[:k, :n1] = kernel.T
-            D[k:, n1:] = np.eye(2 * n1 - 1)
+            K, m, n1 = self.M.shape
+            k = n1 - m
+            D = np.zeros((K, k + 2 * n1 - 1, 3 * n1 - 1))
+            # The kernel rows are the right singular vectors past the rank m,
+            # as scipy.linalg.null_space takes them: the full-rank test keeps
+            # the smallest singular value far above null_space's cut.
+            D[:, :k, :n1] = np.linalg.svd(self.M, full_matrices=True)[2][:, m:] if m else np.eye(n1)
+            D[:, k:, n1:] = np.eye(2 * n1 - 1)
             self._basis = D
         return self._basis
+
+    def generators(self, points: slice = slice(None)) -> np.ndarray:
+        """Spanning sets of the structure at the given points, one block of
+        k + 2n + 1 + m rows of width 6n + 4 per point: the rows (u, flat(u))
+        for u in the basis, then (0, lifted row of M)."""
+
+        M, D = self.M[points], self.basis()[points]
+        K, m, n1 = M.shape
+        n = n1 - 1
+        k = D.shape[1]
+        G = np.zeros((K, k + m, 6 * n + 4))
+        G[:, :k, : 3 * n + 2] = D
+        G[:, :k, 3 * n + 2 :] = _flat(D, n)
+        G[:, k:, 3 * n + 2 : 4 * n + 3] = M
+        return G
+
+    def rank(self) -> np.ndarray:
+        """Numerical rank of the structure at each point (K,)."""
+
+        # The generators are the largest arrays of a structure pass; taking
+        # their singular values _RANK_CHUNK points at a time keeps each stack
+        # small (about 100 kB for an open system with one q).
+        s = np.concatenate([
+            np.linalg.svd(self.generators(slice(k, k + _RANK_CHUNK)), compute_uv=False)
+            for k in range(0, len(self.M), _RANK_CHUNK)
+        ])
+        return np.where(s[:, 0] == 0.0, 0, (s > RANK_RTOL * s[:, :1]).sum(axis=-1))
+
+
+def _dirac_points(constraints: ConstraintSet, t, x, w) -> _DiracStack:
+    # The structure at K stacked points, from one row evaluation.
+    return _DiracStack(*constraints.rows(t, x, w))
 
 
 # (constraints, (t, x bytes, w bytes), record) of the last point that passed
@@ -406,20 +488,28 @@ class _DiracPoint:
 _last_point: tuple | None = None
 
 
-def _dirac_point(constraints: ConstraintSet, t, x: np.ndarray, w) -> _DiracPoint:
+def _dirac_point(constraints: ConstraintSet, t, x: np.ndarray, w) -> _DiracStack:
+    # The structure at one point, as a stack of one.
     global _last_point
     key = (t, x.tobytes(), np.asarray(w, dtype=float).tobytes())
     last = _last_point
     if last is not None and last[0] is constraints and last[1] == key:
         return last[2]
-    point = _DiracPoint(constraints.A(t, x, w), constraints.B(t, x, w))
+    point = _DiracStack(constraints.A(t, x, w)[None], constraints.B(t, x, w)[None])
     _last_point = (constraints, key, point)
     return point
 
 
 def _slots(vec: np.ndarray, n: int) -> tuple:
-    # (dt, dx, dv, dpt, dp) of a stacked vector on P, as views.
-    return vec[0], vec[1 : n + 1], vec[n + 1 : 2 * n + 1], vec[2 * n + 1], vec[2 * n + 2 :]
+    # (dt, dx, dv, dpt, dp) of a vector on P, or of stacked vectors along
+    # the last axis, as views.
+    return (
+        vec[..., 0],
+        vec[..., 1 : n + 1],
+        vec[..., n + 1 : 2 * n + 1],
+        vec[..., 2 * n + 1],
+        vec[..., 2 * n + 2 :],
+    )
 
 
 def _flat(u: np.ndarray, n: int) -> np.ndarray:
@@ -427,6 +517,20 @@ def _flat(u: np.ndarray, n: int) -> np.ndarray:
     # (dt, dx, dv, dpt, dp) -> (-dpt, -dp, 0, dt, dx).
     zero = np.zeros(u.shape[:-1] + (n,))
     return np.concatenate((-u[..., 2 * n + 1 :], zero, u[..., : n + 1]), axis=-1)
+
+
+def _pair(a: np.ndarray, u: np.ndarray, n: int):
+    # <a, u> of a covector and a vector on P (or of stacked ones along the
+    # last axis), summed slot by slot in the order of the coordinates.
+    pi, alpha, beta, gamma, w = _slots(a, n)
+    dt, dx, dv, dpt, dp = _slots(u, n)
+    return pi * dt + _dot(alpha, dx) + _dot(beta, dv) + gamma * dpt + _dot(w, dp)
+
+
+def _dirac_pairing(e1: tuple, e2: tuple, n: int):
+    # dirac_pairing of (u, a) vectors on P, one entry per stacked pair.
+    (u1, a1), (u2, a2) = e1, e2
+    return _pair(a2, u1, n) + _pair(a1, u2, n)
 
 
 def annihilator_basis(
@@ -442,7 +546,7 @@ def annihilator_basis(
     """
 
     structure = _dirac_point(constraints, t, _vec(x, constraints.n), v)
-    return [CotangentY(pt=b, p=a.copy()) for b, a in zip(structure.B, structure.A)]
+    return [CotangentY(pt=b, p=a.copy()) for b, a in zip(structure.B[0], structure.A[0])]
 
 
 def presymplectic_apply(u: TangentP, w: TangentP) -> float:
@@ -491,9 +595,8 @@ def dirac_pairing(
     family, in particular on the Dirac structure itself.
     """
 
-    u1, a1 = e1
-    u2, a2 = e2
-    return pair_P(a2, u1) + pair_P(a1, u2)
+    vectors = [tuple(part.as_vector() for part in e) for e in (e1, e2)]
+    return float(_dirac_pairing(*vectors, e1[0].n))
 
 
 @dataclass(frozen=True)
@@ -516,27 +619,67 @@ class MembershipReport:
         return name, self.residuals[name]
 
 
-def _membership(
-    structure: _DiracPoint, u, a, residuals: dict[str, float], tol: float
-) -> MembershipReport:
-    # The conditions shared by P and T*Y, after the bundle's own. The span
-    # multipliers solve target = M lam by least squares; M has one column per
-    # constraint row, so with m < n + 1 the system is overdetermined and the
-    # residual measures distance from the span.
+_LSTSQ = getattr(_umath_linalg, "lstsq", None)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.linalg.lstsq(a[k], b[k], rcond=None)[0] for each k, bit for bit:
+    # numpy's lstsq is a gufunc that runs LAPACK gelsd on one matrix at a
+    # time, and it takes a stack; a point that gelsd cannot solve gives NaN
+    # there, not an error. Without that gufunc (numpy < 2), one call per
+    # point.
+    K, rows, cols = a.shape
+    if _LSTSQ is None:
+        return np.array([np.linalg.lstsq(ak, bk, rcond=None)[0] for ak, bk in zip(a, b)]).reshape(
+            K, cols
+        )
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        x = _LSTSQ(a, b[..., None], np.finfo(float).eps * max(rows, cols), signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The least squares solution x of a x = b at each stacked point, a of
+    # shape (K, r, c) and b (K, r), and the max-norm residual |a x - b| of
+    # each: the distance of b from the span of a's columns. With no columns
+    # x is empty and the residual is |b|.
+    if a.shape[2] == 0:
+        return np.zeros(a.shape[:1] + (0,)), np.abs(b).max(axis=-1, initial=0.0)
+    x = _lstsq(a, b)
+    return x, np.abs(np.matmul(a, x[..., None])[..., 0] - b).max(axis=-1, initial=0.0)
+
+
+def _membership(structure: _DiracStack, u: np.ndarray, a: np.ndarray) -> tuple[dict, np.ndarray]:
+    # The violation of each membership condition on P at each point, for
+    # stacked vectors u and covectors a (K, 3n + 2), and the span
+    # multipliers (K, m). They solve target = M lam by least squares; M has
+    # one column per constraint row, so with m < n + 1 the system is
+    # overdetermined and the residual measures distance from the span.
+    n = structure.A.shape[2]
+    dt, dx, _, dpt, dp = _slots(u, n)
+    pi, alpha, beta, gamma, w = _slots(a, n)
     A, B = structure.A, structure.B
-    residuals["variational_constraint"] = float(np.abs(A @ u.dx + B * u.dt).max(initial=0.0))
-    M = np.ascontiguousarray(structure.M.T)
-    target = np.concatenate(([u.dpt + a.pi], u.dp + a.alpha))
-    if M.shape[1] == 0:
-        lam, res = np.zeros(0), float(np.abs(target).max(initial=0.0))
-    else:
-        lam, *_ = np.linalg.lstsq(M, target, rcond=None)
-        res = float(np.abs(M @ lam - target).max(initial=0.0))
-    residuals["momentum_in_annihilator_span"] = res
-    violated = tuple(k for k, r in residuals.items() if r > tol)
+    residuals = {
+        "velocity_matches_dx": np.abs(w - dx).max(axis=-1, initial=0.0),
+        "time_matches_dt": np.abs(gamma - dt),
+        "beta_vanishes": np.abs(beta).max(axis=-1, initial=0.0),
+        "variational_constraint": np.abs(
+            np.matmul(A, dx[..., None])[..., 0] + B * dt[..., None]
+        ).max(axis=-1, initial=0.0),
+    }
+    target = np.concatenate(((dpt + pi)[..., None], dp + alpha), axis=-1)
+    M = np.ascontiguousarray(structure.M.transpose(0, 2, 1))
+    lam, residuals["momentum_in_annihilator_span"] = _least_squares(M, target)
+    return residuals, lam
+
+
+def _report(residuals: dict, lam: np.ndarray, tol: float) -> MembershipReport:
+    # The report of the first point of a membership pass.
+    residuals = {k: float(r[0]) for k, r in residuals.items()}
+    violated = tuple(k for k, r in residuals.items() if not r <= tol)
     return MembershipReport(
         member=not violated,
-        multiplier=lam,
+        multiplier=lam[0],
         residuals=residuals,
         tol=tol,
         violated=violated,
@@ -568,13 +711,8 @@ def dirac_membership_P(
     n = point.n
     if u.n != n or a.n != n or constraints.n != n:
         raise ValueError("dimension mismatch between point, element and constraints")
-    residuals = {
-        "velocity_matches_dx": float(np.abs(a.w - u.dx).max(initial=0.0)),
-        "time_matches_dt": abs(a.gamma - u.dt),
-        "beta_vanishes": float(np.abs(a.beta).max(initial=0.0)),
-    }
     structure = _dirac_point(constraints, point.t, point.x, point.v)
-    return _membership(structure, u, a, residuals, tol)
+    return _report(*_membership(structure, u.as_vector()[None], a.as_vector()[None]), tol)
 
 
 def dirac_membership_TstarY(
@@ -600,12 +738,14 @@ def dirac_membership_TstarY(
     n = point.n
     if constraints.n != n:
         raise ValueError("dimension mismatch between point and constraints")
-    residuals = {
-        "velocity_matches_dx": float(np.abs(a.w - u.dx).max(initial=0.0)),
-        "time_matches_dt": abs(a.gamma - u.dt),
-    }
+    # The same conditions on P, with the dv and beta slots zero.
+    z = np.zeros(n)
+    u_P = np.concatenate(([u.dt], u.dx, z, [u.dpt], u.dp))
+    a_P = np.concatenate(([a.pi], a.alpha, z, [a.gamma], a.w))
     structure = _dirac_point(constraints, point.t, point.x, point.p)
-    return _membership(structure, u, a, residuals, tol)
+    residuals, lam = _membership(structure, u_P[None], a_P[None])
+    del residuals["beta_vanishes"]
+    return _report(residuals, lam, tol)
 
 
 def distribution_basis(
@@ -617,8 +757,30 @@ def distribution_basis(
     (dv, dpt, dp) directions are free. Returns 3n + 2 - m vectors.
     """
 
-    D = _dirac_point(constraints, t, _vec(x, constraints.n), v).basis().copy()
+    D = _dirac_point(constraints, t, _vec(x, constraints.n), v).basis()[0].copy()
     return [TangentP(*_slots(row, constraints.n)) for row in D]
+
+
+def _random_elements(
+    structure: _DiracStack, coeffs: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Elements (u, a) of the structure at each point, as stacked vectors on
+    # P: u combines the basis with coeffs (K, k + 2n + 1) and a is flat(u)
+    # plus the rows of M times lams (K, m). Kernel rows are summed one by one
+    # in basis order, so u is bitwise the sum over the whole basis; the
+    # identity rows add coeffs[:, k:].
+    D = structure.basis()
+    K, rows, width = D.shape
+    n = (width - 2) // 3
+    k = rows - (2 * n + 1)
+    vec = np.zeros((K, n + 1))
+    for i in range(k):
+        vec += coeffs[:, i, None] * D[:, i, : n + 1]
+    u = np.concatenate((vec, coeffs[:, k:]), axis=-1)
+    a = _flat(u, n)
+    for r in range(lams.shape[1]):
+        a[:, : n + 1] += lams[:, r, None] * structure.M[:, r]
+    return u, a
 
 
 def random_dirac_element(
@@ -631,24 +793,16 @@ def random_dirac_element(
 
     The tangent part is a random combination of the distribution basis and the
     cotangent part is Omega-flat of it plus a random combination of lifted
-    annihilator rows, which parametrizes the whole fiber.
+    annihilator rows, which parametrizes the whole fiber. The generator gives
+    the 3n + 2 - m basis coefficients, then the m row coefficients.
     """
 
     n = point.n
     structure = _dirac_point(constraints, point.t, point.x, point.v)
-    D = structure.basis()
-    coeffs = rng.normal(scale=scale, size=D.shape[0])
-    k = D.shape[0] - (2 * n + 1)
-    # Kernel rows are summed one by one in basis order, so the element is
-    # bitwise the sum over the whole basis; the identity rows add coeffs[k:].
-    vec = np.zeros(n + 1)
-    for c, row in zip(coeffs[:k], D[:k, : n + 1]):
-        vec += c * row
-    u_vec = np.concatenate((vec, coeffs[k:]))
-    a_vec = _flat(u_vec, n)
-    for lam, row in zip(rng.normal(scale=scale, size=constraints.m), structure.M):
-        a_vec[: n + 1] += lam * row
-    return TangentP(*_slots(u_vec, n)), CotangentP(*_slots(a_vec, n))
+    coeffs = rng.normal(scale=scale, size=structure.basis().shape[1])
+    lams = rng.normal(scale=scale, size=constraints.m)
+    u, a = _random_elements(structure, coeffs[None], lams[None])
+    return TangentP(*_slots(u[0], n)), CotangentP(*_slots(a[0], n))
 
 
 def dirac_generators(
@@ -662,15 +816,7 @@ def dirac_generators(
     constraint row, which together span the structure.
     """
 
-    n = point.n
-    structure = _dirac_point(constraints, point.t, point.x, point.v)
-    D = structure.basis()
-    k = D.shape[0]
-    G = np.zeros((k + constraints.m, 6 * n + 4))
-    G[:k, : 3 * n + 2] = D
-    G[:k, 3 * n + 2 :] = _flat(D, n)
-    G[k:, 3 * n + 2 : 4 * n + 3] = structure.M
-    return G
+    return _dirac_point(constraints, point.t, point.x, point.v).generators()[0]
 
 
 def dirac_rank(point: PontryaginState, constraints: ConstraintSet) -> int:
@@ -681,8 +827,4 @@ def dirac_rank(point: PontryaginState, constraints: ConstraintSet) -> int:
     RANK_RTOL times the largest one.
     """
 
-    G = dirac_generators(point, constraints)
-    s = np.linalg.svd(G, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return int(_dirac_point(constraints, point.t, point.x, point.v).rank()[0])

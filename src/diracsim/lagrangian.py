@@ -18,7 +18,15 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .geometry import CotangentP, CotangentTstarY, PhasePoint, PontryaginState
+from .geometry import (
+    CotangentP,
+    CotangentTstarY,
+    PhasePoint,
+    PontryaginState,
+    _dot,
+    _evaluate,
+    _slots,
+)
 
 __all__ = [
     "HyperregularityError",
@@ -80,6 +88,11 @@ class _PointMemo:
         return result
 
 
+def _stacked(x) -> bool:
+    # Whether x holds K stacked points (K, n) rather than one point.
+    return type(x) is np.ndarray and x.ndim == 2
+
+
 def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
     """Solve J x = r for a float64 r on the (lu, piv) of scipy's lu_factor.
 
@@ -138,6 +151,12 @@ class TimeLagrangian:
     d_vv the velocity Hessian of shape (n, n). regular_block optionally names
     the velocity indices on which the Hessian is invertible; None means all of
     them. Fiber inversion only ever touches the declared block.
+
+    With broadcasts set, the five callables also take K stacked points, t of
+    shape (K,) and x, v of shape (K, n), and return shapes (K,), (K, n) or
+    (K, n, n) (or shapes that broadcast to them), entry by entry the bits of
+    the call at that point. The array passes of `check` and of the
+    diagnostics then make one call per pass instead of one per point.
     """
 
     n: int
@@ -147,6 +166,7 @@ class TimeLagrangian:
     d_v: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     d_vv: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     regular_block: tuple[int, ...] | None = None
+    broadcasts: bool = False
 
     @property
     def hyperregular(self) -> bool:
@@ -155,21 +175,25 @@ class TimeLagrangian:
 
 @dataclass(frozen=True)
 class TimeHamiltonian:
-    """Hamiltonian H(t, x, p) with analytic partials."""
+    """Hamiltonian H(t, x, p) with analytic partials; broadcasts as on
+    TimeLagrangian."""
 
     n: int
     value: Callable[[float, np.ndarray, np.ndarray], float]
     d_t: Callable[[float, np.ndarray, np.ndarray], float]
     d_x: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     d_p: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    broadcasts: bool = False
 
 
 @dataclass(frozen=True)
 class ExternalForce:
-    """External force covector F(t, x, v) acting on the x slots only."""
+    """External force covector F(t, x, v) acting on the x slots only;
+    broadcasts as on TimeLagrangian."""
 
     n: int
     value: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    broadcasts: bool = False
 
 
 def lift_external_force(
@@ -215,13 +239,23 @@ def d_covariant_energy(L: TimeLagrangian, state: PontryaginState) -> CotangentP:
     vanishes on the Legendre submanifold.
     """
 
-    t, x, v = state.t, state.x, state.v
-    return CotangentP(
-        pi=-float(L.d_t(t, x, v)),
-        alpha=-np.asarray(L.d_x(t, x, v), dtype=float).reshape(L.n),
-        beta=state.p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n),
-        gamma=1.0,
-        w=state.v.copy(),
+    t, x, v, p = (np.asarray(a)[None] for a in (state.t, state.x, state.v, state.p))
+    return CotangentP(*_slots(_covariant_differential(L, t, x, v, p)[0], L.n))
+
+
+def _covariant_differential(L: TimeLagrangian, t, x, v, p) -> np.ndarray:
+    # d_covariant_energy at K stacked points, as covectors on P (K, 3n + 2):
+    # (-dL/dt, -dL/dx, p - dL/dv, 1, v).
+    n = L.n
+    return np.concatenate(
+        (
+            -_evaluate(L.d_t, L.broadcasts, (), t, x, v)[:, None],
+            -_evaluate(L.d_x, L.broadcasts, (n,), t, x, v),
+            p - _evaluate(L.d_v, L.broadcasts, (n,), t, x, v),
+            np.ones((len(t), 1)),
+            v,
+        ),
+        axis=-1,
     )
 
 
@@ -351,7 +385,8 @@ def legendre_dual(
     partials follow from the envelope identities: dH/dp = v(p) and the t, x
     partials are the negatives of those of L at the inverted velocity. value,
     d_t, d_x and d_p at one (t, x, p) share one inversion; d_p returns an
-    array that callers must not write to.
+    array that callers must not write to. H broadcasts when L does; over
+    stacked points the fiber derivative is inverted point by point.
 
     Raises HyperregularityError for a Lagrangian with a declared partial
     regular block, since the transform then does not exist globally. In that
@@ -379,20 +414,35 @@ def legendre_dual(
     # remembered points make that two inversions.
     invert = _PointMemo(fiber_velocity, size=2)
 
+    def velocities(t, x, p):
+        # v(p) at each of K stacked points, inverted point by point.
+        return np.array([invert(tk, xk, pk) for tk, xk, pk in zip(t.tolist(), x, p)])
+
+    # At one point each callable reads the remembered inversion directly:
+    # the stepper calls them at every residual.
     def value(t, x, p):
+        if _stacked(x):
+            v = velocities(t, x, p)
+            return _dot(p, v) - np.asarray(L.value(t, x, v), dtype=float)
         v = invert(t, x, p)
         return float(np.asarray(p, dtype=float) @ v) - float(L.value(t, x, v))
 
     def d_t(t, x, p):
+        if _stacked(x):
+            return -np.asarray(L.d_t(t, x, velocities(t, x, p)), dtype=float)
         return -float(L.d_t(t, x, invert(t, x, p)))
 
     def d_x(t, x, p):
+        if _stacked(x):
+            return -np.asarray(L.d_x(t, x, velocities(t, x, p)), dtype=float)
         return -np.asarray(L.d_x(t, x, invert(t, x, p)), dtype=float).reshape(L.n)
 
     def d_p(t, x, p):
-        return invert(t, x, p)
+        return velocities(t, x, p) if _stacked(x) else invert(t, x, p)
 
-    return TimeHamiltonian(n=L.n, value=value, d_t=d_t, d_x=d_x, d_p=d_p)
+    return TimeHamiltonian(
+        n=L.n, value=value, d_t=d_t, d_x=d_x, d_p=d_p, broadcasts=L.broadcasts
+    )
 
 
 @dataclass(frozen=True)
@@ -406,20 +456,13 @@ class DerivativeReport:
     n_points: int
 
 
-def _rel_err(analytic: float, fd: float) -> float:
-    return abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
-
-
-def _central(f, c: float, h: float) -> float:
-    return (f(c + h) - f(c - h)) / (2.0 * h)
-
-
 def check_derivatives(
     obj: TimeLagrangian | TimeHamiltonian,
     sample: Callable[[np.random.Generator], tuple] | None = None,
     n_points: int = 100,
     threshold: float = 1e-6,
     seed: int = 0,
+    points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> DerivativeReport:
     """Validate declared partials against central finite differences.
 
@@ -427,81 +470,105 @@ def check_derivatives(
     Hessian when present, at n_points random points. The step per coordinate
     is 1e-6 (1 + |coordinate|). sample(rng) must return (t, x, fiber) points
     in the object's domain; the default draws each coordinate uniformly from
-    [-1, 1], which assumes the object is defined there.
+    [-1, 1], which assumes the object is defined there. points, if given,
+    are the (t, x, fiber) points themselves, stacked as arrays of shape
+    (K,), (K, n) and (K, n); sample, n_points and seed are then unused.
 
     Relative errors are measured against max(1, |analytic|, |fd|) so that
-    components of very different physical scale are compared fairly.
+    components of very different physical scale are compared fairly. The
+    worst component is the first with the largest error; a NaN error counts
+    as the largest and fails the check.
+
+    All points are validated in one array pass: value is called once on
+    every shifted point, the fiber partial once on the points and their
+    fiber shifts, and d_t, d_x and d_vv once each (once per point each when
+    obj does not broadcast).
     """
 
     n = obj.n
-    is_lagrangian = isinstance(obj, TimeLagrangian)
-    rng = np.random.default_rng(seed)
-    if sample is None:
-        def sample(r):
-            return r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0, n), r.uniform(-1.0, 1.0, n)
+    if points is None:
+        rng = np.random.default_rng(seed)
+        if sample is None:
+            def sample(r):
+                return r.uniform(-1.0, 1.0), r.uniform(-1.0, 1.0, n), r.uniform(-1.0, 1.0, n)
 
-    worst = 0.0
-    worst_name = "none"
-
-    def consider(err: float, name: str):
-        nonlocal worst, worst_name
-        if err > worst:
-            worst = err
-            worst_name = name
-
-    for _ in range(n_points):
-        t, x, w = sample(rng)
-        t = float(t)
-        x = np.asarray(x, dtype=float).reshape(n)
-        w = np.asarray(w, dtype=float).reshape(n)
-
-        ht = 1e-6 * (1.0 + abs(t))
-        fd_t = _central(lambda s: float(obj.value(s, x, w)), t, ht)
-        consider(_rel_err(float(obj.d_t(t, x, w)), fd_t), "d_t")
-
-        dx_an = np.asarray(obj.d_x(t, x, w), dtype=float).reshape(n)
-        for i in range(n):
-            hi = 1e-6 * (1.0 + abs(x[i]))
-
-            def fx(s, i=i):
-                xs = x.copy()
-                xs[i] = s
-                return float(obj.value(t, xs, w))
-
-            consider(_rel_err(dx_an[i], _central(fx, x[i], hi)), f"d_x[{i}]")
-
-        fiber_name = "d_v" if is_lagrangian else "d_p"
-        dw_an = np.asarray(
-            (obj.d_v if is_lagrangian else obj.d_p)(t, x, w), dtype=float
-        ).reshape(n)
-        for i in range(n):
-            hi = 1e-6 * (1.0 + abs(w[i]))
-
-            def fw(s, i=i):
-                ws = w.copy()
-                ws[i] = s
-                return float(obj.value(t, x, ws))
-
-            consider(_rel_err(dw_an[i], _central(fw, w[i], hi)), f"{fiber_name}[{i}]")
-
-        if is_lagrangian:
-            H_an = np.asarray(obj.d_vv(t, x, w), dtype=float).reshape(n, n)
-            for j in range(n):
-                hj = 1e-6 * (1.0 + abs(w[j]))
-
-                def gv(s, j=j):
-                    ws = w.copy()
-                    ws[j] = s
-                    return np.asarray(obj.d_v(t, x, ws), dtype=float).reshape(n)
-
-                col = (gv(w[j] + hj) - gv(w[j] - hj)) / (2.0 * hj)
-                for i in range(n):
-                    consider(_rel_err(H_an[i, j], col[i]), f"d_vv[{i},{j}]")
-
+        drawn = [sample(rng) for _ in range(n_points)]
+        t = np.array([float(p[0]) for p in drawn])
+        x, w = (np.reshape([np.asarray(p[i], dtype=float).reshape(n) for p in drawn], (-1, n))
+                for i in (1, 2))
+        points = (t, x, w)
+    errors, names = _derivative_errors(obj, *points)
+    flat = errors.ravel()
+    worst, worst_name = 0.0, "none"
+    if flat.size:
+        i = int(flat.argmax())  # the first NaN, else the first largest error
+        if not flat[i] <= 0.0:
+            worst, worst_name = float(flat[i]), names[i % len(names)]
     return DerivativeReport(
-        passed=worst <= threshold,
+        passed=bool(worst <= threshold),
         max_rel_err=worst,
         worst_component=worst_name,
         threshold=threshold,
-        n_points=n_points,
+        n_points=len(points[0]),
     )
+
+
+def _derivative_errors(obj, t: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
+    # Relative errors (K, C) of obj's declared partials against central
+    # differences at K stacked points, and the names of the C components in
+    # order: d_t, d_x[i], the fiber partial [i], then d_vv[i,j] by columns j.
+    K, n = x.shape
+    lagrangian = isinstance(obj, TimeLagrangian)
+    fiber, fiber_name = (obj.d_v, "d_v") if lagrangian else (obj.d_p, "d_p")
+    idx = np.arange(n)
+
+    def shifted(a: np.ndarray, h: np.ndarray, first: int, count: int) -> np.ndarray:
+        # count copies of each point of a (K, n), with a[:, i] + h[:, i] in
+        # copy first + i and a[:, i] - h[:, i] in copy first + n + i.
+        out = np.repeat(a[:, None, :], count, axis=1)
+        out[:, first + idx, idx] = a + h
+        out[:, first + n + idx, idx] = a - h
+        return out
+
+    def central(f_plus, f_minus, h):
+        return (f_plus - f_minus) / (2.0 * h)
+
+    def at_points(fn, shape):
+        return _evaluate(fn, obj.broadcasts, shape, t, x, w)
+
+    # value at t -+ ht, at each x[i] -+ h and at each w[i] -+ h (copies 0-1,
+    # 2 to 2n + 1 and 2n + 2 to 4n + 1 of each point), in one call.
+    ht = 1e-6 * (1.0 + np.abs(t))
+    hx = 1e-6 * (1.0 + np.abs(x))
+    hw = 1e-6 * (1.0 + np.abs(w))
+    P = 2 + 4 * n
+    T = np.repeat(t[:, None], P, axis=1)
+    T[:, 0], T[:, 1] = t + ht, t - ht
+    X = shifted(x, hx, 2, P)
+    W = shifted(w, hw, 2 + 2 * n, P)
+    f = _evaluate(obj.value, obj.broadcasts, (), T.ravel(), X.reshape(-1, n), W.reshape(-1, n))
+    f = f.reshape(K, P)
+    fd = [
+        central(f[:, 0], f[:, 1], ht)[:, None],
+        central(f[:, 2 : 2 + n], f[:, 2 + n : 2 + 2 * n], hx),
+        central(f[:, 2 + 2 * n : 2 + 3 * n], f[:, 2 + 3 * n :], hw),
+    ]
+    analytic = [at_points(obj.d_t, ())[:, None], at_points(obj.d_x, (n,))]
+    names = ["d_t"] + [f"d_x[{i}]" for i in range(n)] + [f"{fiber_name}[{i}]" for i in range(n)]
+    if not lagrangian:
+        analytic.append(at_points(fiber, (n,)))
+    else:
+        # d_v at each point and at each w[j] -+ h, in one call; cols[k, j, i]
+        # is the difference quotient of d_v[i] in w[j].
+        Q = 1 + 2 * n
+        g = _evaluate(
+            fiber, obj.broadcasts, (n,),
+            np.repeat(t, Q), np.repeat(x, Q, axis=0), shifted(w, hw, 1, Q).reshape(-1, n),
+        ).reshape(K, Q, n)
+        cols = central(g[:, 1 : 1 + n], g[:, 1 + n :], hw[:, :, None])
+        H = at_points(obj.d_vv, (n, n))
+        analytic += [g[:, 0], H.transpose(0, 2, 1).reshape(K, n * n)]
+        fd.append(cols.reshape(K, n * n))
+        names += [f"d_vv[{i},{j}]" for j in range(n) for i in range(n)]
+    an, fd = np.concatenate(analytic, axis=1), np.concatenate(fd, axis=1)
+    return np.abs(an - fd) / np.maximum(np.maximum(1.0, np.abs(an)), np.abs(fd)), names

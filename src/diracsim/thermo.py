@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import ChordNewton, OutsideDomainError, SingularJacobianError, StepFailureError
 from .dynamics import Trajectory, monitor_invariants
-from .geometry import ConstraintSet, PontryaginState, _conform
+from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot, _slots
 from .lagrangian import (
     ExternalForce,
     HyperregularityError,
@@ -36,6 +36,7 @@ from .lagrangian import (
     _PointMemo,
     _read_only,
     _require_nonsingular,
+    _stacked,
 )
 
 __all__ = [
@@ -308,16 +309,6 @@ class _Point:
         self.t, self.ts, self.row = t, _with_temperature(sys, ts), None
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    # a @ b over the last axis: a float at one point, one entry per node over
-    # (K, n) arrays. The stacked matmul runs the same dot kernel per row as
-    # a @ b does, so the bits match; einsum and (a * b).sum(-1) round
-    # differently.
-    if a.ndim == 1:
-        return float(a @ b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def temperature(sys: SimpleOpenSystem, ts: ThermoState):
     """Temperature -dL_mech/dS; raises when it is not positive.
 
@@ -458,9 +449,11 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     L = L_mech(q, v_q, S, N) + v_W N + v_Gamma (S - Sigma). The velocity
     Hessian is invertible only on the q block, which is declared as the
     regular block; the extension is deliberately degenerate in the
-    thermodynamic velocities. d_x and d_v read the system's open-system
-    point at (t, x, v), which the velocity-side row shares. value also takes
-    node arrays t (K,), x and v (K, n) and returns one value per node.
+    thermodynamic velocities. At one point d_x and d_v read the system's
+    open-system point at (t, x, v), which the velocity-side row shares. The
+    Lagrangian broadcasts: given stacked points t (K,), x and v (K, n), each
+    callable returns one value per point (d_vv evaluates the mechanical mass
+    matrix point by point).
     """
 
     lay = sys.layout
@@ -481,7 +474,11 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     def d_t(t, x, v):
         return 0.0
 
+    # d_x and d_v at one point are the lean entries the stepper calls at
+    # every residual; stacked points take the array forms below them.
     def d_x(t, x, v):
+        if _stacked(x):
+            return stacked_d_x(_node_state(sys, x, v), v)
         ts = points(t, x, v).ts
         q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
         out = np.zeros(n)
@@ -491,7 +488,18 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
         out[lay.Sigma] = -v[lay.Gamma]
         return out
 
+    def stacked_d_x(ts, v):
+        out = np.zeros(v.shape)
+        q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
+        out[:, lay.q] = mech.d_q(q, vq, S, N)
+        out[:, lay.S] = -ts._T[1] + v[:, lay.Gamma]
+        out[:, lay.N] = mech.d_N(q, vq, S, N) + v[:, lay.W]
+        out[:, lay.Sigma] = -v[:, lay.Gamma]
+        return out
+
     def d_v(t, x, v):
+        if _stacked(x):
+            return momenta_from_state(sys, _node_state(sys, x, v))
         ts = points(t, x, v).ts
         out = np.zeros(n)
         out[lay.q] = np.asarray(mech.d_v(ts.q, ts.v_q, ts.S, ts.N), dtype=float)
@@ -501,8 +509,12 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
 
     def d_vv(t, x, v):
         q, vq, S, N, _ = split(x, v)
-        out = np.zeros((n, n))
-        out[lay.q, lay.q] = np.asarray(mech.d_vv(q, vq, S, N), dtype=float)
+        out = np.zeros(np.shape(x) + (n,))
+        if _stacked(x):  # the mass matrix is only evaluated at single points
+            for k in range(len(x)):
+                out[k, lay.q, lay.q] = mech.d_vv(q[k], vq[k], S[k], N[k])
+        else:
+            out[lay.q, lay.q] = np.asarray(mech.d_vv(q, vq, S, N), dtype=float)
         return out
 
     return TimeLagrangian(
@@ -513,10 +525,11 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
         d_v=d_v,
         d_vv=d_vv,
         regular_block=tuple(range(sys.n_q)),
+        broadcasts=True,
     )
 
 
-def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo) -> ConstraintSet:
+def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo, eval_rows=None) -> ConstraintSet:
     # eval_A and eval_B at the same (t, x, w) share one point and one row
     # build. A step residual asks for the midpoint and the new node; two
     # remembered points let Jacobian columns that move neither (multiplier,
@@ -533,13 +546,17 @@ def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo) -> ConstraintSet
         m=1,
         eval_A=lambda t, x, w: row(t, x, w)[0],
         eval_B=lambda t, x, w: row(t, x, w)[1],
+        eval_rows=eval_rows,
     )
 
 
 def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
-    """Velocity-side constraint set (coefficients at (t, x, v))."""
+    """Velocity-side constraint set (coefficients at (t, x, v)), with the rows
+    of stacked points in one array pass."""
 
-    return _row_constraints(sys, sys._points)
+    return _row_constraints(
+        sys, sys._points, lambda t, x, v: _constraint_row(sys, t, _node_state(sys, x, v))
+    )
 
 
 def _vq_from_pq(
@@ -583,16 +600,21 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
 
 
 def build_external_force(sys: SimpleOpenSystem) -> ExternalForce:
-    """sys.f_ext as a covector on x, read at the point (t, x, v) the row shares."""
+    """sys.f_ext as a covector on x, read at the point (t, x, v) the row
+    shares; it broadcasts over stacked points."""
 
     lay, points = sys.layout, sys._points
 
     def value(t, x, v):
+        if _stacked(x):
+            out = np.zeros(x.shape)
+            out[:, lay.q] = sys.f_ext(t, _node_state(sys, x, v))
+            return out
         out = np.zeros(lay.n)
         out[lay.q] = sys.f_ext(t, points(t, x, v).ts)
         return out
 
-    return ExternalForce(n=lay.n, value=value)
+    return ExternalForce(n=lay.n, value=value, broadcasts=True)
 
 
 @dataclass(frozen=True)
@@ -860,23 +882,26 @@ def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
     momenta evaluated at the averaged point) and the rate is the finite
     difference across the step with dt = 1. Along reduced runs the full
     mixed-bundle residual vanishes at these samples up to round-off for
-    constant mass matrices. The midpoints are lifted in one pass over all
-    steps; the bookkeeping velocities need no mass solve.
+    constant mass matrices. The samples are rows of the arrays of
+    _lifted_midpoints, built in one pass over all steps.
     """
 
+    (t, x, v, pt, p), rates = _lifted_midpoints(sys, traj)
+    for k in range(traj.n_steps):
+        state = PontryaginState(t=t[k], x=x[k], v=v[k], pt=pt[k], p=p[k])
+        yield state, TangentP(*_slots(rates[k], sys.n)), np.ones(1)
+
+
+def _lifted_midpoints(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:
+    # The lifted midpoint states as arrays (t, x, v, pt, p) over all steps,
+    # and the step rates of traj.midpoints(). The bookkeeping velocities come
+    # from the balance at the averaged points, so no mass solve is needed.
     lay = sys.layout
-    t, x, v, pt = traj.t, traj.x, traj.v, traj.pt
-    tm = 0.5 * (t[:-1] + t[1:])
-    xm = 0.5 * (x[:-1] + x[1:])
-    vqm = 0.5 * (v[:-1, lay.q] + v[1:, lay.q])
-    ym = np.concatenate([xm[:, lay.q], vqm, xm[:, lay.S :]], axis=1)
+    (tm, xm, vm, ptm, _), rates = traj.midpoints()
+    ym = np.concatenate([xm[:, lay.q], vm[:, lay.q], xm[:, lay.S :]], axis=1)
     tsm = _reduced_state_from_vector(sys, ym)
     _, vm = _lift(sys.n_q, ym, np.stack(_bookkeeping_rates(_balance(sys, tm, tsm)), axis=-1))
-    pm = momenta_from_state(sys, tsm)
-    ptm = 0.5 * (pt[:-1] + pt[1:])
-    for k in range(traj.n_steps):
-        state = PontryaginState(t=tm[k], x=xm[k], v=vm[k], pt=ptm[k], p=pm[k])
-        yield state, traj.midpoint_rate(k), np.ones(1)
+    return (tm, xm, vm, ptm, momenta_from_state(sys, tsm)), rates
 
 
 def _invariant_columns(sys: SimpleOpenSystem, L: TimeLagrangian, traj: Trajectory, mid):
@@ -925,36 +950,66 @@ def random_physical_point(
     Mechanical coordinates, velocities and all momenta are drawn around the
     reference state; S is perturbed additively and N multiplicatively so the
     temperature stays defined. The bookkeeping velocities are free fiber
-    coordinates and are drawn unconstrained.
+    coordinates and are drawn unconstrained. The point takes
+    _physical_draws(sys) uniforms from rng.
     """
 
+    u = rng.random((1, _physical_draws(sys)))
+    t, x, v, pt, p = _physical_points(sys, u, around, t_span, spread)
+    return PontryaginState(t=t[0], x=x[0], v=v[0], pt=pt[0], p=p[0])
+
+
+def _physical_draws(sys: SimpleOpenSystem) -> int:
+    # Uniforms drawn per random physical point: t, q, dS, dN, Gamma, W,
+    # Sigma, v, v_q, pt and p, in this order.
+    return 2 * sys.n + 2 * sys.n_q + 7
+
+
+def _physical_points(
+    sys: SimpleOpenSystem,
+    u: np.ndarray,
+    around: ThermoState,
+    t_span: tuple[float, float] = (0.0, 10.0),
+    spread: float = 0.5,
+) -> tuple:
+    # The random physical points of the standard uniforms u, one row of
+    # _physical_draws(sys) per point, as arrays (t, x, v, pt, p) over the
+    # rows. rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() bit for bit,
+    # so a row gives the point of rng.uniform calls drawing the same numbers.
     lay = sys.layout
-    t = float(rng.uniform(*t_span))
-    x = np.zeros(lay.n)
-    x[lay.q] = around.q + rng.uniform(-spread, spread, sys.n_q)
-    dS = 0.4 * spread * rng.uniform(-1.0, 1.0)
-    dN = 0.4 * spread * rng.uniform(-1.0, 1.0)
-    x[lay.Gamma] = around.Gamma + rng.uniform(-spread, spread)
-    x[lay.W] = around.W + rng.uniform(-spread, spread)
-    x[lay.Sigma] = around.Sigma + rng.uniform(-spread, spread)
-    v = rng.uniform(-spread, spread, lay.n)
-    v[lay.q] = around.v_q + rng.uniform(-spread, spread, sys.n_q)
+    K = len(u)
+    cols = iter(np.split(u, np.cumsum([1, sys.n_q, 1, 1, 1, 1, 1, lay.n, sys.n_q, 1]), axis=1))
+
+    def uniform(lo, hi, size=None):
+        out = lo + (hi - lo) * next(cols)
+        return out[:, 0] if size is None else out
+
+    t = uniform(*t_span)
+    x = np.zeros((K, lay.n))
+    x[:, lay.q] = around.q + uniform(-spread, spread, sys.n_q)
+    dS = 0.4 * spread * uniform(-1.0, 1.0)
+    dN = 0.4 * spread * uniform(-1.0, 1.0)
+    x[:, lay.Gamma] = around.Gamma + uniform(-spread, spread)
+    x[:, lay.W] = around.W + uniform(-spread, spread)
+    x[:, lay.Sigma] = around.Sigma + uniform(-spread, spread)
+    v = uniform(-spread, spread, lay.n)
+    v[:, lay.q] = around.v_q + uniform(-spread, spread, sys.n_q)
+    pt = uniform(-1.0, 1.0)
+    p = uniform(-1.0, 1.0, lay.n)
     # The offsets of S and N can overflow T when the heat capacity is small;
-    # halve both until T is finite and positive.
-    q, v_q = x[lay.q], v[lay.q]
+    # halve both at each such point until T is finite and positive.
+    q, v_q = x[:, lay.q], v[:, lay.q]
     S, N = around.S + dS, around.N * (1.0 + dN)
     with np.errstate(over="ignore", invalid="ignore"):
-        while (dS or dN) and not 0.0 < -float(sys.mech.d_S(q, v_q, S, N)) < np.inf:
-            dS, dN = 0.5 * dS, 0.5 * dN
+        while True:
+            T = -sys.mech.d_S(q, v_q, S, N)
+            bad = ((dS != 0.0) | (dN != 0.0)) & ~((0.0 < T) & (T < np.inf))
+            if not bad.any():
+                break
+            dS, dN = np.where(bad, 0.5 * dS, dS), np.where(bad, 0.5 * dN, dN)
             S, N = around.S + dS, around.N * (1.0 + dN)
-    x[lay.S], x[lay.N] = S, N
-    return PontryaginState(
-        t=t,
-        x=x,
-        v=v,
-        pt=float(rng.uniform(-1.0, 1.0)),
-        p=rng.uniform(-1.0, 1.0, lay.n),
-    )
+    x[:, lay.S], x[:, lay.N] = S, N
+    return t, x, v, pt, p
 
 
 def linear_friction(gamma: float | np.ndarray):

@@ -37,6 +37,7 @@ from diracsim.geometry import (
     PontryaginState,
     TangentP,
     TangentTstarY,
+    _dot,
     unconstrained,
 )
 from diracsim.lagrangian import ExternalForce, TimeHamiltonian, TimeLagrangian
@@ -587,6 +588,78 @@ def test_trajectory_accessors():
     npt.assert_allclose(rate.dx, (traj.x[4] - traj.x[3]) / traj.h)
     samples = list(traj.midpoint_samples())
     assert len(samples) == 10
+
+
+def test_midpoint_samples_are_rows_of_the_midpoint_arrays():
+    # The arrays are built once; each sample equals the per-step formulas
+    # bit for bit.
+    traj = _short_traj()
+    (t, x, v, pt, p), rates = traj.midpoints()
+    assert rates.shape == (10, 3 * traj.n + 2)
+    for k, (state, rate, lam) in enumerate(traj.midpoint_samples()):
+        h = traj.t[k + 1] - traj.t[k]
+        mean = [0.5 * (a[k] + a[k + 1]) for a in (traj.t, traj.x, traj.v, traj.pt, traj.p)]
+        diff = [(a[k + 1] - a[k]) / h for a in (traj.x, traj.v, traj.pt, traj.p)]
+        assert [state.t, state.pt] == [mean[0], mean[3]]
+        for got, want in zip((state.x, state.v, state.p), (mean[1], mean[2], mean[4])):
+            assert got.tobytes() == want.tobytes()
+        assert rate.as_vector().tobytes() == np.concatenate(
+            ([1.0], diff[0], diff[1], [diff[2]], diff[3])
+        ).tobytes()
+        assert traj.midpoint_rate(k).as_vector().tobytes() == rate.as_vector().tobytes()
+        assert traj.midpoint_state(k).x.tobytes() == state.x.tobytes()
+        assert lam.tobytes() == traj.lam[k].tobytes()
+
+
+def test_mechanical_invariants_are_one_array_pass():
+    # A Lagrangian and rows that broadcast are called once over all nodes
+    # and once over all step midpoints, and give the columns of the per-node
+    # loop bit for bit.
+    traj = _short_traj()
+    L0 = free_particle()
+    C0 = ConstraintSet(
+        n=2,
+        m=1,
+        eval_A=lambda t, x, w: np.array([[t, -1.0]]),
+        eval_B=lambda t, x, w: np.array([0.3 * t]),
+    )
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(t, x, w):
+            calls.append((name, np.shape(t)))
+            return fn(t, x, w)
+        return wrapper
+
+    def rows(t, x, w):
+        return np.stack((t, np.full(t.shape, -1.0)), axis=-1)[:, None], (0.3 * t)[:, None]
+
+    L = dataclasses.replace(
+        L0,
+        value=counted("value", lambda t, x, v: 0.5 * _dot(v, v)),
+        d_t=counted("d_t", L0.d_t),
+        broadcasts=True,
+    )
+    C = dataclasses.replace(C0, eval_rows=counted("rows", rows))
+    inv = monitor_invariants(L, C, traj)
+    K = traj.n_steps
+    assert calls == [("rows", (K + 1,)), ("value", (K + 1,)), ("d_t", (K,)), ("rows", (K,))]
+    ref = monitor_invariants(L0, C0, traj)  # one call per point
+    for name in ("energy", "covariant_energy", "kinematic_residual", "energy_balance_residual"):
+        assert getattr(inv, name).tobytes() == getattr(ref, name).tobytes(), name
+    # The per-node loop the diagnostics were written as.
+    for k in range(K + 1):
+        t, xk, vk = traj.t[k], traj.x[k], traj.v[k]
+        A, B = C0.A(t, xk, vk), C0.B(t, xk, vk)
+        assert inv.energy[k] == float(traj.p[k] @ vk) - float(L0.value(t, xk, vk))
+        assert inv.kinematic_residual[k] == float(np.abs(A @ vk + B).max(initial=0.0))
+    for k in range(K):
+        tm, xm, vm = 0.5 * (traj.t[k] + traj.t[k + 1]), *(
+            0.5 * (a[k] + a[k + 1]) for a in (traj.x, traj.v)
+        )
+        rate = (traj.pt[k + 1] - traj.pt[k]) / (traj.t[k + 1] - traj.t[k])
+        lam_B = float(C0.B(tm, xm, vm) @ traj.lam[k])
+        assert inv.energy_balance_residual[k] == rate - float(L0.d_t(tm, xm, vm)) - lam_B
 
 
 def test_monitor_invariants_shapes():

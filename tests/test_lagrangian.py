@@ -384,6 +384,25 @@ def test_check_derivatives_custom_sampler():
     assert report.passed
 
 
+def test_check_derivatives_fails_a_nan_partial():
+    # A NaN error used to be skipped (NaN > worst is false), so this report
+    # passed, naming d_x[1] and its round-off error as the worst.
+    L_ok = make_mechanical()
+    L_nan = TimeLagrangian(
+        n=2,
+        value=L_ok.value,
+        d_t=L_ok.d_t,
+        d_x=lambda t, x, v: np.array([np.nan, L_ok.d_x(t, x, v)[1]]),
+        d_v=L_ok.d_v,
+        d_vv=L_ok.d_vv,
+    )
+    report = check_derivatives(L_nan, n_points=20, seed=1)
+    assert report.passed is False
+    assert report.worst_component == "d_x[0]"
+    assert np.isnan(report.max_rel_err)
+    assert check_derivatives(L_ok, n_points=20, seed=1).passed is True
+
+
 def test_check_derivatives_deterministic():
     r1 = check_derivatives(make_mechanical(), n_points=25, seed=7)
     r2 = check_derivatives(make_mechanical(), n_points=25, seed=7)

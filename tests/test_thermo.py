@@ -944,8 +944,9 @@ def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
     traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 20)
     calls = count_row_builds(monkeypatch)
     monitor_invariants(L, C, traj)
-    # One build per node (A and B) plus one per midpoint (B only).
-    assert len(calls) == traj.n_steps + 1 + traj.n_steps
+    # The rows broadcast: one build over all nodes (A and B share it) and one
+    # over all step midpoints (B only).
+    assert [ts.S.shape for _, _, ts in calls] == [(traj.n_steps + 1,), (traj.n_steps,)]
 
 
 def test_monitor_invariants_reads_the_node_row_from_the_model_point(monkeypatch):

@@ -1,9 +1,9 @@
 """Structure-preserving simulation and verification of finite-dimensional
 open thermodynamic systems on time-extended Dirac bundles.
 
-The package builds the geometry (constraint distributions, annihilators, and
-the induced Dirac structure on the mixed velocity-momentum bundle over
-time-extended configuration space), the variational data (time-dependent
+The package builds the geometry (constraint distributions and the induced
+Dirac structure on the mixed velocity-momentum bundle over time-extended
+configuration space), the variational data (time-dependent
 Lagrangians and Hamiltonians with their energies and Legendre maps), a
 structure-aware implicit midpoint integrator for three equivalent
 formulations of the constrained dynamics, and a model layer for simple open
@@ -16,25 +16,18 @@ from .geometry import (
     ConstraintSet,
     CotangentP,
     CotangentTstarY,
-    CotangentY,
     DegenerateConstraintError,
-    ExtendedPoint,
     MembershipReport,
     PhasePoint,
     PontryaginState,
     TangentP,
     TangentTstarY,
-    TangentY,
-    annihilator_basis,
     dirac_membership_P,
     dirac_membership_TstarY,
     dirac_pairing,
     dirac_rank,
-    kinematic_constraint_residual,
-    presymplectic_apply,
     random_dirac_element,
     unconstrained,
-    variational_constraint_residual,
 )
 from .lagrangian import (
     DerivativeReport,
@@ -47,7 +40,6 @@ from .lagrangian import (
     covariant_energy,
     covariant_hamiltonian,
     covariant_legendre,
-    d_covariant_energy,
     dirac_differential,
     generalized_energy,
     lagrangian_energy,

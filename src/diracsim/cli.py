@@ -24,6 +24,7 @@ import click
 import numpy as np
 
 from .dynamics import (
+    FORMULATIONS,
     ImplicitMidpointStepper,
     InconsistentInitialStateError,
     StepFailureError,
@@ -60,7 +61,6 @@ from .lagrangian import (
 from . import thermo as th
 
 FORMULATIONS_THERMO = ("pontryagin", "lagrange-dirac", "reduced")
-FORMULATIONS_MECH = ("pontryagin", "lagrange-dirac", "hamilton-dirac")
 
 HAMILTON_DIRAC_THERMO_MESSAGE = (
     "hamilton-dirac is unavailable for open thermodynamic systems: the "
@@ -215,10 +215,14 @@ def _vector(cfg: dict, field: str, n: int, default=None) -> np.ndarray:
 
 def _read_config(path: Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot be read ({exc.strerror or exc})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
     return cfg
@@ -274,7 +278,10 @@ class Problem:
 
 def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     scfg = _get(cfg, "system", required=True)
-    n_q = int(_positive(cfg, "system.n_q", 1))
+    n_q = _positive(cfg, "system.n_q", 1)
+    if n_q != int(n_q):
+        raise ConfigError("system.n_q", f"must be a whole number, got {n_q!r}")
+    n_q = int(n_q)
     base = th.ideal_gas_fixture(
         c=_positive(cfg, "system.c", 1.0),
         T0=_positive(cfg, "system.T0", 1.0),
@@ -482,11 +489,11 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         )
 
     if kind == "nonholonomic_particle":
-        if formulation not in FORMULATIONS_MECH:
+        if formulation not in FORMULATIONS:
             raise ConfigError(
                 "integrator.formulation",
                 f"{formulation!r} not valid for a mechanical system "
-                f"(choose from {FORMULATIONS_MECH})",
+                f"(choose from {FORMULATIONS})",
             )
         L, constraints = _nonholonomic_setup(cfg)
         x0 = _vector(cfg, "initial.x", 2)
@@ -679,7 +686,19 @@ def evaluate_tolerances(
     return passed, lines
 
 
+def _make_outdir(outdir: Path) -> None:
+    # Called before anything is integrated, so a path that cannot be a
+    # directory fails at once.
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            "--out", f"cannot create directory {str(outdir)!r} ({exc.strerror or exc})"
+        ) from None
+
+
 def _run_and_report(problem: Problem, formulation: str, outdir: Path, tol_override):
+    _make_outdir(outdir)
     traj = run_formulation(problem, formulation)
     inv = monitor_invariants(
         problem.L, problem.vel_constraints, traj, thermo_system=problem.system
@@ -692,7 +711,6 @@ def _run_and_report(problem: Problem, formulation: str, outdir: Path, tol_overri
         # first-law quadrature).
         work = _cumulative_trapezoid(inv.t, inv.power_mechanical)
         cov_drift = inv.covariant_energy_drift - work
-    outdir.mkdir(parents=True, exist_ok=True)
     prefix = problem.prefix
     write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv)
     write_invariants_csv(outdir / f"{prefix}_invariants.csv", inv)
@@ -788,6 +806,8 @@ def compare(config, formulations, out, tol):
         cfg = load_config(config)
         # One problem per name validates every name before anything runs.
         problems = {name: build_problem(cfg, name) for name in names}
+        if out is not None:
+            _make_outdir(Path(out))
         trajs = {name: run_formulation(problems[name], name) for name in names}
         problem = problems[names[0]]
 
@@ -813,9 +833,7 @@ def compare(config, formulations, out, tol):
     for line in lines:
         click.echo(line)
     if out is not None:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / f"{problem.prefix}_compare.txt", "w") as fh:
+        with open(Path(out) / f"{problem.prefix}_compare.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
     raise SystemExit(0 if ok else 1)
 

@@ -24,9 +24,6 @@ from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DegenerateConstraintError",
-    "ExtendedPoint",
-    "TangentY",
-    "CotangentY",
     "PhasePoint",
     "PontryaginState",
     "TangentP",
@@ -35,22 +32,11 @@ __all__ = [
     "CotangentTstarY",
     "ConstraintSet",
     "unconstrained",
-    "pair_Y",
-    "pair_P",
-    "pair_TstarY",
-    "variational_constraint_residual",
-    "kinematic_constraint_residual",
-    "annihilator_basis",
-    "presymplectic_apply",
-    "presymplectic_flat",
-    "lift_annihilator",
     "dirac_pairing",
     "MembershipReport",
     "dirac_membership_P",
     "dirac_membership_TstarY",
-    "distribution_basis",
     "random_dirac_element",
-    "dirac_generators",
     "dirac_rank",
 ]
 
@@ -104,46 +90,6 @@ def _vec(a, n: int | None = None) -> np.ndarray:
     if n is not None and out.shape[0] != n:
         raise ValueError(f"expected length {n}, got {out.shape[0]}")
     return out
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """Point (t, x) of the time-extended configuration space Y."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _vec(self.x))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class TangentY:
-    """Tangent vector (dt, dx) to Y."""
-
-    dt: float
-    dx: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "dx", _vec(self.dx))
-
-
-@dataclass(frozen=True)
-class CotangentY:
-    """Covector (pt, p) on Y; pt pairs with dt, p with dx."""
-
-    pt: float
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pt", float(self.pt))
-        object.__setattr__(self, "p", _vec(self.p))
 
 
 @dataclass(frozen=True)
@@ -345,60 +291,6 @@ def unconstrained(n: int) -> ConstraintSet:
     )
 
 
-def pair_Y(a: CotangentY, u: TangentY) -> float:
-    """Canonical pairing of a covector and a tangent vector on Y."""
-
-    return a.pt * u.dt + float(a.p @ u.dx)
-
-
-def pair_P(a: CotangentP, u: TangentP) -> float:
-    """Canonical pairing of a covector and a tangent vector on the bundle P."""
-
-    return float(_pair(a.as_vector(), u.as_vector(), u.n))
-
-
-def pair_TstarY(a: CotangentTstarY, u: TangentTstarY) -> float:
-    """Canonical pairing on T*Y."""
-
-    return (
-        a.pi * u.dt + float(a.alpha @ u.dx) + a.gamma * u.dpt + float(a.w @ u.dp)
-    )
-
-
-def variational_constraint_residual(
-    constraints: ConstraintSet, t: float, x: np.ndarray, v: np.ndarray,
-    dt: float, dx: np.ndarray,
-) -> np.ndarray:
-    """Residual A(t,x,v) dx + B(t,x,v) dt of the variational constraint.
-
-    The coefficients are frozen at the state velocity v while (dt, dx) is the
-    displacement being tested. Returns an (m,) array.
-    """
-
-    x = _vec(x, constraints.n)
-    dx = _vec(dx, constraints.n)
-    A = constraints.A(t, x, v)
-    B = constraints.B(t, x, v)
-    return A @ dx + B * float(dt)
-
-
-def kinematic_constraint_residual(
-    constraints: ConstraintSet, t: float, x: np.ndarray,
-    tdot: float, xdot: np.ndarray,
-) -> np.ndarray:
-    """Residual A(t,x,xdot) xdot + B(t,x,xdot) tdot of the kinematic constraint.
-
-    This is the variational residual evaluated along an actual velocity, with
-    the coefficients depending on that same velocity.
-    """
-
-    x = _vec(x, constraints.n)
-    xdot = _vec(xdot, constraints.n)
-    A = constraints.A(t, x, xdot)
-    B = constraints.B(t, x, xdot)
-    return A @ xdot + B * float(tdot)
-
-
 class _DiracStack:
     """The induced Dirac structure at K points, from one row evaluation each.
 
@@ -531,59 +423,6 @@ def _dirac_pairing(e1: tuple, e2: tuple, n: int):
     # dirac_pairing of (u, a) vectors on P, one entry per stacked pair.
     (u1, a1), (u2, a2) = e1, e2
     return _pair(a2, u1, n) + _pair(a1, u2, n)
-
-
-def annihilator_basis(
-    constraints: ConstraintSet, t: float, x: np.ndarray, v: np.ndarray
-) -> list[CotangentY]:
-    """Basis of the annihilator of the variational distribution on Y.
-
-    The distribution at (t, x) consists of displacements (dt, dx) with
-    A dx + B dt = 0, so its annihilator is spanned by the raw covector rows
-    (pt, p) = (B_r, A_r). Rows are returned unnormalized, one per constraint.
-
-    Raises DegenerateConstraintError when the rows are dependent.
-    """
-
-    structure = _dirac_point(constraints, t, _vec(x, constraints.n), v)
-    return [CotangentY(pt=b, p=a.copy()) for b, a in zip(structure.B[0], structure.A[0])]
-
-
-def presymplectic_apply(u: TangentP, w: TangentP) -> float:
-    """Canonical presymplectic 2-form on P applied to two tangent vectors.
-
-    The form pairs dx with dp and dt with dpt; the dv directions are in its
-    kernel.
-    """
-
-    return (
-        float(u.dx @ w.dp)
-        - float(w.dx @ u.dp)
-        + u.dt * w.dpt
-        - w.dt * u.dpt
-    )
-
-
-def presymplectic_flat(u: TangentP) -> CotangentP:
-    """Covector Omega-flat(u), so that pair_P(flat(u), w) = Omega(u, w)."""
-
-    return CotangentP(*_slots(_flat(u.as_vector(), u.n), u.n))
-
-
-def lift_annihilator(row: CotangentY, n: int) -> CotangentP:
-    """Pull an annihilator covector on Y back to the bundle P.
-
-    Only the dt and dx slots are populated; the covector ignores the fiber
-    directions (dv, dpt, dp).
-    """
-
-    return CotangentP(
-        pi=row.pt,
-        alpha=row.p.copy(),
-        beta=np.zeros(n),
-        gamma=0.0,
-        w=np.zeros(n),
-    )
 
 
 def dirac_pairing(
@@ -748,19 +587,6 @@ def dirac_membership_TstarY(
     return _report(residuals, lam, tol)
 
 
-def distribution_basis(
-    constraints: ConstraintSet, t: float, x: np.ndarray, v: np.ndarray
-) -> list[TangentP]:
-    """Basis of the lifted distribution on P at the given (t, x, v).
-
-    The distribution constrains only (dt, dx) through A dx + B dt = 0; the
-    (dv, dpt, dp) directions are free. Returns 3n + 2 - m vectors.
-    """
-
-    D = _dirac_point(constraints, t, _vec(x, constraints.n), v).basis()[0].copy()
-    return [TangentP(*_slots(row, constraints.n)) for row in D]
-
-
 def _random_elements(
     structure: _DiracStack, coeffs: np.ndarray, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -803,20 +629,6 @@ def random_dirac_element(
     lams = rng.normal(scale=scale, size=constraints.m)
     u, a = _random_elements(structure, coeffs[None], lams[None])
     return TangentP(*_slots(u[0], n)), CotangentP(*_slots(a[0], n))
-
-
-def dirac_generators(
-    point: PontryaginState, constraints: ConstraintSet
-) -> np.ndarray:
-    """Spanning set of the induced Dirac structure as stacked row vectors.
-
-    Each row is the concatenation of a tangent part (3n + 2 coordinates) and a
-    cotangent part (3n + 2 coordinates). The rows are (u, flat(u)) for u in the
-    distribution basis together with (0, lifted annihilator row) for each
-    constraint row, which together span the structure.
-    """
-
-    return _dirac_point(constraints, point.t, point.x, point.v).generators()[0]
 
 
 def dirac_rank(point: PontryaginState, constraints: ConstraintSet) -> int:

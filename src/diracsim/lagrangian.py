@@ -19,7 +19,6 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .geometry import (
-    CotangentP,
     CotangentTstarY,
     PhasePoint,
     PontryaginState,
@@ -34,11 +33,9 @@ __all__ = [
     "TimeLagrangian",
     "TimeHamiltonian",
     "ExternalForce",
-    "lift_external_force",
     "lagrangian_energy",
     "generalized_energy",
     "covariant_energy",
-    "d_covariant_energy",
     "covariant_legendre",
     "dirac_differential",
     "covariant_hamiltonian",
@@ -196,16 +193,6 @@ class ExternalForce:
     broadcasts: bool = False
 
 
-def lift_external_force(
-    force: ExternalForce, t: float, x: np.ndarray, v: np.ndarray
-) -> CotangentP:
-    """Lift a force on Y to a covector on the bundle P (alpha slot only)."""
-
-    f = np.asarray(force.value(t, x, v), dtype=float).reshape(force.n)
-    n = force.n
-    return CotangentP(pi=0.0, alpha=f, beta=np.zeros(n), gamma=0.0, w=np.zeros(n))
-
-
 def lagrangian_energy(
     L: TimeLagrangian, t: float, x: np.ndarray, v: np.ndarray
 ) -> float:
@@ -232,20 +219,10 @@ def covariant_energy(L: TimeLagrangian, state: PontryaginState) -> float:
     return state.pt + generalized_energy(L, state.t, state.x, state.v, state.p)
 
 
-def d_covariant_energy(L: TimeLagrangian, state: PontryaginState) -> CotangentP:
-    """Differential of the covariant energy at a point of P.
-
-    The dpt component is exactly 1 and the dv component is p - dL/dv, which
-    vanishes on the Legendre submanifold.
-    """
-
-    t, x, v, p = (np.asarray(a)[None] for a in (state.t, state.x, state.v, state.p))
-    return CotangentP(*_slots(_covariant_differential(L, t, x, v, p)[0], L.n))
-
-
 def _covariant_differential(L: TimeLagrangian, t, x, v, p) -> np.ndarray:
-    # d_covariant_energy at K stacked points, as covectors on P (K, 3n + 2):
-    # (-dL/dt, -dL/dx, p - dL/dv, 1, v).
+    # Differential of the covariant energy at K stacked points, as covectors
+    # on P (K, 3n + 2): (-dL/dt, -dL/dx, p - dL/dv, 1, v). Its dpt component
+    # is exactly 1 and its dv component vanishes on the Legendre image.
     n = L.n
     return np.concatenate(
         (
@@ -272,42 +249,22 @@ def covariant_legendre(
     return PhasePoint(t=t, x=x, pt=-lagrangian_energy(L, t, x, v), p=p)
 
 
-def _tangent_prolongation(L: TimeLagrangian, t: float, x: np.ndarray, v: np.ndarray):
-    # Element of T*TY attached to the lifted curve direction (dt, dx) = (1, v):
-    # base point (t, x, 1, v), fiber components paired with (dt, dx, d(dt), d(dx)).
-    x = np.asarray(x, dtype=float).reshape(L.n)
-    v = np.asarray(v, dtype=float).reshape(L.n)
-    base = (t, x, 1.0, v)
-    fiber = (
-        float(L.d_t(t, x, v)),
-        np.asarray(L.d_x(t, x, v), dtype=float).reshape(L.n),
-        -lagrangian_energy(L, t, x, v),
-        np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n),
-    )
-    return base, fiber
-
-
-def _flip_to_TstarTstarY(base, fiber) -> tuple[PhasePoint, CotangentTstarY]:
-    # Canonical flip T*TY -> T*T*Y: (t, x, dt, dx, dpt, dp, pt, p) goes to the
-    # point (t, x, pt, p) with covector (-dpt, -dp, dt, dx).
-    t, x, dt, dx = base
-    dpt, dp, pt, p = fiber
-    point = PhasePoint(t=t, x=x, pt=pt, p=p)
-    cov = CotangentTstarY(pi=-dpt, alpha=-dp, gamma=dt, w=dx)
-    return point, cov
-
-
 def dirac_differential(
     L: TimeLagrangian, t: float, x: np.ndarray, v: np.ndarray
 ) -> tuple[PhasePoint, CotangentTstarY]:
     """Dirac differential of L as a covector on T*Y.
 
-    Computed by composing the tangent-bundle prolongation of dL with the
-    canonical flip between T*TY and T*T*Y. The base point is the covariant
-    Legendre image and the covector reads (-dL/dt, -dL/dx, 1, v).
+    The canonical flip T*TY -> T*T*Y of dL along the lifted curve direction
+    (dt, dx) = (1, v). The base point is the covariant Legendre image and the
+    covector reads (-dL/dt, -dL/dx, 1, v): the differential of the covariant
+    energy there, whose dv component vanishes.
     """
 
-    return _flip_to_TstarTstarY(*_tangent_prolongation(L, t, x, v))
+    z = covariant_legendre(L, t, x, v)
+    v = np.asarray(v, dtype=float).reshape(1, L.n)
+    a = _covariant_differential(L, np.array([float(t)]), z.x[None], v, z.p[None])[0]
+    pi, alpha, _, gamma, w = _slots(a, L.n)
+    return z, CotangentTstarY(pi=pi, alpha=alpha, gamma=gamma, w=w)
 
 
 def covariant_hamiltonian(

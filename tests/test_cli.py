@@ -345,6 +345,8 @@ def config_error_cases(tmp_path):
     reduced_mechanical["integrator"]["formulation"] = "reduced"
     inconsistent_velocity = mech_cfg()
     inconsistent_velocity["initial"]["v"] = [1.0, 0.5]
+    fractional_n_q = thermo_cfg()
+    fractional_n_q["system"]["n_q"] = 1.5
     return {
         "missing_kind": (missing_kind, "system.kind"),
         "negative_h": (negative_h, "must be positive"),
@@ -355,6 +357,7 @@ def config_error_cases(tmp_path):
         "port_without_reservoir": (port_without_reservoir, "mu and T"),
         "reduced_mechanical": (reduced_mechanical, "not valid for a mechanical system"),
         "inconsistent_velocity": (inconsistent_velocity, "kinematic constraint"),
+        "fractional_n_q": (fractional_n_q, "config error at system.n_q: must be a whole number"),
     }
 
 
@@ -363,7 +366,7 @@ def config_error_cases(tmp_path):
     [
         "missing_kind", "negative_h", "no_horizon", "bad_formulation",
         "bad_schedule", "both_entropy_forms", "port_without_reservoir",
-        "reduced_mechanical", "inconsistent_velocity",
+        "reduced_mechanical", "inconsistent_velocity", "fractional_n_q",
     ],
 )
 def test_run_config_errors_exit_2(tmp_path, case):
@@ -372,6 +375,41 @@ def test_run_config_errors_exit_2(tmp_path, case):
     result = invoke("run", path, "--out", str(tmp_path))
     assert result.exit_code == 2, all_text(result)
     assert needle in all_text(result)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda tmp_path: tmp_path, "cannot be read"),
+        (lambda tmp_path: tmp_path / "cfg.json", "not UTF-8 text"),
+    ],
+    ids=["directory", "not-utf-8"],
+)
+def test_an_unreadable_config_is_a_config_error(tmp_path, command, make, message):
+    (tmp_path / "cfg.json").write_bytes(b'{"system": "\xff"}')
+    path = make(tmp_path)
+    result = invoke(command, str(path))
+    assert result.exit_code == 2, all_text(result)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error at {path}: {message}"), lines
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["compare", "--formulations", "pontryagin"]], ids=["run", "compare"]
+)
+def test_an_out_path_that_is_a_file_fails_before_integrating(tmp_path, monkeypatch, command):
+    def integrate(problem, formulation):
+        raise AssertionError("integrated before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_formulation", integrate)
+    out = tmp_path / "taken"
+    out.write_text("")
+    result = invoke(command[0], "nonholonomic_particle", *command[1:], "--out", str(out))
+    assert result.exit_code == 2, all_text(result)
+    assert result.stderr.strip().splitlines() == [
+        f"config error at --out: cannot create directory {str(out)!r} (File exists)"
+    ]
 
 
 def _set(cfg, path, value):

@@ -12,31 +12,23 @@ from diracsim.geometry import (
     ConstraintSet,
     CotangentP,
     CotangentTstarY,
-    CotangentY,
     DegenerateConstraintError,
-    ExtendedPoint,
     PhasePoint,
     PontryaginState,
     TangentP,
     TangentTstarY,
-    TangentY,
-    annihilator_basis,
-    dirac_generators,
+    _dirac_point,
+    _dirac_points,
+    _flat,
+    _membership,
+    _pair,
+    _slots,
     dirac_membership_P,
     dirac_membership_TstarY,
     dirac_pairing,
     dirac_rank,
-    distribution_basis,
-    kinematic_constraint_residual,
-    lift_annihilator,
-    pair_P,
-    pair_TstarY,
-    pair_Y,
-    presymplectic_apply,
-    presymplectic_flat,
     random_dirac_element,
     unconstrained,
-    variational_constraint_residual,
 )
 
 
@@ -66,12 +58,6 @@ def _random_state(n, seed=0):
 # -- pairings -------------------------------------------------------------
 
 
-def test_pair_Y_explicit():
-    u = TangentY(dt=2.0, dx=np.array([1.0, -1.0]))
-    a = CotangentY(pt=0.5, p=np.array([3.0, 4.0]))
-    assert pair_Y(a, u) == pytest.approx(0.5 * 2.0 + 3.0 - 4.0)
-
-
 def test_pair_P_explicit():
     n = 2
     u = TangentP(
@@ -89,13 +75,7 @@ def test_pair_P_explicit():
         w=np.array([0.0, 1.0]),
     )
     expected = 0.5 * 1 + (1 * 1 - 1 * 2) + (2 * 3 + 2 * 4) + (-1) * 5 + (0 * 6 + 1 * 7)
-    assert pair_P(a, u) == pytest.approx(expected)
-
-
-def test_pair_TstarY_explicit():
-    u = TangentTstarY(dt=1.0, dx=np.array([2.0]), dpt=3.0, dp=np.array([4.0]))
-    a = CotangentTstarY(pi=1.0, alpha=np.array([1.0]), gamma=2.0, w=np.array([-1.0]))
-    assert pair_TstarY(a, u) == pytest.approx(1 + 2 + 6 - 4)
+    assert _pair(a.as_vector(), u.as_vector(), n) == pytest.approx(expected)
 
 
 def test_as_vector_round_trip():
@@ -129,7 +109,7 @@ def test_presymplectic_flat_components():
         dpt=5.0,
         dp=np.array([6.0, 7.0]),
     )
-    a = presymplectic_flat(u)
+    a = CotangentP(*_slots(_flat(u.as_vector(), n), n))
     assert a.pi == pytest.approx(-5.0)
     npt.assert_allclose(a.alpha, [-6.0, -7.0])
     npt.assert_allclose(a.beta, [0.0, 0.0])
@@ -151,9 +131,10 @@ def test_presymplectic_antisymmetry(n, seed):
             dp=rng.normal(size=n),
         )
 
-    u, w = draw(), draw()
-    assert presymplectic_apply(u, w) == pytest.approx(-presymplectic_apply(w, u))
-    assert presymplectic_apply(u, u) == pytest.approx(0.0, abs=1e-12)
+    # Omega(u, w) = <flat(u), w>.
+    u, w = draw().as_vector(), draw().as_vector()
+    assert _pair(_flat(u, n), w, n) == pytest.approx(-_pair(_flat(w, n), u, n))
+    assert _pair(_flat(u, n), u, n) == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -170,10 +151,10 @@ def test_flat_reproduces_apply(n, seed):
             dp=rng.normal(size=n),
         )
 
+    # The canonical two-form pairs dx with dp and dt with dpt.
     u, w = draw(), draw()
-    assert pair_P(presymplectic_flat(u), w) == pytest.approx(
-        presymplectic_apply(u, w), abs=1e-10
-    )
+    omega = float(u.dx @ w.dp) - float(w.dx @ u.dp) + u.dt * w.dpt - w.dt * u.dpt
+    assert _pair(_flat(u.as_vector(), n), w.as_vector(), n) == pytest.approx(omega, abs=1e-10)
 
 
 def test_flat_kernel_is_dv():
@@ -187,8 +168,7 @@ def test_flat_kernel_is_dv():
         dpt=0.0,
         dp=np.zeros(n),
     )
-    a = presymplectic_flat(u)
-    npt.assert_allclose(a.as_vector(), np.zeros(3 * n + 2))
+    npt.assert_allclose(_flat(u.as_vector(), n), np.zeros(3 * n + 2))
 
 
 # -- constraint sets ------------------------------------------------------
@@ -215,27 +195,32 @@ def test_unconstrained_has_no_rows():
     c = unconstrained(3)
     assert c.m == 0
     assert c.A(0.0, np.zeros(3), np.zeros(3)).shape == (0, 3)
-    assert annihilator_basis(c, 0.0, np.zeros(3), np.zeros(3)) == []
+    # No annihilator rows: the structure's generators are (u, flat(u)) for u
+    # in the whole of TP.
+    G = _dirac_point(c, 0.0, np.zeros(3), np.zeros(3)).generators()[0]
+    assert G.shape == (3 * 3 + 2, 2 * (3 * 3 + 2))
 
 
 def test_variational_and_kinematic_residuals_agree_on_sections():
+    # The variational_constraint condition of membership, A dx + B dt, is
+    # the kinematic residual A v + B along the section (dt, dx) = (1, v).
     c = _affine_constraint(3, 1, seed=2)
     t, x, v = 0.7, np.ones(3), np.array([0.3, -0.2, 0.5])
-    var = variational_constraint_residual(c, t, x, v, dt=1.0, dx=v)
-    kin = kinematic_constraint_residual(c, t, x, tdot=1.0, xdot=v)
-    npt.assert_allclose(var, kin)
-    A = c.A(t, x, v)
-    B = c.B(t, x, v)
-    npt.assert_allclose(var, A @ v + B)
+    u = np.concatenate(([1.0], v, np.zeros(7)))
+    residuals, _ = _membership(_dirac_point(c, t, x, v), u[None], np.zeros((1, 11)))
+    kin = np.abs(c.A(t, x, v) @ v + c.B(t, x, v)).max()
+    assert residuals["variational_constraint"][0] == pytest.approx(kin, rel=1e-14)
 
 
 def test_variational_residual_scales_with_dt():
     c = _affine_constraint(2, 1, seed=3)
     t, x, v = 0.2, np.zeros(2), np.zeros(2)
-    r1 = variational_constraint_residual(c, t, x, v, dt=2.0, dx=np.array([1.0, 1.0]))
+    u = np.concatenate(([2.0], [1.0, 1.0], np.zeros(5)))
+    residuals, _ = _membership(_dirac_point(c, t, x, v), u[None], np.zeros((1, 8)))
     A = c.A(t, x, v)
     B = c.B(t, x, v)
-    npt.assert_allclose(r1, A @ np.array([1.0, 1.0]) + 2.0 * B)
+    expected = np.abs(A @ np.array([1.0, 1.0]) + 2.0 * B).max()
+    assert residuals["variational_constraint"][0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_degenerate_row_raises():
@@ -246,9 +231,9 @@ def test_degenerate_row_raises():
         eval_B=lambda t, x, w: np.zeros(1),
     )
     with pytest.raises(DegenerateConstraintError):
-        annihilator_basis(c, 0.0, np.zeros(2), np.zeros(2))
+        _dirac_point(c, 0.0, np.zeros(2), np.zeros(2))
     with pytest.raises(DegenerateConstraintError):
-        distribution_basis(c, 0.0, np.zeros(2), np.zeros(2))
+        _dirac_points(c, np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 def test_near_degenerate_pair_raises():
@@ -263,22 +248,24 @@ def test_near_degenerate_pair_raises():
         eval_B=lambda t, x, w: np.zeros(2),
     )
     with pytest.raises(DegenerateConstraintError):
-        annihilator_basis(c, 0.0, np.zeros(3), np.zeros(3))
+        _dirac_point(c, 0.0, np.zeros(3), np.zeros(3))
 
 
 # -- annihilator ----------------------------------------------------------
+#
+# The last m generators of the structure are (0, lifted annihilator row).
 
 
 def test_annihilator_rows_are_raw_coefficients():
-    c = _affine_constraint(4, 2, seed=7)
-    t, x, v = 0.3, np.zeros(4), np.zeros(4)
-    rows = annihilator_basis(c, t, x, v)
+    n = 4
+    c = _affine_constraint(n, 2, seed=7)
+    t, x, v = 0.3, np.zeros(n), np.zeros(n)
+    rows = _dirac_point(c, t, x, v).generators()[0][-2:, 3 * n + 2 :]
     A = c.A(t, x, v)
     B = c.B(t, x, v)
-    assert len(rows) == 2
     for r, row in enumerate(rows):
-        assert row.pt == pytest.approx(B[r])
-        npt.assert_allclose(row.p, A[r])
+        assert row[0] == pytest.approx(B[r])
+        npt.assert_allclose(row[1 : n + 1], A[r])
 
 
 def test_annihilator_thermo_example():
@@ -296,11 +283,11 @@ def test_annihilator_thermo_example():
         eval_A=lambda t, x, w: A_row[None, :],
         eval_B=lambda t, x, w: np.array([B_val]),
     )
-    rows = annihilator_basis(c, 0.0, np.zeros(6), np.zeros(6))
-    assert len(rows) == 1
-    raw = rows[0]
-    scaled_pt = raw.pt / raw.p[5]
-    scaled_p = raw.p / raw.p[5]
+    G = _dirac_point(c, 0.0, np.zeros(6), np.zeros(6)).generators()[0]
+    assert G.shape[0] == 3 * 6 + 2
+    raw_pt, raw_p = G[-1, 20], G[-1, 21:27]
+    scaled_pt = raw_pt / raw_p[5]
+    scaled_p = raw_p / raw_p[5]
     assert scaled_pt == pytest.approx(-6.7 / 300.0, rel=1e-14)
     npt.assert_allclose(
         scaled_p,
@@ -322,8 +309,14 @@ def test_annihilator_thermo_example():
 
 
 def test_lift_annihilator_slots():
-    row = CotangentY(pt=2.0, p=np.array([1.0, -1.0]))
-    lifted = lift_annihilator(row, 2)
+    # A lifted row has no tangent part and fills only the (pi, alpha) slots.
+    c = ConstraintSet(
+        n=2, m=1, eval_A=lambda t, x, w: np.array([[1.0, -1.0]]),
+        eval_B=lambda t, x, w: np.array([2.0]),
+    )
+    row = _dirac_point(c, 0.0, np.zeros(2), np.zeros(2)).generators()[0][-1]
+    npt.assert_allclose(row[:8], 0.0)
+    lifted = CotangentP(*_slots(row[8:], 2))
     assert lifted.pi == pytest.approx(2.0)
     npt.assert_allclose(lifted.alpha, [1.0, -1.0])
     npt.assert_allclose(lifted.beta, 0.0)
@@ -345,12 +338,12 @@ def test_distribution_basis_count_and_kernel():
     n, m = 4, 2
     c = _affine_constraint(n, m, seed=1)
     point = _random_state(n, seed=1)
-    basis = distribution_basis(c, point.t, point.x, point.v)
+    basis = _dirac_point(c, point.t, point.x, point.v).basis()[0]
     assert len(basis) == 3 * n + 2 - m
     A = c.A(point.t, point.x, point.v)
     B = c.B(point.t, point.x, point.v)
     for b in basis:
-        npt.assert_allclose(A @ b.dx + B * b.dt, 0.0, atol=1e-12)
+        npt.assert_allclose(A @ b[1 : n + 1] + B * b[0], 0.0, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -370,7 +363,7 @@ def test_generators_shape():
     n, m = 3, 1
     c = _affine_constraint(n, m, seed=4)
     point = _random_state(n, seed=4)
-    G = dirac_generators(point, c)
+    G = _dirac_point(c, point.t, point.x, point.v).generators()[0]
     assert G.shape == (3 * n + 2 - m + m, 2 * (3 * n + 2))
     # Every generator row is itself a structure element: zero pairing with
     # any other generator under the symmetrized pairing.
@@ -504,9 +497,7 @@ def test_membership_TstarY_has_no_beta_condition():
     assert rep.multiplier[0] == pytest.approx(lam, rel=1e-9)
 
 
-def test_extended_point_and_phase_point_shapes():
-    pt_ = ExtendedPoint(t=1.0, x=np.array([1.0, 2.0]))
-    assert pt_.n == 2
+def test_phase_point_and_state_shapes():
     z = PhasePoint(t=0.0, x=np.zeros(3), pt=1.0, p=np.ones(3))
     assert z.n == 3
     s = PontryaginState(
@@ -611,10 +602,10 @@ def test_structure_equals_the_list_based_reference_bitwise(n, m, seed, scale):
             assert _bits(a.as_vector()) == _bits(a_ref)
         assert rng.normal() == ref_rng.normal()
         assert dirac_membership_P(point, c, u, a).member
-        assert _bits(dirac_generators(point, c)) == _bits(G_ref)
-        basis = distribution_basis(c, point.t, point.x, point.v)
+        structure = _dirac_point(c, point.t, point.x, point.v)
+        assert _bits(structure.generators()[0]) == _bits(G_ref)
         ref = _ref_basis(c, point.t, point.x, point.v)
-        assert [_bits(b.as_vector()) for b in basis] == [_bits(b.as_vector()) for b in ref]
+        assert list(map(_bits, structure.basis()[0])) == [_bits(b.as_vector()) for b in ref]
 
 
 def test_a_check_sample_builds_its_structure_once(monkeypatch):
@@ -682,28 +673,21 @@ def test_a_failing_point_raises_on_every_call(row, message):
         lambda: dirac_rank(point, c),
         lambda: random_dirac_element(point, c, rng),
         lambda: dirac_membership_P(point, c, u, a),
-        lambda: distribution_basis(c, point.t, point.x, point.v),
-        lambda: annihilator_basis(c, point.t, point.x, point.v),
     ):
         with pytest.raises(DegenerateConstraintError, match=message):
             call()
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 def test_returned_arrays_do_not_alias_the_structure():
     c = _affine_constraint(3, 1, seed=2)
     point = _random_state(3, seed=2)
-    args = (c, point.t, point.x, point.v)
-    basis = [b.as_vector() for b in distribution_basis(*args)]
-    G = dirac_generators(point, c)
-    rows = annihilator_basis(*args)
-    for b in distribution_basis(*args):
-        b.dx[:] = 7.0
-    rows[0].p[:] = 7.0
-    dirac_generators(point, c)[:] = 7.0
+    G = _dirac_point(c, point.t, point.x, point.v).generators()
     u, a = random_dirac_element(point, c, np.random.default_rng(0))
-    u.dx[:] = 7.0
-    a.alpha[:] = 7.0
-    assert [_bits(b.as_vector()) for b in distribution_basis(*args)] == list(map(_bits, basis))
-    assert _bits(dirac_generators(point, c)) == _bits(G)
-    assert _bits(annihilator_basis(*args)[0].p) == _bits(c.A(*args[1:])[0])
+    expected = _bits(u.as_vector()), _bits(a.as_vector())
+    for part in (u.dx, u.dv, u.dp, a.alpha, a.beta, a.w):
+        part[:] = 7.0
+    dirac_membership_P(point, c, u, a).multiplier[:] = 7.0
+    u, a = random_dirac_element(point, c, np.random.default_rng(0))
+    assert (_bits(u.as_vector()), _bits(a.as_vector())) == expected
+    assert _bits(_dirac_point(c, point.t, point.x, point.v).generators()) == _bits(G)

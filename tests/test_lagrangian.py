@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from diracsim import lagrangian as lagrangian_module
-from diracsim.geometry import PhasePoint, PontryaginState
+from diracsim.geometry import CotangentP, PhasePoint, PontryaginState, _slots
 from diracsim.lagrangian import (
     DerivativeReport,
-    ExternalForce,
     HyperregularityError,
     LegendreConvergenceError,
     TimeHamiltonian,
@@ -20,13 +19,11 @@ from diracsim.lagrangian import (
     covariant_energy,
     covariant_hamiltonian,
     covariant_legendre,
-    d_covariant_energy,
     dirac_differential,
     generalized_energy,
     lagrangian_energy,
     legendre_dual,
     legendre_invert,
-    lift_external_force,
 )
 
 
@@ -125,14 +122,16 @@ def test_covariant_energy_vanishes_on_legendre_image():
 def test_d_covariant_energy_gamma_is_exactly_one():
     L = make_mechanical()
     s = rand_state(2, seed=4)
-    a = d_covariant_energy(L, s)
-    assert a.gamma == 1.0
+    point = (np.asarray(c)[None] for c in (s.t, s.x, s.v, s.p))
+    _, _, _, gamma, _ = _slots(lagrangian_module._covariant_differential(L, *point)[0], 2)
+    assert gamma == 1.0
 
 
 def test_d_covariant_energy_against_finite_differences():
     L = make_mechanical()
     s = rand_state(2, seed=5)
-    a = d_covariant_energy(L, s)
+    point = (np.asarray(c)[None] for c in (s.t, s.x, s.v, s.p))
+    a = CotangentP(*_slots(lagrangian_module._covariant_differential(L, *point)[0], 2))
 
     def E(t, x, v, pt, p):
         return pt + float(p @ v) - float(L.value(t, x, v))
@@ -306,19 +305,6 @@ def test_legendre_dual_rejects_partial_block():
 def test_hyperregular_flag():
     assert make_mechanical().hyperregular
     assert not make_degenerate().hyperregular
-
-
-# -- external forces ------------------------------------------------------
-
-
-def test_lift_external_force_slots():
-    F = ExternalForce(n=2, value=lambda t, x, v: np.array([1.0, -2.0]))
-    lifted = lift_external_force(F, 0.0, np.zeros(2), np.zeros(2))
-    assert lifted.pi == 0.0
-    npt.assert_allclose(lifted.alpha, [1.0, -2.0])
-    npt.assert_allclose(lifted.beta, 0.0)
-    assert lifted.gamma == 0.0
-    npt.assert_allclose(lifted.w, 0.0)
 
 
 # -- derivative checker ---------------------------------------------------

@@ -34,7 +34,6 @@ from diracsim.geometry import (
     PontryaginState,
     TangentP,
     TangentTstarY,
-    kinematic_constraint_residual,
 )
 from diracsim.lagrangian import check_derivatives, legendre_dual
 from diracsim.thermo import (
@@ -350,7 +349,7 @@ def test_reduced_rates_satisfy_kinematic_constraint():
         v[lay.Gamma] = rates.Gammadot
         v[lay.W] = rates.Wdot
         v[lay.Sigma] = rates.Sigmadot
-        res = kinematic_constraint_residual(C, pt_.t, pt_.x, 1.0, v)
+        res = C.A(pt_.t, pt_.x, v) @ v + C.B(pt_.t, pt_.x, v)
         assert np.max(np.abs(res)) < 1e-12
 
 
@@ -414,7 +413,7 @@ def test_initial_state_is_consistent():
     # Covariant energy starts at zero and the constraint holds.
     E = float(s0.p @ s0.v) - float(L.value(s0.t, s0.x, s0.v))
     assert s0.pt + E == pytest.approx(0.0, abs=1e-12)
-    res = kinematic_constraint_residual(C, s0.t, s0.x, 1.0, s0.v)
+    res = C.A(s0.t, s0.x, s0.v) @ s0.v + C.B(s0.t, s0.x, s0.v)
     assert np.max(np.abs(res)) < 1e-12
 
 

@@ -37,11 +37,9 @@ from .lagrangian import (
     TimeHamiltonian,
     TimeLagrangian,
     check_derivatives,
-    covariant_energy,
     covariant_hamiltonian,
     covariant_legendre,
     dirac_differential,
-    generalized_energy,
     lagrangian_energy,
     legendre_dual,
     legendre_invert,

@@ -94,9 +94,12 @@ def _is_number(value) -> bool:
 
 
 def _as_number(raw, field: str) -> float:
+    # A JSON number only: a string or a boolean is not read as one.
+    if not _is_number(raw):
+        raise ConfigError(field, f"expected a number, got {raw!r}")
     try:
         val = float(raw)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(field, f"expected a number, got {raw!r}") from None
     # Python's json reads NaN, Infinity and overflowing literals like 1e999.
     if not math.isfinite(val):
@@ -199,15 +202,48 @@ def _positive(cfg: dict, field: str, default=None) -> float:
     return val
 
 
-def _vector(cfg: dict, field: str, n: int, default=None) -> np.ndarray:
-    raw = _get(cfg, field, default, required=default is None)
-    try:
-        vec = np.asarray(raw, dtype=float).reshape(n)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, f"expected {n} numbers") from None
-    for i, val in enumerate(vec):
-        _as_number(val, f"{field}[{i}]")
-    return vec
+def _vector(cfg: dict, field: str, n: int) -> np.ndarray:
+    # A list of n numbers; a single number stands for a list of one.
+    raw = _get(cfg, field, required=True)
+    items = raw if isinstance(raw, list) else [raw]
+    if len(items) != n:
+        raise ConfigError(field, f"expected {n} numbers")
+    return np.array([_as_number(val, f"{field}[{i}]") for i, val in enumerate(items)])
+
+
+def _list(cfg: dict, field: str) -> list:
+    raw = _get(cfg, field, [])
+    if not isinstance(raw, list):
+        raise ConfigError(field, f"must be a list, got {raw!r}")
+    return raw
+
+
+# The tolerance keys evaluate_tolerances reads.
+TOLERANCE_KEYS = ("covariant_energy", "energy_balance", "kinematic", "first_law",
+                  "entropy_decomposition", "entropy_production_min")
+
+
+def _tolerances(cfg: dict) -> dict:
+    tols = _get(cfg, "tolerances")  # absent or null: every default
+    if not isinstance(tols, (dict, type(None))):
+        raise ConfigError("tolerances", f"must be an object, got {tols!r}")
+    for name, val in (tols or {}).items():
+        if name not in TOLERANCE_KEYS:
+            known = ", ".join(TOLERANCE_KEYS)
+            raise ConfigError(f"tolerances.{name}", f"unknown key; known: {known}")
+        if val is not None:
+            _as_number(val, f"tolerances.{name}")
+    return dict(tols or {})
+
+
+def _prefix(cfg: dict) -> str:
+    # Outputs are written to <--out>/<prefix>_<name>: the prefix is a file name.
+    prefix = _get(cfg, "output.prefix", "run")
+    if not isinstance(prefix, str) or not prefix or any(c in prefix for c in "/\\\0"):
+        raise ConfigError(
+            "output.prefix", f"must be a file name without a path separator, got {prefix!r}"
+        )
+    return prefix
 
 
 # -- builtin scenarios ----------------------------------------------------
@@ -300,22 +336,26 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     # of two constant schedules is folded to one constant. Each callable
     # broadcasts over node arrays, as the open-system model requires.
     ports = []
-    for i, pcfg in enumerate(scfg.get("ports", [])):
+    for i, pcfg in enumerate(_list(cfg, "system.ports")):
         fld = f"system.ports[{i}]"
         if not isinstance(pcfg, dict):
             raise ConfigError(fld, "must be an object")
         J = _fold_schedule(pcfg.get("J", 0.0), fld + ".J")
         if "J_S" in pcfg and "molar_entropy" in pcfg:
             raise ConfigError(fld, "give J_S or molar_entropy, not both")
+        molar_entropy = None
         if "molar_entropy" in pcfg:
             s = _fold_schedule(pcfg["molar_entropy"], fld + ".molar_entropy")
             if isinstance(s, float) and isinstance(J, float):
                 J_S = _schedule(s * J)
             else:
-                J_S = lambda t, ts, s=_schedule(s), J=_schedule(J): s(t) * J(t)
+                molar_entropy = _schedule(s)
         else:
             J_S = make_schedule(pcfg.get("J_S", 0.0), fld + ".J_S")
-        if pcfg.get("matched", False):
+        matched = pcfg.get("matched", False)
+        if not isinstance(matched, bool):
+            raise ConfigError(fld + ".matched", f"must be true or false, got {matched!r}")
+        if matched:
             mu = lambda t, ts: th.chemical_potential(base, ts)
             T_port = lambda t, ts: th.temperature(base, ts)
         else:
@@ -323,10 +363,13 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
                 raise ConfigError(fld, "needs mu and T schedules (or matched: true)")
             mu = make_schedule(pcfg["mu"], fld + ".mu")
             T_port = make_schedule(pcfg["T"], fld + ".T")
-        ports.append(th.PortModel(J=_schedule(J), J_S=J_S, mu=mu, T_port=T_port))
+        if molar_entropy is None:
+            ports.append(th.PortModel(J=_schedule(J), J_S=J_S, mu=mu, T_port=T_port))
+        else:
+            ports.append(th.PortModel.from_molar_entropy(_schedule(J), molar_entropy, mu, T_port))
 
     sources = []
-    for i, hcfg in enumerate(scfg.get("sources", [])):
+    for i, hcfg in enumerate(_list(cfg, "system.sources")):
         fld = f"system.sources[{i}]"
         if not isinstance(hcfg, dict):
             raise ConfigError(fld, "must be an object")
@@ -434,13 +477,9 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         cfg, "integrator.formulation", "pontryagin"
     )
     t0 = _number(cfg, "initial.t0", 0.0)
-    tolerances = dict(_get(cfg, "tolerances", {}) or {})
-    for name, val in tolerances.items():
-        if val is not None:
-            _as_number(val, f"tolerances.{name}")
     common = dict(
         kind=kind, cfg=cfg, h=h, n_steps=n_steps, formulation=formulation,
-        tolerances=tolerances, prefix=str(_get(cfg, "output.prefix", "run")),
+        tolerances=_tolerances(cfg), prefix=_prefix(cfg),
     )
 
     if kind == "ideal_gas":
@@ -643,23 +682,23 @@ def evaluate_tolerances(
         val = tols.get(name)
         return default if val is None else float(val)
 
-    forced = cov_drift is not None
-    if cov_drift is None:
-        cov_drift = inv.covariant_energy_drift
+    summary = inv.summary()
+    drift = ("max |covariant energy drift|", summary["max_abs_covariant_energy_drift"])
+    if cov_drift is not None:
+        drift = (drift[0] + " net of external work", np.max(np.abs(cov_drift)))
 
     # (name, value, tolerance key, default tolerance)
-    drift = "max |covariant energy drift|" + (" net of external work" if forced else "")
-    ebr = np.max(np.abs(inv.energy_balance_residual), initial=0.0)
     checks = [
-        (drift, np.max(np.abs(cov_drift)), "covariant_energy", 1e-6),
-        ("max |energy balance residual|", ebr, "energy_balance", 1e-8),
-        ("max kinematic residual", np.max(inv.kinematic_residual), "kinematic", 1e-9),
+        (*drift, "covariant_energy", 1e-6),
+        ("max |energy balance residual|", summary["max_abs_energy_balance_residual"],
+         "energy_balance", 1e-8),
+        ("max kinematic residual", summary["max_kinematic_residual"], "kinematic", 1e-9),
     ]
     if is_thermo:
-        edr = np.max(np.abs(inv.entropy_decomposition_residual), initial=0.0)
         checks += [
             ("max |first law residual|", np.max(np.abs(inv.first_law_residual)), "first_law", 1e-6),
-            ("max |entropy decomposition residual|", edr, "entropy_decomposition",
+            ("max |entropy decomposition residual|",
+             summary["max_abs_entropy_decomposition_residual"], "entropy_decomposition",
              1e-10 if formulation == "reduced" else 1e-9),
         ]
 
@@ -673,7 +712,7 @@ def evaluate_tolerances(
 
     if is_thermo:
         floor = tols.get("entropy_production_min")
-        min_I = float(np.min(inv.entropy_production))
+        min_I = summary["min_entropy_production"]
         if floor is None:
             lines.append(f"min entropy production: {_fmt(min_I)} (no floor configured)")
         else:

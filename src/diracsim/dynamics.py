@@ -304,11 +304,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.x.shape[0] - 1
 
-    def state(self, k: int) -> PontryaginState:
-        return PontryaginState(
-            t=self.t[k], x=self.x[k], v=self.v[k], pt=self.pt[k], p=self.p[k]
-        )
-
     def midpoints(self, steps: slice = slice(None)) -> tuple[tuple, np.ndarray]:
         """Averaged states and finite-difference rates of the given steps.
 
@@ -328,11 +323,6 @@ class Trajectory:
         """Averaged state at the midpoint of step k."""
 
         return PontryaginState(*(a[0] for a in self.midpoints(slice(k, k + 1))[0]))
-
-    def midpoint_rate(self, k: int) -> TangentP:
-        """Finite-difference rate across step k, a section rate (dt = 1)."""
-
-        return TangentP(*_slots(self.midpoints(slice(k, k + 1))[1][0], self.n))
 
     def midpoint_samples(self) -> Iterator[tuple[PontryaginState, TangentP, np.ndarray]]:
         (t, x, v, pt, p), rates = self.midpoints()

@@ -42,6 +42,8 @@ __all__ = [
 
 # Relative singular value threshold for all rank decisions in this module.
 RANK_RTOL = 1e-10
+# Membership tolerance of dirac_membership_P (dirac_membership_TstarY's default).
+_MEMBERSHIP_TOL = 1e-9
 # Points per stacked SVD of the generators in _DiracStack.rank.
 _RANK_CHUNK = 16
 
@@ -374,22 +376,9 @@ def _dirac_points(constraints: ConstraintSet, t, x, w) -> _DiracStack:
     return _DiracStack(*constraints.rows(t, x, w))
 
 
-# (constraints, (t, x bytes, w bytes), record) of the last point that passed
-# the rank test; holding the set keeps its identity from being reused. x must
-# be a 1-d float array already, as `_vec` or a point record makes it.
-_last_point: tuple | None = None
-
-
 def _dirac_point(constraints: ConstraintSet, t, x: np.ndarray, w) -> _DiracStack:
     # The structure at one point, as a stack of one.
-    global _last_point
-    key = (t, x.tobytes(), np.asarray(w, dtype=float).tobytes())
-    last = _last_point
-    if last is not None and last[0] is constraints and last[1] == key:
-        return last[2]
-    point = _DiracStack(constraints.A(t, x, w)[None], constraints.B(t, x, w)[None])
-    _last_point = (constraints, key, point)
-    return point
+    return _DiracStack(constraints.A(t, x, w)[None], constraints.B(t, x, w)[None])
 
 
 def _slots(vec: np.ndarray, n: int) -> tuple:
@@ -452,10 +441,6 @@ class MembershipReport:
     residuals: dict[str, float]
     tol: float
     violated: tuple[str, ...] = field(default_factory=tuple)
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=lambda k: self.residuals[k])
-        return name, self.residuals[name]
 
 
 _LSTSQ = getattr(_umath_linalg, "lstsq", None)
@@ -530,7 +515,6 @@ def dirac_membership_P(
     constraints: ConstraintSet,
     u: TangentP,
     a: CotangentP,
-    tol: float = 1e-9,
 ) -> MembershipReport:
     """Test whether (u, a) belongs to the induced Dirac structure on P.
 
@@ -544,14 +528,15 @@ def dirac_membership_P(
     * momentum_in_annihilator_span: (dpt + pi, dp + alpha) = sum_r lam_r (B_r, A_r)
 
     The multiplier is estimated by least squares; each condition's violation is
-    reported under the names above.
+    reported under the names above and compared with _MEMBERSHIP_TOL.
     """
 
     n = point.n
     if u.n != n or a.n != n or constraints.n != n:
         raise ValueError("dimension mismatch between point, element and constraints")
     structure = _dirac_point(constraints, point.t, point.x, point.v)
-    return _report(*_membership(structure, u.as_vector()[None], a.as_vector()[None]), tol)
+    u_a = u.as_vector()[None], a.as_vector()[None]
+    return _report(*_membership(structure, *u_a), _MEMBERSHIP_TOL)
 
 
 def dirac_membership_TstarY(
@@ -559,7 +544,7 @@ def dirac_membership_TstarY(
     constraints: ConstraintSet,
     u: TangentTstarY,
     a: CotangentTstarY,
-    tol: float = 1e-9,
+    tol: float = _MEMBERSHIP_TOL,
 ) -> MembershipReport:
     """Test whether (u, a) belongs to the induced Dirac structure on T*Y.
 
@@ -613,20 +598,20 @@ def random_dirac_element(
     point: PontryaginState,
     constraints: ConstraintSet,
     rng: np.random.Generator,
-    scale: float = 1.0,
 ) -> tuple[TangentP, CotangentP]:
     """Draw a random element of the induced Dirac structure at the point.
 
     The tangent part is a random combination of the distribution basis and the
     cotangent part is Omega-flat of it plus a random combination of lifted
     annihilator rows, which parametrizes the whole fiber. The generator gives
-    the 3n + 2 - m basis coefficients, then the m row coefficients.
+    the 3n + 2 - m standard normal basis coefficients, then the m row
+    coefficients.
     """
 
     n = point.n
     structure = _dirac_point(constraints, point.t, point.x, point.v)
-    coeffs = rng.normal(scale=scale, size=structure.basis().shape[1])
-    lams = rng.normal(scale=scale, size=constraints.m)
+    coeffs = rng.normal(size=structure.basis().shape[1])
+    lams = rng.normal(size=constraints.m)
     u, a = _random_elements(structure, coeffs[None], lams[None])
     return TangentP(*_slots(u[0], n)), CotangentP(*_slots(a[0], n))
 

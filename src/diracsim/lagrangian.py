@@ -1,12 +1,12 @@
 """Time-dependent Lagrangians and Hamiltonians on the extended bundles.
 
 A TimeLagrangian L(t, x, v) carries analytic first partials and the velocity
-Hessian. The module provides the energies built from it (the fiber energy
-E_L, the generalized energy E depending on an independent momentum, and the
-covariant energy including the momentum conjugate to time), the covariant
-Legendre map into T*Y, the differential of a Hamiltonian on T*Y, partial
-inversion of the fiber derivative, and a finite-difference validator for
-user-declared partials.
+Hessian. The module provides the fiber energy E_L built from it and the
+differential of the covariant energy pt + <p, v> - L (its values E and
+pt + E along a trajectory are columns of dynamics.monitor_invariants), the
+covariant Legendre map into T*Y, the differential of a Hamiltonian on T*Y,
+partial inversion of the fiber derivative, and a finite-difference validator
+for user-declared partials.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .geometry import (
-    CotangentTstarY,
-    PhasePoint,
-    PontryaginState,
-    _dot,
-    _evaluate,
-    _slots,
-)
+from .geometry import CotangentTstarY, PhasePoint, _evaluate, _slots
 
 __all__ = [
     "HyperregularityError",
@@ -34,8 +27,6 @@ __all__ = [
     "TimeHamiltonian",
     "ExternalForce",
     "lagrangian_energy",
-    "generalized_energy",
-    "covariant_energy",
     "covariant_legendre",
     "dirac_differential",
     "covariant_hamiltonian",
@@ -172,15 +163,13 @@ class TimeLagrangian:
 
 @dataclass(frozen=True)
 class TimeHamiltonian:
-    """Hamiltonian H(t, x, p) with analytic partials; broadcasts as on
-    TimeLagrangian."""
+    """Hamiltonian H(t, x, p) with analytic partials, at one point at a time."""
 
     n: int
     value: Callable[[float, np.ndarray, np.ndarray], float]
     d_t: Callable[[float, np.ndarray, np.ndarray], float]
     d_x: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     d_p: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    broadcasts: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,24 +188,6 @@ def lagrangian_energy(
     """Fiber energy E_L = <dL/dv, v> - L."""
 
     return float(L.d_v(t, x, v) @ v) - float(L.value(t, x, v))
-
-
-def generalized_energy(
-    L: TimeLagrangian, t: float, x: np.ndarray, v: np.ndarray, p: np.ndarray
-) -> float:
-    """Generalized energy E = <p, v> - L with an independent momentum p."""
-
-    return float(np.asarray(p, dtype=float) @ v) - float(L.value(t, x, v))
-
-
-def covariant_energy(L: TimeLagrangian, state: PontryaginState) -> float:
-    """Covariant energy pt + <p, v> - L on the bundle P.
-
-    Conserved along the constrained dynamics even when L depends on time,
-    because the momentum conjugate to time absorbs the drift.
-    """
-
-    return state.pt + generalized_energy(L, state.t, state.x, state.v, state.p)
 
 
 def _covariant_differential(L: TimeLagrangian, t, x, v, p) -> np.ndarray:
@@ -286,23 +257,27 @@ def covariant_hamiltonian(
     return value, cov
 
 
+# Max-norm tolerance and iteration budget of legendre_invert's Newton loop.
+_LEGENDRE_TOL = 1e-10
+_LEGENDRE_MAX_ITER = 50
+
+
 def legendre_invert(
     L: TimeLagrangian,
     t: float,
     x: np.ndarray,
     p_target: np.ndarray,
     v_guess: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Invert p = dL/dv for v on the declared regular velocity block.
 
     Newton iteration on the block components only; the remaining components
     pass through unchanged from v_guess. Converges when the block residual
-    satisfies max|dL/dv - p_target| <= tol.
+    satisfies max|dL/dv - p_target| <= _LEGENDRE_TOL.
 
     Raises HyperregularityError when the block Hessian is singular and
-    LegendreConvergenceError after max_iter iterations without convergence.
+    LegendreConvergenceError after _LEGENDRE_MAX_ITER iterations without
+    convergence.
     """
 
     # The whole velocity, as a view, when every component is regular.
@@ -311,11 +286,11 @@ def legendre_invert(
     p_target = np.asarray(p_target, dtype=float).reshape(L.n)
     v = np.array(v_guess, dtype=float).reshape(L.n).copy()
 
-    for it in range(max_iter + 1):
+    for it in range(_LEGENDRE_MAX_ITER + 1):
         r = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)[idx] - p_target[idx]
-        if np.max(np.abs(r), initial=0.0) <= tol:
+        if np.max(np.abs(r), initial=0.0) <= _LEGENDRE_TOL:
             return v
-        if it == max_iter:
+        if it == _LEGENDRE_MAX_ITER:
             break
         J = np.asarray(L.d_vv(t, x, v), dtype=float).reshape(L.n, L.n)
         if L.regular_block is not None:
@@ -327,23 +302,19 @@ def legendre_invert(
         )
         v[idx] -= _mass_solve(J, r)
     raise LegendreConvergenceError(
-        f"fiber inversion did not reach tol={tol} in {max_iter} iterations "
+        f"fiber inversion did not reach tol={_LEGENDRE_TOL} in {_LEGENDRE_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(r)):.3e})"
     )
 
 
-def legendre_dual(
-    L: TimeLagrangian,
-    v_guess_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> TimeHamiltonian:
+def legendre_dual(L: TimeLagrangian) -> TimeHamiltonian:
     """Hamiltonian obtained from a hyperregular Lagrangian by fiber inversion.
 
-    H(t, x, p) = <p, v(p)> - L(t, x, v(p)) with v(p) solving dL/dv = p. The
-    partials follow from the envelope identities: dH/dp = v(p) and the t, x
-    partials are the negatives of those of L at the inverted velocity. value,
-    d_t, d_x and d_p at one (t, x, p) share one inversion; d_p returns an
-    array that callers must not write to. H broadcasts when L does; over
-    stacked points the fiber derivative is inverted point by point.
+    H(t, x, p) = <p, v(p)> - L(t, x, v(p)) with v(p) solving dL/dv = p,
+    inverted by Newton from v = p. The partials follow from the envelope
+    identities: dH/dp = v(p) and the t, x partials are the negatives of those
+    of L at the inverted velocity. value, d_t, d_x and d_p at one (t, x, p)
+    share one inversion; d_p returns an array that callers must not write to.
 
     Raises HyperregularityError for a Lagrangian with a declared partial
     regular block, since the transform then does not exist globally. In that
@@ -360,51 +331,32 @@ def legendre_dual(
         )
 
     def fiber_velocity(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        guess = (
-            np.asarray(v_guess_fn(t, x, p), dtype=float).reshape(L.n)
-            if v_guess_fn is not None
-            else np.asarray(p, dtype=float).reshape(L.n).copy()
-        )
-        return _read_only(legendre_invert(L, t, x, p, guess))
+        return _read_only(legendre_invert(L, t, x, p, np.asarray(p, dtype=float).reshape(L.n)))
 
     # A step residual asks for the midpoint, then the new node; two
     # remembered points make that two inversions.
     invert = _PointMemo(fiber_velocity, size=2)
 
-    def velocities(t, x, p):
-        # v(p) at each of K stacked points, inverted point by point.
-        return np.array([invert(tk, xk, pk) for tk, xk, pk in zip(t.tolist(), x, p)])
-
-    # At one point each callable reads the remembered inversion directly:
-    # the stepper calls them at every residual.
     def value(t, x, p):
-        if _stacked(x):
-            v = velocities(t, x, p)
-            return _dot(p, v) - np.asarray(L.value(t, x, v), dtype=float)
         v = invert(t, x, p)
         return float(np.asarray(p, dtype=float) @ v) - float(L.value(t, x, v))
 
     def d_t(t, x, p):
-        if _stacked(x):
-            return -np.asarray(L.d_t(t, x, velocities(t, x, p)), dtype=float)
         return -float(L.d_t(t, x, invert(t, x, p)))
 
     def d_x(t, x, p):
-        if _stacked(x):
-            return -np.asarray(L.d_x(t, x, velocities(t, x, p)), dtype=float)
         return -np.asarray(L.d_x(t, x, invert(t, x, p)), dtype=float).reshape(L.n)
 
-    def d_p(t, x, p):
-        return velocities(t, x, p) if _stacked(x) else invert(t, x, p)
+    return TimeHamiltonian(n=L.n, value=value, d_t=d_t, d_x=d_x, d_p=invert)
 
-    return TimeHamiltonian(
-        n=L.n, value=value, d_t=d_t, d_x=d_x, d_p=d_p, broadcasts=L.broadcasts
-    )
+
+# Largest relative error check_derivatives accepts.
+_DERIVATIVE_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
 class DerivativeReport:
-    """Result of a finite-difference validation of declared partials."""
+    """Result of check_derivatives; threshold is _DERIVATIVE_THRESHOLD."""
 
     passed: bool
     max_rel_err: float
@@ -414,35 +366,36 @@ class DerivativeReport:
 
 
 def check_derivatives(
-    obj: TimeLagrangian | TimeHamiltonian,
+    L: TimeLagrangian,
     sample: Callable[[np.random.Generator], tuple] | None = None,
     n_points: int = 100,
-    threshold: float = 1e-6,
     seed: int = 0,
     points: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> DerivativeReport:
-    """Validate declared partials against central finite differences.
+    """Validate a Lagrangian's declared partials against central finite
+    differences.
 
-    Evaluates d_t, d_x and the fiber partial (d_v or d_p), plus the velocity
-    Hessian when present, at n_points random points. The step per coordinate
-    is 1e-6 (1 + |coordinate|). sample(rng) must return (t, x, fiber) points
-    in the object's domain; the default draws each coordinate uniformly from
-    [-1, 1], which assumes the object is defined there. points, if given,
-    are the (t, x, fiber) points themselves, stacked as arrays of shape
-    (K,), (K, n) and (K, n); sample, n_points and seed are then unused.
+    Evaluates d_t, d_x, d_v and the velocity Hessian d_vv at n_points random
+    points. The step per coordinate is 1e-6 (1 + |coordinate|). sample(rng)
+    must return (t, x, v) points in L's domain; the default draws each
+    coordinate uniformly from [-1, 1], which assumes L is defined there.
+    points, if given, are the (t, x, v) points themselves, stacked as arrays
+    of shape (K,), (K, n) and (K, n); sample, n_points and seed are then
+    unused.
 
     Relative errors are measured against max(1, |analytic|, |fd|) so that
     components of very different physical scale are compared fairly. The
-    worst component is the first with the largest error; a NaN error counts
-    as the largest and fails the check.
+    check passes when the worst is at most _DERIVATIVE_THRESHOLD. The worst
+    component is the first with the largest error; a NaN error counts as the
+    largest and fails the check.
 
     All points are validated in one array pass: value is called once on
-    every shifted point, the fiber partial once on the points and their
-    fiber shifts, and d_t, d_x and d_vv once each (once per point each when
-    obj does not broadcast).
+    every shifted point, d_v once on the points and their velocity shifts,
+    and d_t, d_x and d_vv once each (once per point each when L does not
+    broadcast).
     """
 
-    n = obj.n
+    n = L.n
     if points is None:
         rng = np.random.default_rng(seed)
         if sample is None:
@@ -454,7 +407,7 @@ def check_derivatives(
         x, w = (np.reshape([np.asarray(p[i], dtype=float).reshape(n) for p in drawn], (-1, n))
                 for i in (1, 2))
         points = (t, x, w)
-    errors, names = _derivative_errors(obj, *points)
+    errors, names = _derivative_errors(L, *points)
     flat = errors.ravel()
     worst, worst_name = 0.0, "none"
     if flat.size:
@@ -462,21 +415,19 @@ def check_derivatives(
         if not flat[i] <= 0.0:
             worst, worst_name = float(flat[i]), names[i % len(names)]
     return DerivativeReport(
-        passed=bool(worst <= threshold),
+        passed=bool(worst <= _DERIVATIVE_THRESHOLD),
         max_rel_err=worst,
         worst_component=worst_name,
-        threshold=threshold,
+        threshold=_DERIVATIVE_THRESHOLD,
         n_points=len(points[0]),
     )
 
 
-def _derivative_errors(obj, t: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple:
-    # Relative errors (K, C) of obj's declared partials against central
+def _derivative_errors(L: TimeLagrangian, t: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple:
+    # Relative errors (K, C) of L's declared partials against central
     # differences at K stacked points, and the names of the C components in
-    # order: d_t, d_x[i], the fiber partial [i], then d_vv[i,j] by columns j.
+    # order: d_t, d_x[i], d_v[i], then d_vv[i,j] by columns j.
     K, n = x.shape
-    lagrangian = isinstance(obj, TimeLagrangian)
-    fiber, fiber_name = (obj.d_v, "d_v") if lagrangian else (obj.d_p, "d_p")
     idx = np.arange(n)
 
     def shifted(a: np.ndarray, h: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -491,41 +442,37 @@ def _derivative_errors(obj, t: np.ndarray, x: np.ndarray, w: np.ndarray) -> tupl
         return (f_plus - f_minus) / (2.0 * h)
 
     def at_points(fn, shape):
-        return _evaluate(fn, obj.broadcasts, shape, t, x, w)
+        return _evaluate(fn, L.broadcasts, shape, t, x, v)
 
-    # value at t -+ ht, at each x[i] -+ h and at each w[i] -+ h (copies 0-1,
+    # value at t -+ ht, at each x[i] -+ h and at each v[i] -+ h (copies 0-1,
     # 2 to 2n + 1 and 2n + 2 to 4n + 1 of each point), in one call.
     ht = 1e-6 * (1.0 + np.abs(t))
     hx = 1e-6 * (1.0 + np.abs(x))
-    hw = 1e-6 * (1.0 + np.abs(w))
+    hv = 1e-6 * (1.0 + np.abs(v))
     P = 2 + 4 * n
     T = np.repeat(t[:, None], P, axis=1)
     T[:, 0], T[:, 1] = t + ht, t - ht
     X = shifted(x, hx, 2, P)
-    W = shifted(w, hw, 2 + 2 * n, P)
-    f = _evaluate(obj.value, obj.broadcasts, (), T.ravel(), X.reshape(-1, n), W.reshape(-1, n))
+    V = shifted(v, hv, 2 + 2 * n, P)
+    f = _evaluate(L.value, L.broadcasts, (), T.ravel(), X.reshape(-1, n), V.reshape(-1, n))
     f = f.reshape(K, P)
+    # d_v at each point and at each v[j] -+ h, in one call; cols[k, j, i]
+    # is the difference quotient of d_v[i] in v[j].
+    Q = 1 + 2 * n
+    g = _evaluate(
+        L.d_v, L.broadcasts, (n,),
+        np.repeat(t, Q), np.repeat(x, Q, axis=0), shifted(v, hv, 1, Q).reshape(-1, n),
+    ).reshape(K, Q, n)
+    cols = central(g[:, 1 : 1 + n], g[:, 1 + n :], hv[:, :, None])
+    H = at_points(L.d_vv, (n, n)).transpose(0, 2, 1).reshape(K, n * n)
+    analytic = [at_points(L.d_t, ())[:, None], at_points(L.d_x, (n,)), g[:, 0], H]
     fd = [
         central(f[:, 0], f[:, 1], ht)[:, None],
         central(f[:, 2 : 2 + n], f[:, 2 + n : 2 + 2 * n], hx),
-        central(f[:, 2 + 2 * n : 2 + 3 * n], f[:, 2 + 3 * n :], hw),
+        central(f[:, 2 + 2 * n : 2 + 3 * n], f[:, 2 + 3 * n :], hv),
+        cols.reshape(K, n * n),
     ]
-    analytic = [at_points(obj.d_t, ())[:, None], at_points(obj.d_x, (n,))]
-    names = ["d_t"] + [f"d_x[{i}]" for i in range(n)] + [f"{fiber_name}[{i}]" for i in range(n)]
-    if not lagrangian:
-        analytic.append(at_points(fiber, (n,)))
-    else:
-        # d_v at each point and at each w[j] -+ h, in one call; cols[k, j, i]
-        # is the difference quotient of d_v[i] in w[j].
-        Q = 1 + 2 * n
-        g = _evaluate(
-            fiber, obj.broadcasts, (n,),
-            np.repeat(t, Q), np.repeat(x, Q, axis=0), shifted(w, hw, 1, Q).reshape(-1, n),
-        ).reshape(K, Q, n)
-        cols = central(g[:, 1 : 1 + n], g[:, 1 + n :], hw[:, :, None])
-        H = at_points(obj.d_vv, (n, n))
-        analytic += [g[:, 0], H.transpose(0, 2, 1).reshape(K, n * n)]
-        fd.append(cols.reshape(K, n * n))
-        names += [f"d_vv[{i},{j}]" for j in range(n) for i in range(n)]
+    names = ["d_t"] + [f"d_{s}[{i}]" for s in "xv" for i in range(n)]
+    names += [f"d_vv[{i},{j}]" for j in range(n) for i in range(n)]
     an, fd = np.concatenate(analytic, axis=1), np.concatenate(fd, axis=1)
     return np.abs(an - fd) / np.maximum(np.maximum(1.0, np.abs(an)), np.abs(fd)), names

@@ -559,21 +559,20 @@ def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     )
 
 
+# Relative tolerance and iteration budget of _vq_from_pq's Newton loop.
+_VQ_TOL = 1e-12
+_VQ_MAX_ITER = 50
+
+
 def _vq_from_pq(
-    sys: SimpleOpenSystem,
-    q: np.ndarray,
-    S: float,
-    N: float,
-    p_q: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    sys: SimpleOpenSystem, q: np.ndarray, S: float, N: float, p_q: np.ndarray
 ) -> np.ndarray:
     # Invert p_q = dL_mech/dv on the mechanical block (mass matrix solve).
     mech = sys.mech
     v = np.zeros(sys.n_q)
-    for _ in range(max_iter):
+    for _ in range(_VQ_MAX_ITER):
         r = np.asarray(mech.d_v(q, v, S, N), dtype=float).reshape(sys.n_q) - p_q
-        if np.abs(r).max(initial=0.0) <= tol * (1.0 + np.abs(p_q).max(initial=0.0)):
+        if np.abs(r).max(initial=0.0) <= _VQ_TOL * (1.0 + np.abs(p_q).max(initial=0.0)):
             return v
         M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
         _require_nonsingular(M, "mechanical mass matrix is singular")
@@ -654,10 +653,6 @@ class PowerFlows:
     mechanical: float  # external force power
     heating: float     # sum J_S^b T^b
     matter: float      # sum J^a mu^a + J_S^a T^a
-
-    @property
-    def total(self) -> float:
-        return self.mechanical + self.heating + self.matter
 
 
 def power_flows(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> PowerFlows:
@@ -938,24 +933,26 @@ def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:
     return monitor_invariants(L, build_constraints(sys), traj, sys).first_law_residual
 
 
+# Half-width of a random physical point's draws around the reference state
+# (S and N move by at most 0.4 times it), and random_physical_point's times.
+_SPREAD = 0.5
+_T_SPAN = (0.0, 10.0)
+
+
 def random_physical_point(
-    sys: SimpleOpenSystem,
-    rng: np.random.Generator,
-    around: ThermoState,
-    t_span: tuple[float, float] = (0.0, 10.0),
-    spread: float = 0.5,
+    sys: SimpleOpenSystem, rng: np.random.Generator, around: ThermoState
 ) -> PontryaginState:
     """Random point of the mixed bundle inside the physical domain.
 
-    Mechanical coordinates, velocities and all momenta are drawn around the
-    reference state; S is perturbed additively and N multiplicatively so the
-    temperature stays defined. The bookkeeping velocities are free fiber
-    coordinates and are drawn unconstrained. The point takes
-    _physical_draws(sys) uniforms from rng.
+    t is drawn from _T_SPAN. Mechanical coordinates, velocities and all
+    momenta are drawn around the reference state; S is perturbed additively
+    and N multiplicatively so the temperature stays defined. The bookkeeping
+    velocities are free fiber coordinates and are drawn unconstrained. The
+    point takes _physical_draws(sys) uniforms from rng.
     """
 
     u = rng.random((1, _physical_draws(sys)))
-    t, x, v, pt, p = _physical_points(sys, u, around, t_span, spread)
+    t, x, v, pt, p = _physical_points(sys, u, around, _T_SPAN)
     return PontryaginState(t=t[0], x=x[0], v=v[0], pt=pt[0], p=p[0])
 
 
@@ -966,16 +963,13 @@ def _physical_draws(sys: SimpleOpenSystem) -> int:
 
 
 def _physical_points(
-    sys: SimpleOpenSystem,
-    u: np.ndarray,
-    around: ThermoState,
-    t_span: tuple[float, float] = (0.0, 10.0),
-    spread: float = 0.5,
+    sys: SimpleOpenSystem, u: np.ndarray, around: ThermoState, t_span: tuple[float, float]
 ) -> tuple:
     # The random physical points of the standard uniforms u, one row of
     # _physical_draws(sys) per point, as arrays (t, x, v, pt, p) over the
-    # rows. rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() bit for bit,
-    # so a row gives the point of rng.uniform calls drawing the same numbers.
+    # rows, with t in t_span. rng.uniform(lo, hi) is lo + (hi - lo) *
+    # rng.random() bit for bit, so a row gives the point of rng.uniform calls
+    # drawing the same numbers.
     lay = sys.layout
     K = len(u)
     cols = iter(np.split(u, np.cumsum([1, sys.n_q, 1, 1, 1, 1, 1, lay.n, sys.n_q, 1]), axis=1))
@@ -986,14 +980,14 @@ def _physical_points(
 
     t = uniform(*t_span)
     x = np.zeros((K, lay.n))
-    x[:, lay.q] = around.q + uniform(-spread, spread, sys.n_q)
-    dS = 0.4 * spread * uniform(-1.0, 1.0)
-    dN = 0.4 * spread * uniform(-1.0, 1.0)
-    x[:, lay.Gamma] = around.Gamma + uniform(-spread, spread)
-    x[:, lay.W] = around.W + uniform(-spread, spread)
-    x[:, lay.Sigma] = around.Sigma + uniform(-spread, spread)
-    v = uniform(-spread, spread, lay.n)
-    v[:, lay.q] = around.v_q + uniform(-spread, spread, sys.n_q)
+    x[:, lay.q] = around.q + uniform(-_SPREAD, _SPREAD, sys.n_q)
+    dS = 0.4 * _SPREAD * uniform(-1.0, 1.0)
+    dN = 0.4 * _SPREAD * uniform(-1.0, 1.0)
+    x[:, lay.Gamma] = around.Gamma + uniform(-_SPREAD, _SPREAD)
+    x[:, lay.W] = around.W + uniform(-_SPREAD, _SPREAD)
+    x[:, lay.Sigma] = around.Sigma + uniform(-_SPREAD, _SPREAD)
+    v = uniform(-_SPREAD, _SPREAD, lay.n)
+    v[:, lay.q] = around.v_q + uniform(-_SPREAD, _SPREAD, sys.n_q)
     pt = uniform(-1.0, 1.0)
     p = uniform(-1.0, 1.0, lay.n)
     # The offsets of S and N can overflow T when the heat capacity is small;
@@ -1033,9 +1027,9 @@ def ideal_gas_fixture(
     friction: Callable[[float, ThermoState], np.ndarray] | None = None,
     ports: tuple[PortModel, ...] = (),
     sources: tuple[HeatSourceModel, ...] = (),
-    f_ext: Callable[[float, ThermoState], np.ndarray] | None = None,
 ) -> SimpleOpenSystem:
-    """Piston on a spring coupled to an ideal gas internal energy.
+    """Piston on a spring coupled to an ideal gas internal energy, with no
+    external force (set SimpleOpenSystem.f_ext with dataclasses.replace).
 
     L_mech = mass |v|^2 / 2 - stiffness |q|^2 / 2 - U(S, N) with
     U = c N T0 exp((S - N s0) / (c N)). The temperature is
@@ -1103,9 +1097,5 @@ def ideal_gas_fixture(
         d_vv=d_vv,
     )
     return SimpleOpenSystem(
-        mech=mech,
-        friction=friction,
-        ports=tuple(ports),
-        sources=tuple(sources),
-        f_ext=f_ext,
+        mech=mech, friction=friction, ports=tuple(ports), sources=tuple(sources)
     )

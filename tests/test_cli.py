@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from diracsim import cli, thermo as th
 from diracsim.cli import BUILTINS, ConfigError, build_problem, load_config, main, make_schedule
 from diracsim.dynamics import monitor_invariants
-from diracsim.lagrangian import generalized_energy
 
 
 def invoke(*args):
@@ -326,6 +325,14 @@ def test_run_mole_number_rate_equals_port_flows(tmp_path):
 # -- exit code 2: configuration errors ------------------------------------
 
 
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
 def config_error_cases(tmp_path):
     missing_kind = thermo_cfg()
     del missing_kind["system"]["kind"]
@@ -347,6 +354,10 @@ def config_error_cases(tmp_path):
     inconsistent_velocity["initial"]["v"] = [1.0, 0.5]
     fractional_n_q = thermo_cfg()
     fractional_n_q["system"]["n_q"] = 1.5
+
+    def changed(make, path, value):
+        return _set(make(), path, value)
+
     return {
         "missing_kind": (missing_kind, "system.kind"),
         "negative_h": (negative_h, "must be positive"),
@@ -358,6 +369,49 @@ def config_error_cases(tmp_path):
         "reduced_mechanical": (reduced_mechanical, "not valid for a mechanical system"),
         "inconsistent_velocity": (inconsistent_velocity, "kinematic constraint"),
         "fractional_n_q": (fractional_n_q, "config error at system.n_q: must be a whole number"),
+        # Inputs that ended in a traceback.
+        "ports_not_a_list": (
+            changed(thermo_cfg, ("system", "ports"), 5), "config error at system.ports: must be a list"
+        ),
+        "sources_not_a_list": (
+            changed(thermo_cfg, ("system", "sources"), {"T": 1.1}),
+            "config error at system.sources: must be a list",
+        ),
+        "tolerances_a_list": (
+            changed(thermo_cfg, ("tolerances",), [1, 2]), "config error at tolerances: must be an object"
+        ),
+        "tolerances_a_string": (
+            changed(thermo_cfg, ("tolerances",), "abc"), "config error at tolerances: must be an object"
+        ),
+        "prefix_in_a_subdirectory": (
+            changed(mech_cfg, ("output", "prefix"), "sub/x"),
+            "config error at output.prefix: must be a file name without a path separator",
+        ),
+        "prefix_outside_out": (
+            changed(mech_cfg, ("output", "prefix"), "../x"),
+            "config error at output.prefix: must be a file name without a path separator",
+        ),
+        # Values that were silently misread.
+        "c_a_string": (
+            changed(thermo_cfg, ("system", "c"), "2.0"),
+            "config error at system.c: expected a number, got '2.0'",
+        ),
+        "q_a_string": (
+            changed(thermo_cfg, ("initial", "q"), "0.3"),
+            "config error at initial.q[0]: expected a number, got '0.3'",
+        ),
+        "h_a_boolean": (
+            changed(mech_cfg, ("integrator", "h"), True),
+            "config error at integrator.h: expected a number, got True",
+        ),
+        "matched_a_string": (
+            changed(thermo_cfg, ("system", "ports", 0, "matched"), "no"),
+            "config error at system.ports[0].matched: must be true or false, got 'no'",
+        ),
+        "misspelled_tolerance": (
+            changed(thermo_cfg, ("tolerances",), {"kinematc": 1e-30}),
+            "config error at tolerances.kinematc: unknown key",
+        ),
     }
 
 
@@ -367,14 +421,23 @@ def config_error_cases(tmp_path):
         "missing_kind", "negative_h", "no_horizon", "bad_formulation",
         "bad_schedule", "both_entropy_forms", "port_without_reservoir",
         "reduced_mechanical", "inconsistent_velocity", "fractional_n_q",
+        "ports_not_a_list", "sources_not_a_list", "tolerances_a_list",
+        "tolerances_a_string", "prefix_in_a_subdirectory", "prefix_outside_out",
+        "c_a_string", "q_a_string", "h_a_boolean", "matched_a_string",
+        "misspelled_tolerance",
     ],
 )
-def test_run_config_errors_exit_2(tmp_path, case):
+def test_run_config_errors_exit_2(tmp_path, monkeypatch, case):
+    def integrate(problem, formulation):
+        raise AssertionError("integrated before the config was rejected")
+
+    monkeypatch.setattr(cli, "run_formulation", integrate)
     cfg, needle = config_error_cases(tmp_path)[case]
     path = write_cfg(tmp_path, cfg)
     result = invoke("run", path, "--out", str(tmp_path))
     assert result.exit_code == 2, all_text(result)
     assert needle in all_text(result)
+    assert len(result.stderr.strip().splitlines()) == 1, all_text(result)
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "check"])
@@ -410,14 +473,6 @@ def test_an_out_path_that_is_a_file_fails_before_integrating(tmp_path, monkeypat
     assert result.stderr.strip().splitlines() == [
         f"config error at --out: cannot create directory {str(out)!r} (File exists)"
     ]
-
-
-def _set(cfg, path, value):
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return cfg
 
 
 INF, NAN = float("inf"), float("nan")
@@ -552,9 +607,11 @@ def test_invariant_columns_equal_node_functions_bitwise(tmp_path):
     states = [th.state_from_arrays(sys0, traj.x[k], traj.v[k]) for k in nodes]
     flows = [th.power_flows(sys0, traj.t[k], states[k]) for k in nodes]
     assert any(f.mechanical != 0.0 for f in flows)
+    # E = <p, v> - L at each node, one node at a time.
     np.testing.assert_array_equal(
         inv.energy,
-        [generalized_energy(problem.L, traj.t[k], traj.x[k], traj.v[k], traj.p[k]) for k in nodes],
+        [float(traj.p[k] @ traj.v[k]) - float(problem.L.value(traj.t[k], traj.x[k], traj.v[k]))
+         for k in nodes],
     )
     np.testing.assert_array_equal(inv.power_mechanical, [f.mechanical for f in flows])
     np.testing.assert_array_equal(inv.power_heating, [f.heating for f in flows])
@@ -573,7 +630,7 @@ def test_invariant_columns_equal_node_functions_bitwise(tmp_path):
     np.testing.assert_array_equal(
         inv.energy,
         [
-            generalized_energy(mech.L, traj.t[k], traj.x[k], traj.v[k], traj.p[k])
+            float(traj.p[k] @ traj.v[k]) - float(mech.L.value(traj.t[k], traj.x[k], traj.v[k]))
             for k in range(traj.n_steps + 1)
         ],
     )

@@ -20,6 +20,9 @@ relative to max(1, max |value|) over both trees: for a CSV column the bound
 of the first entry of "columns" whose "names" (fnmatch patterns) match the
 column's header, for a number on a text line the "text_numbers" bound. Each
 difference over its bound is printed, and the run exits 1 if there is one.
+A "columns" entry that matches no CSV header of either tree (identical files
+included) is printed as unused, and the run exits 1 for it too, so the file
+holds no rule that bounds nothing.
 """
 
 import argparse
@@ -57,6 +60,15 @@ class Bounds:
         self.columns = [(rule["names"], float(rule["bound"])) for rule in spec["columns"]]
         self.text_numbers = float(spec["text_numbers"])
         self.over: list[str] = []
+        self.headers: set[str] = set()  # every CSV column name of both trees
+
+    def unused(self) -> list[list[str]]:
+        """The patterns of each "columns" entry that matches no header seen."""
+
+        return [
+            patterns for patterns, _ in self.columns
+            if not any(fnmatch.fnmatchcase(h, p) for h in self.headers for p in patterns)
+        ]
 
     def column(self, name: str) -> float:
         for patterns, bound in self.columns:
@@ -142,6 +154,10 @@ def main() -> int:
     identical = 0
     for rel in sorted(fa & fb):
         pa, pb = args.a / rel, args.b / rel
+        if bounds is not None and rel.endswith(".csv"):
+            for p in (pa, pb):
+                with open(p, newline="") as fh:
+                    bounds.headers.update(next(csv.reader(fh), []))
         if pa.read_bytes() == pb.read_bytes():
             identical += 1
             continue
@@ -157,7 +173,10 @@ def main() -> int:
         for line in bounds.over:
             print(f"over bound: {line}")
         print(f"bounds ({args.bounds}): {len(bounds.over)} differences over their bound")
-        ok &= not bounds.over
+        unused = bounds.unused()
+        for patterns in unused:
+            print(f"unused bound: columns {patterns} match no CSV column in either tree")
+        ok &= not bounds.over and not unused
     return 0 if ok else 1
 
 

@@ -4,7 +4,8 @@ configurations.
 A configuration is either a path to a JSON file or the name of a bundled
 builtin scenario. Schedules (time-dependent inputs) are written as a plain
 number for a constant or as a list of [time, value] pairs interpolated
-piecewise-linearly and clamped at the ends.
+piecewise-linearly and clamped at the ends. Every config object takes
+only the keys its reader reads; any other key is a configuration error.
 
 Exit codes: 0 all monitored tolerances met, 1 a tolerance was violated,
 2 configuration or formulation error, 3 solver failure.
@@ -222,15 +223,39 @@ def _list(cfg: dict, field: str) -> list:
 TOLERANCE_KEYS = ("covariant_energy", "energy_balance", "kinematic", "first_law",
                   "entropy_decomposition", "entropy_production_min")
 
+# The keys each config object's reader reads: the top level, the integrator
+# and output objects, and, by system kind, the system and initial objects.
+_KEYS = {
+    "": ("system", "initial", "integrator", "tolerances", "output"),
+    "integrator": ("h", "horizon", "formulation"),
+    "output": ("prefix",),
+}
+_KIND_KEYS = {
+    "ideal_gas": {"system": ("kind", "n_q", "c", "T0", "s0", "mass", "stiffness", "friction_gamma",
+                             "ports", "sources", "external_force"),
+                  "initial": ("t0", "q", "v_q", "S", "N", "Gamma", "W", "Sigma")},
+    "nonholonomic_particle": {"system": ("kind", "mass", "beta"), "initial": ("t0", "x", "v")},
+}
+_PORT_KEYS = ("J", "J_S", "molar_entropy", "matched", "mu", "T")
+_SOURCE_KEYS = ("T", "kappa", "J_S")
+
+
+def _known(obj, field: str, keys: tuple) -> dict:
+    # The config object at field (a path, "" for the top level), which must
+    # hold no key outside those its reader reads.
+    if not isinstance(obj, dict):
+        raise ConfigError(field, f"must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(
+                f"{field}.{key}" if field else key, f"unknown key; known: {', '.join(keys)}"
+            )
+    return obj
+
 
 def _tolerances(cfg: dict) -> dict:
     tols = _get(cfg, "tolerances")  # absent or null: every default
-    if not isinstance(tols, (dict, type(None))):
-        raise ConfigError("tolerances", f"must be an object, got {tols!r}")
-    for name, val in (tols or {}).items():
-        if name not in TOLERANCE_KEYS:
-            known = ", ".join(TOLERANCE_KEYS)
-            raise ConfigError(f"tolerances.{name}", f"unknown key; known: {known}")
+    for name, val in _known({} if tols is None else tols, "tolerances", TOLERANCE_KEYS).items():
         if val is not None:
             _as_number(val, f"tolerances.{name}")
     return dict(tols or {})
@@ -297,7 +322,6 @@ def load_config(source: str) -> dict:
 @dataclasses.dataclass
 class Problem:
     kind: str
-    cfg: dict
     L: TimeLagrangian
     vel_constraints: ConstraintSet
     mom_constraints: ConstraintSet
@@ -338,8 +362,7 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     ports = []
     for i, pcfg in enumerate(_list(cfg, "system.ports")):
         fld = f"system.ports[{i}]"
-        if not isinstance(pcfg, dict):
-            raise ConfigError(fld, "must be an object")
+        _known(pcfg, fld, _PORT_KEYS)
         J = _fold_schedule(pcfg.get("J", 0.0), fld + ".J")
         if "J_S" in pcfg and "molar_entropy" in pcfg:
             raise ConfigError(fld, "give J_S or molar_entropy, not both")
@@ -356,6 +379,9 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
         if not isinstance(matched, bool):
             raise ConfigError(fld + ".matched", f"must be true or false, got {matched!r}")
         if matched:
+            for key in ("mu", "T"):
+                if key in pcfg:
+                    raise ConfigError(f"{fld}.{key}", "a matched port reads no mu or T")
             mu = lambda t, ts: th.chemical_potential(base, ts)
             T_port = lambda t, ts: th.temperature(base, ts)
         else:
@@ -371,12 +397,13 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     sources = []
     for i, hcfg in enumerate(_list(cfg, "system.sources")):
         fld = f"system.sources[{i}]"
-        if not isinstance(hcfg, dict):
-            raise ConfigError(fld, "must be an object")
+        _known(hcfg, fld, _SOURCE_KEYS)
         if "T" not in hcfg:
             raise ConfigError(fld, "needs a T schedule")
         T_b = make_schedule(hcfg["T"], fld + ".T")
         if "kappa" in hcfg:
+            if "J_S" in hcfg:
+                raise ConfigError(fld, "give J_S or kappa, not both")
             kappa = _as_number(hcfg["kappa"], fld + ".kappa")
             if kappa < 0:
                 raise ConfigError(fld + ".kappa", "must be nonnegative")
@@ -462,6 +489,10 @@ def _finite_initial(state: PontryaginState) -> PontryaginState:
 
 def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem:
     kind = _get(cfg, "system.kind", required=True)
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError("system.kind", f"unknown kind {kind!r}")
+    for field, keys in {**_KEYS, **_KIND_KEYS[kind]}.items():
+        _known(cfg.get(field, {}) if field else cfg, field, keys)
     h = _positive(cfg, "integrator.h")
     horizon = _positive(cfg, "integrator.horizon")
     steps = horizon / h
@@ -478,7 +509,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
     )
     t0 = _number(cfg, "initial.t0", 0.0)
     common = dict(
-        kind=kind, cfg=cfg, h=h, n_steps=n_steps, formulation=formulation,
+        kind=kind, h=h, n_steps=n_steps, formulation=formulation,
         tolerances=_tolerances(cfg), prefix=_prefix(cfg),
     )
 
@@ -527,34 +558,32 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             f_ext_force=force,
         )
 
-    if kind == "nonholonomic_particle":
-        if formulation not in FORMULATIONS:
-            raise ConfigError(
-                "integrator.formulation",
-                f"{formulation!r} not valid for a mechanical system "
-                f"(choose from {FORMULATIONS})",
-            )
-        L, constraints = _nonholonomic_setup(cfg)
-        x0 = _vector(cfg, "initial.x", 2)
-        v0 = _vector(cfg, "initial.v", 2)
-        res = constraints.A(t0, x0, v0) @ v0 + constraints.B(t0, x0, v0)
-        if np.max(np.abs(res)) > 1e-8:
-            raise ConfigError(
-                "initial.v", f"violates the kinematic constraint (residual {res})"
-            )
-        p0 = np.asarray(L.d_v(t0, x0, v0), dtype=float)
-        state0 = PontryaginState(
-            t=t0, x=x0, v=v0, pt=initialize_covariant_momentum(L, t0, x0, v0), p=p0
+    # kind == "nonholonomic_particle"
+    if formulation not in FORMULATIONS:
+        raise ConfigError(
+            "integrator.formulation",
+            f"{formulation!r} not valid for a mechanical system "
+            f"(choose from {FORMULATIONS})",
         )
-        return Problem(
-            **common,
-            L=L,
-            vel_constraints=constraints,
-            mom_constraints=constraints,
-            initial=_finite_initial(state0),
+    L, constraints = _nonholonomic_setup(cfg)
+    x0 = _vector(cfg, "initial.x", 2)
+    v0 = _vector(cfg, "initial.v", 2)
+    res = constraints.A(t0, x0, v0) @ v0 + constraints.B(t0, x0, v0)
+    if np.max(np.abs(res)) > 1e-8:
+        raise ConfigError(
+            "initial.v", f"violates the kinematic constraint (residual {res})"
         )
-
-    raise ConfigError("system.kind", f"unknown kind {kind!r}")
+    p0 = np.asarray(L.d_v(t0, x0, v0), dtype=float)
+    state0 = PontryaginState(
+        t=t0, x=x0, v=v0, pt=initialize_covariant_momentum(L, t0, x0, v0), p=p0
+    )
+    return Problem(
+        **common,
+        L=L,
+        vel_constraints=constraints,
+        mom_constraints=constraints,
+        initial=_finite_initial(state0),
+    )
 
 
 # -- running --------------------------------------------------------------
@@ -666,13 +695,7 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
-def evaluate_tolerances(
-    problem: Problem,
-    formulation: str,
-    inv,
-    tol_override,
-    cov_drift: np.ndarray | None = None,
-) -> tuple[bool, list[str]]:
+def evaluate_tolerances(problem: Problem, inv, tol_override) -> tuple[bool, list[str]]:
     tols = problem.tolerances
     is_thermo = problem.kind == "ideal_gas"
 
@@ -684,8 +707,14 @@ def evaluate_tolerances(
 
     summary = inv.summary()
     drift = ("max |covariant energy drift|", summary["max_abs_covariant_energy_drift"])
-    if cov_drift is not None:
-        drift = (drift[0] + " net of external work", np.max(np.abs(cov_drift)))
+    if is_thermo and problem.system.f_ext is not None:
+        # External forces do work on the mechanics, which the covariant energy
+        # legitimately accumulates; the conserved quantity is the drift net of
+        # the external work integral (trapezoid on the nodes, matching the
+        # first-law quadrature).
+        work = _cumulative_trapezoid(inv.t, inv.power_mechanical)
+        drift = (drift[0] + " net of external work",
+                 np.max(np.abs(inv.covariant_energy_drift - work)))
 
     # (name, value, tolerance key, default tolerance)
     checks = [
@@ -699,7 +728,7 @@ def evaluate_tolerances(
             ("max |first law residual|", np.max(np.abs(inv.first_law_residual)), "first_law", 1e-6),
             ("max |entropy decomposition residual|",
              summary["max_abs_entropy_decomposition_residual"], "entropy_decomposition",
-             1e-10 if formulation == "reduced" else 1e-9),
+             1e-10 if problem.formulation == "reduced" else 1e-9),
         ]
 
     lines = []
@@ -736,29 +765,19 @@ def _make_outdir(outdir: Path) -> None:
         ) from None
 
 
-def _run_and_report(problem: Problem, formulation: str, outdir: Path, tol_override):
+def _run_and_report(problem: Problem, outdir: Path, tol_override):
     _make_outdir(outdir)
-    traj = run_formulation(problem, formulation)
+    traj = run_formulation(problem, problem.formulation)
     inv = monitor_invariants(
         problem.L, problem.vel_constraints, traj, thermo_system=problem.system
     )
-    cov_drift = None
-    if problem.kind == "ideal_gas" and problem.system.f_ext is not None:
-        # External forces do work on the mechanics, which the covariant energy
-        # legitimately accumulates; the conserved quantity is the drift net of
-        # the external work integral (trapezoid on the nodes, matching the
-        # first-law quadrature).
-        work = _cumulative_trapezoid(inv.t, inv.power_mechanical)
-        cov_drift = inv.covariant_energy_drift - work
     prefix = problem.prefix
     write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv)
     write_invariants_csv(outdir / f"{prefix}_invariants.csv", inv)
-    passed, lines = evaluate_tolerances(
-        problem, formulation, inv, tol_override, cov_drift=cov_drift
-    )
+    passed, lines = evaluate_tolerances(problem, inv, tol_override)
     head = [
         f"system: {problem.kind}",
-        f"formulation: {formulation}",
+        f"formulation: {problem.formulation}",
         f"steps: {problem.n_steps}  h: {_fmt(problem.h)}",
     ]
     summary = head + lines + [f"overall: {'PASS' if passed else 'FAIL'}"]
@@ -791,12 +810,13 @@ def _exit_codes():
         _fail(exc, 3)
 
 
-def _min(lo):
-    # Option callback: a value below lo, NaN or infinity is a usage error,
+def _finite(lo=-math.inf):
+    # Option callback: a value below lo, NaN or an infinity is a usage error,
     # reported in one line with exit code 2.
     def callback(ctx, param, value):
-        if value is not None and not lo <= value < math.inf:
-            _fail(ConfigError(param.opts[0], f"must be finite and >= {lo}, got {value}"), 2)
+        if value is not None and not (lo <= value and math.isfinite(value)):
+            bound = "" if lo == -math.inf else f" and >= {lo}"
+            _fail(ConfigError(param.opts[0], f"must be finite{bound}, got {value}"), 2)
         return value
 
     return callback
@@ -807,7 +827,7 @@ def _min(lo):
 @click.option("--formulation", default=None, help="Override integrator.formulation.")
 @click.option("--out", default=".", help="Output directory.")
 @click.option(
-    "--tol", type=float, default=None, callback=_min(0), help="Override all residual tolerances."
+    "--tol", type=float, default=None, callback=_finite(0), help="Override all residual tolerances."
 )
 def run(config, formulation, out, tol):
     """Integrate a scenario, write CSVs and a summary, check tolerances."""
@@ -815,9 +835,7 @@ def run(config, formulation, out, tol):
     with _exit_codes():
         cfg = load_config(config)
         problem = build_problem(cfg, formulation)
-        passed, summary, _ = _run_and_report(
-            problem, problem.formulation, Path(out), tol
-        )
+        passed, summary, _ = _run_and_report(problem, Path(out), tol)
     for line in summary:
         click.echo(line)
     raise SystemExit(0 if passed else 1)
@@ -832,7 +850,8 @@ def run(config, formulation, out, tol):
 )
 @click.option("--out", default=None, help="Optional output directory for a report.")
 @click.option(
-    "--tol", type=float, default=None, callback=_min(0), help="Agreement tolerance (default 1e-6)."
+    "--tol", type=float, default=None, callback=_finite(0),
+    help="Agreement tolerance (default 1e-6).",
 )
 def compare(config, formulations, out, tol):
     """Run several formulations of one scenario and compare pointwise."""
@@ -880,17 +899,21 @@ def compare(config, formulations, out, tol):
 @main.command()
 @click.argument("config")
 @click.option(
-    "--seed", type=int, default=0, callback=_min(0), help="Seed for the randomized checks."
+    "--seed", type=int, default=0, callback=_finite(0), help="Seed for the randomized checks."
 )
-@click.option("--samples", type=int, default=30, callback=_min(1), help="Random points per check.")
 @click.option(
-    "--steps", type=int, default=200, callback=_min(1), help="Trajectory steps for the flow checks."
+    "--samples", type=int, default=30, callback=_finite(1), help="Random points per check."
 )
-@click.option("--tol", type=float, default=1e-8, callback=_min(0), help="Membership tolerance.")
+@click.option(
+    "--steps", type=int, default=200, callback=_finite(1),
+    help="Trajectory steps for the flow checks.",
+)
+@click.option("--tol", type=float, default=1e-8, callback=_finite(0), help="Membership tolerance.")
 @click.option(
     "--corrupt",
     type=float,
     default=0.0,
+    callback=_finite(),
     help="Offset added to one momentum slot before the membership checks, to "
     "demonstrate the failure diagnostics.",
 )

@@ -710,40 +710,37 @@ def monitor_invariants(
 ) -> InvariantSeries:
     """Evaluate conservation and consistency diagnostics along a trajectory.
 
-    <p, v> and L give the energy and the covariant energy at each node, and
-    the constraint row the kinematic residual. The energy balance residual
-    is the discrete rate of the momentum conjugate to time minus its law,
-    with coefficients at the step midpoint, using the stored midpoint
-    multipliers. Each column is one array pass over all nodes or all step
-    midpoints (L and constraints that do not broadcast are called per point).
-    When thermo_system is given (a SimpleOpenSystem, whose extended
-    Lagrangian L must be), the open-system balance gives the row, the power
-    flows and the internal entropy production. The first-law residual and
-    the entropy decomposition residual (Sdot - Sigmadot - p_Gamma_dot)
-    follow from those columns and the state arrays.
+    constraints must be the system's velocity-side set. <p, v> and L give
+    the energy and the covariant energy at each node, and the rows A v + B
+    the kinematic residual. The energy balance residual is the discrete rate
+    of pt minus dL/dt + B lam at the step midpoints of traj.midpoints(), with
+    the stored multipliers. Each column is one array pass over all nodes or
+    all midpoints (L and constraints that do not broadcast are called per
+    point). When thermo_system is given (a SimpleOpenSystem, whose extended
+    Lagrangian L must be), one open-system balance over all nodes gives the
+    node rows, the power flows and the internal entropy production. The
+    first-law residual and the entropy decomposition residual
+    (Sdot - Sigmadot - p_Gamma_dot) follow from those columns and the state
+    arrays.
     """
 
-    # The step midpoints and pt rates, each the same bits as per step.
-    mid = (
-        0.5 * (traj.t[:-1] + traj.t[1:]),
-        *(0.5 * (a[:-1] + a[1:]) for a in (traj.x, traj.v)),
-    )
-    ptdot = (traj.pt[1:] - traj.pt[:-1]) / (traj.t[1:] - traj.t[:-1])
+    nodes = (traj.t, traj.x, traj.v)
     thermo = {}
     if thermo_system is None:
-        nodes = (traj.t, traj.x, traj.v)
         A, B = constraints.rows(*nodes)
-        pv = _dot(traj.p, traj.v)
-        Lv = _evaluate(L.value, L.broadcasts, (), *nodes)
-        kin = np.abs(np.matmul(A, traj.v[..., None])[..., 0] + B).max(axis=-1, initial=0.0)
-        d_t = _evaluate(L.d_t, L.broadcasts, (), *mid)
-        lam_B = _dot(constraints.rows(*mid)[1], traj.lam)
     else:
         from .thermo import _invariant_columns
 
-        pv, Lv, kin, d_t, lam_B, thermo = _invariant_columns(thermo_system, L, traj, mid)
+        A, B, thermo = _invariant_columns(thermo_system, traj)
+    # L follows the node rows, so that a model may reuse what they computed.
+    pv, Lv = _dot(traj.p, traj.v), _evaluate(L.value, L.broadcasts, (), *nodes)
     E = pv - Lv
     ce = traj.pt + pv - Lv
+    kin = np.abs(np.matmul(A, traj.v[..., None])[..., 0] + B).max(axis=-1, initial=0.0)
+    (*mid, _, _), rates = traj.midpoints()
+    ptdot = _slots(rates, traj.n)[3]
+    d_t = _evaluate(L.d_t, L.broadcasts, (), *mid)
+    lam_B = _dot(constraints.rows(*mid)[1], traj.lam)
 
     if thermo_system is not None:
         lay = thermo_system.layout

@@ -4,7 +4,8 @@ The base space is Y = R x Q with coordinates (t, x), x of dimension n. On top
 of it sit the extended cotangent bundle T*Y with coordinates (t, x, pt, p) and
 the mixed bundle P = (R x TQ) x_Y T*Y with coordinates (t, x, v, pt, p). Here
 `pt` is the scalar momentum conjugate to time and `p` the momentum conjugate
-to x.
+to x. The point, vector and covector types share one slot rule: scalar slots
+are floats and vector slots 1-d float arrays of one length n.
 
 A constraint set holds m covector rows A(t, x, v) and offsets B(t, x, v), m < n,
 defining the affine velocity constraint A(t,x,v) v + B(t,x,v) = 0 and the linear
@@ -85,17 +86,40 @@ class DegenerateConstraintError(RuntimeError):
     """Raised when the constraint rows A(t, x, v) are rank deficient or not finite."""
 
 
-def _vec(a, n: int | None = None) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(a, dtype=float))
-    if out.ndim != 1:
-        raise ValueError(f"expected a 1-d array, got shape {out.shape}")
-    if n is not None and out.shape[0] != n:
-        raise ValueError(f"expected length {n}, got {out.shape[0]}")
-    return out
+class _Fields:
+    """The slot rule of the point types below: a slot annotated float is a
+    float, and every other slot a 1-d float array, all of one length n."""
+
+    def __init_subclass__(cls):
+        # The slot names in coordinate order, each with whether it is scalar.
+        names = cls.__dict__.get("__annotations__", {})
+        cls._kinds = tuple((k, a in ("float", float)) for k, a in names.items())
+
+    def __post_init__(self):
+        n = None
+        for name, scalar in self._kinds:
+            if scalar:
+                object.__setattr__(self, name, float(getattr(self, name)))
+                continue
+            a = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            n = len(a) if n is None else n
+            if a.shape != (n,):
+                raise ValueError(f"{name}: expected shape ({n},), got {a.shape}")
+            object.__setattr__(self, name, a)
+
+    @property
+    def n(self) -> int:
+        # The second slot (x, dx or alpha) is a vector in every point type.
+        return getattr(self, self._kinds[1][0]).shape[0]
+
+    def as_vector(self) -> np.ndarray:
+        """The slots concatenated in coordinate order."""
+
+        return np.concatenate([np.atleast_1d(getattr(self, k)) for k, _ in self._kinds])
 
 
 @dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(_Fields):
     """Point (t, x, pt, p) of the extended cotangent bundle T*Y."""
 
     t: float
@@ -103,19 +127,9 @@ class PhasePoint:
     pt: float
     p: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _vec(self.x))
-        object.__setattr__(self, "pt", float(self.pt))
-        object.__setattr__(self, "p", _vec(self.p, self.x.shape[0]))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
-class PontryaginState:
+class PontryaginState(_Fields):
     """Point (t, x, v, pt, p) of the bundle P carrying velocity and momenta."""
 
     t: float
@@ -124,21 +138,9 @@ class PontryaginState:
     pt: float
     p: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", _vec(self.x))
-        n = self.x.shape[0]
-        object.__setattr__(self, "v", _vec(self.v, n))
-        object.__setattr__(self, "pt", float(self.pt))
-        object.__setattr__(self, "p", _vec(self.p, n))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
-class TangentP:
+class TangentP(_Fields):
     """Tangent vector (dt, dx, dv, dpt, dp) to the bundle P."""
 
     dt: float
@@ -147,24 +149,9 @@ class TangentP:
     dpt: float
     dp: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "dx", _vec(self.dx))
-        n = self.dx.shape[0]
-        object.__setattr__(self, "dv", _vec(self.dv, n))
-        object.__setattr__(self, "dpt", float(self.dpt))
-        object.__setattr__(self, "dp", _vec(self.dp, n))
-
-    @property
-    def n(self) -> int:
-        return self.dx.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.dt], self.dx, self.dv, [self.dpt], self.dp))
-
 
 @dataclass(frozen=True)
-class CotangentP:
+class CotangentP(_Fields):
     """Covector (pi, alpha, beta, gamma, w) on the bundle P.
 
     pi pairs with dt, alpha with dx, beta with dv, gamma with dpt, w with dp.
@@ -176,26 +163,9 @@ class CotangentP:
     gamma: float
     w: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "pi", float(self.pi))
-        object.__setattr__(self, "alpha", _vec(self.alpha))
-        n = self.alpha.shape[0]
-        object.__setattr__(self, "beta", _vec(self.beta, n))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "w", _vec(self.w, n))
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(
-            ([self.pi], self.alpha, self.beta, [self.gamma], self.w)
-        )
-
 
 @dataclass(frozen=True)
-class TangentTstarY:
+class TangentTstarY(_Fields):
     """Tangent vector (dt, dx, dpt, dp) to T*Y."""
 
     dt: float
@@ -203,15 +173,9 @@ class TangentTstarY:
     dpt: float
     dp: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "dx", _vec(self.dx))
-        object.__setattr__(self, "dpt", float(self.dpt))
-        object.__setattr__(self, "dp", _vec(self.dp, self.dx.shape[0]))
-
 
 @dataclass(frozen=True)
-class CotangentTstarY:
+class CotangentTstarY(_Fields):
     """Covector (pi, alpha, gamma, w) on T*Y.
 
     pi pairs with dt, alpha with dx, gamma with dpt, w with dp.
@@ -221,12 +185,6 @@ class CotangentTstarY:
     alpha: np.ndarray
     gamma: float
     w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", float(self.pi))
-        object.__setattr__(self, "alpha", _vec(self.alpha))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "w", _vec(self.w, self.alpha.shape[0]))
 
 
 @dataclass(frozen=True)

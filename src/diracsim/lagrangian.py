@@ -52,17 +52,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _PointMemo:
-    """fn(t, x, w) remembered at the last `size` distinct points.
+    """fn(t, x, w) remembered at the last two distinct points.
 
-    t is compared by value, x and w by their bytes, kept as copies, so an
-    array mutated in place after a call is a new point. fn must return
-    results that callers cannot write to; they are handed out as stored.
-    The newest point is looked at first.
+    A step residual asks for the midpoint, then the new node, so two
+    remembered points serve both. t is compared by value, x and w by their
+    bytes, kept as copies, so an array mutated in place after a call is a
+    new point. fn must return results that callers cannot write to; they
+    are handed out as stored. The newest point is looked at first.
     """
 
-    def __init__(self, fn: Callable, size: int = 1):
+    _SIZE = 2
+
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self._size = size
         self._entries: list[tuple[tuple, object]] = []
 
     def __call__(self, t, x, w):
@@ -72,13 +74,8 @@ class _PointMemo:
                 return result
         result = self._fn(t, x, w)
         self._entries.insert(0, (key, result))
-        del self._entries[self._size :]
+        del self._entries[self._SIZE :]
         return result
-
-
-def _stacked(x) -> bool:
-    # Whether x holds K stacked points (K, n) rather than one point.
-    return type(x) is np.ndarray and x.ndim == 2
 
 
 def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
@@ -333,9 +330,8 @@ def legendre_dual(L: TimeLagrangian) -> TimeHamiltonian:
     def fiber_velocity(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return _read_only(legendre_invert(L, t, x, p, np.asarray(p, dtype=float).reshape(L.n)))
 
-    # A step residual asks for the midpoint, then the new node; two
-    # remembered points make that two inversions.
-    invert = _PointMemo(fiber_velocity, size=2)
+    # A step residual's midpoint and new node make two inversions.
+    invert = _PointMemo(fiber_velocity)
 
     def value(t, x, p):
         v = invert(t, x, p)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dynamics import ChordNewton, OutsideDomainError, SingularJacobianError, StepFailureError
-from .dynamics import Trajectory, monitor_invariants
+from .dynamics import Trajectory, initialize_covariant_momentum, monitor_invariants
 from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot, _slots
 from .lagrangian import (
     ExternalForce,
@@ -36,7 +36,6 @@ from .lagrangian import (
     _PointMemo,
     _read_only,
     _require_nonsingular,
-    _stacked,
 )
 
 __all__ = [
@@ -259,7 +258,7 @@ class SimpleOpenSystem:
     def _points(self) -> _PointMemo:
         # The open-system point at (t, x, v), shared by the velocity-side row,
         # the extended Lagrangian's d_x and d_v and the external force.
-        return _PointMemo(lambda t, x, v: _Point(self, t, state_from_arrays(self, x, v)), size=2)
+        return _PointMemo(lambda t, x, v: _Point(self, t, state_from_arrays(self, x, v)))
 
 
 def _new_state(q: np.ndarray, v_q: np.ndarray, scalars: np.ndarray) -> ThermoState:
@@ -295,6 +294,15 @@ def _node_state(sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray) -> ThermoSt
     # temperature; its fields are views of x and v.
     lay = sys.layout
     return _with_temperature(sys, _new_state(x[:, lay.q], v[:, lay.q], x[:, lay.S :]))
+
+
+def _state_at(sys: SimpleOpenSystem, t, x: np.ndarray, v: np.ndarray) -> ThermoState:
+    # The state that the extended Lagrangian and the external force read:
+    # over the rows of stacked (K, n) arrays, or at one point the state of
+    # the system's shared point, carrying its temperature either way.
+    if x.ndim == 2:
+        return _node_state(sys, x, v)
+    return sys._points(t, x, v).ts
 
 
 class _Point:
@@ -449,17 +457,16 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     L = L_mech(q, v_q, S, N) + v_W N + v_Gamma (S - Sigma). The velocity
     Hessian is invertible only on the q block, which is declared as the
     regular block; the extension is deliberately degenerate in the
-    thermodynamic velocities. At one point d_x and d_v read the system's
-    open-system point at (t, x, v), which the velocity-side row shares. The
-    Lagrangian broadcasts: given stacked points t (K,), x and v (K, n), each
-    callable returns one value per point (d_vv evaluates the mechanical mass
-    matrix point by point).
+    thermodynamic velocities. The Lagrangian broadcasts: given stacked
+    points t (K,), x and v (K, n), each callable returns one value per point
+    (d_vv evaluates the mechanical mass matrix point by point). At one point
+    d_x and d_v read the system's open-system point at (t, x, v), which the
+    velocity-side row shares.
     """
 
     lay = sys.layout
     mech = sys.mech
     n = lay.n
-    points = sys._points
 
     def split(x, v):
         # x.T[i] is slot i at one point and the node column of a (K, n) x.
@@ -474,47 +481,26 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     def d_t(t, x, v):
         return 0.0
 
-    # d_x and d_v at one point are the lean entries the stepper calls at
-    # every residual; stacked points take the array forms below them.
     def d_x(t, x, v):
-        if _stacked(x):
-            return stacked_d_x(_node_state(sys, x, v), v)
-        ts = points(t, x, v).ts
+        ts = _state_at(sys, t, x, v)
         q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
-        out = np.zeros(n)
-        out[lay.q] = np.asarray(mech.d_q(q, vq, S, N), dtype=float)
-        out[lay.S] = -ts._T[1] + v[lay.Gamma]  # dL_mech/dS, as the point computed it
-        out[lay.N] = float(mech.d_N(q, vq, S, N)) + v[lay.W]
-        out[lay.Sigma] = -v[lay.Gamma]
-        return out
-
-    def stacked_d_x(ts, v):
-        out = np.zeros(v.shape)
-        q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
-        out[:, lay.q] = mech.d_q(q, vq, S, N)
-        out[:, lay.S] = -ts._T[1] + v[:, lay.Gamma]
-        out[:, lay.N] = mech.d_N(q, vq, S, N) + v[:, lay.W]
-        out[:, lay.Sigma] = -v[:, lay.Gamma]
+        out = np.zeros(x.shape)
+        slots, vT = out.T, v.T  # slots[i]: slot i, or its node column
+        slots[lay.q] = mech.d_q(q, vq, S, N).T
+        slots[lay.S] = -ts._T[1] + vT[lay.Gamma]  # dL_mech/dS, as the state computed it
+        slots[lay.N] = mech.d_N(q, vq, S, N) + vT[lay.W]
+        slots[lay.Sigma] = -vT[lay.Gamma]
         return out
 
     def d_v(t, x, v):
-        if _stacked(x):
-            return momenta_from_state(sys, _node_state(sys, x, v))
-        ts = points(t, x, v).ts
-        out = np.zeros(n)
-        out[lay.q] = np.asarray(mech.d_v(ts.q, ts.v_q, ts.S, ts.N), dtype=float)
-        out[lay.Gamma] = ts.S - ts.Sigma
-        out[lay.W] = ts.N
-        return out
+        return momenta_from_state(sys, _state_at(sys, t, x, v))
 
     def d_vv(t, x, v):
+        # The mass matrix is only evaluated at single points.
         q, vq, S, N, _ = split(x, v)
         out = np.zeros(np.shape(x) + (n,))
-        if _stacked(x):  # the mass matrix is only evaluated at single points
-            for k in range(len(x)):
-                out[k, lay.q, lay.q] = mech.d_vv(q[k], vq[k], S[k], N[k])
-        else:
-            out[lay.q, lay.q] = np.asarray(mech.d_vv(q, vq, S, N), dtype=float)
+        for k in np.ndindex(np.shape(x)[:-1]):
+            out[k + (lay.q, lay.q)] = mech.d_vv(q[k], vq[k], S[k], N[k])
         return out
 
     return TimeLagrangian(
@@ -595,22 +581,19 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
         vq = _vq_from_pq(sys, x[lay.q], x[lay.S], x[lay.N], p[lay.q])
         return _Point(sys, t, _new_state(x[lay.q].copy(), vq, x[lay.S :]))
 
-    return _row_constraints(sys, _PointMemo(point, size=2))
+    return _row_constraints(sys, _PointMemo(point))
 
 
 def build_external_force(sys: SimpleOpenSystem) -> ExternalForce:
     """sys.f_ext as a covector on x, read at the point (t, x, v) the row
     shares; it broadcasts over stacked points."""
 
-    lay, points = sys.layout, sys._points
+    lay = sys.layout
 
     def value(t, x, v):
-        if _stacked(x):
-            out = np.zeros(x.shape)
-            out[:, lay.q] = sys.f_ext(t, _node_state(sys, x, v))
-            return out
-        out = np.zeros(lay.n)
-        out[lay.q] = sys.f_ext(t, points(t, x, v).ts)
+        out = np.zeros(x.shape)
+        # f_ext may return a shape that broadcasts to (K, n_q).
+        out[..., lay.q] = sys.f_ext(t, _state_at(sys, t, x, v))
         return out
 
     return ExternalForce(n=lay.n, value=value, broadcasts=True)
@@ -732,9 +715,10 @@ def momenta_from_state(sys: SimpleOpenSystem, ts: ThermoState) -> np.ndarray:
 
     lay = sys.layout
     p = np.zeros(ts.q.shape[:-1] + (lay.n,))
-    p[..., lay.q] = sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N)
-    p[..., lay.Gamma] = ts.S - ts.Sigma
-    p[..., lay.W] = ts.N
+    slots = p.T  # slots[i]: slot i, or its node column
+    slots[lay.q] = sys.mech.d_v(ts.q, ts.v_q, ts.S, ts.N).T
+    slots[lay.Gamma] = ts.S - ts.Sigma
+    slots[lay.W] = ts.N
     return p
 
 
@@ -751,10 +735,8 @@ def initial_pontryagin_state(
 
     y0 = _reduced_state_vector(ts0)
     x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[0][2 * sys.n_q :])
-    p = momenta_from_state(sys, ts0)
-    L = build_extended_lagrangian(sys)
-    E0 = float(p @ v) - float(L.value(t0, x, v))
-    return PontryaginState(t=t0, x=x, v=v, pt=-E0, p=p)
+    pt = initialize_covariant_momentum(build_extended_lagrangian(sys), t0, x, v)
+    return PontryaginState(t=t0, x=x, v=v, pt=pt, p=momenta_from_state(sys, ts0))
 
 
 def _reduced_state_vector(ts: ThermoState) -> np.ndarray:
@@ -899,26 +881,19 @@ def _lifted_midpoints(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:
     return (tm, xm, vm, ptm, momenta_from_state(sys, tsm)), rates
 
 
-def _invariant_columns(sys: SimpleOpenSystem, L: TimeLagrangian, traj: Trajectory, mid):
-    # monitor_invariants' open-system columns, each from one array pass: at
-    # the nodes <p, v>, L, the kinematic residual of the row, the power flows
-    # and the production; at the step midpoints mid = (t, x, v), dL/dt and
-    # the row offset B times the multiplier. L follows the node balance, so
-    # that the ideal gas reuses the nodes' exp.
-    t, x, v = traj.t, traj.x, traj.v
-    ts = _node_state(sys, x, v)
-    b = _balance(sys, t, ts)
+def _invariant_columns(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:
+    # monitor_invariants' open-system part, from one balance over all nodes:
+    # the node rows (A, B) and the power and production columns.
+    ts = _node_state(sys, traj.x, traj.v)
+    b = _balance(sys, traj.t, ts)
     A, B = _balance_row(sys, b.F_fr, b.J_S_ports + b.J_S_sources, b.J, b.T, b.P_M + b.P_H)
-    node_columns = (_dot(traj.p, v), L.value(t, x, v), np.abs(_dot(A[:, 0], v) + B[:, 0]))
-    tsm = _node_state(sys, *mid[1:])
-    P_M, P_H = _flows(sys, mid[0], tsm, temperature(sys, tsm))[3:5]
     columns = dict(
         entropy_production=b.total,
         power_mechanical=_dot(b.F_ext, ts.v_q),
         power_heating=b.P_H,
         power_matter=b.P_M,
     )
-    return (*node_columns, L.d_t(*mid), -(P_M + P_H) * traj.lam[:, 0], columns)
+    return A, B, columns
 
 
 def first_law_residual(sys: SimpleOpenSystem, traj: Trajectory) -> np.ndarray:

@@ -412,6 +412,50 @@ def config_error_cases(tmp_path):
             changed(thermo_cfg, ("tolerances",), {"kinematc": 1e-30}),
             "config error at tolerances.kinematc: unknown key",
         ),
+        # Keys that were silently ignored, one per config object.
+        "misspelled_top_level_key": (
+            changed(thermo_cfg, ("outptu",), {"prefix": "x"}), "config error at outptu: unknown key"
+        ),
+        "misspelled_system_key": (
+            changed(thermo_cfg, ("system", "frction_gamma"), 0.5),
+            "config error at system.frction_gamma: unknown key",
+        ),
+        "misspelled_initial_key": (
+            changed(thermo_cfg, ("initial", "Sgima"), 0.1),
+            "config error at initial.Sgima: unknown key",
+        ),
+        "misspelled_particle_system_key": (
+            changed(mech_cfg, ("system", "mas"), 2.0), "config error at system.mas: unknown key"
+        ),
+        "thermo_key_on_the_particle": (
+            changed(mech_cfg, ("initial", "q"), [0.1]), "config error at initial.q: unknown key"
+        ),
+        "misspelled_integrator_key": (
+            changed(thermo_cfg, ("integrator", "formulaton"), "reduced"),
+            "config error at integrator.formulaton: unknown key",
+        ),
+        "misspelled_output_key": (
+            changed(mech_cfg, ("output", "prefx"), "x"), "config error at output.prefx: unknown key"
+        ),
+        "output_not_an_object": (
+            changed(mech_cfg, ("output",), "x"), "config error at output: must be an object"
+        ),
+        "misspelled_port_key": (
+            changed(thermo_cfg, ("system", "ports", 0, "Js"), 0.01),
+            "config error at system.ports[0].Js: unknown key",
+        ),
+        "matched_port_with_a_reservoir": (
+            changed(thermo_cfg, ("system", "ports", 0, "matched"), True),
+            "config error at system.ports[0].mu: a matched port reads no mu or T",
+        ),
+        "misspelled_source_key": (
+            changed(thermo_cfg, ("system", "sources", 0, "kapa"), 0.02),
+            "config error at system.sources[0].kapa: unknown key",
+        ),
+        "source_with_kappa_and_J_S": (
+            changed(thermo_cfg, ("system", "sources", 0, "J_S"), 0.01),
+            "config error at system.sources[0]: give J_S or kappa, not both",
+        ),
     }
 
 
@@ -424,7 +468,11 @@ def config_error_cases(tmp_path):
         "ports_not_a_list", "sources_not_a_list", "tolerances_a_list",
         "tolerances_a_string", "prefix_in_a_subdirectory", "prefix_outside_out",
         "c_a_string", "q_a_string", "h_a_boolean", "matched_a_string",
-        "misspelled_tolerance",
+        "misspelled_tolerance", "misspelled_top_level_key", "misspelled_system_key",
+        "misspelled_initial_key", "misspelled_particle_system_key", "thermo_key_on_the_particle",
+        "misspelled_integrator_key", "misspelled_output_key", "output_not_an_object",
+        "misspelled_port_key", "matched_port_with_a_reservoir", "misspelled_source_key",
+        "source_with_kappa_and_J_S",
     ],
 )
 def test_run_config_errors_exit_2(tmp_path, monkeypatch, case):
@@ -566,7 +614,7 @@ def test_run_evaluates_each_node_diagnostic_once(tmp_path, monkeypatch):
     for name in ("_balance", "_flows", "power_flows", "entropy_production", "first_law_residual"):
         monkeypatch.setattr(th, name, counted(name, getattr(th, name)))
     monkeypatch.setattr(cli, "run_formulation", lambda problem, formulation: traj)
-    passed, summary, _ = cli._run_and_report(problem, "pontryagin", tmp_path, None)
+    passed, summary, _ = cli._run_and_report(problem, tmp_path, None)
     assert passed, summary
     # One balance over all K + 1 nodes feeds the power flows and the
     # production, the port and source sums over all K step midpoints the
@@ -901,6 +949,8 @@ def test_check_reports_seed(tmp_path):
         ("check", "--samples", "0"),
         ("check", "--samples", "-3"),
         ("check", "--steps", "0"),
+        ("check", "--corrupt", "nan"),
+        ("check", "--corrupt", "inf"),
     ],
 )
 def test_option_out_of_range_is_a_usage_error(tmp_path, command, option, value):

@@ -497,13 +497,37 @@ def test_membership_TstarY_has_no_beta_condition():
     assert rep.multiplier[0] == pytest.approx(lam, rel=1e-9)
 
 
+# Each point type with its scalar slots and its vector slots.
+POINT_TYPES = [
+    (PhasePoint, ("t", "pt"), ("x", "p")),
+    (PontryaginState, ("t", "pt"), ("x", "v", "p")),
+    (TangentP, ("dt", "dpt"), ("dx", "dv", "dp")),
+    (CotangentP, ("pi", "gamma"), ("alpha", "beta", "w")),
+    (TangentTstarY, ("dt", "dpt"), ("dx", "dp")),
+    (CotangentTstarY, ("pi", "gamma"), ("alpha", "w")),
+]
+
+
 def test_phase_point_and_state_shapes():
-    z = PhasePoint(t=0.0, x=np.zeros(3), pt=1.0, p=np.ones(3))
-    assert z.n == 3
-    s = PontryaginState(
-        t=0.0, x=np.zeros(2), v=np.ones(2), pt=0.0, p=np.zeros(2)
-    )
-    assert s.n == 2
+    # For each of the six point types: scalar slots come out as floats and
+    # vector slots as 1-d float arrays of one length n, whatever numbers,
+    # lists or integer arrays go in, and a slot of another shape raises.
+    for point_type, scalars, vectors in POINT_TYPES:
+        given = {k: np.int64(i + 1) for i, k in enumerate(scalars)}
+        given.update({k: [i, 2 * i, 3 * i] for i, k in enumerate(vectors)})
+        z = point_type(**given)
+        assert z.n == 3, point_type
+        for k in scalars:
+            assert type(getattr(z, k)) is float and getattr(z, k) == given[k]
+        for k in vectors:
+            a = getattr(z, k)
+            assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (3,)
+            assert a.tolist() == given[k]
+        for k in vectors:
+            with pytest.raises(ValueError):
+                point_type(**{**given, k: [1.0, 2.0]})
+        with pytest.raises(ValueError):
+            point_type(**{**given, vectors[0]: np.zeros((3, 1))})
 
 
 # -- one structure per point ----------------------------------------------

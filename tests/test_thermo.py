@@ -46,6 +46,7 @@ from diracsim.thermo import (
     ThermoState,
     build_constraints,
     build_extended_lagrangian,
+    build_external_force,
     build_momentum_constraints,
     chemical_potential,
     entropy_production,
@@ -1379,9 +1380,9 @@ ARRAY_PASS_SYSTEMS = {n_q: array_pass_system(n_q) for n_q in (1, 2, 3)}
 @settings(max_examples=40, deadline=None)
 @given(n_q=st.sampled_from([1, 2, 3]), K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_array_pass_equals_the_per_node_formula_bitwise(n_q, K, seed):
-    # The balance, the row's sums, the row, the momenta, L and <p, v> over K
-    # nodes at once are, node by node, the bits of the same formulas at that
-    # node alone.
+    # The balance, the row's sums, the row, the momenta, L, its partials,
+    # the external force and <p, v> over K nodes at once are, node by node,
+    # the bits of the same formulas at that node alone.
     sys0 = ARRAY_PASS_SYSTEMS[n_q]
     lay = sys0.layout
     rng = np.random.default_rng(seed)
@@ -1399,6 +1400,8 @@ def test_array_pass_equals_the_per_node_formula_bitwise(n_q, K, seed):
     L = build_extended_lagrangian(sys0)
     momenta, energies = momenta_from_state(sys0, ts), L.value(t, x, v)
     pv, P_W = thermo_module._dot(p, v), thermo_module._dot(full.F_ext, ts.v_q)
+    force = build_external_force(sys0)
+    partials = [L.d_x(t, x, v), L.d_v(t, x, v), L.d_vv(t, x, v), force.value(t, x, v)]
     for k, tk in enumerate(t.tolist()):
         one = state_from_arrays(sys0, x[k], v[k])
         at_k = thermo_module._balance(sys0, tk, one)
@@ -1410,6 +1413,8 @@ def test_array_pass_equals_the_per_node_formula_bitwise(n_q, K, seed):
         assert bits([momenta[k]]) == bits([momenta_from_state(sys0, one)])
         assert bits([energies[k]]) == bits([L.value(tk, x[k], v[k])])
         assert bits([pv[k], P_W[k]]) == bits([p[k] @ v[k], power_flows(sys0, tk, one).mechanical])
+        at_point = [f(tk, x[k], v[k]) for f in (L.d_x, L.d_v, L.d_vv, force.value)]
+        assert bits([got[k] for got in partials]) == bits(at_point)
 
 
 def test_nonpositive_temperature_at_one_node_names_that_node():

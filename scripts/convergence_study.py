@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from diracsim.cli import BUILTINS, build_problem, run_formulation
+from diracsim.cli import BUILTINS, _exit_codes, build_problem, run_formulation
 from diracsim.dynamics import monitor_invariants
 
 
@@ -26,7 +26,10 @@ def main() -> int:
     ap.add_argument("--horizon", type=float, default=2.0)
     args = ap.parse_args()
 
-    base = build_problem(BUILTINS[args.scenario]())
+    # A formulation the scenario does not support exits 2 with one line, as
+    # `diracsim run` does.
+    with _exit_codes():
+        base = build_problem(BUILTINS[args.scenario](), args.formulation)
     print(f"scenario: {args.scenario}  formulation: {args.formulation}  horizon: {args.horizon}")
     print(f"{'h':>12}  {'steps':>7}  {'max |cov E|':>12}  {'ratio':>7}")
     prev = None

@@ -47,7 +47,6 @@ from .geometry import (
     _evaluate,
     _membership,
     _random_elements,
-    _slots,
     dirac_membership_P,  # noqa: F401 (the benchmark tracer patches these three here)
     dirac_rank,  # noqa: F401
     random_dirac_element,  # noqa: F401
@@ -590,25 +589,12 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
 
 
 def run_formulation(problem: Problem, formulation: str) -> Trajectory:
+    # formulation is one that build_problem accepts for the problem's kind.
     if formulation == "reduced":
-        if problem.kind != "ideal_gas":
-            raise ConfigError(
-                "integrator.formulation",
-                "the reduced path applies to thermodynamic systems only",
-            )
-        return th.run_reduced(
-            problem.system,
-            problem.initial.t,
-            problem.ts0,
-            problem.h,
-            problem.n_steps,
-            pt0=problem.initial.pt,
-        )
+        return th.run_reduced(problem.system, problem.initial, problem.h, problem.n_steps)
     start = problem.initial
     model = {"lagrangian": problem.L}
     if formulation == "hamilton-dirac":
-        if problem.kind == "ideal_gas":
-            raise FormulationUnavailable(HAMILTON_DIRAC_THERMO_MESSAGE)
         model = {"hamiltonian": legendre_dual(problem.L)}
         start = PhasePoint(t=start.t, x=start.x, pt=start.pt, p=start.p)
     elif formulation == "pontryagin":
@@ -968,9 +954,7 @@ def check(config, seed, samples, steps, tol, corrupt):
     with _exit_codes():
         n_run = min(steps, problem.n_steps)
         if is_thermo:
-            traj = th.run_reduced(
-                problem.system, problem.initial.t, problem.ts0, problem.h, n_run
-            )
+            traj = th.run_reduced(problem.system, problem.initial, problem.h, n_run)
             states, rates = th._lifted_midpoints(problem.system, traj)
         else:
             h_check = min(problem.h, 2e-4)
@@ -1063,23 +1047,24 @@ def _structure_pass(problem: Problem, rng, samples: int, horizon: float) -> tupl
     return rank_defect, _worst(pairing), _worst(member)
 
 
-def _flow_pass(problem: Problem, states: tuple, rates: np.ndarray) -> tuple[dict, float]:
+def _flow_pass(problem: Problem, states: tuple, rates: tuple) -> tuple[dict, float]:
     # Worst residual of each flow membership condition, and the worst
     # multiplier recovery residual, over the midpoint states (t, x, v, pt, p)
-    # with their rates (rows on P): the rate paired with the differential of
-    # the covariant energy, net of the external force.
+    # with their rates (dx, dv, dpt, dp), stacked a block at a time into rows
+    # on P: the rate paired with the differential of the covariant energy,
+    # net of the external force.
     L, C, force = problem.L, problem.vel_constraints, problem.f_ext_force
     n = L.n
     flow, recover = [], [0.0]
-    for block in _blocks(len(rates)):
+    for block in _blocks(len(states[0])):
         t, x, v, _, p = (a[block] for a in states)
-        rate = rates[block]
+        dx, dv, dpt, dp = (r[block] for r in rates)
+        rate = np.column_stack([np.ones(len(t)), dx, dv, dpt, dp])
         a = _covariant_differential(L, t, x, v, p)
         if force is not None:
             a[:, 1 : n + 1] -= _evaluate(force.value, force.broadcasts, (n,), t, x, v)
         structure = _dirac_points(C, t, x, v)
         flow.append(_membership(structure, rate, a)[0])
-        dp = _slots(rate, n)[4]
         recover.append(_worst(_recovered_multipliers(L, structure.A, t, x, v, dp, force)[1]))
     worst = {name: _worst([0.0] + [r[name] for r in flow]) for name in flow[0]}
     return worst, _worst(recover)

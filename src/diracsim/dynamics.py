@@ -39,7 +39,6 @@ from .geometry import (
     _dot,
     _evaluate,
     _least_squares,
-    _slots,
 )
 from .lagrangian import (
     ExternalForce,
@@ -272,6 +271,16 @@ class StepResult:
     residual_norm: float
 
 
+def _mean(a: np.ndarray) -> np.ndarray:
+    # The average of each pair of consecutive nodes: a step's midpoint value.
+    return 0.5 * (a[:-1] + a[1:])
+
+
+def _rate(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Each step's difference quotient of node values a at node times t.
+    return ((a[1:] - a[:-1]).T / (t[1:] - t[:-1])).T
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Fixed-step trajectory record. Immutable after a run.
@@ -304,20 +313,17 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.x.shape[0] - 1
 
-    def midpoints(self, steps: slice = slice(None)) -> tuple[tuple, np.ndarray]:
+    def midpoints(self, steps: slice = slice(None)) -> tuple[tuple, tuple]:
         """Averaged states and finite-difference rates of the given steps.
 
-        Returns ((t, x, v, pt, p), rates): the fields of the averaged state at
-        each step's midpoint, one row per step, and each step's rate as a row
-        (dt, dx, dv, dpt, dp) on P with dt = 1 (a section rate).
+        Returns ((t, x, v, pt, p), (dx, dv, dpt, dp)): the fields of the
+        averaged state at each step's midpoint and of each step's rate on P,
+        one row per step. The rate is a section rate, dt = 1.
         """
 
         k0, k1, _ = steps.indices(self.n_steps)
-        nodes = [a[k0 : k1 + 1] for a in (self.t, self.x, self.v, self.pt, self.p)]
-        h = nodes[0][1:] - nodes[0][:-1]
-        states = tuple(0.5 * (a[:-1] + a[1:]) for a in nodes)
-        diffs = [((a[1:] - a[:-1]).T / h).T for a in nodes[1:]]
-        return states, np.column_stack([np.ones(len(h)), *diffs])
+        t, *nodes = (a[k0 : k1 + 1] for a in (self.t, self.x, self.v, self.pt, self.p))
+        return tuple(map(_mean, (t, *nodes))), tuple(_rate(t, a) for a in nodes)
 
     def midpoint_state(self, k: int) -> PontryaginState:
         """Averaged state at the midpoint of step k."""
@@ -325,10 +331,10 @@ class Trajectory:
         return PontryaginState(*(a[0] for a in self.midpoints(slice(k, k + 1))[0]))
 
     def midpoint_samples(self) -> Iterator[tuple[PontryaginState, TangentP, np.ndarray]]:
-        (t, x, v, pt, p), rates = self.midpoints()
+        (t, x, v, pt, p), (dx, dv, dpt, dp) = self.midpoints()
         for k in range(self.n_steps):
             state = PontryaginState(t=t[k], x=x[k], v=v[k], pt=pt[k], p=p[k])
-            yield state, TangentP(*_slots(rates[k], self.n)), self.lam[k]
+            yield state, TangentP(1.0, dx[k], dv[k], dpt[k], dp[k]), self.lam[k]
 
 
 # Residual floor for the polish iterations after the main tolerance is met.
@@ -588,65 +594,74 @@ class ImplicitMidpointStepper(ChordNewton):
         terms = np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))
         return float(np.max(np.abs(A @ w + B), initial=0.0)), float(np.max(terms))
 
-    # Overflow in a trial evaluation shows in the values, which the Newton
-    # iteration turns into a StepFailureError; numpy's warnings would only
-    # repeat it.
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def run(self, state, h: float, n_steps: int) -> Trajectory:
-        """Integrate n_steps fixed steps from the given state."""
+    def _row(self, s, lam: np.ndarray) -> np.ndarray:
+        # The node array row (x, v, p, pt, lam) of a state; on hamilton-dirac
+        # v is dH/dp there.
+        hd = self.formulation == "hamilton-dirac"
+        v = np.asarray(self.H.d_p(s.t, s.x, s.p), dtype=float).reshape(self.n) if hd else s.v
+        return np.concatenate([s.x, v, s.p, [s.pt], lam])
 
-        if h <= 0:
-            raise ValueError("step size must be positive")
+    def run(self, state, h: float, n_steps: int) -> Trajectory:
+        """Integrate n_steps fixed steps from the given state.
+
+        One call of step per step, in the loop the reduced path shares: step
+        k starts at t0 + h added k times, h must be positive and finite, and
+        a failed step k raises StepFailureError naming "step k (t = ...)".
+        On hamilton-dirac the v column is dH/dp at the nodes.
+        """
+
         res0, scale = self._initial_kinematic_residual(state)
         if not res0 <= 1e-8 * scale:
             raise InconsistentInitialStateError(
                 f"initial state violates the kinematic constraint (residual {res0:.3e}, "
                 f"row scale {scale:.3e})"
             )
-        n, m = self.n, self.constraints.m
+        n, m, K = self.n, self.constraints.m, int(n_steps)
         # A fresh workspace: no Jacobian or guess carries over from an earlier run.
         self._lu, self._steps_since_refresh, self._last_lam = None, 0, np.zeros(m)
-        K = int(n_steps)
-        t = np.empty(K + 1)
-        x = np.empty((K + 1, n))
-        v = np.empty((K + 1, n))
-        p = np.empty((K + 1, n))
-        pt = np.empty(K + 1)
-        lam = np.empty((K, m))
-        iters = np.zeros(K, dtype=int)
-
-        def record(k, s):
-            t[k] = s.t
-            x[k] = s.x
-            p[k] = s.p
-            pt[k] = s.pt
-            if self.formulation == "hamilton-dirac":
-                v[k] = np.asarray(self.H.d_p(s.t, s.x, s.p), dtype=float).reshape(n)
-            else:
-                v[k] = s.v
-
-        record(0, state)
         current = state
-        for k in range(K):
-            try:
-                result = self.step(current, h)
-            except (StepFailureError, SingularJacobianError) as exc:
-                raise StepFailureError(f"step {k} (t = {current.t!r}) failed: {exc}") from exc
+
+        def advance(k, t, y):
+            nonlocal current
+            result = self.step(current, h)
             current = result.state
-            lam[k] = result.lam
-            iters[k] = result.newton_iters
-            record(k + 1, current)
-        return Trajectory(
-            formulation=self.formulation,
-            h=float(h),
-            t=t,
-            x=x,
-            v=v,
-            p=p,
-            pt=pt,
-            lam=lam,
-            newton_iters=iters,
+            return self._row(current, result.lam), result.newton_iters
+
+        def lift(ys):
+            x, v, p = (ys[:, i * n : (i + 1) * n].copy() for i in range(3))
+            return x, v, p, ys[:, 3 * n].copy(), ys[1:, 3 * n + 1 :].copy()
+
+        return _march(
+            self.formulation, advance, lift, self._row(state, self._last_lam), h,
+            # cumsum adds in sequence, t0 + h + h + ..., as the steps do.
+            lambda: np.cumsum(np.concatenate([[state.t], np.full(K, h)])),
         )
+
+
+# Overflow in a trial evaluation shows in the values, which the Newton
+# iteration turns into a StepFailureError; numpy's warnings would only
+# repeat it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _march(formulation, advance, lift, y0, h, times) -> Trajectory:
+    # The step loop of every path. times() gives the node times (the path's
+    # time rule), and row k of the node array is the path's state vector at
+    # node k, y0 first. advance(k, t, y) solves step k from its start time t
+    # and row y, and returns row k + 1 and its Newton update count; lift turns
+    # the node array into the trajectory's (x, v, p, pt, lam).
+    if not 0.0 < h < math.inf:
+        raise ValueError("step size must be positive and finite")
+    t = times()
+    K = t.size - 1
+    ys = np.empty((K + 1, y0.size))
+    ys[0] = y0
+    iters = np.zeros(K, dtype=int)
+    what = "reduced step" if formulation == "reduced" else "step"
+    for k, t_k in enumerate(t[:-1].tolist()):
+        try:
+            ys[k + 1], iters[k] = advance(k, t_k, ys[k])
+        except (StepFailureError, SingularJacobianError) as exc:
+            raise StepFailureError(f"{what} {k} (t = {t_k!r}) failed: {exc}") from exc
+    return Trajectory(formulation, float(h), t, *lift(ys), iters)
 
 
 def _cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -737,8 +752,8 @@ def monitor_invariants(
     E = pv - Lv
     ce = traj.pt + pv - Lv
     kin = np.abs(np.matmul(A, traj.v[..., None])[..., 0] + B).max(axis=-1, initial=0.0)
-    (*mid, _, _), rates = traj.midpoints()
-    ptdot = _slots(rates, traj.n)[3]
+    # The midpoints and rate that Trajectory.midpoints() gives, only those read.
+    mid, ptdot = [_mean(a) for a in nodes], _rate(traj.t, traj.pt)
     d_t = _evaluate(L.d_t, L.broadcasts, (), *mid)
     lam_B = _dot(constraints.rows(*mid)[1], traj.lam)
 

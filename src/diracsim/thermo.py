@@ -25,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import ChordNewton, OutsideDomainError, SingularJacobianError, StepFailureError
-from .dynamics import Trajectory, initialize_covariant_momentum, monitor_invariants
-from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot, _slots
+from .dynamics import ChordNewton, OutsideDomainError, Trajectory, _march
+from .dynamics import initialize_covariant_momentum, monitor_invariants
+from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot
 from .lagrangian import (
     ExternalForce,
     HyperregularityError,
@@ -733,16 +733,10 @@ def initial_pontryagin_state(
     the covariant energy starts at zero.
     """
 
-    y0 = _reduced_state_vector(ts0)
+    y0 = np.concatenate([ts0.q, ts0.v_q, [ts0.S, ts0.N, ts0.Gamma, ts0.W, ts0.Sigma]])
     x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[0][2 * sys.n_q :])
     pt = initialize_covariant_momentum(build_extended_lagrangian(sys), t0, x, v)
     return PontryaginState(t=t0, x=x, v=v, pt=pt, p=momenta_from_state(sys, ts0))
-
-
-def _reduced_state_vector(ts: ThermoState) -> np.ndarray:
-    return np.concatenate(
-        [ts.q, ts.v_q, [ts.S, ts.N, ts.Gamma, ts.W, ts.Sigma]]
-    )
 
 
 def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoState:
@@ -772,55 +766,37 @@ def _lift(n_q: int, y: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.nd
 _REDUCED_NEWTON_TOL = 1e-12
 
 
-# Overflow in a trial evaluation shows in the values (a non-finite Jacobian
-# or residual ends in StepFailureError); numpy's warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_reduced(
-    sys: SimpleOpenSystem,
-    t0: float,
-    ts0: ThermoState,
-    h: float,
-    n_steps: int,
-    pt0: float | None = None,
+    sys: SimpleOpenSystem, start: PontryaginState, h: float, n_steps: int
 ) -> Trajectory:
-    """Integrate the reduced path with the implicit midpoint rule.
+    """Integrate the reduced path with the implicit midpoint rule from start.
 
-    Each step solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's
-    chord Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL) from an
-    explicit Euler guess; the momentum conjugate to time advances with the
-    midpoint rate -(P_M + P_H). The returned trajectory is lifted to the full
-    bundle arrays (velocities of the bookkeeping slots are the reduced rates,
-    momenta the fiber derivative, multiplier exactly 1), with formulation
-    "reduced". newton_iters counts each step's Newton updates, polish
-    iterations included.
+    start is a mixed-bundle state such as initial_pontryagin_state returns;
+    the run reads its t, pt, the q, S, N, Gamma, W and Sigma slots of x and
+    the q slots of v, so the trajectory's first node is start. Each step
+    solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's chord
+    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL) from an
+    explicit Euler guess, in the loop the stepper shares: step k starts at
+    t0 + k h, and a failure raises StepFailureError naming "reduced step k
+    (t = ...)". h must be positive and finite. The momentum conjugate to
+    time advances with the midpoint rate -(P_M + P_H). The returned
+    trajectory is lifted to the full bundle arrays (velocities of the
+    bookkeeping slots are the reduced rates, momenta the fiber derivative,
+    multiplier exactly 1), with formulation "reduced". newton_iters counts
+    each step's Newton updates, polish iterations included.
 
     A step evaluates the field once per Newton residual plus once at its
     start node, for the Euler guess and the lift alike; the midpoint rate of
     pt is read from the residual evaluated at the accepted iterate.
     """
 
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if pt0 is None:
-        pt0 = initial_pontryagin_state(sys, t0, ts0).pt
-
-    n_q = sys.n_q
-    K = int(n_steps)
-    ys = np.empty((K + 1, 2 * n_q + 5))
-    rates = np.empty((K + 1, 5))  # each node's (Sdot, Ndot, Gammadot, Wdot, Sigmadot)
-    pts = np.empty(K + 1)
-    iters = np.zeros(K, dtype=int)
-    ys[0] = _reduced_state_vector(ts0)
-    pts[0] = float(pt0)
-
+    n_q, lay, K = sys.n_q, sys.layout, int(n_steps)
+    fields = np.empty((K + 1, 2 * n_q + 5))  # the field at each node
+    pts = np.full(K + 1, start.pt)
     solver = ChordNewton(_REDUCED_NEWTON_TOL)
-    for k in range(K + 1):
-        t = t0 + k * h
-        y0 = ys[k]
-        f0, _ = _reduced_field(sys, t, y0)
-        rates[k] = f0[2 * n_q :]
-        if k == K:
-            break
+
+    def advance(k, t, y0):
+        f0 = fields[k] = _reduced_field(sys, t, y0)[0]
         tm = t + 0.5 * h
         ptdots = {}  # midpoint ptdot of each iterate evaluated, by its bytes
 
@@ -828,27 +804,20 @@ def run_reduced(
             f, ptdots[y1.tobytes()] = _reduced_field(sys, tm, 0.5 * (y0 + y1))
             return (y1 - y0) / h - f
 
-        try:
-            y, _, iters[k] = solver._newton(residual, y0 + h * f0)
-        except (StepFailureError, SingularJacobianError) as exc:
-            raise StepFailureError(f"reduced step {k} (t = {t!r}) failed: {exc}") from exc
-        ys[k + 1] = y
+        y, _, iters = solver._newton(residual, y0 + h * f0)
         # _newton returns an iterate whose residual it evaluated (the last
         # one, or the one before a rejected polish iterate).
         pts[k + 1] = pts[k] + h * ptdots[y.tobytes()]
+        return y, iters
 
-    x, v = _lift(n_q, ys, rates)
-    return Trajectory(
-        formulation="reduced",
-        h=float(h),
-        t=t0 + h * np.arange(K + 1),
-        x=x,
-        v=v,
-        p=momenta_from_state(sys, _reduced_state_from_vector(sys, ys)),
-        pt=pts,
-        lam=np.ones((K, 1)),
-        newton_iters=iters,
-    )
+    def lift(ys):
+        fields[K] = _reduced_field(sys, start.t + K * h, ys[K])[0]
+        x, v = _lift(n_q, ys, fields[:, 2 * n_q :])
+        p = momenta_from_state(sys, _reduced_state_from_vector(sys, ys))
+        return x, v, p, pts, np.ones((K, 1))
+
+    y0 = np.concatenate([start.x[lay.q], start.v[lay.q], start.x[lay.S :]])
+    return _march("reduced", advance, lift, y0, h, lambda: start.t + h * np.arange(K + 1))
 
 
 def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
@@ -863,10 +832,10 @@ def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):
     _lifted_midpoints, built in one pass over all steps.
     """
 
-    (t, x, v, pt, p), rates = _lifted_midpoints(sys, traj)
+    (t, x, v, pt, p), (dx, dv, dpt, dp) = _lifted_midpoints(sys, traj)
     for k in range(traj.n_steps):
         state = PontryaginState(t=t[k], x=x[k], v=v[k], pt=pt[k], p=p[k])
-        yield state, TangentP(*_slots(rates[k], sys.n)), np.ones(1)
+        yield state, TangentP(1.0, dx[k], dv[k], dpt[k], dp[k]), np.ones(1)
 
 
 def _lifted_midpoints(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:

@@ -289,7 +289,7 @@ def reference_check(config, seed=0, samples=30, steps=200, tol=1e-8, corrupt=0.0
 
     n_run = min(steps, problem.n_steps)
     if thermo:
-        traj = th.run_reduced(problem.system, problem.initial.t, problem.ts0, problem.h, n_run)
+        traj = th.run_reduced(problem.system, problem.initial, problem.h, n_run)
         samples_ = ref_lifted(problem.system, traj)
     else:
         run = dataclasses.replace(problem, h=min(problem.h, 2e-4), n_steps=n_run)

@@ -5,7 +5,10 @@ commands, their exit codes (0 pass, 1 tolerance violation, 2 config error,
 import csv
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -687,9 +690,41 @@ def test_invariant_columns_equal_node_functions_bitwise(tmp_path):
 
 def test_reduced_run_records_newton_iterations():
     problem = build_problem(load_config("two_port_piston"), "reduced")
-    traj = th.run_reduced(problem.system, 0.0, problem.ts0, problem.h, 50)
+    traj = th.run_reduced(problem.system, problem.initial, problem.h, 50)
     assert traj.newton_iters.shape == (50,)
     assert np.all(traj.newton_iters >= 1)
+
+
+SUPPORTED = [
+    (name, f)
+    for name in sorted(BUILTINS)
+    for f in (cli.FORMULATIONS if name == "nonholonomic_particle" else cli.FORMULATIONS_THERMO)
+]
+
+
+@pytest.mark.parametrize("name, formulation", SUPPORTED)
+def test_every_path_starts_at_its_start_point(name, formulation):
+    # The first node of every path is problem.initial, bit for bit; the
+    # reduced path reads its whole start from it too.
+    problem = dataclasses.replace(build_problem(load_config(name), formulation), n_steps=2)
+    traj = cli.run_formulation(problem, formulation)
+    start = problem.initial
+    assert [traj.t[0], traj.pt[0]] == [start.t, start.pt]
+    for got, want in ((traj.x[0], start.x), (traj.v[0], start.v), (traj.p[0], start.p)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("entry", ["run_reduced", "stepper"])
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+def test_a_step_size_that_is_not_positive_and_finite_is_a_value_error(entry, h):
+    # A NaN or infinite step would otherwise reach the model and fail there
+    # as a domain error.
+    problem = dataclasses.replace(build_problem(load_config("two_port_piston")), h=h, n_steps=3)
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        if entry == "run_reduced":
+            th.run_reduced(problem.system, problem.initial, h, 3)
+        else:
+            cli.run_formulation(problem, "pontryagin")
 
 
 def test_run_hamilton_dirac_unavailable_for_thermo(tmp_path):
@@ -708,6 +743,25 @@ def test_run_external_force_rejected_on_lagrange_dirac(tmp_path):
     result = invoke("run", path, "--out", str(tmp_path))
     assert result.exit_code == 2
     assert "pontryagin or reduced" in all_text(result)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--scenario", "nonholonomic_particle", "--formulation", "reduced"],
+        ["--scenario", "two_port_piston", "--formulation", "hamilton-dirac"],
+        ["--formulation", "bogus"],
+    ],
+    ids=["reduced-mechanical", "hamilton-dirac-thermo", "unknown"],
+)
+def test_convergence_study_rejects_an_unsupported_formulation_in_one_line(args):
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "convergence_study.py"), *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
 
 
 def test_run_unknown_config_name():

@@ -591,8 +591,8 @@ def test_midpoint_samples_are_rows_of_the_midpoint_arrays():
     # The arrays are built once; each sample equals the per-step formulas
     # bit for bit.
     traj = _short_traj()
-    (t, x, v, pt, p), rates = traj.midpoints()
-    assert rates.shape == (10, 3 * traj.n + 2)
+    (t, x, v, pt, p), (dx, dv, dpt, dp) = traj.midpoints()
+    assert [a.shape for a in (dx, dv, dpt, dp)] == [(10, 2), (10, 2), (10,), (10, 2)]
     for k, (state, rate, lam) in enumerate(traj.midpoint_samples()):
         h = traj.t[k + 1] - traj.t[k]
         mean = [0.5 * (a[k] + a[k + 1]) for a in (traj.t, traj.x, traj.v, traj.pt, traj.p)]

@@ -545,14 +545,14 @@ def test_port_from_molar_entropy():
 
 def test_reduced_run_multiplier_is_one():
     sys0 = small_open_system()
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 50)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 50)
     assert traj.formulation == "reduced"
     npt.assert_array_equal(traj.lam, np.ones((50, 1)))
 
 
 def test_reduced_entropy_decomposition_is_exact():
     sys0 = small_open_system()
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 200)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 200)
     inv = monitor_invariants(
         build_extended_lagrangian(sys0), build_constraints(sys0), traj,
         thermo_system=sys0,
@@ -564,7 +564,7 @@ def test_lifted_midpoint_residual_vanishes():
     sys0 = small_open_system()
     L = build_extended_lagrangian(sys0)
     C = build_constraints(sys0)
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 100)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 100)
     worst = 0.0
     for state, rate, lam in lifted_midpoint_samples(sys0, traj):
         r = pontryagin_dirac_residual(L, C, state, rate, lam)
@@ -589,7 +589,7 @@ def test_dae_matches_reduced_path():
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
     stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
     dae = stepper.run(s0, 1e-3, 100)
-    red = run_reduced(sys0, 0.0, small_initial(), 1e-3, 100)
+    red = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 100)
     assert np.max(np.abs(dae.x - red.x)) < 1e-8
     assert np.max(np.abs(dae.p - red.p)) < 1e-8
     assert np.max(np.abs(dae.pt - red.pt)) < 1e-8
@@ -597,7 +597,7 @@ def test_dae_matches_reduced_path():
 
 def test_first_law_residual_small_on_reduced_run():
     sys0 = small_open_system()
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 200)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 200)
     res = first_law_residual(sys0, traj)
     assert res[0] == 0.0
     assert np.max(np.abs(res)) < 1e-9
@@ -617,7 +617,8 @@ def count_factorizations(monkeypatch):
 
 def test_reduced_path_refreshes_its_jacobian_every_50_steps(monkeypatch):
     factors = count_factorizations(monkeypatch)
-    run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 100)
+    sys0 = small_open_system()
+    run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 100)
     # The first step, then the refresh at step 50; no step stalls.
     assert len(factors) == 2
 
@@ -637,7 +638,8 @@ def test_stalled_reduced_step_retries_once_with_a_fresh_jacobian(monkeypatch):
         StepFailureError,
         match=r"^reduced step 2 \(t = 0\.002\) failed: Newton did not converge",
     ):
-        run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 5)
+        sys0 = small_open_system()
+        run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 5)
     # One factorization at step 0, one for the retry of step 2.
     assert len(factors) == 2
 
@@ -711,7 +713,7 @@ def test_varying_mass_lift_residual():
     L = build_extended_lagrangian(sys0)
     C = build_constraints(sys0)
     ts0 = dataclasses.replace(small_initial(), v_q=np.array([0.5]))
-    traj = run_reduced(sys0, 0.0, ts0, 1e-3, 100)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, ts0), 1e-3, 100)
     worst = 0.0
     for state, rate, lam in lifted_midpoint_samples(sys0, traj):
         r = pontryagin_dirac_residual(L, C, state, rate, lam)
@@ -941,7 +943,7 @@ def test_monitor_invariants_builds_one_row_per_point(monkeypatch):
     sys0 = small_open_system()
     L = build_extended_lagrangian(sys0)
     C = build_constraints(sys0)
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 20)
+    traj = run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 20)
     calls = count_row_builds(monkeypatch)
     monitor_invariants(L, C, traj)
     # The rows broadcast: one build over all nodes (A and B share it) and one
@@ -1251,8 +1253,11 @@ def count_field_evaluations(monkeypatch):
 
 
 def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch):
+    # The start is built before the counter, which sees only the run.
+    sys0 = small_open_system()
+    start = dataclasses.replace(initial_pontryagin_state(sys0, 0.0, small_initial()), pt=0.0)
     calls = count_field_evaluations(monkeypatch)
-    run_reduced(small_open_system(), 0.0, small_initial(), 1e-3, 100, pt0=0.0)
+    run_reduced(sys0, start, 1e-3, 100)
     # 101 nodes (the Euler guess of a step and the lift of its start node
     # share one evaluation) plus 411 Newton residuals, FD columns included.
     # A separate Euler guess, midpoint ptdot and lift evaluation per step
@@ -1263,7 +1268,8 @@ def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch)
 
 def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():
     sys0 = small_open_system()
-    traj = run_reduced(sys0, 0.0, small_initial(), 1e-3, 30, pt0=0.0)
+    start = dataclasses.replace(initial_pontryagin_state(sys0, 0.0, small_initial()), pt=0.0)
+    traj = run_reduced(sys0, start, 1e-3, 30)
     lay = sys0.layout
     y = np.concatenate([traj.x[:, lay.q], traj.v[:, lay.q], traj.x[:, lay.S :]], axis=1)
     for k in range(traj.n_steps):
@@ -1288,7 +1294,7 @@ def count_mass_factorizations(monkeypatch):
 def test_constant_mass_matrix_is_factored_once_per_run(monkeypatch):
     calls = count_mass_factorizations(monkeypatch)
     sys0 = small_open_system()
-    run_reduced(sys0, 0.0, small_initial(), 1e-3, 100)
+    run_reduced(sys0, initial_pontryagin_state(sys0, 0.0, small_initial()), 1e-3, 100)
     L = build_extended_lagrangian(sys0)
     C = build_momentum_constraints(sys0)
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
@@ -1493,7 +1499,7 @@ def test_reduced_states_carry_their_temperature(monkeypatch, name):
 
     # The builder's sources and ports hold the same mechanical Lagrangian.
     object.__setattr__(mech, "d_S", counted)
-    run_reduced(problem.system, 0.0, problem.ts0, 1e-3, 20, pt0=problem.initial.pt)
+    run_reduced(problem.system, problem.initial, 1e-3, 20)
     assert len(fields) > 20
     assert temperatures == [()] * len(fields) + [(21,)]
 
@@ -1513,8 +1519,9 @@ def test_step_whose_trial_iterates_leave_the_domain_fails_in_one_line(capsys):
         T_port=lambda t, ts: 1.0,
     )
     sys0 = ideal_gas_fixture(ports=(port,))
+    start = dataclasses.replace(initial_pontryagin_state(sys0, 0.0, small_initial()), pt=0.0)
     with pytest.raises(SystemExit) as info, cli._exit_codes():
-        run_reduced(sys0, 0.0, small_initial(), 0.05, 40, pt0=0.0)
+        run_reduced(sys0, start, 0.05, 40)
     assert info.value.code == 3
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines

@@ -49,7 +49,6 @@ from .dynamics import (
     InvariantSeries,
     MultiplierEstimate,
     NonSectionError,
-    SingularJacobianError,
     StepFailureError,
     StepResult,
     Trajectory,

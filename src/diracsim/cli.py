@@ -39,7 +39,6 @@ from .dynamics import (
 from .geometry import (
     ConstraintSet,
     DegenerateConstraintError,
-    PhasePoint,
     PontryaginState,
     _dirac_pairing,
     _dirac_points,
@@ -592,11 +591,9 @@ def run_formulation(problem: Problem, formulation: str) -> Trajectory:
     # formulation is one that build_problem accepts for the problem's kind.
     if formulation == "reduced":
         return th.run_reduced(problem.system, problem.initial, problem.h, problem.n_steps)
-    start = problem.initial
     model = {"lagrangian": problem.L}
     if formulation == "hamilton-dirac":
         model = {"hamiltonian": legendre_dual(problem.L)}
-        start = PhasePoint(t=start.t, x=start.x, pt=start.pt, p=start.p)
     elif formulation == "pontryagin":
         model["f_ext"] = problem.f_ext_force
     stepper = ImplicitMidpointStepper(
@@ -606,7 +603,7 @@ def run_formulation(problem: Problem, formulation: str) -> Trajectory:
         ),
         **model,
     )
-    return stepper.run(start, problem.h, problem.n_steps)
+    return stepper.run(problem.initial, problem.h, problem.n_steps)
 
 
 # -- output ---------------------------------------------------------------

@@ -51,7 +51,6 @@ from .lagrangian import (
 __all__ = [
     "NonSectionError",
     "StepFailureError",
-    "SingularJacobianError",
     "InconsistentInitialStateError",
     "OutsideDomainError",
     "pontryagin_dirac_residual",
@@ -75,11 +74,8 @@ class NonSectionError(ValueError):
 
 
 class StepFailureError(RuntimeError):
-    """Raised when the Newton iteration for a step does not converge."""
-
-
-class SingularJacobianError(RuntimeError):
-    """Raised when the step Jacobian is numerically singular."""
+    """Raised when a step fails: its Newton iteration does not converge, or
+    its Jacobian is not finite or is numerically singular."""
 
 
 class InconsistentInitialStateError(ValueError):
@@ -263,10 +259,10 @@ def _recovered_multipliers(L, A, t, x, v, dp, f_ext) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one implicit step."""
+    """Outcome of one implicit step: the node row (x, v, p, pt, lam) it ends
+    on, lam being the step's midpoint multiplier, and its Newton solve."""
 
-    state: PontryaginState | PhasePoint
-    lam: np.ndarray
+    row: np.ndarray
     newton_iters: int
     residual_norm: float
 
@@ -387,10 +383,10 @@ class ChordNewton:
                 warnings.simplefilter("ignore", LinAlgWarning)
                 lu = lu_factor(J)
         except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
+            raise StepFailureError(str(exc)) from exc
         d = np.abs(np.diag(lu[0]))
         if d.min() <= 1e-14 * max(d.max(), 1e-300):
-            raise SingularJacobianError(
+            raise StepFailureError(
                 "step Jacobian is numerically singular; the equations are "
                 "degenerate at this state"
             )
@@ -465,9 +461,12 @@ class ChordNewton:
 class ImplicitMidpointStepper(ChordNewton):
     """Fixed-step implicit midpoint integrator for one formulation.
 
-    Each step is one ChordNewton solve to tolerance _NEWTON_TOL, so a stepper
-    instance owns its Newton workspace and must not be shared across threads.
-    The momentum conjugate to time is one of the Newton unknowns.
+    A step advances a node row (x, v, p, pt, lam): the state at a node and
+    the multiplier of the step that ends there (zero at the start). Its
+    Newton unknowns are the new row itself on the mixed bundle, and the row
+    without v on T*Y, where v is dH/dp at the node. Each step is one
+    ChordNewton solve to tolerance _NEWTON_TOL, so a stepper instance owns
+    its Newton workspace and must not be shared across threads.
     """
 
     def __init__(
@@ -503,8 +502,9 @@ class ImplicitMidpointStepper(ChordNewton):
         self.H = hamiltonian
         self.constraints = constraints
         self.f_ext = f_ext
-        # Multiplier of the last accepted step, the next step's guess.
-        self._last_lam = np.zeros(constraints.m)
+        # The slots of a row that are Newton unknowns: all but v on T*Y.
+        n, hd = self.n, formulation == "hamilton-dirac"
+        self._unknowns = np.r_[:n, 2 * n : 3 * n + 1 + constraints.m] if hd else slice(None)
 
     # -- residual assembly ------------------------------------------------
 
@@ -521,16 +521,16 @@ class ImplicitMidpointStepper(ChordNewton):
             return lambda t, x, v, p: (C.A(t, x, p), C.B(t, x, p), v)
         return lambda t, x, v, p: (C.A(t, x, v), C.B(t, x, v), v)
 
-    def _residual_fn(self, state, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    def _residual_fn(self, t: float, row: np.ndarray, h: float) -> Callable:
         # The formulation's rows at the averaged midpoint, on the difference
-        # quotients across the step, closed by the kinematic row at the new
-        # node. y = (x1, [v1,] p1, pt1, lam); z stacks the node values.
+        # quotients across the step from the node row at t, closed by the kinematic
+        # row at the new node. y = (x1, [v1,] p1, pt1, lam); z stacks node values.
         n, C, node = self.n, self.constraints, self._node_row()
-        t1, tm = state.t + h, state.t + 0.5 * h
+        t1, tm = t + h, t + 0.5 * h
 
         if self.formulation == "hamilton-dirac":
             H = self.H
-            z0 = np.concatenate([state.x, state.p, [state.pt]])
+            z0 = row[self._unknowns[: 2 * n + 1]]
 
             def residual(y: np.ndarray) -> np.ndarray:
                 z1 = y[: 2 * n + 1]
@@ -545,7 +545,7 @@ class ImplicitMidpointStepper(ChordNewton):
             return residual
 
         L, f_ext = self.L, self.f_ext
-        z0 = np.concatenate([state.x, state.v, state.p, [state.pt]])
+        z0 = row[: 3 * n + 1]
         # The midpoint the constraint coefficients are taken at: v or p.
         w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
 
@@ -564,77 +564,68 @@ class ImplicitMidpointStepper(ChordNewton):
 
     # -- stepping ---------------------------------------------------------
 
-    def _guess(self, state, h: float) -> np.ndarray:
-        n, lam0 = self.n, self._last_lam
-        if self.formulation == "hamilton-dirac":
-            w0 = np.asarray(self.H.d_p(state.t, state.x, state.p), dtype=float).reshape(n)
-            return np.concatenate([state.x + h * w0, state.p, [state.pt], lam0])
-        return np.concatenate([state.x + h * state.v, state.v, state.p, [state.pt], lam0])
+    def _guess(self, row: np.ndarray, h: float) -> np.ndarray:
+        # The unknowns of the row with x advanced by h v; lam is the last
+        # step's multiplier.
+        guess = row.copy()
+        guess[: self.n] += h * row[self.n : 2 * self.n]
+        return guess[self._unknowns]
 
-    def step(self, state, h: float) -> StepResult:
-        """Advance one step of size h from the given state."""
+    def step(self, t: float, row: np.ndarray, h: float) -> StepResult:
+        """Advance the node row at time t by one step of size h.
 
-        residual = self._residual_fn(state, h)
-        y, rn, iters = self._newton(residual, self._guess(state, h))
-        n, lam = self.n, y[y.size - self.constraints.m :]
-        if self.formulation == "hamilton-dirac":
-            new = PhasePoint(t=state.t + h, x=y[:n], pt=y[2 * n], p=y[n : 2 * n])
-        else:
-            new = PontryaginState(
-                t=state.t + h, x=y[:n], v=y[n : 2 * n], pt=y[3 * n], p=y[2 * n : 3 * n]
-            )
-        self._last_lam = lam.copy()
-        return StepResult(state=new, lam=lam.copy(), newton_iters=iters, residual_norm=rn)
-
-    def _initial_kinematic_residual(self, state) -> tuple[float, float]:
-        # max |A w + B| and the row's term scale max(1, |A_ij w_j|, |B_i|):
-        # a consistent state at a large physical scale leaves round-off of
-        # the size of its largest term. A NaN anywhere gives a NaN scale.
-        A, B, w = self._node_row()(state.t, state.x, getattr(state, "v", None), state.p)
-        terms = np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))
-        return float(np.max(np.abs(A @ w + B), initial=0.0)), float(np.max(terms))
-
-    def _row(self, s, lam: np.ndarray) -> np.ndarray:
-        # The node array row (x, v, p, pt, lam) of a state; on hamilton-dirac
-        # v is dH/dp there.
-        hd = self.formulation == "hamilton-dirac"
-        v = np.asarray(self.H.d_p(s.t, s.x, s.p), dtype=float).reshape(self.n) if hd else s.v
-        return np.concatenate([s.x, v, s.p, [s.pt], lam])
-
-    def run(self, state, h: float, n_steps: int) -> Trajectory:
-        """Integrate n_steps fixed steps from the given state.
-
-        One call of step per step, in the loop the reduced path shares: step
-        k starts at t0 + h added k times, h must be positive and finite, and
-        a failed step k raises StepFailureError naming "step k (t = ...)".
-        On hamilton-dirac the v column is dH/dp at the nodes.
+        The returned row is the node at t + h, with the step's midpoint
+        multiplier as its lam. On T*Y its v is dH/dp at the new node.
         """
 
-        res0, scale = self._initial_kinematic_residual(state)
+        y, rn, iters = self._newton(self._residual_fn(t, row, h), self._guess(row, h))
+        if self.formulation == "hamilton-dirac":
+            n = self.n
+            w = np.asarray(self.H.d_p(t + h, y[:n], y[n : 2 * n]), dtype=float).reshape(n)
+            y = np.concatenate([y[:n], w, y[n:]])
+        return StepResult(y, iters, rn)
+
+    def run(self, start: PontryaginState, h: float, n_steps: int) -> Trajectory:
+        """Integrate n_steps fixed steps from start.
+
+        start is a mixed-bundle state on every formulation; the first node
+        row is start with a zero multiplier, and on hamilton-dirac with
+        v = dH/dp in place of start.v. A start off the kinematic constraint
+        raises InconsistentInitialStateError. One call of step per step, in
+        the loop the reduced path shares: step k starts at t0 + h added k
+        times, h must be positive and finite, and a failed step k raises
+        StepFailureError naming "step k (t = ...)".
+        """
+
+        n, m, K = self.n, self.constraints.m, int(n_steps)
+        # The start's kinematic row A w + B; w is the start row's v (on T*Y
+        # dH/dp, and the row ignores start.v).
+        A, B, w = self._node_row()(start.t, start.x, start.v, start.p)
+        row = np.concatenate([start.x, w, start.p, [start.pt], np.zeros(m)])
+        # A consistent start leaves round-off of the size of the row's largest
+        # term, max(1, |A_ij w_j|, |B_i|); a NaN anywhere gives a NaN scale.
+        res0 = float(np.max(np.abs(A @ w + B), initial=0.0))
+        scale = float(np.max(np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))))
         if not res0 <= 1e-8 * scale:
             raise InconsistentInitialStateError(
                 f"initial state violates the kinematic constraint (residual {res0:.3e}, "
                 f"row scale {scale:.3e})"
             )
-        n, m, K = self.n, self.constraints.m, int(n_steps)
-        # A fresh workspace: no Jacobian or guess carries over from an earlier run.
-        self._lu, self._steps_since_refresh, self._last_lam = None, 0, np.zeros(m)
-        current = state
+        # A fresh workspace: no Jacobian carries over from an earlier run.
+        self._lu, self._steps_since_refresh = None, 0
 
-        def advance(k, t, y):
-            nonlocal current
-            result = self.step(current, h)
-            current = result.state
-            return self._row(current, result.lam), result.newton_iters
+        def advance(k, t, row):
+            result = self.step(t, row, h)
+            return result.row, result.newton_iters
 
         def lift(ys):
             x, v, p = (ys[:, i * n : (i + 1) * n].copy() for i in range(3))
             return x, v, p, ys[:, 3 * n].copy(), ys[1:, 3 * n + 1 :].copy()
 
         return _march(
-            self.formulation, advance, lift, self._row(state, self._last_lam), h,
+            self.formulation, advance, lift, row, h,
             # cumsum adds in sequence, t0 + h + h + ..., as the steps do.
-            lambda: np.cumsum(np.concatenate([[state.t], np.full(K, h)])),
+            lambda: np.cumsum(np.concatenate([[start.t], np.full(K, h)])),
         )
 
 
@@ -659,7 +650,7 @@ def _march(formulation, advance, lift, y0, h, times) -> Trajectory:
     for k, t_k in enumerate(t[:-1].tolist()):
         try:
             ys[k + 1], iters[k] = advance(k, t_k, ys[k])
-        except (StepFailureError, SingularJacobianError) as exc:
+        except StepFailureError as exc:
             raise StepFailureError(f"{what} {k} (t = {t_k!r}) failed: {exc}") from exc
     return Trajectory(formulation, float(h), t, *lift(ys), iters)
 

@@ -714,6 +714,43 @@ def test_every_path_starts_at_its_start_point(name, formulation):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "name, formulation",
+    [("nonholonomic_particle", f) for f in cli.FORMULATIONS]
+    + [("two_port_piston", "lagrange-dirac")],
+)
+def test_the_stepper_builds_no_point_object_per_step(monkeypatch, name, formulation):
+    # A DAE step advances the node row itself: 100 steps build no
+    # PontryaginState or PhasePoint (a step that built its new state would
+    # make 100, or 101 with the start's conversion to T*Y).
+    from diracsim import geometry
+
+    problem = dataclasses.replace(build_problem(load_config(name), formulation), n_steps=100)
+    built = []
+    for point in (geometry.PontryaginState, geometry.PhasePoint):
+
+        def counted(self, post_init=point.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(point, "__post_init__", counted)
+    cli.run_formulation(problem, formulation)
+    assert built == []
+
+
+def test_hamilton_dirac_does_not_read_the_start_velocity():
+    # On T*Y the start row's v is dH/dp, so a NaN v in the start state
+    # changes no bit of the trajectory.
+    problem = build_problem(load_config("nonholonomic_particle"), "hamilton-dirac")
+    problem = dataclasses.replace(problem, n_steps=100)
+    nan_v = dataclasses.replace(problem.initial, v=np.full(2, np.nan))
+    want = cli.run_formulation(problem, "hamilton-dirac")
+    got = cli.run_formulation(dataclasses.replace(problem, initial=nan_v), "hamilton-dirac")
+    for field in ("t", "x", "v", "p", "pt", "lam", "newton_iters"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert np.isfinite(got.v).all()
+
+
 @pytest.mark.parametrize("entry", ["run_reduced", "stepper"])
 @pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
 def test_a_step_size_that_is_not_positive_and_finite_is_a_value_error(entry, h):
@@ -751,17 +788,41 @@ def test_run_external_force_rejected_on_lagrange_dirac(tmp_path):
         ["--scenario", "nonholonomic_particle", "--formulation", "reduced"],
         ["--scenario", "two_port_piston", "--formulation", "hamilton-dirac"],
         ["--formulation", "bogus"],
+        ["--h0", "0"],
+        ["--h0", "nan"],
+        ["--horizon", "nan"],
+        ["--h0=-1e-3"],
+        ["--h0", "inf"],
+        ["--horizon", "-1"],
+        ["--levels", "0"],
     ],
-    ids=["reduced-mechanical", "hamilton-dirac-thermo", "unknown"],
+    ids=[
+        "reduced-mechanical", "hamilton-dirac-thermo", "unknown",
+        "h0-zero", "h0-nan", "horizon-nan", "h0-negative", "h0-inf", "horizon-negative",
+        "levels-zero",
+    ],
 )
 def test_convergence_study_rejects_an_unsupported_formulation_in_one_line(args):
+    result = run_convergence_study(*args)
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+
+
+def test_convergence_study_exits_3_in_one_line_on_a_failed_step():
+    # A step of 100 on the piston does not converge; the level loop runs
+    # inside cli._exit_codes(), as `diracsim run` does.
+    result = run_convergence_study("--h0", "100", "--horizon", "100", "--levels", "1")
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("step 0 (t = 0.0) failed: Newton did not converge")
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+
+
+def run_convergence_study(*args):
     root = Path(__file__).resolve().parents[1]
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(root / "scripts" / "convergence_study.py"), *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
     )
-    assert result.returncode == 2, result.stderr
-    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
 
 
 def test_run_unknown_config_name():

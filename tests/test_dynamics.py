@@ -20,7 +20,6 @@ from diracsim.dynamics import (
     ImplicitMidpointStepper,
     InconsistentInitialStateError,
     NonSectionError,
-    SingularJacobianError,
     StepFailureError,
     Trajectory,
     _chord_solve,
@@ -307,15 +306,17 @@ def test_single_step_matches_collocation_oracle():
     sol = least_squares(oracle_residual, guess, xtol=1e-15, ftol=1e-15, gtol=1e-15)
     assert np.max(np.abs(oracle_residual(sol.x))) < 1e-12
 
-    result = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C).step(s0, h)
-    npt.assert_allclose(result.state.x, sol.x[0:2], atol=1e-9)
-    npt.assert_allclose(result.state.v, sol.x[2:4], atol=1e-9)
-    npt.assert_allclose(result.state.p, sol.x[2:4], atol=1e-9)
-    assert result.lam[0] == pytest.approx(sol.x[4], abs=1e-9)
+    row0 = np.concatenate([s0.x, s0.v, s0.p, [s0.pt], [0.0]])
+    stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
+    result = stepper.step(s0.t, row0, h)
+    # The new row is (x, v, p, pt, lam).
+    x1, v1, p1, pt1, lam = np.split(result.row, [2, 4, 6, 7])
+    npt.assert_allclose(x1, sol.x[0:2], atol=1e-9)
+    npt.assert_allclose(v1, sol.x[2:4], atol=1e-9)
+    npt.assert_allclose(p1, sol.x[2:4], atol=1e-9)
+    assert lam[0] == pytest.approx(sol.x[4], abs=1e-9)
     # pt advances by the midpoint balance h * lam * B(tm).
-    assert result.state.pt == pytest.approx(
-        s0.pt + h * result.lam[0] * 0.3 * np.sin(tm), abs=1e-12
-    )
+    assert pt1[0] == pytest.approx(s0.pt + h * lam[0] * 0.3 * np.sin(tm), abs=1e-12)
     assert result.residual_norm < 1e-11
 
 
@@ -403,9 +404,8 @@ def test_three_formulations_agree():
     tl = ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C).run(
         s0, h, K
     )
-    z0 = PhasePoint(t=s0.t, x=s0.x, pt=s0.pt, p=s0.p)
     th_ = ImplicitMidpointStepper("hamilton-dirac", hamiltonian=H, constraints=C).run(
-        z0, h, K
+        s0, h, K
     )
     for other in (tl, th_):
         assert np.max(np.abs(tp.x - other.x)) < 1e-10
@@ -514,8 +514,9 @@ def test_duplicate_constraint_rows_singular_jacobian():
         t=0.0, x=np.zeros(3), v=np.zeros(3), pt=0.0, p=np.zeros(3)
     )
     stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
-    with pytest.raises(SingularJacobianError):
-        stepper.step(s0, 1e-2)
+    with pytest.raises(StepFailureError, match="numerically singular"):
+        # The node row (x, v, p, pt, lam) of s0 is all zeros.
+        stepper.step(s0.t, np.zeros(3 * 3 + 1 + 2), 1e-2)
     # Through run the failure is wrapped with the step index.
     with pytest.raises(StepFailureError, match="step 0"):
         stepper.run(s0, 1e-2, 5)
@@ -531,8 +532,10 @@ def test_non_finite_jacobian_is_a_step_failure():
     stepper = ImplicitMidpointStepper(
         "pontryagin", lagrangian=L, constraints=affine_constraint()
     )
+    s0 = nonholonomic_initial()
+    row0 = np.concatenate([s0.x, s0.v, s0.p, [s0.pt], [0.0]])
     with pytest.raises(StepFailureError, match="not finite"), np.errstate(invalid="ignore"):
-        stepper.step(nonholonomic_initial(), 1e-2)
+        stepper.step(s0.t, row0, 1e-2)
     with pytest.raises(StepFailureError, match="step 0 .*not finite"):
         stepper.run(nonholonomic_initial(), 1e-2, 5)
 

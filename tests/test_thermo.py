@@ -753,6 +753,13 @@ def count_row_builds(monkeypatch):
     return calls
 
 
+def start_row(stepper, s):
+    # The node row (x, v, p, pt, lam) that stepper.run starts from at s: a
+    # zero multiplier, and on hamilton-dirac v = dH/dp.
+    w = stepper._node_row()(s.t, s.x, s.v, s.p)[2]
+    return np.concatenate([s.x, w, s.p, [s.pt], np.zeros(stepper.constraints.m)])
+
+
 @pytest.mark.parametrize(
     "formulation, builder",
     [("pontryagin", build_constraints), ("lagrange-dirac", build_momentum_constraints)],
@@ -765,8 +772,9 @@ def test_step_residual_builds_each_row_once(monkeypatch, formulation, builder):
         formulation, lagrangian=build_extended_lagrangian(sys0), constraints=builder(sys0)
     )
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
-    residual = stepper._residual_fn(s0, 1e-3)
-    guess = stepper._guess(s0, 1e-3)
+    row = start_row(stepper, s0)
+    residual = stepper._residual_fn(s0.t, row, 1e-3)
+    guess = stepper._guess(row, 1e-3)
     calls = count_row_builds(monkeypatch)
     residual(guess)
     assert len(calls) == 2
@@ -789,8 +797,9 @@ def test_chord_solve_on_an_open_system_step_jacobian(formulation, builder):
         formulation, lagrangian=build_extended_lagrangian(sys0), constraints=builder(sys0)
     )
     s0 = initial_pontryagin_state(sys0, 0.0, small_initial())
-    residual = stepper._residual_fn(s0, 1e-3)
-    guess = stepper._guess(s0, 1e-3)
+    row = start_row(stepper, s0)
+    residual = stepper._residual_fn(s0.t, row, 1e-3)
+    guess = stepper._guess(row, 1e-3)
     r = residual(guess)
     lu = stepper._factor(residual, guess, r)
     assert _chord_solve(lu, r).tobytes() == lu_solve(lu, r).tobytes()
@@ -852,14 +861,12 @@ def particle_stepper(formulation):
     from diracsim.cli import BUILTINS, build_problem
 
     problem = build_problem(BUILTINS["nonholonomic_particle"]())
-    s0 = problem.initial
     if formulation == "hamilton-dirac":
         model = {"hamiltonian": legendre_dual(problem.L)}
-        s0 = PhasePoint(t=s0.t, x=s0.x, pt=s0.pt, p=s0.p)
     else:
         model = {"lagrangian": problem.L}
     C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
-    return ImplicitMidpointStepper(formulation, constraints=C, **model), s0, problem.h
+    return ImplicitMidpointStepper(formulation, constraints=C, **model), problem.initial, problem.h
 
 
 def open_system_stepper(formulation):
@@ -887,8 +894,9 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
     # that starts away from t = 0.
     stepper, s0, h = build(formulation)
     s0 = dataclasses.replace(s0, t=0.9)
-    residual = stepper._residual_fn(s0, h)
-    guess = stepper._guess(s0, h)
+    row = start_row(stepper, s0)
+    residual = stepper._residual_fn(s0.t, row, h)
+    guess = stepper._guess(row, h)
     rng = np.random.default_rng(5)
     for _ in range(5):
         y = guess + 1e-3 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
@@ -1005,8 +1013,9 @@ def test_step_residual_evaluates_dS_once_per_point(name):
     stepper = ImplicitMidpointStepper(
         "pontryagin", lagrangian=problem.L, constraints=problem.vel_constraints
     )
-    residual = stepper._residual_fn(problem.initial, problem.h)
-    guess = stepper._guess(problem.initial, problem.h)
+    row = start_row(stepper, problem.initial)
+    residual = stepper._residual_fn(problem.initial.t, row, problem.h)
+    guess = stepper._guess(row, problem.h)
     residual(guess)
     assert len(points) == 2 and len(set(points)) == 2
     residual(guess + 1e-6)

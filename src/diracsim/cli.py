@@ -76,10 +76,6 @@ class ConfigError(Exception):
         self.msg = msg
 
 
-class FormulationUnavailable(Exception):
-    pass
-
-
 def _fmt(x: float) -> str:
     # repr of a Python float is the shortest string that round-trips.
     return repr(float(x))
@@ -515,7 +511,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         system, n_q = _build_thermo_system(cfg)
         if formulation not in FORMULATIONS_THERMO:
             if formulation == "hamilton-dirac":
-                raise FormulationUnavailable(HAMILTON_DIRAC_THERMO_MESSAGE)
+                raise ConfigError("integrator.formulation", HAMILTON_DIRAC_THERMO_MESSAGE)
             raise ConfigError(
                 "integrator.formulation",
                 f"{formulation!r} not in {FORMULATIONS_THERMO}",
@@ -784,10 +780,10 @@ def _fail(exc: Exception, code: int):
 
 @contextlib.contextmanager
 def _exit_codes():
-    # A config or formulation error exits 2, a solver failure 3, in one line.
+    # A config error or an inconsistent start exits 2, a solver failure 3.
     try:
         yield
-    except (ConfigError, FormulationUnavailable, InconsistentInitialStateError) as exc:
+    except (ConfigError, InconsistentInitialStateError) as exc:
         _fail(exc, 2)
     except (StepFailureError, th.NonpositiveTemperatureError, DegenerateConstraintError) as exc:
         _fail(exc, 3)

@@ -5,8 +5,9 @@ Hessian. The module provides the fiber energy E_L built from it and the
 differential of the covariant energy pt + <p, v> - L (its values E and
 pt + E along a trajectory are columns of dynamics.monitor_invariants), the
 covariant Legendre map into T*Y, the differential of a Hamiltonian on T*Y,
-partial inversion of the fiber derivative, and a finite-difference validator
-for user-declared partials.
+the one Newton inversion of a fiber derivative (of the whole velocity here,
+of the mechanical block in thermo), and a finite-difference validator for
+user-declared partials.
 """
 
 from __future__ import annotations
@@ -109,22 +110,24 @@ def _mass_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 # Shape and bytes of the last matrix that passed _require_nonsingular. It
-# memoizes a pure test, so sharing it between callers changes how often the
+# memoizes a pure test, so sharing it between inversions changes how often the
 # SVD runs, never an outcome.
 _last_nonsingular: tuple | None = None
 
 
-def _require_nonsingular(M: np.ndarray, message: str) -> None:
-    # Singular-value test of a Hessian block before a solve. The SVD runs once
-    # per distinct matrix: one bitwise equal to the last that passed is not
-    # checked again, which makes constant mass matrices cost one SVD.
+def _require_nonsingular(M: np.ndarray) -> None:
+    # Singular-value test of a velocity Hessian before a solve. The SVD runs
+    # once per distinct matrix: one bitwise equal to the last that passed is
+    # not checked again, which makes constant mass matrices cost one SVD.
     global _last_nonsingular
     key = (M.shape, M.tobytes())
     if key == _last_nonsingular:
         return
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-        raise HyperregularityError(message)
+        raise HyperregularityError(
+            "velocity Hessian is singular; the fiber derivative cannot be inverted there"
+        )
     _last_nonsingular = key
 
 
@@ -135,7 +138,9 @@ class TimeLagrangian:
     value returns a scalar, d_t a scalar, d_x and d_v arrays of shape (n,),
     d_vv the velocity Hessian of shape (n, n). regular_block optionally names
     the velocity indices on which the Hessian is invertible; None means all of
-    them. Fiber inversion only ever touches the declared block.
+    them. A declared block marks L as degenerate: legendre_dual rejects it,
+    and no inversion reads it; the open system inverts its mechanical block
+    from the mechanical Lagrangian (thermo.build_momentum_constraints).
 
     With broadcasts set, the five callables also take K stacked points, t of
     shape (K,) and x, v of shape (K, n), and return shapes (K,), (K, n) or
@@ -254,9 +259,34 @@ def covariant_hamiltonian(
     return value, cov
 
 
-# Max-norm tolerance and iteration budget of legendre_invert's Newton loop.
-_LEGENDRE_TOL = 1e-10
+# Relative tolerance and iteration budget of the fiber inversion's Newton loop.
+_LEGENDRE_TOL = 1e-12
 _LEGENDRE_MAX_ITER = 50
+
+
+def _invert_fiber(
+    d_v: Callable[[np.ndarray], np.ndarray],
+    d_vv: Callable[[np.ndarray], np.ndarray],
+    p: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    # Newton for d_v(v) = p from v, stopped at max|d_v(v) - p| <= _LEGENDRE_TOL
+    # (1 + max|p|). v is not written to: a converged start is returned as is.
+    n = len(p)
+    tol = _LEGENDRE_TOL * (1.0 + np.abs(p).max(initial=0.0))
+    for it in range(_LEGENDRE_MAX_ITER + 1):
+        r = np.asarray(d_v(v), dtype=float).reshape(n) - p
+        if np.abs(r).max(initial=0.0) <= tol:
+            return v
+        if it == _LEGENDRE_MAX_ITER:
+            break
+        J = np.asarray(d_vv(v), dtype=float).reshape(n, n)
+        _require_nonsingular(J)
+        v = v - _mass_solve(J, r)
+    raise LegendreConvergenceError(
+        f"fiber inversion did not reach tol={tol:.3e} in {_LEGENDRE_MAX_ITER} iterations "
+        f"(residual {np.abs(r).max():.3e})"
+    )
 
 
 def legendre_invert(
@@ -266,41 +296,23 @@ def legendre_invert(
     p_target: np.ndarray,
     v_guess: np.ndarray,
 ) -> np.ndarray:
-    """Invert p = dL/dv for v on the declared regular velocity block.
+    """Invert p = dL/dv for the whole velocity by Newton from v_guess.
 
-    Newton iteration on the block components only; the remaining components
-    pass through unchanged from v_guess. Converges when the block residual
-    satisfies max|dL/dv - p_target| <= _LEGENDRE_TOL.
+    Converges when max|dL/dv - p_target| <= 1e-12 (1 + max|p_target|), a
+    tolerance relative to the momentum's scale. Returns a new array.
 
-    Raises HyperregularityError when the block Hessian is singular and
-    LegendreConvergenceError after _LEGENDRE_MAX_ITER iterations without
+    Raises HyperregularityError when the velocity Hessian is singular, as it
+    is everywhere for a Lagrangian with a declared partial regular block, and
+    LegendreConvergenceError after _LEGENDRE_MAX_ITER updates without
     convergence.
     """
 
-    # The whole velocity, as a view, when every component is regular.
-    idx = slice(None) if L.regular_block is None else np.asarray(L.regular_block, dtype=int)
     x = np.asarray(x, dtype=float).reshape(L.n)
-    p_target = np.asarray(p_target, dtype=float).reshape(L.n)
-    v = np.array(v_guess, dtype=float).reshape(L.n).copy()
-
-    for it in range(_LEGENDRE_MAX_ITER + 1):
-        r = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)[idx] - p_target[idx]
-        if np.max(np.abs(r), initial=0.0) <= _LEGENDRE_TOL:
-            return v
-        if it == _LEGENDRE_MAX_ITER:
-            break
-        J = np.asarray(L.d_vv(t, x, v), dtype=float).reshape(L.n, L.n)
-        if L.regular_block is not None:
-            J = J[np.ix_(idx, idx)]
-        _require_nonsingular(
-            J,
-            "velocity Hessian is singular on the declared regular block; "
-            "the fiber derivative cannot be inverted there",
-        )
-        v[idx] -= _mass_solve(J, r)
-    raise LegendreConvergenceError(
-        f"fiber inversion did not reach tol={_LEGENDRE_TOL} in {_LEGENDRE_MAX_ITER} iterations "
-        f"(residual {np.max(np.abs(r)):.3e})"
+    return _invert_fiber(
+        lambda v: L.d_v(t, x, v),
+        lambda v: L.d_vv(t, x, v),
+        np.asarray(p_target, dtype=float).reshape(L.n),
+        np.array(v_guess, dtype=float).reshape(L.n),
     )
 
 

@@ -30,12 +30,11 @@ from .dynamics import initialize_covariant_momentum, monitor_invariants
 from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot
 from .lagrangian import (
     ExternalForce,
-    HyperregularityError,
     TimeLagrangian,
+    _invert_fiber,
     _mass_solve,
     _PointMemo,
     _read_only,
-    _require_nonsingular,
 )
 
 __all__ = [
@@ -545,40 +544,27 @@ def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     )
 
 
-# Relative tolerance and iteration budget of _vq_from_pq's Newton loop.
-_VQ_TOL = 1e-12
-_VQ_MAX_ITER = 50
-
-
-def _vq_from_pq(
-    sys: SimpleOpenSystem, q: np.ndarray, S: float, N: float, p_q: np.ndarray
-) -> np.ndarray:
-    # Invert p_q = dL_mech/dv on the mechanical block (mass matrix solve).
-    mech = sys.mech
-    v = np.zeros(sys.n_q)
-    for _ in range(_VQ_MAX_ITER):
-        r = np.asarray(mech.d_v(q, v, S, N), dtype=float).reshape(sys.n_q) - p_q
-        if np.abs(r).max(initial=0.0) <= _VQ_TOL * (1.0 + np.abs(p_q).max(initial=0.0)):
-            return v
-        M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys.n_q, sys.n_q)
-        _require_nonsingular(M, "mechanical mass matrix is singular")
-        v = v - _mass_solve(M, r)
-    raise HyperregularityError("mass matrix inversion did not converge")
-
-
 def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     """Momentum-side constraint set (coefficients at (t, x, p)).
 
-    The mechanical velocity is recovered from p_q through the mass matrix, so
+    The mechanical velocity v_q solves p_q = dL_mech/dv, inverted by the
+    fiber Newton of lagrangian from v_q = 0 on the mechanical block only, so
     the friction force and any velocity-dependent port laws are evaluated at
     v_q(p_q). Thermodynamic momentum slots are ignored by the coefficients.
     """
 
     lay = sys.layout
+    mech = sys.mech
 
     def point(t, x, p):
         x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
-        vq = _vq_from_pq(sys, x[lay.q], x[lay.S], x[lay.N], p[lay.q])
+        q, S, N = x[lay.q], x[lay.S], x[lay.N]
+        vq = _invert_fiber(
+            lambda v: mech.d_v(q, v, S, N),
+            lambda v: mech.d_vv(q, v, S, N),
+            p[lay.q],
+            np.zeros(sys.n_q),
+        )
         return _Point(sys, t, _new_state(x[lay.q].copy(), vq, x[lay.S :]))
 
     return _row_constraints(sys, _PointMemo(point))

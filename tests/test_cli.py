@@ -770,6 +770,7 @@ def test_run_hamilton_dirac_unavailable_for_thermo(tmp_path):
     assert result.exit_code == 2
     assert "hamilton-dirac is unavailable" in all_text(result)
     assert "degenerate" in all_text(result)
+    assert result.stderr.startswith("config error at integrator.formulation")
 
 
 def test_run_external_force_rejected_on_lagrange_dirac(tmp_path):

@@ -221,6 +221,21 @@ def test_legendre_invert_iteration_budget(monkeypatch):
         legendre_invert(L, 0.0, np.zeros(1), np.array([8.0]), v_guess=np.array([50.0]))
 
 
+@pytest.mark.parametrize("P", [1e7, 1e8])
+def test_legendre_invert_converges_at_any_momentum_scale(P):
+    # The stop is relative to max|p|: at these momenta an absolute 1e-10 lies
+    # below the rounding of m v - p, and no iterate can meet it.
+    L = make_mechanical(n=2, mass=3.0)
+    p = np.array([P, -P / 3.0])
+    v = legendre_invert(L, 0.0, np.zeros(2), p, v_guess=np.zeros(2))
+    assert np.max(np.abs(3.0 * v - p)) <= 1e-12 * (1.0 + P)
+
+
+def test_legendre_invert_on_a_partial_regular_block_meets_a_singular_hessian():
+    with pytest.raises(HyperregularityError, match="velocity Hessian is singular"):
+        legendre_invert(make_degenerate(), 0.0, np.zeros(2), np.ones(2), v_guess=np.zeros(2))
+
+
 def well_conditioned(n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, n)) + n * np.eye(n), rng.normal(size=n)

@@ -721,6 +721,69 @@ def test_varying_mass_lift_residual():
     assert worst < 1e-6
 
 
+def reference_momentum_row(sys0, t, x, p):
+    # The momentum-side row as it was built before the fiber inversion was
+    # shared with legendre_invert: a Newton of its own on the mechanical
+    # block from v_q = 0, kept here only for comparison. Returns (A, B) and
+    # the number of Newton updates.
+    lay, mech = sys0.layout, sys0.mech
+    q, S, N, p_q = x[lay.q], x[lay.S], x[lay.N], p[lay.q]
+    v = np.zeros(sys0.n_q)
+    for updates in range(50):
+        r = np.asarray(mech.d_v(q, v, S, N), dtype=float).reshape(sys0.n_q) - p_q
+        if np.abs(r).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(p_q).max(initial=0.0)):
+            point = thermo_module._Point(
+                sys0, t, thermo_module._new_state(q.copy(), v, x[lay.S :])
+            )
+            return thermo_module._constraint_row(sys0, t, point.ts), updates
+        M = np.asarray(mech.d_vv(q, v, S, N), dtype=float).reshape(sys0.n_q, sys0.n_q)
+        v = v - lagrangian_module._mass_solve(M, r)
+    raise AssertionError("reference inversion did not converge")
+
+
+def make_stiffening_system():
+    """Piston whose momentum m (v + v^3) is nonlinear in v, so inverting it
+    takes several Newton updates."""
+
+    base = ideal_gas_fixture(friction=linear_friction(0.05))
+    gas = base.mech
+    m = 1.5
+    mech = dataclasses.replace(
+        gas,
+        value=lambda q, v, S, N: m * (0.5 * v[..., 0] ** 2 + 0.25 * v[..., 0] ** 4)
+        + gas.value(q, np.zeros_like(v), S, N),
+        d_v=lambda q, v, S, N: m * (v + v**3),
+        d_vv=lambda q, v, S, N: m * (1.0 + 3.0 * v**2) * np.eye(1),
+    )
+    return dataclasses.replace(base, mech=mech)
+
+
+def momentum_row_case(name):
+    # (system, reference state) of a builtin, or of the stiffening piston.
+    if name == "stiffening":
+        return make_stiffening_system(), dataclasses.replace(small_initial(), v_q=np.array([1.5]))
+    problem = cli_problem(name)
+    return problem.system, problem.ts0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["closed_piston", "conduction_piston", "matched_port_piston", "two_port_piston", "stiffening"],
+)
+def test_momentum_row_is_the_reference_inversion_bitwise(name):
+    sys0, around = momentum_row_case(name)
+    C = build_momentum_constraints(sys0)
+    rng = np.random.default_rng(19)
+    most_updates = 0
+    for _ in range(50):
+        pt_ = random_physical_point(sys0, rng, around)
+        (A, B), updates = reference_momentum_row(sys0, pt_.t, pt_.x, pt_.p)
+        assert C.A(pt_.t, pt_.x, pt_.p).tobytes() == A.tobytes()
+        assert C.B(pt_.t, pt_.x, pt_.p).tobytes() == B.tobytes()
+        most_updates = max(most_updates, updates)
+    assert most_updates >= (3 if name == "stiffening" else 1)
+
+
 # -- sampling --------------------------------------------------------------
 
 

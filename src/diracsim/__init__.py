@@ -12,81 +12,13 @@ line interface runs, compares, and verifies trajectories from JSON
 configurations.
 """
 
-from .geometry import (
-    ConstraintSet,
-    CotangentP,
-    CotangentTstarY,
-    DegenerateConstraintError,
-    MembershipReport,
-    PhasePoint,
-    PontryaginState,
-    TangentP,
-    TangentTstarY,
-    dirac_membership_P,
-    dirac_membership_TstarY,
-    dirac_pairing,
-    dirac_rank,
-    random_dirac_element,
-    unconstrained,
-)
-from .lagrangian import (
-    DerivativeReport,
-    ExternalForce,
-    HyperregularityError,
-    LegendreConvergenceError,
-    TimeHamiltonian,
-    TimeLagrangian,
-    check_derivatives,
-    covariant_hamiltonian,
-    covariant_legendre,
-    dirac_differential,
-    lagrangian_energy,
-    legendre_dual,
-    legendre_invert,
-)
-from .dynamics import (
-    ImplicitMidpointStepper,
-    InvariantSeries,
-    MultiplierEstimate,
-    NonSectionError,
-    StepFailureError,
-    StepResult,
-    Trajectory,
-    hamilton_dirac_residual,
-    initialize_covariant_momentum,
-    lagrange_dirac_residual,
-    monitor_invariants,
-    pontryagin_dirac_residual,
-    recover_multipliers,
-)
-from .thermo import (
-    EntropyBreakdown,
-    HeatSourceModel,
-    MechanicalLagrangian,
-    NonpositiveTemperatureError,
-    PortModel,
-    PowerFlows,
-    ReducedRates,
-    SimpleOpenSystem,
-    ThermoLayout,
-    ThermoState,
-    build_constraints,
-    build_extended_lagrangian,
-    build_momentum_constraints,
-    chemical_potential,
-    entropy_production,
-    first_law_residual,
-    ideal_gas_fixture,
-    initial_pontryagin_state,
-    lifted_midpoint_samples,
-    linear_friction,
-    momenta_from_state,
-    power_flows,
-    random_physical_point,
-    reduced_rhs,
-    run_reduced,
-    state_from_arrays,
-    temperature,
-)
+from . import dynamics, geometry, lagrangian, thermo
+from .dynamics import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .lagrangian import *  # noqa: F401,F403
+from .thermo import *  # noqa: F401,F403
+
+# The root exports each module's __all__, and nothing else.
+__all__ = [*geometry.__all__, *lagrangian.__all__, *dynamics.__all__, *thermo.__all__]
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .dynamics import (
     Trajectory,
     _cumulative_trapezoid,
     _recovered_multipliers,
-    initialize_covariant_momentum,
+    _require_on_constraint,
     monitor_invariants,
     recover_multipliers,  # noqa: F401 (the benchmark tracer patches it here)
 )
@@ -55,6 +55,7 @@ from .lagrangian import (
     TimeLagrangian,
     _covariant_differential,
     check_derivatives,
+    covariant_legendre,
     legendre_dual,
 )
 from . import thermo as th
@@ -156,15 +157,17 @@ def make_schedule(spec, field: str):
     return _schedule(_fold_schedule(spec, field))
 
 
+def _is_knot(item) -> bool:
+    # A [t, value] pair of a schedule table.
+    return isinstance(item, list) and len(item) == 2 and all(_is_number(c) for c in item)
+
+
 def _fold_schedule(spec, field: str):
     # A constant schedule folded to its float, or a piecewise-linear one.
     if _is_number(spec):
         return _as_number(spec, field)
     if isinstance(spec, list):
-        if not spec or not all(
-            isinstance(p, list) and len(p) == 2 and all(_is_number(c) for c in p)
-            for p in spec
-        ):
+        if not spec or not all(_is_knot(p) for p in spec):
             raise ConfigError(field, "schedule must be a number or a list of [t, value] pairs")
         ts = [_as_number(p[0], f"{field}[{i}][0]") for i, p in enumerate(spec)]
         vs = [_as_number(p[1], f"{field}[{i}][1]") for i, p in enumerate(spec)]
@@ -330,11 +333,18 @@ class Problem:
     f_ext_force: ExternalForce | None = None
 
 
+# The most configuration coordinates an ideal gas takes: the step Jacobian of
+# n_q = 1000 has about 3017**2 entries (73 MB).
+_MAX_N_Q = 1000
+
+
 def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     scfg = _get(cfg, "system", required=True)
     n_q = _positive(cfg, "system.n_q", 1)
     if n_q != int(n_q):
         raise ConfigError("system.n_q", f"must be a whole number, got {n_q!r}")
+    if n_q > _MAX_N_Q:
+        raise ConfigError("system.n_q", f"must be at most {_MAX_N_Q}, got {n_q!r}")
     n_q = int(n_q)
     base = th.ideal_gas_fixture(
         c=_positive(cfg, "system.c", 1.0),
@@ -409,20 +419,18 @@ def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
     f_ext = None
     if "external_force" in scfg:
         raw = scfg["external_force"]
-        # One schedule per configuration coordinate; a single schedule (number
-        # or [[t, value], ...] table) is accepted when n_q == 1.
-        if isinstance(raw, list) and all(isinstance(c, list) for c in raw) and raw and not (
-            raw[0] and isinstance(raw[0][0], (int, float))
-        ):
+        # One schedule per configuration coordinate, in a list; when n_q == 1
+        # the one schedule may also stand alone (a list whose one item is a
+        # [t, value] pair is a table).
+        if n_q == 1 and not (isinstance(raw, list) and len(raw) == 1 and not _is_knot(raw[0])):
+            scheds = [make_schedule(raw, "system.external_force")]
+        elif isinstance(raw, list) and len(raw) == n_q:
             scheds = [
-                make_schedule(comp, f"system.external_force[{i}]")
-                for i, comp in enumerate(raw)
+                make_schedule(comp, f"system.external_force[{i}]") for i, comp in enumerate(raw)
             ]
         else:
-            scheds = [make_schedule(raw, "system.external_force")]
-        if len(scheds) != n_q:
             raise ConfigError(
-                "system.external_force", f"needs {n_q} component schedules"
+                "system.external_force", f"needs a list of {n_q} schedules, one per coordinate"
             )
         def f_ext(t, ts):
             if isinstance(t, np.ndarray):  # node times: one row per node
@@ -562,15 +570,12 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
     L, constraints = _nonholonomic_setup(cfg)
     x0 = _vector(cfg, "initial.x", 2)
     v0 = _vector(cfg, "initial.v", 2)
-    res = constraints.A(t0, x0, v0) @ v0 + constraints.B(t0, x0, v0)
-    if np.max(np.abs(res)) > 1e-8:
-        raise ConfigError(
-            "initial.v", f"violates the kinematic constraint (residual {res})"
-        )
-    p0 = np.asarray(L.d_v(t0, x0, v0), dtype=float)
-    state0 = PontryaginState(
-        t=t0, x=x0, v=v0, pt=initialize_covariant_momentum(L, t0, x0, v0), p=p0
-    )
+    try:
+        _require_on_constraint(constraints.A(t0, x0, v0), constraints.B(t0, x0, v0), v0)
+    except InconsistentInitialStateError as exc:
+        raise ConfigError("initial.v", str(exc)) from exc
+    z = covariant_legendre(L, t0, x0, v0)
+    state0 = PontryaginState(t=t0, x=x0, v=v0, pt=z.pt, p=z.p)
     return Problem(
         **common,
         L=L,

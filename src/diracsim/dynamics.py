@@ -56,7 +56,6 @@ __all__ = [
     "pontryagin_dirac_residual",
     "lagrange_dirac_residual",
     "hamilton_dirac_residual",
-    "initialize_covariant_momentum",
     "MultiplierEstimate",
     "recover_multipliers",
     "StepResult",
@@ -74,8 +73,9 @@ class NonSectionError(ValueError):
 
 
 class StepFailureError(RuntimeError):
-    """Raised when a step fails: its Newton iteration does not converge, or
-    its Jacobian is not finite or is numerically singular."""
+    """Raised when a step fails: its Newton iteration does not converge, its
+    Jacobian is not finite or is numerically singular, or its model is
+    evaluated outside its domain."""
 
 
 class InconsistentInitialStateError(ValueError):
@@ -87,6 +87,19 @@ class OutsideDomainError(RuntimeError):
 
     A Newton trial iterate that raises it counts as a stalled iteration.
     """
+
+
+def _require_on_constraint(A: np.ndarray, B: np.ndarray, w: np.ndarray) -> None:
+    # The one consistency test of a start: its kinematic row A w + B. A
+    # consistent start leaves round-off of the size of the row's largest
+    # term, max(1, |A_ij w_j|, |B_i|); a NaN anywhere gives a NaN scale.
+    res0 = float(np.max(np.abs(A @ w + B), initial=0.0))
+    scale = float(np.max(np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))))
+    if not res0 <= 1e-8 * scale:
+        raise InconsistentInitialStateError(
+            f"initial state violates the kinematic constraint (residual {res0:.3e}, "
+            f"row scale {scale:.3e})"
+        )
 
 
 def _max_norm(r: np.ndarray) -> float:
@@ -202,19 +215,6 @@ def hamilton_dirac_residual(
         H, momentum_constraints, z.t, z.x, z.p, rate.dx, rate.dp, rate.dpt, lam
     )
     return np.concatenate([r_vel, [r_pt], r_mom, A @ w + B])
-
-
-def initialize_covariant_momentum(
-    L: TimeLagrangian, t: float, x: np.ndarray, v: np.ndarray
-) -> float:
-    """Natural initial value of the momentum conjugate to time.
-
-    Returns -E_L(t, x, v). Together with p = dL/dv this makes the covariant
-    energy vanish at the initial point, and it stays zero along solutions
-    without external forcing.
-    """
-
-    return -lagrangian_energy(L, t, x, v)
 
 
 @dataclass(frozen=True)
@@ -352,9 +352,10 @@ class ChordNewton:
     rebuilt after _JACOBIAN_REFRESH converged solves, and a solve that stalls
     restarts once from its guess with a fresh one. A trial iterate outside
     the model's domain (OutsideDomainError) stalls its attempt the same way;
-    the guess itself must lie inside. A converged solve is polished toward
-    _POLISH_FLOOR. The convergence test is the max-norm of the residual
-    against tol. An instance must not be shared across threads.
+    the guess itself must lie inside, or its error ends the solve. A
+    converged solve is polished toward _POLISH_FLOOR. The convergence test is
+    the max-norm of the residual against tol. An instance must not be shared
+    across threads.
     """
 
     def __init__(self, tol: float):
@@ -593,24 +594,17 @@ class ImplicitMidpointStepper(ChordNewton):
         v = dH/dp in place of start.v. A start off the kinematic constraint
         raises InconsistentInitialStateError. One call of step per step, in
         the loop the reduced path shares: step k starts at t0 + h added k
-        times, h must be positive and finite, and a failed step k raises
-        StepFailureError naming "step k (t = ...)".
+        times, h must be positive and finite, and a failed step k, or one
+        whose model meets an OutsideDomainError, raises StepFailureError
+        naming "step k (t = ...)".
         """
 
         n, m, K = self.n, self.constraints.m, int(n_steps)
         # The start's kinematic row A w + B; w is the start row's v (on T*Y
         # dH/dp, and the row ignores start.v).
         A, B, w = self._node_row()(start.t, start.x, start.v, start.p)
+        _require_on_constraint(A, B, w)
         row = np.concatenate([start.x, w, start.p, [start.pt], np.zeros(m)])
-        # A consistent start leaves round-off of the size of the row's largest
-        # term, max(1, |A_ij w_j|, |B_i|); a NaN anywhere gives a NaN scale.
-        res0 = float(np.max(np.abs(A @ w + B), initial=0.0))
-        scale = float(np.max(np.abs(np.concatenate([(A * w).ravel(), np.ravel(B), [1.0]]))))
-        if not res0 <= 1e-8 * scale:
-            raise InconsistentInitialStateError(
-                f"initial state violates the kinematic constraint (residual {res0:.3e}, "
-                f"row scale {scale:.3e})"
-            )
         # A fresh workspace: no Jacobian carries over from an earlier run.
         self._lu, self._steps_since_refresh = None, 0
 
@@ -638,7 +632,8 @@ def _march(formulation, advance, lift, y0, h, times) -> Trajectory:
     # time rule), and row k of the node array is the path's state vector at
     # node k, y0 first. advance(k, t, y) solves step k from its start time t
     # and row y, and returns row k + 1 and its Newton update count; lift turns
-    # the node array into the trajectory's (x, v, p, pt, lam).
+    # the node array into the trajectory's (x, v, p, pt, lam). A step that
+    # fails or leaves the model's domain raises one StepFailureError naming it.
     if not 0.0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
     t = times()
@@ -650,7 +645,7 @@ def _march(formulation, advance, lift, y0, h, times) -> Trajectory:
     for k, t_k in enumerate(t[:-1].tolist()):
         try:
             ys[k + 1], iters[k] = advance(k, t_k, ys[k])
-        except StepFailureError as exc:
+        except (StepFailureError, OutsideDomainError) as exc:
             raise StepFailureError(f"{what} {k} (t = {t_k!r}) failed: {exc}") from exc
     return Trajectory(formulation, float(h), t, *lift(ys), iters)
 

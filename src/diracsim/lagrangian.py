@@ -215,7 +215,8 @@ def covariant_legendre(
     """Covariant Legendre map into T*Y.
 
     Sends (t, x, v) to (t, x, pt, p) with p = dL/dv and pt = -E_L, so the
-    covariant energy vanishes identically on the image.
+    covariant energy vanishes identically on the image. Every start state's
+    momenta are formed here (cli.build_problem, thermo.initial_pontryagin_state).
     """
 
     p = np.asarray(L.d_v(t, x, v), dtype=float).reshape(L.n)

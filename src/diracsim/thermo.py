@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import ChordNewton, OutsideDomainError, Trajectory, _march
-from .dynamics import initialize_covariant_momentum, monitor_invariants
+from .dynamics import ChordNewton, OutsideDomainError, Trajectory, _march, monitor_invariants
 from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot
 from .lagrangian import (
     ExternalForce,
@@ -35,6 +34,7 @@ from .lagrangian import (
     _mass_solve,
     _PointMemo,
     _read_only,
+    covariant_legendre,
 )
 
 __all__ = [
@@ -714,15 +714,15 @@ def initial_pontryagin_state(
     """Consistent initial point on the mixed bundle for the full formulations.
 
     Velocities of the bookkeeping coordinates come from the reduced rates (so
-    the kinematic constraint holds exactly), momenta from the extended fiber
-    derivative, and the momentum conjugate to time is initialized to -E(0) so
-    the covariant energy starts at zero.
+    the kinematic constraint holds exactly); (pt, p) is the covariant Legendre
+    image of (t0, x, v) under the extended Lagrangian, p = dL/dv and
+    pt = -E(0), so the covariant energy starts at zero.
     """
 
     y0 = np.concatenate([ts0.q, ts0.v_q, [ts0.S, ts0.N, ts0.Gamma, ts0.W, ts0.Sigma]])
     x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[0][2 * sys.n_q :])
-    pt = initialize_covariant_momentum(build_extended_lagrangian(sys), t0, x, v)
-    return PontryaginState(t=t0, x=x, v=v, pt=pt, p=momenta_from_state(sys, ts0))
+    z = covariant_legendre(build_extended_lagrangian(sys), t0, x, v)
+    return PontryaginState(t=t0, x=x, v=v, pt=z.pt, p=z.p)
 
 
 def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoState:

@@ -24,7 +24,6 @@ from diracsim.dynamics import (
     Trajectory,
     _chord_solve,
     hamilton_dirac_residual,
-    initialize_covariant_momentum,
     lagrange_dirac_residual,
     monitor_invariants,
     pontryagin_dirac_residual,
@@ -39,7 +38,12 @@ from diracsim.geometry import (
     _dot,
     unconstrained,
 )
-from diracsim.lagrangian import ExternalForce, TimeHamiltonian, TimeLagrangian
+from diracsim.lagrangian import (
+    ExternalForce,
+    TimeHamiltonian,
+    TimeLagrangian,
+    covariant_legendre,
+)
 
 
 def free_particle(n=2, mass=1.0):
@@ -72,7 +76,7 @@ def nonholonomic_initial():
         t=0.0,
         x=x0,
         v=v0,
-        pt=initialize_covariant_momentum(L, 0.0, x0, v0),
+        pt=covariant_legendre(L, 0.0, x0, v0).pt,
         p=v0.copy(),
     )
 
@@ -222,9 +226,10 @@ def test_residual_vanishes_on_exact_flow(formulation):
 
 
 def test_initialize_covariant_momentum():
+    # A start's pt is the covariant Legendre map's, -E_L.
     L = free_particle()
     x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-    assert initialize_covariant_momentum(L, 0.0, x, v) == pytest.approx(-12.5)
+    assert covariant_legendre(L, 0.0, x, v).pt == pytest.approx(-12.5)
 
 
 # -- multiplier recovery --------------------------------------------------
@@ -376,7 +381,7 @@ def test_midpoint_conserves_quadratic_invariant():
     )
     x0, v0 = np.array([1.0]), np.array([0.0])
     s0 = PontryaginState(
-        t=0.0, x=x0, v=v0, pt=initialize_covariant_momentum(L, 0.0, x0, v0), p=v0
+        t=0.0, x=x0, v=v0, pt=covariant_legendre(L, 0.0, x0, v0).pt, p=v0
     )
     stepper = ImplicitMidpointStepper(
         "pontryagin", lagrangian=L, constraints=unconstrained(n)

@@ -1,12 +1,12 @@
 """Guard on the package's export and option surface.
 
-Every name `diracsim/__init__.py` exports must have a caller outside its own
-definition and the package's `__init__.py`: in the package's other modules,
-the scripts, the benchmark, or the acceptance tests. A caller reads the name,
-or takes it as an attribute of a package module (`th.run_reduced`); a
-variable, field or attribute of another object with the same name is no
-caller. Names that only other tests use do not count, so an export nothing
-runs fails here. The exceptions are the paper's T*Y and Lagrange-Dirac
+Every name a module's `__all__` lists, which the package root re-exports, must
+have a caller outside its own definition and the package's `__init__.py`: in
+the package's other modules, the scripts, the benchmark, or the acceptance
+tests. A caller reads the name, or takes it as an attribute of a package
+module (`th.run_reduced`); a variable, field or attribute of another object
+with the same name is no caller. Names that only other tests use do not
+count, so an export nothing runs fails here. The exceptions are the paper's T*Y and Lagrange-Dirac
 definitions that `diracsim check` is still to call (ROADMAP item I), listed
 in HOLDOVERS. Every defaulted parameter of an exported function must be
 passed by some call in those files, bar the ones in KEPT_DEFAULTS, so an
@@ -25,8 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diracsim"
 
 # The T*Y and Lagrange-Dirac definitions with no caller yet; each leaves this
-# tuple once `check` calls it. covariant_legendre is not listed: only
-# dirac_differential calls it.
+# tuple once `check` calls it. covariant_legendre is not listed: every start
+# state is its image (cli.build_problem, thermo.initial_pontryagin_state).
 HOLDOVERS = (
     "dirac_membership_TstarY",
     "dirac_differential",
@@ -48,13 +48,11 @@ MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
 
 
 def _exports() -> dict[str, str]:
-    # name -> defining module, from the relative imports of __init__.py.
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    # name -> defining module, from each module's __all__.
     return {
-        alias.asname or alias.name: node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
+        name: module
+        for module in sorted(MODULES)
+        for name in getattr(importlib.import_module(f"diracsim.{module}"), "__all__", ())
     }
 
 

@@ -489,6 +489,9 @@ def _finite_initial(state: PontryaginState) -> PontryaginState:
     return state
 
 
+# A start whose energy or rates overflow shows it in its values, which
+# _finite_initial rejects; numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem:
     kind = _get(cfg, "system.kind", required=True)
     if not isinstance(kind, str) or kind not in _KIND_KEYS:
@@ -542,11 +545,8 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
                     "external forces run on the pontryagin or reduced path",
                 )
             force = th.build_external_force(system)
-        # Overflow shows in the values, which _finite_initial rejects; numpy's
-        # warnings would only repeat it.
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                initial = th.initial_pontryagin_state(system, t0, ts0)
+            initial = th.initial_pontryagin_state(system, t0, ts0)
         except th.NonpositiveTemperatureError as exc:
             raise ConfigError("initial", str(exc)) from exc
         return Problem(
@@ -592,19 +592,21 @@ def run_formulation(problem: Problem, formulation: str) -> Trajectory:
     # formulation is one that build_problem accepts for the problem's kind.
     if formulation == "reduced":
         return th.run_reduced(problem.system, problem.initial, problem.h, problem.n_steps)
+    return _stepper(problem, formulation).run(problem.initial, problem.h, problem.n_steps)
+
+
+def _stepper(problem: Problem, formulation: str) -> ImplicitMidpointStepper:
+    # The stepper of a DAE formulation; on the open system it reads the
+    # system's one-pass point record.
     model = {"lagrangian": problem.L}
     if formulation == "hamilton-dirac":
         model = {"hamiltonian": legendre_dual(problem.L)}
     elif formulation == "pontryagin":
         model["f_ext"] = problem.f_ext_force
-    stepper = ImplicitMidpointStepper(
-        formulation,
-        constraints=(
-            problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
-        ),
-        **model,
-    )
-    return stepper.run(problem.initial, problem.h, problem.n_steps)
+    if problem.system is not None:
+        model["points"] = th._mixed_points(problem.system, formulation == "lagrange-dirac")
+    C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
+    return ImplicitMidpointStepper(formulation, constraints=C, **model)
 
 
 # -- output ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
@@ -114,18 +114,39 @@ def _check_section(dt: float) -> None:
         )
 
 
-def _mixed_rows(L, C, t, x, v, p, w, dx, dp, dpt, lam, f_ext):
-    # The mixed-bundle rows at (t, x, v, p) on the rate (dx, dp, dpt): velocity
-    # match, fiber derivative, momentum balance and pt balance; A, B at (t, x, w).
+class _MixedPoints(NamedTuple):
+    # A model as the mixed-bundle rows read it, one evaluation per point:
+    # at(t, x, v, w) is the record (d_x, d_v, d_t, A, B, F), with L's partials
+    # and the force F (None without one) at (t, x, v) and the row at (t, x, w);
+    # row(t, x, w) is (A, B) alone.
+    at: Callable
+    row: Callable
+
+
+def _callable_points(L: TimeLagrangian, C: ConstraintSet, f_ext=None) -> _MixedPoints:
+    # The record of a model given as callables: one call of each per point.
     n = L.n
-    A = C.A(t, x, w)
-    B = C.B(t, x, w)
+
+    def at(t, x, v, w):
+        d_x = np.asarray(L.d_x(t, x, v), dtype=float).reshape(n)
+        d_v = np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
+        F = None if f_ext is None else np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
+        return d_x, d_v, float(L.d_t(t, x, v)), C.A(t, x, w), C.B(t, x, w), F
+
+    return _MixedPoints(at, lambda t, x, w: (C.A(t, x, w), C.B(t, x, w)))
+
+
+def _mixed_rows(at, t, x, v, p, w, dx, dp, dpt, lam):
+    # The mixed-bundle rows at (t, x, v, p) on the rate (dx, dp, dpt), from the
+    # record at(t, x, v, w): velocity match, fiber derivative, momentum
+    # balance and pt balance, then A and B.
+    d_x, d_v, d_t, A, B, F = at(t, x, v, w)
     r_vel = dx - v
-    r_fib = p - np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
-    r_mom = dp - np.asarray(L.d_x(t, x, v), dtype=float).reshape(n) - A.T @ lam
-    if f_ext is not None:
-        r_mom = r_mom - np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
-    r_pt = dpt - float(L.d_t(t, x, v)) - float(B @ lam)
+    r_fib = p - d_v
+    r_mom = dp - d_x - A.T @ lam
+    if F is not None:
+        r_mom = r_mom - F
+    r_pt = dpt - d_t - float(B @ lam)
     return r_vel, r_fib, r_mom, r_pt, A, B
 
 
@@ -162,8 +183,8 @@ def pontryagin_dirac_residual(
     _check_section(rate.dt)
     lam = np.asarray(lam, dtype=float).reshape(constraints.m)
     r_vel, r_fib, r_mom, r_pt, A, B = _mixed_rows(
-        L, constraints, state.t, state.x, state.v, state.p, state.v,
-        rate.dx, rate.dp, rate.dpt, lam, f_ext,
+        _callable_points(L, constraints, f_ext).at, state.t, state.x, state.v, state.p,
+        state.v, rate.dx, rate.dp, rate.dpt, lam,
     )
     return np.concatenate([r_vel, r_fib, r_mom, A @ state.v + B, [r_pt]])
 
@@ -187,8 +208,8 @@ def lagrange_dirac_residual(
     _check_section(rate.dt)
     lam = np.asarray(lam, dtype=float).reshape(momentum_constraints.m)
     r_vel, r_fib, r_mom, r_pt, A, B = _mixed_rows(
-        L, momentum_constraints, state.t, state.x, state.v, state.p, state.p,
-        rate.dx, rate.dp, rate.dpt, lam, None,
+        _callable_points(L, momentum_constraints).at, state.t, state.x, state.v, state.p,
+        state.p, rate.dx, rate.dp, rate.dpt, lam,
     )
     r_base = state.pt + lagrangian_energy(L, state.t, state.x, state.v)
     return np.concatenate([r_vel, [r_pt], r_mom, A @ rate.dx + B, r_fib, [r_base]])
@@ -468,6 +489,11 @@ class ImplicitMidpointStepper(ChordNewton):
     without v on T*Y, where v is dH/dp at the node. Each step is one
     ChordNewton solve to tolerance _NEWTON_TOL, so a stepper instance owns
     its Newton workspace and must not be shared across threads.
+
+    On the mixed bundle a step residual evaluates the model once at its
+    midpoint and its row once at its new node: through points, the open
+    system's one-pass record of the same model (thermo._mixed_points), or
+    else one call of each of the lagrangian's, constraints' and f_ext's.
     """
 
     def __init__(
@@ -477,6 +503,7 @@ class ImplicitMidpointStepper(ChordNewton):
         hamiltonian: TimeHamiltonian | None = None,
         constraints: ConstraintSet | None = None,
         f_ext: ExternalForce | None = None,
+        points: _MixedPoints | None = None,
     ):
         if formulation not in FORMULATIONS:
             raise ValueError(
@@ -506,6 +533,9 @@ class ImplicitMidpointStepper(ChordNewton):
         # The slots of a row that are Newton unknowns: all but v on T*Y.
         n, hd = self.n, formulation == "hamilton-dirac"
         self._unknowns = np.r_[:n, 2 * n : 3 * n + 1 + constraints.m] if hd else slice(None)
+        if not hd and points is None:
+            points = _callable_points(lagrangian, constraints, f_ext)
+        self._points = points
 
     # -- residual assembly ------------------------------------------------
 
@@ -518,19 +548,18 @@ class ImplicitMidpointStepper(ChordNewton):
             return lambda t, x, v, p: (
                 C.A(t, x, p), C.B(t, x, p), np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
             )
-        if self.formulation == "lagrange-dirac":
-            return lambda t, x, v, p: (C.A(t, x, p), C.B(t, x, p), v)
-        return lambda t, x, v, p: (C.A(t, x, v), C.B(t, x, v), v)
+        row, momentum_side = self._points.row, self.formulation == "lagrange-dirac"
+        return lambda t, x, v, p: (*row(t, x, p if momentum_side else v), v)
 
     def _residual_fn(self, t: float, row: np.ndarray, h: float) -> Callable:
         # The formulation's rows at the averaged midpoint, on the difference
         # quotients across the step from the node row at t, closed by the kinematic
         # row at the new node. y = (x1, [v1,] p1, pt1, lam); z stacks node values.
-        n, C, node = self.n, self.constraints, self._node_row()
+        n = self.n
         t1, tm = t + h, t + 0.5 * h
 
         if self.formulation == "hamilton-dirac":
-            H = self.H
+            H, C, node = self.H, self.constraints, self._node_row()
             z0 = row[self._unknowns[: 2 * n + 1]]
 
             def residual(y: np.ndarray) -> np.ndarray:
@@ -545,9 +574,9 @@ class ImplicitMidpointStepper(ChordNewton):
 
             return residual
 
-        L, f_ext = self.L, self.f_ext
+        at, node_row = self._points
         z0 = row[: 3 * n + 1]
-        # The midpoint the constraint coefficients are taken at: v or p.
+        # The slots the constraint coefficients are taken at: v or p.
         w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
 
         def residual(y: np.ndarray) -> np.ndarray:
@@ -555,11 +584,11 @@ class ImplicitMidpointStepper(ChordNewton):
             zm = 0.5 * (z0 + z1)
             dz = (z1 - z0) / h
             r_vel, r_fib, r_mom, r_pt, *_ = _mixed_rows(
-                L, C, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[w],
-                dz[:n], dz[2 * n : -1], dz[-1], y[3 * n + 1 :], f_ext,
+                at, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[w],
+                dz[:n], dz[2 * n : -1], dz[-1], y[3 * n + 1 :],
             )
-            A1, B1, w1 = node(t1, y[:n], y[n : 2 * n], y[2 * n : 3 * n])
-            return np.concatenate([r_vel, r_fib, r_mom, A1 @ w1 + B1, [r_pt]])
+            A1, B1 = node_row(t1, y[:n], y[w])
+            return np.concatenate([r_vel, r_fib, r_mom, A1 @ y[n : 2 * n] + B1, [r_pt]])
 
         return residual
 

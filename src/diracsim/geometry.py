@@ -196,13 +196,12 @@ class ConstraintSet:
     sets, the momentum) the coefficients may depend on. The kinematic condition
     is A w + B = 0 and the variational one is A dx + B dt = 0.
 
-    eval_A and eval_B depend on (t, x, w) alone: at a point asked for again they
-    may share one evaluation of the row, so callers must not write to the
-    arrays they return. eval_rows, if given, evaluates both at K stacked
-    points, t of shape (K,) and x, w of shape (K, n): it returns A and B as
-    (K, m, n) and (K, m) arrays (or arrays that broadcast to those shapes),
-    entry by entry the bits of eval_A and eval_B at that point. Without it,
-    the array passes call eval_A and eval_B point by point.
+    eval_A and eval_B depend on (t, x, w) alone. eval_rows, if given,
+    evaluates both at K stacked points, t of shape (K,) and x, w of shape
+    (K, n): it returns A and B as (K, m, n) and (K, m) arrays (or arrays that
+    broadcast to those shapes), entry by entry the bits of eval_A and eval_B
+    at that point. Without it, the array passes call eval_A and eval_B point
+    by point.
     """
 
     n: int

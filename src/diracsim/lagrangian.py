@@ -55,11 +55,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _PointMemo:
     """fn(t, x, w) remembered at the last two distinct points.
 
-    A step residual asks for the midpoint, then the new node, so two
-    remembered points serve both. t is compared by value, x and w by their
-    bytes, kept as copies, so an array mutated in place after a call is a
-    new point. fn must return results that callers cannot write to; they
-    are handed out as stored. The newest point is looked at first.
+    Used by legendre_dual only: a step residual asks for the midpoint, then
+    the new node, so two remembered points serve both. t is compared by
+    value, x and w by their bytes, kept as copies, so an array mutated in
+    place after a call is a new point. fn must return results that callers
+    cannot write to; they are handed out as stored. The newest point is
+    looked at first.
     """
 
     _SIZE = 2

@@ -25,14 +25,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import ChordNewton, OutsideDomainError, Trajectory, _march, monitor_invariants
+from .dynamics import (
+    ChordNewton,
+    OutsideDomainError,
+    Trajectory,
+    _march,
+    _MixedPoints,
+    monitor_invariants,
+)
 from .geometry import ConstraintSet, PontryaginState, TangentP, _conform, _dot
 from .lagrangian import (
     ExternalForce,
     TimeLagrangian,
     _invert_fiber,
     _mass_solve,
-    _PointMemo,
     _read_only,
     covariant_legendre,
 )
@@ -77,39 +83,18 @@ class NonpositiveTemperatureError(OutsideDomainError):
 class ThermoLayout:
     """Index layout of the extended state x = (q, S, N, Gamma, W, Sigma).
 
-    The indices are computed once per layout; the hot path reads them on
-    every constraint row.
+    The slice q, the indices S, N, Gamma, W, Sigma and the dimension n are
+    computed once per layout; the hot path reads them on every constraint
+    row.
     """
 
     n_q: int
 
-    @cached_property
-    def q(self) -> slice:
-        return slice(0, self.n_q)
-
-    @cached_property
-    def S(self) -> int:
-        return self.n_q
-
-    @cached_property
-    def N(self) -> int:
-        return self.n_q + 1
-
-    @cached_property
-    def Gamma(self) -> int:
-        return self.n_q + 2
-
-    @cached_property
-    def W(self) -> int:
-        return self.n_q + 3
-
-    @cached_property
-    def Sigma(self) -> int:
-        return self.n_q + 4
-
-    @cached_property
-    def n(self) -> int:
-        return self.n_q + 5
+    def __post_init__(self):
+        n_q = self.n_q
+        self.__dict__.update(
+            q=slice(0, n_q), S=n_q, N=n_q + 1, Gamma=n_q + 2, W=n_q + 3, Sigma=n_q + 4, n=n_q + 5
+        )
 
 
 @dataclass(frozen=True)
@@ -253,12 +238,6 @@ class SimpleOpenSystem:
     def layout(self) -> ThermoLayout:
         return ThermoLayout(self.mech.n_q)
 
-    @cached_property
-    def _points(self) -> _PointMemo:
-        # The open-system point at (t, x, v), shared by the velocity-side row,
-        # the extended Lagrangian's d_x and d_v and the external force.
-        return _PointMemo(lambda t, x, v: _Point(self, t, state_from_arrays(self, x, v)))
-
 
 def _new_state(q: np.ndarray, v_q: np.ndarray, scalars: np.ndarray) -> ThermoState:
     # A ThermoState holding the float64 arrays q and v_q as given and the
@@ -281,39 +260,16 @@ def _with_temperature(sys: SimpleOpenSystem, ts: ThermoState) -> ThermoState:
 def state_from_arrays(
     sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray
 ) -> ThermoState:
-    """Build a ThermoState from full state and velocity arrays (copied)."""
+    """The state of full state and velocity arrays, carrying its temperature.
+
+    x of shape (n,) gives one point (v is reshaped to it); x and v of shape
+    (K, n) give the state over their rows. The state's arrays are copies.
+    """
 
     lay = sys.layout
-    x = _conform(x, (lay.n,))
-    return _new_state(x[lay.q].copy(), _conform(v, (lay.n,))[lay.q].copy(), x[lay.S :])
-
-
-def _node_state(sys: SimpleOpenSystem, x: np.ndarray, v: np.ndarray) -> ThermoState:
-    # The state over the rows of (K, n) arrays x and v, carrying its
-    # temperature; its fields are views of x and v.
-    lay = sys.layout
-    return _with_temperature(sys, _new_state(x[:, lay.q], v[:, lay.q], x[:, lay.S :]))
-
-
-def _state_at(sys: SimpleOpenSystem, t, x: np.ndarray, v: np.ndarray) -> ThermoState:
-    # The state that the extended Lagrangian and the external force read:
-    # over the rows of stacked (K, n) arrays, or at one point the state of
-    # the system's shared point, carrying its temperature either way.
-    if x.ndim == 2:
-        return _node_state(sys, x, v)
-    return sys._points(t, x, v).ts
-
-
-class _Point:
-    # The open-system model at one (t, x, w), from a state that owns its
-    # arrays. Everything evaluated there shares the state, made read-only and
-    # given its temperature, and the constraint row (A, B), built on first use.
-    __slots__ = ("t", "ts", "row")
-
-    def __init__(self, sys: SimpleOpenSystem, t: float, ts: ThermoState):
-        ts.q.setflags(write=False)
-        ts.v_q.setflags(write=False)
-        self.t, self.ts, self.row = t, _with_temperature(sys, ts), None
+    x = np.array(x, dtype=float)
+    v = np.array(v, dtype=float).reshape(x.shape)
+    return _with_temperature(sys, _new_state(x[..., lay.q], v[..., lay.q], x[..., lay.S :]))
 
 
 def temperature(sys: SimpleOpenSystem, ts: ThermoState):
@@ -458,9 +414,8 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     regular block; the extension is deliberately degenerate in the
     thermodynamic velocities. The Lagrangian broadcasts: given stacked
     points t (K,), x and v (K, n), each callable returns one value per point
-    (d_vv evaluates the mechanical mass matrix point by point). At one point
-    d_x and d_v read the system's open-system point at (t, x, v), which the
-    velocity-side row shares.
+    (d_vv evaluates the mechanical mass matrix point by point). d_x and d_v
+    build the state of (x, v) at each call.
     """
 
     lay = sys.layout
@@ -477,23 +432,6 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
         vT = v.T
         return mech.value(q, vq, S, N) + vT[lay.W] * N + vT[lay.Gamma] * (S - Sigma)
 
-    def d_t(t, x, v):
-        return 0.0
-
-    def d_x(t, x, v):
-        ts = _state_at(sys, t, x, v)
-        q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
-        out = np.zeros(x.shape)
-        slots, vT = out.T, v.T  # slots[i]: slot i, or its node column
-        slots[lay.q] = mech.d_q(q, vq, S, N).T
-        slots[lay.S] = -ts._T[1] + vT[lay.Gamma]  # dL_mech/dS, as the state computed it
-        slots[lay.N] = mech.d_N(q, vq, S, N) + vT[lay.W]
-        slots[lay.Sigma] = -vT[lay.Gamma]
-        return out
-
-    def d_v(t, x, v):
-        return momenta_from_state(sys, _state_at(sys, t, x, v))
-
     def d_vv(t, x, v):
         # The mass matrix is only evaluated at single points.
         q, vq, S, N, _ = split(x, v)
@@ -505,33 +443,81 @@ def build_extended_lagrangian(sys: SimpleOpenSystem) -> TimeLagrangian:
     return TimeLagrangian(
         n=n,
         value=value,
-        d_t=d_t,
-        d_x=d_x,
-        d_v=d_v,
+        d_t=lambda t, x, v: 0.0,
+        d_x=lambda t, x, v: _extended_d_x(sys, state_from_arrays(sys, x, v), v),
+        d_v=lambda t, x, v: momenta_from_state(sys, state_from_arrays(sys, x, v)),
         d_vv=d_vv,
         regular_block=tuple(range(sys.n_q)),
         broadcasts=True,
     )
 
 
-def _row_constraints(sys: SimpleOpenSystem, points: _PointMemo, eval_rows=None) -> ConstraintSet:
-    # eval_A and eval_B at the same (t, x, w) share one point and one row
-    # build. A step residual asks for the midpoint and the new node; two
-    # remembered points let Jacobian columns that move neither (multiplier,
-    # pt and the momenta or velocities the row does not read) build no row.
-    def row(t, x, w):
-        p = points(t, x, w)
-        if p.row is None:
-            A, B = _constraint_row(sys, p.t, p.ts)
-            p.row = (_read_only(A), _read_only(B))
-        return p.row
+def _extended_d_x(sys: SimpleOpenSystem, ts: ThermoState, v: np.ndarray) -> np.ndarray:
+    # dL/dx of the extended Lagrangian at the state ts of (x, v), one point
+    # or a node stack, reading the temperature the state carries.
+    lay, mech = sys.layout, sys.mech
+    q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
+    out = np.zeros(v.shape)
+    slots, vT = out.T, v.T  # slots[i]: slot i, or its node column
+    slots[lay.q] = mech.d_q(q, vq, S, N).T
+    slots[lay.S] = -ts._T[1] + vT[lay.Gamma]  # dL_mech/dS, as the state computed it
+    slots[lay.N] = mech.d_N(q, vq, S, N) + vT[lay.W]
+    slots[lay.Sigma] = -vT[lay.Gamma]
+    return out
 
+
+def _external_force(sys: SimpleOpenSystem, t, ts: ThermoState) -> np.ndarray:
+    # sys.f_ext at the state as a covector on x, one point or a node stack;
+    # f_ext may return a shape that broadcasts to (K, n_q).
+    out = np.zeros(ts.q.shape[:-1] + (sys.n,))
+    out[..., sys.layout.q] = sys.f_ext(t, ts)
+    return out
+
+
+def _momentum_state(sys: SimpleOpenSystem, x: np.ndarray, p: np.ndarray) -> ThermoState:
+    # The state at (x, p), carrying its temperature, whose v_q solves
+    # p_q = dL_mech/dv (see build_momentum_constraints).
+    lay, mech = sys.layout, sys.mech
+    x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
+    q, S, N = x[lay.q], x[lay.S], x[lay.N]
+    vq = _invert_fiber(
+        lambda v: mech.d_v(q, v, S, N),
+        lambda v: mech.d_vv(q, v, S, N),
+        p[lay.q],
+        np.zeros(sys.n_q),
+    )
+    return _with_temperature(sys, _new_state(q, vq, x[lay.S :]))
+
+
+def _mixed_points(sys: SimpleOpenSystem, momentum_side: bool) -> _MixedPoints:
+    # The record the mixed-bundle step reads at a point, in one pass: d_x,
+    # d_v and the force of sys.f_ext from one state of (x, v) and its one
+    # temperature, d_t = 0, and the row at that state (w is v), or on the
+    # momentum side at the state of (x, p = w). The row also serves stacked
+    # points on the velocity side.
+    def row(t, x, w):
+        ts = _momentum_state(sys, x, w) if momentum_side else state_from_arrays(sys, x, w)
+        return _constraint_row(sys, t, ts)
+
+    def at(t, x, v, w):
+        ts = state_from_arrays(sys, x, v)
+        A, B = row(t, x, w) if momentum_side else _constraint_row(sys, t, ts)
+        F = None if sys.f_ext is None else _external_force(sys, t, ts)
+        return _extended_d_x(sys, ts, v), momenta_from_state(sys, ts), 0.0, A, B, F
+
+    return _MixedPoints(at, row)
+
+
+def _row_constraints(sys: SimpleOpenSystem, momentum_side: bool) -> ConstraintSet:
+    # eval_A and eval_B build the row at each call; the velocity-side rows
+    # of stacked points are one array pass.
+    row = _mixed_points(sys, momentum_side).row
     return ConstraintSet(
         n=sys.n,
         m=1,
         eval_A=lambda t, x, w: row(t, x, w)[0],
         eval_B=lambda t, x, w: row(t, x, w)[1],
-        eval_rows=eval_rows,
+        eval_rows=None if momentum_side else row,
     )
 
 
@@ -539,9 +525,7 @@ def build_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     """Velocity-side constraint set (coefficients at (t, x, v)), with the rows
     of stacked points in one array pass."""
 
-    return _row_constraints(
-        sys, sys._points, lambda t, x, v: _constraint_row(sys, t, _node_state(sys, x, v))
-    )
+    return _row_constraints(sys, False)
 
 
 def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
@@ -553,36 +537,18 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     v_q(p_q). Thermodynamic momentum slots are ignored by the coefficients.
     """
 
-    lay = sys.layout
-    mech = sys.mech
-
-    def point(t, x, p):
-        x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
-        q, S, N = x[lay.q], x[lay.S], x[lay.N]
-        vq = _invert_fiber(
-            lambda v: mech.d_v(q, v, S, N),
-            lambda v: mech.d_vv(q, v, S, N),
-            p[lay.q],
-            np.zeros(sys.n_q),
-        )
-        return _Point(sys, t, _new_state(x[lay.q].copy(), vq, x[lay.S :]))
-
-    return _row_constraints(sys, _PointMemo(point))
+    return _row_constraints(sys, True)
 
 
 def build_external_force(sys: SimpleOpenSystem) -> ExternalForce:
-    """sys.f_ext as a covector on x, read at the point (t, x, v) the row
-    shares; it broadcasts over stacked points."""
+    """sys.f_ext as a covector on x, read at the state of (t, x, v); it
+    broadcasts over stacked points."""
 
-    lay = sys.layout
-
-    def value(t, x, v):
-        out = np.zeros(x.shape)
-        # f_ext may return a shape that broadcasts to (K, n_q).
-        out[..., lay.q] = sys.f_ext(t, _state_at(sys, t, x, v))
-        return out
-
-    return ExternalForce(n=lay.n, value=value, broadcasts=True)
+    return ExternalForce(
+        n=sys.n,
+        value=lambda t, x, v: _external_force(sys, t, state_from_arrays(sys, x, v)),
+        broadcasts=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -839,7 +805,7 @@ def _lifted_midpoints(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:
 def _invariant_columns(sys: SimpleOpenSystem, traj: Trajectory) -> tuple:
     # monitor_invariants' open-system part, from one balance over all nodes:
     # the node rows (A, B) and the power and production columns.
-    ts = _node_state(sys, traj.x, traj.v)
+    ts = state_from_arrays(sys, traj.x, traj.v)
     b = _balance(sys, traj.t, ts)
     A, B = _balance_row(sys, b.F_fr, b.J_S_ports + b.J_S_sources, b.J, b.T, b.P_M + b.P_H)
     columns = dict(

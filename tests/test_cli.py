@@ -310,6 +310,28 @@ def test_a_consistent_particle_start_loads_at_any_scale():
     assert build_problem(cfg).initial.v[0] == 1e10
 
 
+@pytest.mark.parametrize("warnings", [None, "error"])
+def test_an_overflowing_particle_start_is_one_config_error_line(tmp_path, warnings):
+    # Its energy overflows: one line at `initial`, exit 2, and no numpy
+    # warning, also when warnings are errors.
+    cfg = mech_cfg()
+    cfg["initial"].update(t0=0.0, v=[1e200, 0.0])
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    if warnings is not None:
+        env["PYTHONWARNINGS"] = warnings
+    result = subprocess.run(
+        [sys.executable, "-m", "diracsim.cli", "run", write_cfg(tmp_path, cfg),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("config error at initial: "), result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert "Warning" not in result.stderr and result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "source", [*BUILTINS, str(Path(__file__).parent.parent / "configs" / "forced_piston.json")]
 )
@@ -358,6 +380,59 @@ def test_run_mole_number_rate_equals_port_flows(tmp_path):
         tm = 0.5 * (t[k] + t[k + 1])
         J_total = 0.01 + (-0.006 + (-0.01 - -0.006) * tm / 10.0)
         assert (N[k + 1] - N[k]) / h == pytest.approx(J_total, abs=1e-11)
+
+
+# -- convergence order -----------------------------------------------------
+
+FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
+THERMO_BUILTINS = [name for name in BUILTINS if name != "nonholonomic_particle"]
+ORDER_CASES = [
+    *((name, f) for name in THERMO_BUILTINS for f in cli.FORMULATIONS_THERMO),
+    *(("nonholonomic_particle", f) for f in cli.FORMULATIONS),
+    (FORCED_PISTON, "pontryagin"),
+    (FORCED_PISTON, "reduced"),
+]
+# A component whose difference between the two coarsest levels is below
+# _ROUND_OFF * max(1, max |value|) sits at round-off and shows no order.
+_ROUND_OFF = 1e-12
+
+
+def order_components(traj):
+    # The final node's x, p and pt, and every step's midpoint multiplier.
+    return {"x": traj.x[-1], "p": traj.p[-1], "pt": traj.pt[-1:], "lam": traj.lam.ravel()}
+
+
+def level_difference(name, coarse, fine):
+    # max |coarse - fine| of one component; a coarse midpoint multiplier is
+    # compared with the mean of the two fine midpoints inside its step.
+    if name == "lam":
+        fine = 0.5 * (fine[0::2] + fine[1::2])
+    return float(np.max(np.abs(coarse - fine), initial=0.0))
+
+
+@pytest.mark.parametrize(
+    "source, formulation", ORDER_CASES, ids=[f"{Path(s).stem}-{f}" for s, f in ORDER_CASES]
+)
+def test_every_scenario_and_formulation_is_second_order(source, formulation):
+    # Four levels h = 0.02 / 2^k to t = 0.2: the differences of successive
+    # levels shrink by 4 per halving on x, p and pt at the final node and on
+    # the midpoint multiplier, unless they sit at round-off.
+    base = build_problem(load_config(source), formulation)
+    levels = [
+        order_components(cli.run_formulation(
+            dataclasses.replace(base, h=0.02 / 2**k, n_steps=10 * 2**k), formulation
+        ))
+        for k in range(4)
+    ]
+    checked = []
+    for name, coarsest in levels[0].items():
+        diffs = [level_difference(name, a[name], b[name]) for a, b in zip(levels, levels[1:])]
+        if diffs[0] < _ROUND_OFF * max(1.0, float(np.max(np.abs(coarsest)))):
+            continue
+        ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
+        assert all(3.5 <= r <= 4.5 for r in ratios), (name, ratios)
+        checked.append(name)
+    assert {"x", "p"} <= set(checked), checked
 
 
 # -- exit code 2: configuration errors ------------------------------------

@@ -181,7 +181,9 @@ def _get(cfg: dict, field: str, default=None, required: bool = False):
     parts = field.split(".")
     node = cfg
     for i, part in enumerate(parts):
-        if not isinstance(node, dict) or part not in node:
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(parts[:i]) or "config", f"must be an object, got {node!r}")
+        if part not in node:
             if required:
                 raise ConfigError(".".join(parts[: i + 1]), "missing required entry")
             return default
@@ -216,7 +218,8 @@ def _list(cfg: dict, field: str) -> list:
     return raw
 
 
-# The tolerance keys evaluate_tolerances reads.
+# The tolerance keys evaluate_tolerances reads: five bounds on residuals,
+# which must be >= 0, and a signed floor on the entropy production.
 TOLERANCE_KEYS = ("covariant_energy", "energy_balance", "kinematic", "first_law",
                   "entropy_decomposition", "entropy_production_min")
 
@@ -253,8 +256,10 @@ def _known(obj, field: str, keys: tuple) -> dict:
 def _tolerances(cfg: dict) -> dict:
     tols = _get(cfg, "tolerances")  # absent or null: every default
     for name, val in _known({} if tols is None else tols, "tolerances", TOLERANCE_KEYS).items():
-        if val is not None:
-            _as_number(val, f"tolerances.{name}")
+        if val is None:
+            continue
+        if _as_number(val, f"tolerances.{name}") < 0 and name != "entropy_production_min":
+            raise ConfigError(f"tolerances.{name}", f"must be >= 0, got {val!r}")
     return dict(tols or {})
 
 
@@ -336,6 +341,9 @@ class Problem:
 # The most configuration coordinates an ideal gas takes: the step Jacobian of
 # n_q = 1000 has about 3017**2 entries (73 MB).
 _MAX_N_Q = 1000
+# The most steps a run takes: the node array of 10**7 steps is 1.6 GB at
+# n_q = 1 (about 3 GB with the trajectory's copies).
+_MAX_STEPS = 10**7
 
 
 def _build_thermo_system(cfg: dict) -> tuple[th.SimpleOpenSystem, int]:
@@ -501,6 +509,9 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
     h = _positive(cfg, "integrator.h")
     horizon = _positive(cfg, "integrator.horizon")
     steps = horizon / h
+    if not steps < _MAX_STEPS + 0.5:
+        raise ConfigError("integrator.horizon",
+                          f"covers {steps:.6g} steps of h = {h!r}; at most {_MAX_STEPS} are allowed")
     n_steps = int(round(steps))
     if n_steps < 1:
         raise ConfigError("integrator.horizon", "must cover at least one step")
@@ -513,6 +524,12 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         cfg, "integrator.formulation", "pontryagin"
     )
     t0 = _number(cfg, "initial.t0", 0.0)
+    # The end time is finite, and a step of h, at least the float spacing of
+    # the grid's largest time, moves every time.
+    t_end = t0 + horizon
+    if not h >= math.ulp(max(abs(t0), abs(t_end))):
+        raise ConfigError("initial.t0", f"the grid from {t0!r} to {t_end!r} must end at a finite "
+                                        f"time, and each step of h = {h!r} must advance t")
     common = dict(
         kind=kind, h=h, n_steps=n_steps, formulation=formulation,
         tolerances=_tolerances(cfg), prefix=_prefix(cfg),

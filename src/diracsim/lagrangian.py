@@ -52,34 +52,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _PointMemo:
-    """fn(t, x, w) remembered at the last two distinct points.
-
-    Used by legendre_dual only: a step residual asks for the midpoint, then
-    the new node, so two remembered points serve both. t is compared by
-    value, x and w by their bytes, kept as copies, so an array mutated in
-    place after a call is a new point. fn must return results that callers
-    cannot write to; they are handed out as stored. The newest point is
-    looked at first.
-    """
-
-    _SIZE = 2
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-        self._entries: list[tuple[tuple, object]] = []
-
-    def __call__(self, t, x, w):
-        key = (t, np.asarray(x, dtype=float).tobytes(), np.asarray(w, dtype=float).tobytes())
-        for k, result in self._entries:
-            if k == key:
-                return result
-        result = self._fn(t, x, w)
-        self._entries.insert(0, (key, result))
-        del self._entries[self._SIZE :]
-        return result
-
-
 def _chord_solve(lu_piv: tuple[np.ndarray, np.ndarray], r: np.ndarray) -> np.ndarray:
     """Solve J x = r for a float64 r on the (lu, piv) of scipy's lu_factor.
 
@@ -110,26 +82,17 @@ def _mass_solve(M: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _chord_solve(_mass_lu(M.shape, M.tobytes()), r)
 
 
-# Shape and bytes of the last matrix that passed _require_nonsingular. It
-# memoizes a pure test, so sharing it between inversions changes how often the
-# SVD runs, never an outcome.
-_last_nonsingular: tuple | None = None
-
-
-def _require_nonsingular(M: np.ndarray) -> None:
-    # Singular-value test of a velocity Hessian before a solve. The SVD runs
-    # once per distinct matrix: one bitwise equal to the last that passed is
-    # not checked again, which makes constant mass matrices cost one SVD.
-    global _last_nonsingular
-    key = (M.shape, M.tobytes())
-    if key == _last_nonsingular:
-        return
-    s = np.linalg.svd(M, compute_uv=False)
+@lru_cache(maxsize=1)
+def _require_nonsingular(shape: tuple, data: bytes) -> None:
+    # Singular-value test of a velocity Hessian before a solve, keyed on its
+    # shape and bytes: the SVD runs once per distinct matrix, which makes
+    # constant mass matrices cost one SVD. A singular matrix raises at every
+    # call, since lru_cache stores no exception.
+    s = np.linalg.svd(np.frombuffer(data).reshape(shape), compute_uv=False)
     if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
         raise HyperregularityError(
             "velocity Hessian is singular; the fiber derivative cannot be inverted there"
         )
-    _last_nonsingular = key
 
 
 @dataclass(frozen=True)
@@ -283,7 +246,7 @@ def _invert_fiber(
         if it == _LEGENDRE_MAX_ITER:
             break
         J = np.asarray(d_vv(v), dtype=float).reshape(n, n)
-        _require_nonsingular(J)
+        _require_nonsingular(J.shape, J.tobytes())
         v = v - _mass_solve(J, r)
     raise LegendreConvergenceError(
         f"fiber inversion did not reach tol={tol:.3e} in {_LEGENDRE_MAX_ITER} iterations "
@@ -341,11 +304,17 @@ def legendre_dual(L: TimeLagrangian) -> TimeHamiltonian:
             "reduced thermodynamic path"
         )
 
-    def fiber_velocity(t: float, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return _read_only(legendre_invert(L, t, x, p, np.asarray(p, dtype=float).reshape(L.n)))
+    # A step residual's midpoint and new node make two inversions. t is
+    # keyed by value, x and p by their bytes, so an array written in place
+    # after a call is a new point.
+    @lru_cache(maxsize=2)
+    def fiber_velocity(t: float, x: bytes, p: bytes) -> np.ndarray:
+        p = np.frombuffer(p)
+        return _read_only(legendre_invert(L, t, np.frombuffer(x), p, p))
 
-    # A step residual's midpoint and new node make two inversions.
-    invert = _PointMemo(fiber_velocity)
+    def invert(t, x, p):
+        return fiber_velocity(float(t), np.asarray(x, dtype=float).tobytes(),
+                              np.asarray(p, dtype=float).tobytes())
 
     def value(t, x, p):
         v = invert(t, x, p)

@@ -20,7 +20,7 @@ treated as a modeling error and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -686,7 +686,7 @@ def initial_pontryagin_state(
     """
 
     y0 = np.concatenate([ts0.q, ts0.v_q, [ts0.S, ts0.N, ts0.Gamma, ts0.W, ts0.Sigma]])
-    x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[0][2 * sys.n_q :])
+    x, v = _lift(sys.n_q, y0, _reduced_field(sys, t0, y0)[2 * sys.n_q :])
     z = covariant_legendre(build_extended_lagrangian(sys), t0, x, v)
     return PontryaginState(t=t0, x=x, v=v, pt=z.pt, p=z.p)
 
@@ -699,12 +699,11 @@ def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoSt
     return _with_temperature(sys, ts)
 
 
-def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> tuple:
-    # The rate of the reduced state vector y, and the rate of pt, from one
-    # evaluation of reduced_rhs (looked up on the module at each call).
+def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> np.ndarray:
+    # The rate of the reduced state vector y, from one evaluation of
+    # reduced_rhs (looked up on the module at each call).
     r = reduced_rhs(sys, t, _reduced_state_from_vector(sys, y))
-    rates = [r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot]
-    return np.concatenate([r.qdot, r.vqdot, rates]), r.ptdot
+    return np.concatenate([r.qdot, r.vqdot, [r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot]])
 
 
 def _lift(n_q: int, y: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -738,34 +737,35 @@ def run_reduced(
     each step's Newton updates, polish iterations included.
 
     A step evaluates the field once per Newton residual plus once at its
-    start node, for the Euler guess and the lift alike; the midpoint rate of
-    pt is read from the residual evaluated at the accepted iterate.
+    start node, for the Euler guess and the lift alike. pt is integrated
+    after the march, from one balance over the accepted midpoints
+    (y_k + y_k+1)/2 at t_k + h/2: the midpoint states and times the
+    residuals used, so the sum is the step recursion bit for bit.
     """
 
     n_q, lay, K = sys.n_q, sys.layout, int(n_steps)
     fields = np.empty((K + 1, 2 * n_q + 5))  # the field at each node
-    pts = np.full(K + 1, start.pt)
     solver = ChordNewton(_REDUCED_NEWTON_TOL)
 
     def advance(k, t, y0):
-        f0 = fields[k] = _reduced_field(sys, t, y0)[0]
+        f0 = fields[k] = _reduced_field(sys, t, y0)
         tm = t + 0.5 * h
-        ptdots = {}  # midpoint ptdot of each iterate evaluated, by its bytes
 
         def residual(y1):
-            f, ptdots[y1.tobytes()] = _reduced_field(sys, tm, 0.5 * (y0 + y1))
-            return (y1 - y0) / h - f
+            return (y1 - y0) / h - _reduced_field(sys, tm, 0.5 * (y0 + y1))
 
         y, _, iters = solver._newton(residual, y0 + h * f0)
-        # _newton returns an iterate whose residual it evaluated (the last
-        # one, or the one before a rejected polish iterate).
-        pts[k + 1] = pts[k] + h * ptdots[y.tobytes()]
         return y, iters
 
     def lift(ys):
-        fields[K] = _reduced_field(sys, start.t + K * h, ys[K])[0]
+        fields[K] = _reduced_field(sys, start.t + K * h, ys[K])
         x, v = _lift(n_q, ys, fields[:, 2 * n_q :])
         p = momenta_from_state(sys, _reduced_state_from_vector(sys, ys))
+        # pt advances by h times the rate -(P_M + P_H) at each step's accepted
+        # midpoint; cumsum adds in sequence, as the step recursion does.
+        tm = start.t + h * np.arange(K) + 0.5 * h
+        b = _balance(sys, tm, _reduced_state_from_vector(sys, 0.5 * (ys[:-1] + ys[1:])))
+        pts = np.cumsum(np.concatenate([[start.pt], h * -(b.P_M + b.P_H)]))
         return x, v, p, pts, np.ones((K, 1))
 
     y0 = np.concatenate([start.x[lay.q], start.v[lay.q], start.x[lay.S :]])
@@ -937,30 +937,27 @@ def ideal_gas_fixture(
     if c <= 0 or T0 <= 0:
         raise ValueError("heat capacity and reference temperature must be positive")
 
-    # exp(z), z = (S - N s0) / (c N), is evaluated once per state: d_S, d_N
-    # and the energy at one (S, N), or at one pair of node arrays, share it.
-    point = [None, None, None]  # S, N and exp(z) of the last point
-    nodes = [None, None]  # the key and exp(z) of the last node arrays
-
     def nonpositive(N):
         raise NonpositiveTemperatureError(
             f"mole number N = {float(N)!r} must be positive for the ideal gas energy"
         )
 
+    # exp(z), z = (S - N s0) / (c N), is evaluated once per point: d_S, d_N
+    # and the energy at one (S, N) share it. Node arrays compute it at each
+    # call.
+    @lru_cache(maxsize=1)
+    def point_e(S, N):
+        if N <= 0:
+            nonpositive(N)
+        return np.exp((S - N * s0) / (c * N))
+
     def e_of(S, N):
         if type(S) is np.ndarray or type(N) is np.ndarray:
             S, N = np.asarray(S), np.asarray(N)
-            key = (S.shape, S.tobytes(), N.shape, N.tobytes())
-            if key != nodes[0]:
-                if (N <= 0).any():
-                    nonpositive(N[N <= 0][0])
-                nodes[:] = key, np.exp((S - N * s0) / (c * N))
-            return nodes[1]
-        if not (S == point[0] and N == point[1]):
-            if N <= 0:
-                nonpositive(N)
-            point[:] = S, N, np.exp((S - N * s0) / (c * N))
-        return point[2]
+            if (N <= 0).any():
+                nonpositive(N[N <= 0][0])
+            return np.exp((S - N * s0) / (c * N))
+        return point_e(S, N)
 
     def value(q, v, S, N):
         U = c * N * T0 * e_of(S, N)  # in this product order

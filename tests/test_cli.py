@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracsim import cli, thermo as th
 from diracsim.cli import BUILTINS, ConfigError, build_problem, load_config, main, make_schedule
-from diracsim.dynamics import monitor_invariants
+from diracsim.dynamics import InconsistentInitialStateError, StepFailureError, monitor_invariants
 from diracsim.lagrangian import covariant_legendre
 
 
@@ -584,6 +584,43 @@ def config_error_cases(tmp_path):
             changed(thermo_cfg, ("system", "sources", 0, "J_S"), 0.01),
             "config error at system.sources[0]: give J_S or kappa, not both",
         ),
+        # Step grids that ended in a traceback or in warnings, rejected before
+        # anything of their size is allocated.
+        "steps_past_the_bound": (
+            changed(thermo_cfg, ("integrator", "h"), 1e-300),
+            "config error at integrator.horizon: covers 5e+298 steps of h = 1e-300; "
+            "at most 10000000 are allowed",
+        ),
+        "infinitely_many_steps": (
+            changed(mech_cfg, ("integrator", "horizon"), 1e308),
+            "config error at integrator.horizon: covers inf steps of h = 0.01;",
+        ),
+        "end_time_overflows": (
+            _set(
+                changed(thermo_cfg, ("initial", "t0"), 1e308),
+                ("integrator",), {"formulation": "pontryagin", "h": 1e306, "horizon": 1e308},
+            ),
+            "config error at initial.t0: the grid from 1e+308 to inf must end at a finite time",
+        ),
+        "step_does_not_move_t0": (
+            changed(thermo_cfg, ("initial", "t0"), 1e308),
+            "config error at initial.t0: the grid from 1e+308 to 1e+308 must end at a finite "
+            "time, and each step of h = 0.01 must advance t",
+        ),
+        "step_does_not_move_a_negative_t0": (
+            changed(mech_cfg, ("initial", "t0"), -1e308),
+            "config error at initial.t0: the grid from -1e+308 to -1e+308 must end at a finite "
+            "time, and each step of h = 0.01 must advance t",
+        ),
+        # Values that ended every run in FAIL, or were reported at the wrong
+        # field.
+        "negative_tolerance": (
+            changed(thermo_cfg, ("tolerances",), {"kinematic": -1}),
+            "config error at tolerances.kinematic: must be >= 0, got -1",
+        ),
+        "system_not_an_object": (
+            changed(thermo_cfg, ("system",), 5), "config error at system: must be an object, got 5"
+        ),
     }
 
 
@@ -601,7 +638,9 @@ def config_error_cases(tmp_path):
         "misspelled_initial_key", "misspelled_particle_system_key", "thermo_key_on_the_particle",
         "misspelled_integrator_key", "misspelled_output_key", "output_not_an_object",
         "misspelled_port_key", "matched_port_with_a_reservoir", "misspelled_source_key",
-        "source_with_kappa_and_J_S",
+        "source_with_kappa_and_J_S", "steps_past_the_bound", "infinitely_many_steps",
+        "end_time_overflows", "step_does_not_move_t0", "step_does_not_move_a_negative_t0",
+        "negative_tolerance", "system_not_an_object",
     ],
 )
 def test_run_config_errors_exit_2(tmp_path, monkeypatch, case):
@@ -615,6 +654,72 @@ def test_run_config_errors_exit_2(tmp_path, monkeypatch, case):
     assert result.exit_code == 2, all_text(result)
     assert needle in all_text(result)
     assert len(result.stderr.strip().splitlines()) == 1, all_text(result)
+
+
+# Every config field of a kind is set in turn to each of these values.
+ODD_VALUES = ("x", True, None, [], {}, 0, -1, 1e-300, 1e308, -1e308, [[0, 1], [0, 2]])
+ALL_TOLERANCES = {
+    "covariant_energy": 1e-6, "energy_balance": 1e-8, "kinematic": 1e-9, "first_law": 1e-6,
+    "entropy_decomposition": 1e-9, "entropy_production_min": -1e-12,
+}
+
+
+def maximal_configs():
+    # Per kind, a config that gives every field its reader reads: a builtin's
+    # fields plus the optional ones, a matched port and a J_S source.
+    gas = load_config("two_port_piston")
+    gas["system"]["external_force"] = [[0.0, 0.0], [1.0, 0.05]]
+    gas["system"]["ports"][1] = {"J": [[0.0, -0.006], [10.0, -0.01]], "J_S": 0.0, "matched": True}
+    gas["system"]["sources"].append({"J_S": 0.01, "T": 1.1})
+    gas["initial"].update(t0=0.0, Gamma=0.1, W=0.2, Sigma=0.3)
+    particle = load_config("nonholonomic_particle")
+    particle["initial"]["t0"] = 0.0
+    for cfg in (gas, particle):
+        cfg["integrator"].update(h=0.01, horizon=0.02)
+        cfg["tolerances"] = dict(ALL_TOLERANCES)
+    return {"ideal_gas": gas, "nonholonomic_particle": particle}
+
+
+def config_leaves(node, path=()):
+    # The path of every value in a config below the top level: each number,
+    # string and list, and each item of a list, but no object (a port or a
+    # source is reached through its fields).
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if not isinstance(value, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_leaves(value, path + (key,))
+
+
+@pytest.mark.parametrize("kind", ["ideal_gas", "nonholonomic_particle"])
+def test_every_field_with_every_odd_value_ends_in_a_result_or_a_known_error(kind):
+    # Whatever a field holds, build_problem, the run (2 steps, unless the
+    # field is on the step grid) and the diagnostics end normally or in an
+    # error the CLI maps to one line: never a traceback, and never a numpy
+    # warning.
+    known = (ConfigError, InconsistentInitialStateError, StepFailureError,
+             th.NonpositiveTemperatureError)
+    base = maximal_configs()[kind]
+    count = 0
+    for path in config_leaves(base):
+        for value in ODD_VALUES:
+            cfg = _set(json.loads(json.dumps(base)), path, value)
+            count += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    problem = build_problem(cfg)
+                    traj = cli.run_formulation(problem, problem.formulation)
+                    inv = monitor_invariants(
+                        problem.L, problem.vel_constraints, traj, thermo_system=problem.system
+                    )
+                    cli.evaluate_tolerances(problem, inv, None)
+                except known:
+                    pass
+                except Exception as exc:
+                    raise AssertionError(f"{path} = {value!r}: {exc!r}") from exc
+    assert count == {"ideal_gas": 660, "nonholonomic_particle": 286}[kind]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "check"])

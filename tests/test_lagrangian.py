@@ -441,7 +441,7 @@ def test_singularity_check_once_per_distinct_matrix(monkeypatch):
         svd_calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lagrangian_module, "_last_nonsingular", None)
+    lagrangian_module._require_nonsingular.cache_clear()
     monkeypatch.setattr(np.linalg, "svd", counted)
     L = make_mechanical(n=2, mass=2.0)
     for p0 in (1.0, 2.0, 3.0):

@@ -629,8 +629,8 @@ def test_stalled_reduced_step_retries_once_with_a_fresh_jacobian(monkeypatch):
     field = thermo_module._reduced_field
 
     def noisy(sys, t, y):
-        f, ptdot = field(sys, t, y)
-        return (f + 1e-8 * np.sin(y / 1e-14) if t > 0.002 else f), ptdot
+        f = field(sys, t, y)
+        return f + 1e-8 * np.sin(y / 1e-14) if t > 0.002 else f
 
     monkeypatch.setattr(thermo_module, "_reduced_field", noisy)
     factors = count_factorizations(monkeypatch)
@@ -1612,8 +1612,7 @@ def count_exp(monkeypatch):
 def test_ideal_gas_evaluates_exp_once_per_state(monkeypatch, name):
     # At one state, the temperature, the chemical potential, the matched
     # port's or the conduction source's reading of them and the energy share
-    # one exp; over a trajectory, the nodes share one array exp and the step
-    # midpoints another.
+    # one exp.
     problem = cli_problem(name)
     sys0, L = problem.system, problem.L
     stepper = ImplicitMidpointStepper(
@@ -1631,16 +1630,14 @@ def test_ideal_gas_evaluates_exp_once_per_state(monkeypatch, name):
     U = 1.0 * N * 1.0 * np.exp(z)
     want = 0.5 * float(v[lay.q] @ v[lay.q]) - 0.5 * float(x[lay.q] @ x[lay.q]) - U
     assert bits([energy]) == bits([want + v[lay.W] * N + v[lay.Gamma] * (S - x[lay.Sigma])])
-    del calls[:]
-    monitor_invariants(L, problem.vel_constraints, traj, thermo_system=sys0)
-    assert calls == [(6,), (5,)]
 
 
 @pytest.mark.parametrize("name", ["matched_port_piston", "conduction_piston"])
 def test_reduced_states_carry_their_temperature(monkeypatch, name):
     # A reduced-path state carries -dL/dS, which the balance, the matched
     # port and the conduction source read: one evaluation per field
-    # evaluation, and one over all nodes for the final lift.
+    # evaluation, one over all nodes for the final lift, and one over the
+    # step midpoints for pt.
     problem = cli_problem(name)
     mech = problem.system.mech
     fields, temperatures = count_field_evaluations(monkeypatch), []
@@ -1654,7 +1651,7 @@ def test_reduced_states_carry_their_temperature(monkeypatch, name):
     object.__setattr__(mech, "d_S", counted)
     run_reduced(problem.system, problem.initial, 1e-3, 20)
     assert len(fields) > 20
-    assert temperatures == [()] * len(fields) + [(21,)]
+    assert temperatures == [()] * len(fields) + [(21,), (20,)]
 
 
 def test_step_whose_trial_iterates_leave_the_domain_fails_in_one_line(capsys):

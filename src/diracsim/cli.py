@@ -618,8 +618,6 @@ def _stepper(problem: Problem, formulation: str) -> ImplicitMidpointStepper:
     model = {"lagrangian": problem.L}
     if formulation == "hamilton-dirac":
         model = {"hamiltonian": legendre_dual(problem.L)}
-    elif formulation == "pontryagin":
-        model["f_ext"] = problem.f_ext_force
     if problem.system is not None:
         model["points"] = th._mixed_points(problem.system, formulation == "lagrange-dirac")
     C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
@@ -920,11 +918,15 @@ def compare(config, formulations, out, tol):
     help="Offset added to one momentum slot before the membership checks, to "
     "demonstrate the failure diagnostics.",
 )
+@_exit_codes()
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def check(config, seed, samples, steps, tol, corrupt):
     """Verify structure: ranks, pairings, memberships, declared derivatives."""
 
-    with _exit_codes():
-        problem = build_problem(load_config(config), None)
+    # A failure in any pass ends in one line with its exit code, after the
+    # lines already printed. Floating-point warnings are off: a non-finite
+    # value fails its check.
+    problem = build_problem(load_config(config), None)
 
     rng = np.random.default_rng(seed)
     click.echo(f"check seed: {seed}  samples: {samples}")
@@ -933,10 +935,9 @@ def check(config, seed, samples, steps, tol, corrupt):
     horizon = problem.n_steps * problem.h
 
     # Structure at random points: rank, isotropy, membership of construction.
-    with _exit_codes():
-        worst_rank_defect, worst_pairing, worst_member = _structure_pass(
-            problem, rng, samples, horizon
-        )
+    worst_rank_defect, worst_pairing, worst_member = _structure_pass(
+        problem, rng, samples, horizon
+    )
     click.echo(f"rank defect: {worst_rank_defect} (expect 0)")
     click.echo(f"max |pairing| on structure elements: {_fmt(worst_pairing)}")
     click.echo(f"max membership residual (constructed): {_fmt(worst_member)}")
@@ -968,22 +969,19 @@ def check(config, seed, samples, steps, tol, corrupt):
     # constraint row is imposed at the new node, so its midpoint value carries
     # an O(h^2) placement term; cap the check step so that term sits below the
     # membership tolerance.
-    with _exit_codes():
-        n_run = min(steps, problem.n_steps)
-        if is_thermo:
-            traj = th.run_reduced(problem.system, problem.initial, problem.h, n_run)
-            states, rates = th._lifted_midpoints(problem.system, traj)
-        else:
-            h_check = min(problem.h, 2e-4)
-            traj = run_formulation(
-                dataclasses.replace(problem, h=h_check, n_steps=n_run), "pontryagin"
-            )
-            states, rates = traj.midpoints()
-        if corrupt:
-            p_bad = states[4].copy()
-            p_bad[:, problem.system.layout.S if is_thermo else 0] += corrupt
-            states = (*states[:4], p_bad)
-        worst_flow, worst_recover = _flow_pass(problem, states, rates)
+    n_run = min(steps, problem.n_steps)
+    if is_thermo:
+        traj = th.run_reduced(problem.system, problem.initial, problem.h, n_run)
+        states, rates = th._lifted_midpoints(problem.system, traj)
+    else:
+        h_check = min(problem.h, 2e-4)
+        traj = run_formulation(dataclasses.replace(problem, h=h_check, n_steps=n_run), "pontryagin")
+        states, rates = traj.midpoints()
+    if corrupt:
+        p_bad = states[4].copy()
+        p_bad[:, problem.system.layout.S if is_thermo else 0] += corrupt
+        states = (*states[:4], p_bad)
+    worst_flow, worst_recover = _flow_pass(problem, states, rates)
 
     if corrupt:
         slot_name = "p_S" if is_thermo else "p_0"

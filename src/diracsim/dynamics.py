@@ -494,6 +494,7 @@ class ImplicitMidpointStepper(ChordNewton):
     midpoint and its row once at its new node: through points, the open
     system's one-pass record of the same model (thermo._mixed_points), or
     else one call of each of the lagrangian's, constraints' and f_ext's.
+    Given points, the stepper reads no f_ext: the record carries the force.
     """
 
     def __init__(

@@ -58,7 +58,6 @@ __all__ = [
     "build_constraints",
     "build_momentum_constraints",
     "build_external_force",
-    "ReducedRates",
     "reduced_rhs",
     "EntropyBreakdown",
     "entropy_production",
@@ -597,36 +596,25 @@ def power_flows(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> PowerFlows:
     return PowerFlows(mechanical=_dot(m.F_ext, ts.v_q), heating=m.P_H, matter=m.P_M)
 
 
-@dataclass(frozen=True)
-class ReducedRates:
-    """Closed-form rates of the index-reduced open-system equations."""
+def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> np.ndarray:
+    """Rate of the reduced state vector (q, v_q, S, N, Gamma, W, Sigma) at a state.
 
-    qdot: np.ndarray
-    vqdot: np.ndarray
-    Sdot: float
-    Ndot: float
-    Gammadot: float
-    Wdot: float
-    Sigmadot: float
-    pGammadot: float
-    pWdot: float
-    ptdot: float
-
-
-def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRates:
-    """Explicit rates of the reduced path at a state.
-
-    The thermal and chemical displacements advance with the system's own
-    temperature and chemical potential, N with the total molar inflow, Sigma
-    with the internal production I, and S with I plus the total entropy
-    inflow. The mechanical acceleration solves the forced mechanical balance;
-    when the mass matrix depends on (q, S, N) the declared cross second
-    derivatives feed the chain rule (zero when undeclared).
+    Returns one float64 array of length 2 n_q + 5, in the layout
+    _reduced_state_from_vector reads: qdot = v_q, the mechanical acceleration,
+    then Sdot, Ndot, Gammadot, Wdot, Sigmadot. The thermal and chemical
+    displacements advance with the system's own temperature and chemical
+    potential, N with the total molar inflow, Sigma with the internal
+    production I, and S with I plus the total entropy inflow. The mechanical
+    acceleration solves the forced mechanical balance; when the mass matrix
+    depends on (q, S, N) the declared cross second derivatives feed the chain
+    rule (zero when undeclared). The rates of the momenta p_Gamma, p_W and pt
+    are the balance's J_S_ports + J_S_sources, J and -(P_M + P_H).
     """
 
     mech = sys.mech
     m = _balance(sys, t, ts)
-    Sdot, Ndot, Gammadot, Wdot, Sigmadot = _bookkeeping_rates(m)
+    rates = _bookkeeping_rates(m)
+    Sdot, Ndot = rates[:2]
     q, vq, S, N = ts.q, ts.v_q, ts.S, ts.N
     n_q = sys.n_q
     rhs = _conform(mech.d_q(q, vq, S, N), (n_q,)) + m.F_fr + m.F_ext
@@ -637,19 +625,7 @@ def reduced_rhs(sys: SimpleOpenSystem, t: float, ts: ThermoState) -> ReducedRate
     if mech.d_vN is not None:
         rhs = rhs - Ndot * _conform(mech.d_vN(q, vq, S, N), (n_q,))
     M = _conform(mech.d_vv(q, vq, S, N), (n_q, n_q))
-
-    return ReducedRates(
-        qdot=vq.copy(),
-        vqdot=_mass_solve(M, rhs),
-        Sdot=Sdot,
-        Ndot=Ndot,
-        Gammadot=Gammadot,
-        Wdot=Wdot,
-        Sigmadot=Sigmadot,
-        pGammadot=m.J_S_ports + m.J_S_sources,
-        pWdot=m.J,
-        ptdot=-(m.P_M + m.P_H),
-    )
+    return np.concatenate([vq, _mass_solve(M, rhs), rates])
 
 
 def _bookkeeping_rates(m: _Balance) -> tuple:
@@ -700,10 +676,9 @@ def _reduced_state_from_vector(sys: SimpleOpenSystem, y: np.ndarray) -> ThermoSt
 
 
 def _reduced_field(sys: SimpleOpenSystem, t: float, y: np.ndarray) -> np.ndarray:
-    # The rate of the reduced state vector y, from one evaluation of
-    # reduced_rhs (looked up on the module at each call).
-    r = reduced_rhs(sys, t, _reduced_state_from_vector(sys, y))
-    return np.concatenate([r.qdot, r.vqdot, [r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot]])
+    # The rate of the reduced state vector y: reduced_rhs, looked up on the
+    # module at each call, at the state y holds.
+    return reduced_rhs(sys, t, _reduced_state_from_vector(sys, y))
 
 
 def _lift(n_q: int, y: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -693,11 +693,11 @@ def config_leaves(node, path=()):
 
 
 @pytest.mark.parametrize("kind", ["ideal_gas", "nonholonomic_particle"])
-def test_every_field_with_every_odd_value_ends_in_a_result_or_a_known_error(kind):
+def test_every_field_with_every_odd_value_ends_in_a_result_or_a_known_error(tmp_path, kind):
     # Whatever a field holds, build_problem, the run (2 steps, unless the
     # field is on the step grid) and the diagnostics end normally or in an
-    # error the CLI maps to one line: never a traceback, and never a numpy
-    # warning.
+    # error the CLI maps to one line, and `check` ends in one of its exit
+    # codes: never a traceback, and never a numpy warning.
     known = (ConfigError, InconsistentInitialStateError, StepFailureError,
              th.NonpositiveTemperatureError)
     base = maximal_configs()[kind]
@@ -719,7 +719,28 @@ def test_every_field_with_every_odd_value_ends_in_a_result_or_a_known_error(kind
                     pass
                 except Exception as exc:
                     raise AssertionError(f"{path} = {value!r}: {exc!r}") from exc
+                code = None
+                try:
+                    main(["check", write_cfg(tmp_path, cfg), "--samples", "3", "--steps", "3"])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:
+                    raise AssertionError(f"check with {path} = {value!r}: {exc!r}") from exc
+                assert code in (0, 1, 2, 3), f"check with {path} = {value!r}: exit {code!r}"
     assert count == {"ideal_gas": 660, "nonholonomic_particle": 286}[kind]
+
+
+@pytest.mark.parametrize("name, amount", [("two_port_piston", 1e-6), ("closed_piston", 1e-7)])
+def test_check_on_a_tiny_mole_number_fails_in_one_line(tmp_path, name, amount):
+    # The derivative pass differences N by 1e-6 (1 + |N|), past zero here:
+    # `check` exits 3 in one line, as `run` does, after the lines it printed.
+    cfg = load_config(name)
+    cfg["initial"].update(S=amount, N=amount)
+    result = invoke("check", write_cfg(tmp_path, cfg))
+    assert result.exit_code == 3, all_text(result)
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and "mole number N" in lines[0], all_text(result)
+    assert result.output.startswith("check seed: 0"), all_text(result)
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "check"])

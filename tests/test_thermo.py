@@ -345,11 +345,11 @@ def test_reduced_rates_satisfy_kinematic_constraint():
         v = np.zeros(sys0.n)
         lay = sys0.layout
         v[lay.q] = ts.v_q
-        v[lay.S] = rates.Sdot
-        v[lay.N] = rates.Ndot
-        v[lay.Gamma] = rates.Gammadot
-        v[lay.W] = rates.Wdot
-        v[lay.Sigma] = rates.Sigmadot
+        v[lay.S] = rates[2 * sys0.n_q]
+        v[lay.N] = rates[2 * sys0.n_q + 1]
+        v[lay.Gamma] = rates[2 * sys0.n_q + 2]
+        v[lay.W] = rates[2 * sys0.n_q + 3]
+        v[lay.Sigma] = rates[2 * sys0.n_q + 4]
         res = C.A(pt_.t, pt_.x, v) @ v + C.B(pt_.t, pt_.x, v)
         assert np.max(np.abs(res)) < 1e-12
 
@@ -424,9 +424,9 @@ def test_initial_state_is_consistent():
 def test_friction_entropy_rate():
     sys0 = ideal_gas_fixture(c=1.0, T0=300.0, s0=1.0, friction=linear_friction(2.0))
     ts = ref_state()
-    rates = reduced_rhs(sys0, 0.0, ts)
-    assert rates.Sdot == pytest.approx(1.0 / 150.0, rel=1e-12)
-    assert rates.Sigmadot == pytest.approx(1.0 / 150.0, rel=1e-12)
+    Sdot, _, _, _, Sigmadot = reduced_rhs(sys0, 0.0, ts)[2 * sys0.n_q :]
+    assert Sdot == pytest.approx(1.0 / 150.0, rel=1e-12)
+    assert Sigmadot == pytest.approx(1.0 / 150.0, rel=1e-12)
     br = entropy_production(sys0, 0.0, ts)
     assert br.friction == pytest.approx(1.0 / 150.0, rel=1e-12)
     assert br.mixing == br.heating == 0.0
@@ -458,15 +458,16 @@ def test_first_law_pointwise():
         return 0.5 * float(ts_.v_q @ ts_.v_q) - at_rest
 
     def advance(eps):
-        r = reduced_rhs(sys0, 0.0, ts)
+        r, n_q = reduced_rhs(sys0, 0.0, ts), sys0.n_q
+        Sdot, Ndot, Gammadot, Wdot, Sigmadot = r[2 * n_q :]
         return ThermoState(
-            q=ts.q + eps * r.qdot,
-            v_q=ts.v_q + eps * r.vqdot,
-            S=ts.S + eps * r.Sdot,
-            N=ts.N + eps * r.Ndot,
-            Gamma=ts.Gamma + eps * r.Gammadot,
-            W=ts.W + eps * r.Wdot,
-            Sigma=ts.Sigma + eps * r.Sigmadot,
+            q=ts.q + eps * r[:n_q],
+            v_q=ts.v_q + eps * r[n_q : 2 * n_q],
+            S=ts.S + eps * Sdot,
+            N=ts.N + eps * Ndot,
+            Gamma=ts.Gamma + eps * Gammadot,
+            W=ts.W + eps * Wdot,
+            Sigma=ts.Sigma + eps * Sigmadot,
         )
 
     eps = 1e-6
@@ -685,15 +686,16 @@ def test_varying_mass_momentum_balance():
     ts = dataclasses.replace(small_initial(), v_q=np.array([0.7]))
 
     def flow(eps):
-        r = reduced_rhs(sys0, 0.0, ts)
+        r, n_q = reduced_rhs(sys0, 0.0, ts), sys0.n_q
+        Sdot, Ndot, Gammadot, Wdot, Sigmadot = r[2 * n_q :]
         return ThermoState(
-            q=ts.q + eps * r.qdot,
-            v_q=ts.v_q + eps * r.vqdot,
-            S=ts.S + eps * r.Sdot,
-            N=ts.N + eps * r.Ndot,
-            Gamma=ts.Gamma + eps * r.Gammadot,
-            W=ts.W + eps * r.Wdot,
-            Sigma=ts.Sigma + eps * r.Sigmadot,
+            q=ts.q + eps * r[:n_q],
+            v_q=ts.v_q + eps * r[n_q : 2 * n_q],
+            S=ts.S + eps * Sdot,
+            N=ts.N + eps * Ndot,
+            Gamma=ts.Gamma + eps * Gammadot,
+            W=ts.W + eps * Wdot,
+            Sigma=ts.Sigma + eps * Sigmadot,
         )
 
     def p_q(ts_):
@@ -862,13 +864,14 @@ def test_chord_solve_on_an_open_system_step_jacobian(formulation, builder):
     assert _chord_solve(lu, r).tobytes() == lu_solve(lu, r).tobytes()
 
 
-def step_residual_from_public_rows(stepper, s0, h, y):
+def step_residual_from_public_rows(stepper, s0, h, y, f_ext=None):
     """A step residual assembled from the public instantaneous residual.
 
     The residual is taken at the averaged midpoint on the difference
-    quotients across the step; its kinematic rows (and the Lagrange-Dirac
-    base-point row) give way to the kinematic row at the new node, and the
-    rows are put in the stepper's order.
+    quotients across the step, with the external force f_ext on the
+    Pontryagin path; its kinematic rows (and the Lagrange-Dirac base-point
+    row) give way to the kinematic row at the new node, and the rows are put
+    in the stepper's order.
     """
 
     n, C = stepper.n, stepper.constraints
@@ -902,7 +905,7 @@ def step_residual_from_public_rows(stepper, s0, h, y):
         dp=(p1 - s0.p) / h,
     )
     if stepper.formulation == "pontryagin":
-        r = pontryagin_dirac_residual(stepper.L, C, sm, rate, lam, stepper.f_ext)
+        r = pontryagin_dirac_residual(stepper.L, C, sm, rate, lam, f_ext)
         node = C.A(t1, x1, v1) @ v1 + C.B(t1, x1, v1)
         # velocity | fiber | momentum | kinematic | pt
         return np.concatenate([r[: 3 * n], node, r[3 * n + m :]])
@@ -942,11 +945,12 @@ def open_system_stepper(formulation, builder=None):
 
 
 def builtin_stepper(name, formulation):
-    # A builtin's (or configs/*.json's) stepper as cli.run_formulation builds it.
+    # A builtin's (or configs/*.json's) stepper as cli.run_formulation builds
+    # it, and the problem's external force, which its point record carries.
     from diracsim import cli
 
     problem = cli.build_problem(cli.load_config(name))
-    return cli._stepper(problem, formulation), problem.initial, problem.h
+    return cli._stepper(problem, formulation), problem.initial, problem.h, problem.f_ext_force
 
 
 FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
@@ -977,9 +981,9 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
     # f_ext through the adapter of models given as callables.
     if isinstance(build, str):
         name = FORCED_PISTON if build == "forced_piston" else build
-        stepper, s0, h = builtin_stepper(name, formulation)
+        stepper, s0, h, f_ext = builtin_stepper(name, formulation)
     else:
-        stepper, s0, h = build(formulation)
+        (stepper, s0, h), f_ext = build(formulation), None
     s0 = dataclasses.replace(s0, t=0.9)
     row = start_row(stepper, s0)
     residual = stepper._residual_fn(s0.t, row, h)
@@ -988,7 +992,7 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
     for _ in range(5):
         y = guess + 1e-3 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
         got = residual(y)
-        want = step_residual_from_public_rows(stepper, s0, h, y)
+        want = step_residual_from_public_rows(stepper, s0, h, y, f_ext)
         assert got.shape == want.shape == guess.shape
         assert got.tobytes() == want.tobytes()
 
@@ -1373,9 +1377,13 @@ def test_model_readers_equal_the_separate_formulas_bitwise(which, seed):
     pt_ = random_physical_point(sys0, np.random.default_rng(seed), ts0)
     ts = state_from_arrays(sys0, pt_.x, pt_.v)
     r = reduced_rhs(sys0, pt_.t, ts)
+    n_q = sys0.n_q
+    assert r.dtype == np.float64 and r.shape == (2 * n_q + 5,)
+    # The momentum rates of p_Gamma, p_W and pt are the balance's.
+    b = thermo_module._balance(sys0, pt_.t, ts)
     got = [
-        r.qdot, r.vqdot, r.Sdot, r.Ndot, r.Gammadot, r.Wdot, r.Sigmadot,
-        r.pGammadot, r.pWdot, r.ptdot,
+        r[:n_q], r[n_q : 2 * n_q], *r[2 * n_q :],
+        b.J_S_ports + b.J_S_sources, b.J, -(b.P_M + b.P_H),
     ]
     assert bits(got) == bits(ref_reduced_rhs(sys0, pt_.t, ts))
     br = entropy_production(sys0, pt_.t, ts)
@@ -1428,7 +1436,8 @@ def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():
     y = np.concatenate([traj.x[:, lay.q], traj.v[:, lay.q], traj.x[:, lay.S :]], axis=1)
     for k in range(traj.n_steps):
         ym = thermo_module._reduced_state_from_vector(sys0, 0.5 * (y[k] + y[k + 1]))
-        ptdot = reduced_rhs(sys0, traj.t[k] + 0.5 * 1e-3, ym).ptdot
+        b = thermo_module._balance(sys0, traj.t[k] + 0.5 * 1e-3, ym)
+        ptdot = -(b.P_M + b.P_H)
         assert traj.pt[k + 1] == traj.pt[k] + 1e-3 * ptdot
 
 

@@ -40,6 +40,7 @@ from .geometry import (
     ConstraintSet,
     DegenerateConstraintError,
     PontryaginState,
+    _blocks,
     _dirac_pairing,
     _dirac_points,
     _dot,
@@ -464,6 +465,11 @@ def _nonholonomic_setup(cfg: dict) -> tuple[TimeLagrangian, ConstraintSet]:
 
     # L broadcasts over stacked points, and eval_rows gives the constraint
     # rows of stacked points.
+    def rows(t, x, w):
+        A, B = np.empty((len(t), 1, n)), np.empty((len(t), 1))
+        A[:, 0, 0], A[:, 0, 1], B[:, 0] = t, -1.0, beta(t)
+        return A, B
+
     L = TimeLagrangian(
         n=n,
         value=lambda t, x, v: 0.5 * mass * _dot(v, v),
@@ -479,10 +485,7 @@ def _nonholonomic_setup(cfg: dict) -> tuple[TimeLagrangian, ConstraintSet]:
         m=1,
         eval_A=lambda t, x, w: np.array([[t, -1.0]]),
         eval_B=lambda t, x, w: np.array([beta(t)]),
-        eval_rows=lambda t, x, w: (
-            np.stack((t, np.full(t.shape, -1.0)), axis=-1)[:, None, :],
-            np.broadcast_to(beta(t), t.shape)[:, None],
-        ),
+        eval_rows=rows,
     )
     return L, constraints
 
@@ -1003,17 +1006,6 @@ def check(config, seed, samples, steps, tol, corrupt):
         raise SystemExit(1)
     click.echo("check PASSED")
     raise SystemExit(0)
-
-
-# Points per array pass of `check`: the structure samples and the flow
-# midpoints are evaluated this many at a time, which bounds the memory of
-# any --samples and --steps.
-_BLOCK = 128
-
-
-def _blocks(count: int):
-    # Consecutive slices of at most _BLOCK points covering range(count).
-    return (slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK))
 
 
 def _worst(values) -> float:

@@ -36,6 +36,7 @@ from .geometry import (
     PontryaginState,
     TangentP,
     TangentTstarY,
+    _blocks,
     _dot,
     _evaluate,
     _least_squares,
@@ -118,22 +119,41 @@ class _MixedPoints(NamedTuple):
     # A model as the mixed-bundle rows read it, one evaluation per point:
     # at(t, x, v, w) is the record (d_x, d_v, d_t, A, B, F), with L's partials
     # and the force F (None without one) at (t, x, v) and the row at (t, x, w);
-    # row(t, x, w) is (A, B) alone.
+    # row(t, x, w) is (A, B) alone. With broadcasts set, both also take K
+    # stacked points at one time t, x, v and w of shape (K, n), and give each
+    # entry of the record over them (shapes that broadcast to (K, n),
+    # (K, m, n) and so on), entry by entry the bits of the point's.
     at: Callable
     row: Callable
+    broadcasts: bool = False
 
 
 def _callable_points(L: TimeLagrangian, C: ConstraintSet, f_ext=None) -> _MixedPoints:
-    # The record of a model given as callables: one call of each per point.
+    # The record of a model given as callables: one call of each per point,
+    # and per stack of points when L, C and f_ext broadcast.
     n = L.n
 
     def at(t, x, v, w):
+        if x.ndim == 2:
+            ts = np.full(len(x), t)
+            F = None if f_ext is None else np.asarray(f_ext.value(ts, x, v), dtype=float)
+            d_x, d_v, d_t = (np.asarray(d(ts, x, v), dtype=float) for d in (L.d_x, L.d_v, L.d_t))
+            return d_x, d_v, d_t, *row(t, x, w), F
         d_x = np.asarray(L.d_x(t, x, v), dtype=float).reshape(n)
         d_v = np.asarray(L.d_v(t, x, v), dtype=float).reshape(n)
         F = None if f_ext is None else np.asarray(f_ext.value(t, x, v), dtype=float).reshape(n)
         return d_x, d_v, float(L.d_t(t, x, v)), C.A(t, x, w), C.B(t, x, w), F
 
-    return _MixedPoints(at, lambda t, x, w: (C.A(t, x, w), C.B(t, x, w)))
+    def row(t, x, w):
+        if x.ndim == 2:
+            A, B = C.eval_rows(np.full(len(x), t), x, w)
+            return np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+        return C.A(t, x, w), C.B(t, x, w)
+
+    broadcasts = L.broadcasts and C.eval_rows is not None and (
+        f_ext is None or f_ext.broadcasts
+    )
+    return _MixedPoints(at, row, broadcasts)
 
 
 def _mixed_rows(at, t, x, v, p, w, dx, dp, dpt, lam):
@@ -148,6 +168,14 @@ def _mixed_rows(at, t, x, v, p, w, dx, dp, dpt, lam):
         r_mom = r_mom - F
     r_pt = dpt - d_t - float(B @ lam)
     return r_vel, r_fib, r_mom, r_pt, A, B
+
+
+def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[k] @ b[k] at each of K stacked points, b of shape (K, c) and a of
+    # (K, r, c) or a shape that broadcasts to it: the stacked matmul runs the
+    # kernel of a matrix-vector product at one point on each slice (gemv,
+    # or a dot product for one row), so the bits match.
+    return np.matmul(a, b[..., None])[..., 0]
 
 
 def _phase_rows(H, C, t, x, p, dx, dp, dpt, lam):
@@ -373,7 +401,11 @@ class ChordNewton:
     rebuilt after _JACOBIAN_REFRESH converged solves, and a solve that stalls
     restarts once from its guess with a fresh one. A trial iterate outside
     the model's domain (OutsideDomainError) stalls its attempt the same way;
-    the guess itself must lie inside, or its error ends the solve. A
+    the guess itself must lie inside, or its error ends the solve. A rebuild
+    evaluates the residual at its perturbed iterates through one stacked
+    residual per block of them, which the caller may give and which is
+    otherwise a map of the point residual; a perturbed iterate outside the
+    domain fails the rebuild as a non-finite Jacobian. A
     converged solve is polished toward _POLISH_FLOOR. The convergence test is
     the max-norm of the residual against tol. An instance must not be shared
     across threads.
@@ -384,15 +416,25 @@ class ChordNewton:
         self._lu = None
         self._steps_since_refresh = 0
 
-    def _factor(self, residual, y: np.ndarray, r0: np.ndarray):
-        # r0 is residual(y), which the caller has already evaluated.
-        K = y.size
-        J = np.empty((K, K))
-        for j in range(K):
-            eps = 1.49e-8 * (1.0 + abs(y[j]))
-            yp = y.copy()
-            yp[j] += eps
-            J[:, j] = (residual(yp) - r0) / eps
+    def _factor(self, stacked, y: np.ndarray, r0: np.ndarray):
+        # The finite-difference Jacobian at y, whose residual r0 the caller
+        # has already evaluated: column j is the residual at y with y_j moved
+        # by eps_j, less r0, over eps_j. stacked(Y) gives the residual at each
+        # row of Y (K, N); the perturbed iterates go through it _BLOCK at a
+        # time, and a block that leaves the model's domain reads NaN.
+        N = y.size
+        eps = 1.49e-8 * (1.0 + np.abs(y))
+        Jt = np.empty((N, N))  # row j is column j of J
+        for cols in _blocks(N):
+            k = np.arange(cols.stop - cols.start)
+            Y = np.repeat(y[None], k.size, axis=0)
+            Y[k, cols.start + k] += eps[cols]
+            try:
+                R = stacked(Y)
+            except OutsideDomainError:
+                R = np.nan
+            Jt[cols] = (R - r0) / eps[cols, None]
+        J = Jt.T
         if not np.isfinite(J).all():
             raise StepFailureError(
                 "the finite-difference step Jacobian is not finite; the residual "
@@ -416,7 +458,10 @@ class ChordNewton:
         self._steps_since_refresh = 0
         return lu
 
-    def _newton(self, residual, guess: np.ndarray) -> tuple[np.ndarray, float, int]:
+    def _newton(self, residual, guess: np.ndarray, stacked=None) -> tuple[np.ndarray, float, int]:
+        # stacked(Y) is residual at each row of Y (K, N) as a (K, N) array,
+        # by default one call of residual per row; the Jacobian reads it.
+        stacked = stacked or (lambda Y: np.array([residual(y) for y in Y]))
         tol = self.tol
         # Both attempts start from the guess; its residual is evaluated once.
         y0 = guess.copy()
@@ -437,7 +482,7 @@ class ChordNewton:
             if attempt == 1 or self._lu is None or (
                 self._steps_since_refresh >= _JACOBIAN_REFRESH
             ):
-                self._factor(trial, y, r)
+                self._factor(stacked, y, r)
             lu = self._lu
             rn = _max_norm(r)
             iters = 0
@@ -494,7 +539,10 @@ class ImplicitMidpointStepper(ChordNewton):
     midpoint and its row once at its new node: through points, the open
     system's one-pass record of the same model (thermo._mixed_points), or
     else one call of each of the lagrangian's, constraints' and f_ext's.
-    Given points, the stepper reads no f_ext: the record carries the force.
+    Given points, f_ext must be None: the record carries the force. A
+    Jacobian refresh evaluates the step residual at its perturbed iterates
+    in one stacked call of points (per block of columns) when it broadcasts,
+    and one call per iterate otherwise.
     """
 
     def __init__(
@@ -524,6 +572,8 @@ class ImplicitMidpointStepper(ChordNewton):
             raise ValueError("constraint dimension does not match the system")
         if f_ext is not None and formulation != "pontryagin":
             raise ValueError("external forces are only supported on the pontryagin path")
+        if f_ext is not None and points is not None:
+            raise ValueError("give f_ext or points, not both: points carries the force")
 
         super().__init__(_NEWTON_TOL)
         self.formulation = formulation
@@ -575,7 +625,7 @@ class ImplicitMidpointStepper(ChordNewton):
 
             return residual
 
-        at, node_row = self._points
+        at, node_row, _ = self._points
         z0 = row[: 3 * n + 1]
         # The slots the constraint coefficients are taken at: v or p.
         w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
@@ -593,6 +643,36 @@ class ImplicitMidpointStepper(ChordNewton):
 
         return residual
 
+    def _stacked_residual_fn(self, t: float, row: np.ndarray, h: float) -> Callable | None:
+        # _residual_fn's residual at K stacked iterates, the rows of Y (K, N),
+        # from one evaluation of the model over them: row k of the result is
+        # the residual at Y[k], bit for bit, since numpy's stacked matmul runs
+        # the point's kernel on each slice. None unless the model broadcasts.
+        points = self._points
+        if points is None or not points.broadcasts:
+            return None
+        at, node_row, _ = points
+        n = self.n
+        w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
+
+        def stacked(Y: np.ndarray) -> np.ndarray:
+            z0, Z1, lam = row[: 3 * n + 1], Y[:, : 3 * n + 1], Y[:, 3 * n + 1 :]
+            Zm = 0.5 * (z0 + Z1)
+            dZ = (Z1 - z0) / h
+            d_x, d_v, d_t, A, B, F = at(t + 0.5 * h, Zm[:, :n], Zm[:, n : 2 * n], Zm[:, w])
+            r_mom = dZ[:, 2 * n : -1] - d_x - _matvecs(np.swapaxes(A, -1, -2), lam)
+            if F is not None:
+                r_mom = r_mom - F
+            r_pt = dZ[:, -1] - d_t - _matvecs(B[..., None, :], lam)[..., 0]
+            A1, B1 = node_row(t + h, Y[:, :n], Y[:, w])
+            return np.concatenate(
+                [dZ[:, :n] - Zm[:, n : 2 * n], Zm[:, 2 * n : -1] - d_v, r_mom,
+                 _matvecs(A1, Y[:, n : 2 * n]) + B1, r_pt[:, None]],
+                axis=1,
+            )
+
+        return stacked
+
     # -- stepping ---------------------------------------------------------
 
     def _guess(self, row: np.ndarray, h: float) -> np.ndarray:
@@ -609,7 +689,9 @@ class ImplicitMidpointStepper(ChordNewton):
         multiplier as its lam. On T*Y its v is dH/dp at the new node.
         """
 
-        y, rn, iters = self._newton(self._residual_fn(t, row, h), self._guess(row, h))
+        y, rn, iters = self._newton(
+            self._residual_fn(t, row, h), self._guess(row, h), self._stacked_residual_fn(t, row, h)
+        )
         if self.formulation == "hamilton-dirac":
             n = self.n
             w = np.asarray(self.H.d_p(t + h, y[:n], y[n : 2 * n]), dtype=float).reshape(n)

@@ -82,6 +82,18 @@ def _evaluate(fn: Callable, broadcasts: bool, shape: tuple, t, x, w) -> np.ndarr
     return out
 
 
+# Points per array pass: the stacked step residual of a Jacobian and the
+# structure samples and flow midpoints of `check` are evaluated this many
+# at a time, which bounds the working memory of any system size, --samples
+# and --steps.
+_BLOCK = 128
+
+
+def _blocks(count: int):
+    # Consecutive slices of at most _BLOCK points covering range(count).
+    return (slice(k, min(k + _BLOCK, count)) for k in range(0, count, _BLOCK))
+
+
 class DegenerateConstraintError(RuntimeError):
     """Raised when the constraint rows A(t, x, v) are rank deficient or not finite."""
 

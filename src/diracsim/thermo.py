@@ -168,8 +168,10 @@ class PortModel:
     potential and temperature as (t, state) -> float; reservoirs defined by
     pure schedules simply ignore the state argument, while matched ports may
     track the system's own intensive variables. Every callable broadcasts:
-    given node times t of shape (K,) and a state over K nodes it returns a
-    float or an array of shape (K,), entry by entry the value at that node.
+    given a state over K nodes and their times t, of shape (K,) or one
+    float for all of them (the stacked iterates of a step Jacobian), it
+    returns a float or an array of shape (K,), entry by entry the value at
+    that node.
     """
 
     J: Callable[[float, ThermoState], float]
@@ -215,7 +217,8 @@ class SimpleOpenSystem:
 
     friction gives the friction force covector (t, state) -> (n_q,) acting on
     q (None means zero), f_ext an external force of the same signature; over
-    K nodes both return shape (K, n_q), or a shape that broadcasts to it.
+    K nodes (t as PortModel's) both return shape (K, n_q), or a shape that
+    broadcasts to it.
     ports and sources are the matter and heating connections.
     """
 
@@ -316,7 +319,8 @@ def _force(f, t, ts: ThermoState) -> np.ndarray:
         return np.zeros(shape)
     if len(shape) == 1:
         return _conform(f(t, ts), shape)
-    return np.broadcast_to(np.asarray(f(t, ts), dtype=float), shape)
+    F = np.asarray(f(t, ts), dtype=float)
+    return F if F.shape == shape else np.broadcast_to(F, shape)
 
 
 class _Balance(NamedTuple):
@@ -341,7 +345,8 @@ def _flows(sys: SimpleOpenSystem, t, ts: ThermoState, T, mu=None) -> tuple:
     # J, J_S of the ports, J_S of the sources, P_M and P_H at (t, ts), and,
     # given mu, the mixing and heating production terms: one call of each
     # port and source callable, summed left to right in each formula's
-    # operation order, at one point or over all nodes at once.
+    # operation order, at one point or over all nodes at once. Over nodes a
+    # sum of constant schedules stays a float.
     J = JS_a = P_M = mixing = 0.0
     for port in sys.ports:
         j, js = port.J(t, ts), port.J_S(t, ts)
@@ -358,9 +363,6 @@ def _flows(sys: SimpleOpenSystem, t, ts: ThermoState, T, mu=None) -> tuple:
         P_H += js * T_b
         if mu is not None:
             heating += js * (T_b - T) / T
-    if isinstance(T, np.ndarray):
-        # Constant schedules give floats; every sum has one entry per node.
-        return np.broadcast_arrays(J, JS_a, JS_b, P_M, P_H, mixing, heating, T)[:-1]
     return J, JS_a, JS_b, P_M, P_H, mixing, heating
 
 
@@ -370,7 +372,11 @@ def _balance(sys: SimpleOpenSystem, t, ts: ThermoState) -> _Balance:
     T = temperature(sys, ts)
     mu = chemical_potential(sys, ts)
     F_fr = _force(sys.friction, t, ts)
-    J, JS_a, JS_b, P_M, P_H, mixing, heating = _flows(sys, t, ts, T, mu)
+    flows = _flows(sys, t, ts, T, mu)
+    if isinstance(T, np.ndarray):
+        # Every column of the balance has one entry per node.
+        flows = np.broadcast_arrays(*flows, T)[:-1]
+    J, JS_a, JS_b, P_M, P_H, mixing, heating = flows
     fric = -_dot(F_fr, ts.v_q) / T
     return _Balance(
         T, mu, F_fr, _force(sys.f_ext, t, ts), J, JS_a, JS_b, P_M, P_H,
@@ -384,7 +390,7 @@ def _balance_row(sys: SimpleOpenSystem, F_fr, J_S, J, T, P) -> tuple[np.ndarray,
     #     - sum_a (J mu^a + J_S T^a) - sum_b (J_S T^b) = 0
     # with T = -dL_mech/dS so the Sigma coefficient equals -dL_mech/dS, and
     # P = P_M + P_H. A is (1, n) and B (1,) at a point; over K nodes,
-    # (K, 1, n) and (K, 1).
+    # (K, 1, n) and (K, 1), where J_S, J and P may be floats.
     lay = sys.layout
     point = F_fr.ndim == 1
     A = np.zeros((1, lay.n) if point else (len(F_fr), 1, lay.n))
@@ -393,7 +399,11 @@ def _balance_row(sys: SimpleOpenSystem, F_fr, J_S, J, T, P) -> tuple[np.ndarray,
     slots[lay.Gamma] = J_S
     slots[lay.W] = J
     slots[lay.Sigma] = T
-    return A, np.array([-P]) if point else -P[:, None]
+    if point:
+        return A, np.array([-P])
+    B = np.empty((len(F_fr), 1))
+    B[:, 0] = -P
+    return A, B
 
 
 def _constraint_row(
@@ -474,26 +484,33 @@ def _external_force(sys: SimpleOpenSystem, t, ts: ThermoState) -> np.ndarray:
 
 
 def _momentum_state(sys: SimpleOpenSystem, x: np.ndarray, p: np.ndarray) -> ThermoState:
-    # The state at (x, p), carrying its temperature, whose v_q solves
-    # p_q = dL_mech/dv (see build_momentum_constraints).
+    # The state at (x, p), one point or the rows of (K, n) arrays, carrying
+    # its temperature, whose v_q solves p_q = dL_mech/dv point by point (see
+    # build_momentum_constraints).
     lay, mech = sys.layout, sys.mech
-    x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
-    q, S, N = x[lay.q], x[lay.S], x[lay.N]
-    vq = _invert_fiber(
-        lambda v: mech.d_v(q, v, S, N),
-        lambda v: mech.d_vv(q, v, S, N),
-        p[lay.q],
-        np.zeros(sys.n_q),
-    )
-    return _with_temperature(sys, _new_state(q, vq, x[lay.S :]))
+    if np.ndim(x) == 1:
+        x, p = _conform(x, (lay.n,)), _conform(p, (lay.n,))
+
+    def v_q(x, p):
+        q, S, N = x[lay.q], x[lay.S], x[lay.N]
+        return _invert_fiber(
+            lambda v: mech.d_v(q, v, S, N),
+            lambda v: mech.d_vv(q, v, S, N),
+            p[lay.q],
+            np.zeros(sys.n_q),
+        )
+
+    vq = v_q(x, p) if x.ndim == 1 else np.array([v_q(*xp) for xp in zip(x, p)])
+    return _with_temperature(sys, _new_state(x[..., lay.q], vq, x[..., lay.S :]))
 
 
 def _mixed_points(sys: SimpleOpenSystem, momentum_side: bool) -> _MixedPoints:
-    # The record the mixed-bundle step reads at a point, in one pass: d_x,
-    # d_v and the force of sys.f_ext from one state of (x, v) and its one
-    # temperature, d_t = 0, and the row at that state (w is v), or on the
-    # momentum side at the state of (x, p = w). The row also serves stacked
-    # points on the velocity side.
+    # The record the mixed-bundle step reads at a point, or at K stacked
+    # points at one time, in one pass: d_x, d_v and the force of sys.f_ext
+    # from one state of (x, v) and its one temperature, d_t = 0, and the row
+    # at that state (w is v), or on the momentum side at the state of
+    # (x, p = w). The row also serves the stacked points of the constraint
+    # sets, at node times t (K,).
     def row(t, x, w):
         ts = _momentum_state(sys, x, w) if momentum_side else state_from_arrays(sys, x, w)
         return _constraint_row(sys, t, ts)
@@ -504,19 +521,20 @@ def _mixed_points(sys: SimpleOpenSystem, momentum_side: bool) -> _MixedPoints:
         F = None if sys.f_ext is None else _external_force(sys, t, ts)
         return _extended_d_x(sys, ts, v), momenta_from_state(sys, ts), 0.0, A, B, F
 
-    return _MixedPoints(at, row)
+    return _MixedPoints(at, row, broadcasts=True)
 
 
 def _row_constraints(sys: SimpleOpenSystem, momentum_side: bool) -> ConstraintSet:
-    # eval_A and eval_B build the row at each call; the velocity-side rows
-    # of stacked points are one array pass.
+    # eval_A and eval_B build the row at each call; the rows of stacked
+    # points are one array pass (with one fiber inversion per point on the
+    # momentum side).
     row = _mixed_points(sys, momentum_side).row
     return ConstraintSet(
         n=sys.n,
         m=1,
         eval_A=lambda t, x, w: row(t, x, w)[0],
         eval_B=lambda t, x, w: row(t, x, w)[1],
-        eval_rows=None if momentum_side else row,
+        eval_rows=row,
     )
 
 
@@ -534,6 +552,8 @@ def build_momentum_constraints(sys: SimpleOpenSystem) -> ConstraintSet:
     fiber Newton of lagrangian from v_q = 0 on the mechanical block only, so
     the friction force and any velocity-dependent port laws are evaluated at
     v_q(p_q). Thermodynamic momentum slots are ignored by the coefficients.
+    The rows of stacked points are one array pass, after one inversion per
+    point.
     """
 
     return _row_constraints(sys, True)

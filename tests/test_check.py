@@ -354,13 +354,13 @@ def test_check_prints_the_lines_of_the_per_point_loops(monkeypatch, config, seed
     # 20 samples and 30 flow steps: in blocks of 7, every pass crosses
     # block boundaries; at the default size each is one block.
     if block is not None:
-        monkeypatch.setattr(cli, "_BLOCK", block)
+        monkeypatch.setattr(geometry, "_BLOCK", block)
     assert run_check(config, seed, 20, 30) == cached_reference(config, seed, 20, 30)
 
 
 @pytest.mark.parametrize("config", ["two_port_piston", "nonholonomic_particle"])
 def test_check_crosses_the_default_block_size(config):
-    n = cli._BLOCK + 3
+    n = geometry._BLOCK + 3
     assert run_check(config, 3, n, n) == reference_check(config, 3, n, n)
 
 
@@ -394,7 +394,7 @@ def test_the_structure_pass_works_in_blocks(monkeypatch):
         return original(C, t, x, w)
 
     monkeypatch.setattr(cli, "_dirac_points", counted)
-    monkeypatch.setattr(cli, "_BLOCK", 16)
+    monkeypatch.setattr(geometry, "_BLOCK", 16)
     lines, code = run_check("nonholonomic_particle", 0, 37, 20)
     assert code == 0
     # The structure samples, then the flow midpoints.

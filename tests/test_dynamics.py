@@ -7,6 +7,7 @@ integration (DOP853 at tolerance 1e-13) of the index-reduced equations of the
 affine nonholonomic test system."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,10 +17,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import least_squares
 
+from diracsim import dynamics as dynamics_module
 from diracsim.dynamics import (
     ImplicitMidpointStepper,
     InconsistentInitialStateError,
     NonSectionError,
+    OutsideDomainError,
     StepFailureError,
     Trajectory,
     _chord_solve,
@@ -685,33 +688,41 @@ def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
     # Jacobian is built around is its finite-difference base and the first
     # Newton residual at once, and a restart reuses its stalled attempt's
     # residual at the guess: 2182 evaluations, where a second evaluation at
-    # each base point would make 2283 and one more per restart 2383.
+    # each base point would make 2283 and one more per restart 2383. The
+    # particle broadcasts, so each Jacobian's 8 perturbed iterates are one
+    # stacked call: 2182 - 101 * 8 point calls and 101 stacked ones.
     from diracsim import dynamics
     from diracsim.cli import BUILTINS, build_problem, run_formulation
 
-    calls = {"residual": 0, "factor": 0}
-    residual_fn = dynamics.ImplicitMidpointStepper._residual_fn
+    calls = {"residual": 0, "stacked": 0, "factor": 0}
     factor = dynamics.ChordNewton._factor
 
-    def counting_residual_fn(self, *args):
-        fn = residual_fn(self, *args)
+    def counting(name, build):
+        def counting_fn(self, *args):
+            fn = build(self, *args)
 
-        def residual(y):
-            calls["residual"] += 1
-            return fn(y)
+            def residual(y):
+                calls[name] += 1
+                return fn(y)
 
-        return residual
+            return residual
+
+        return counting_fn
 
     def counting_factor(self, *args):
         calls["factor"] += 1
         return factor(self, *args)
 
-    monkeypatch.setattr(dynamics.ImplicitMidpointStepper, "_residual_fn", counting_residual_fn)
+    stepper = dynamics.ImplicitMidpointStepper
+    monkeypatch.setattr(stepper, "_residual_fn", counting("residual", stepper._residual_fn))
+    monkeypatch.setattr(
+        stepper, "_stacked_residual_fn", counting("stacked", stepper._stacked_residual_fn)
+    )
     monkeypatch.setattr(dynamics.ChordNewton, "_factor", counting_factor)
     cfg = BUILTINS["nonholonomic_particle"]()
     cfg["integrator"]["horizon"] = 0.2
     run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
-    assert calls == {"residual": 2383 - 101 - 100, "factor": 101}
+    assert calls == {"residual": 2383 - 101 - 100 - 101 * 8, "stacked": 101, "factor": 101}
 
 
 def test_stalled_solve_evaluates_the_guess_residual_once():
@@ -788,3 +799,267 @@ def test_trial_iterates_outside_the_domain_in_both_attempts_fail_the_step():
     assert message.startswith("Newton did not converge: residual nan")
     assert "; a trial iterate was outside the domain: temperature -dL/dS = -1.0" in message
     assert message.endswith(" is not positive") and "\n" not in message
+
+
+# -- the stacked step Jacobian ---------------------------------------------
+
+
+FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
+
+
+def per_column_jacobian(residual, y):
+    # The finite-difference step Jacobian at y from one residual call per
+    # column: column j perturbs y_j by 1.49e-8 (1 + |y_j|).
+    r0 = residual(y)
+    J = np.empty((y.size, y.size))
+    for j in range(y.size):
+        eps = 1.49e-8 * (1.0 + abs(y[j]))
+        yp = y.copy()
+        yp[j] += eps
+        J[:, j] = (residual(yp) - r0) / eps
+    return J
+
+
+def refreshed_jacobian(monkeypatch, stepper, t, row, h, y):
+    # The Jacobian that a fresh factorization at y builds within a step's
+    # Newton solve: from the step's stacked residual, or without one from
+    # the solver's map of the point residual over the perturbed iterates.
+    seen = []
+    original = dynamics_module.lu_factor
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics_module, "lu_factor", lambda J: seen.append(J.copy()) or original(J))
+        stepper._lu = None
+        stepper._newton(stepper._residual_fn(t, row, h), y, stepper._stacked_residual_fn(t, row, h))
+    return seen[0]
+
+
+def node_row(traj, k):
+    # The node row (x, v, p, pt, lam) that step k of traj starts from.
+    lam = traj.lam[k - 1] if k else np.zeros(traj.lam.shape[1])
+    return np.concatenate([traj.x[k], traj.v[k], traj.p[k], [traj.pt[k]], lam])
+
+
+def assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, steps):
+    # At each of the steps, at its Newton guess and at an iterate near it.
+    rng = np.random.default_rng(3)
+    for k in steps:
+        t, row = float(traj.t[k]), node_row(traj, k)
+        guess = stepper._guess(row, traj.h)
+        near = guess + 1e-6 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
+        for y in (guess, near):
+            got = refreshed_jacobian(monkeypatch, stepper, t, row, traj.h, y)
+            want = per_column_jacobian(stepper._residual_fn(t, row, traj.h), y)
+            assert got.tobytes() == want.tobytes(), (k, y is near)
+
+
+STACK_CASES = [
+    *((name, f) for name in ("closed_piston", "conduction_piston", "matched_port_piston",
+                             "two_port_piston") for f in ("pontryagin", "lagrange-dirac")),
+    (FORCED_PISTON, "pontryagin"),
+    *(("nonholonomic_particle", f) for f in ("pontryagin", "lagrange-dirac", "hamilton-dirac")),
+]
+
+
+@pytest.mark.parametrize("name, formulation", STACK_CASES)
+def test_stacked_step_jacobian_is_the_per_column_jacobian_bitwise(monkeypatch, name, formulation):
+    # Every builtin and the forced piston, as cli.run_formulation builds
+    # their steppers: the open systems read the one-pass point record and
+    # the particle its broadcasting callables in one stacked call;
+    # hamilton-dirac's point-only Hamiltonian goes through the map.
+    from diracsim import cli
+
+    problem = cli.build_problem(cli.load_config(name), formulation)
+    stepper = cli._stepper(problem, formulation)
+    traj = stepper.run(problem.initial, problem.h, 12)
+    stacked = stepper._stacked_residual_fn(float(traj.t[0]), node_row(traj, 0), problem.h)
+    assert (stacked is None) == (formulation == "hamilton-dirac")
+    assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, (0, 5, 11))
+
+
+@pytest.mark.parametrize(
+    "name, formulation",
+    [(FORCED_PISTON, "pontryagin"), ("two_port_piston", "lagrange-dirac")],
+)
+def test_stacked_jacobian_of_an_open_system_given_as_callables(monkeypatch, name, formulation):
+    # The open system's L, constraint set and force handed to the stepper as
+    # in the library quickstart: all broadcast, so the adapter of models
+    # given as callables stacks them too.
+    from diracsim import cli
+
+    problem = cli.build_problem(cli.load_config(name), formulation)
+    C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
+    stepper = ImplicitMidpointStepper(
+        formulation, lagrangian=problem.L, constraints=C, f_ext=problem.f_ext_force
+    )
+    traj = stepper.run(problem.initial, problem.h, 6)
+    assert stepper._stacked_residual_fn(0.0, node_row(traj, 0), problem.h) is not None
+    assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, (0, 2, 5))
+
+
+def two_row_model(broadcasts=True, calls=None, x0_limit=np.inf):
+    # A spring in R^3 under two affine rows A(t, x) w + B(t) = 0 whose
+    # coefficients move with t and x. calls, if given, records each
+    # evaluation of d_x and of the rows with the shape of its x; a row at a
+    # point whose x_0 exceeds x0_limit is outside the model's domain.
+    calls = [] if calls is None else calls
+
+    def record(name, x):
+        calls.append((name, np.shape(x)))
+
+    def d_x(t, x, v):
+        record("d_x", x)
+        return -x
+
+    def check(x):
+        if (np.asarray(x)[..., 0] > x0_limit).any():
+            raise OutsideDomainError(f"x_0 is past {x0_limit!r}")
+
+    def eval_A(t, x, w):
+        record("A", x)
+        check(x)
+        return np.array([[1.0, t, x[2]], [0.5 * x[0], -1.0, 1.0]])
+
+    def eval_B(t, x, w):
+        record("B", x)
+        return np.array([-0.1 * t, 0.2 * t * t])
+
+    def eval_rows(t, x, w):
+        record("rows", x)
+        check(x)
+        A = np.empty((len(t), 2, 3))
+        A[:, 0, 0], A[:, 0, 1], A[:, 0, 2] = 1.0, t, x[:, 2]
+        A[:, 1, 0], A[:, 1, 1], A[:, 1, 2] = 0.5 * x[:, 0], -1.0, 1.0
+        return A, np.stack([-0.1 * t, 0.2 * t * t], axis=-1)
+
+    L = TimeLagrangian(
+        n=3,
+        value=lambda t, x, v: 0.5 * _dot(v, v) - 0.5 * _dot(x, x),
+        d_t=lambda t, x, v: 0.0,
+        d_x=d_x,
+        d_v=lambda t, x, v: 1.0 * v,
+        d_vv=lambda t, x, v: np.eye(3),
+        broadcasts=broadcasts,
+    )
+    C = ConstraintSet(n=3, m=2, eval_A=eval_A, eval_B=eval_B,
+                      eval_rows=eval_rows if broadcasts else None)
+    # A start on both rows: v0 solves A v0 = -B at t = 0.2.
+    x0 = np.array([0.3, -0.2, 0.5])
+    v0 = np.linalg.lstsq(eval_A(0.2, x0, None), -eval_B(0.2, x0, None), rcond=None)[0]
+    start = PontryaginState(t=0.2, x=x0, v=v0, pt=covariant_legendre(L, 0.2, x0, v0).pt, p=v0)
+    del calls[:]
+    return L, C, start
+
+
+@pytest.mark.parametrize("broadcasts", [True, False])
+@pytest.mark.parametrize("formulation", ["pontryagin", "lagrange-dirac"])
+def test_stacked_jacobian_with_two_rows_and_without_broadcasting(
+    monkeypatch, broadcasts, formulation
+):
+    # m = 2, so the stacked A^T lam, B lam and node row A_1 v_1 run the
+    # matrix-vector kernels of a point over each slice; a Lagrangian that
+    # does not broadcast goes through the map.
+    L, C, start = two_row_model(broadcasts)
+    stepper = ImplicitMidpointStepper(formulation, lagrangian=L, constraints=C)
+    traj = stepper.run(start, 0.05, 8)
+    stacked = stepper._stacked_residual_fn(start.t, node_row(traj, 0), 0.05)
+    assert (stacked is not None) == broadcasts
+    assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, (0, 3, 7))
+
+
+def test_a_jacobian_refresh_evaluates_the_model_once_per_block(monkeypatch):
+    # On a broadcasting model a factorization evaluates the model once per
+    # block of at most geometry._BLOCK perturbed iterates: d_x and the rows
+    # at the midpoints, the rows at the new nodes, and no point at all.
+    from diracsim import geometry
+
+    calls = []
+    L, C, start = two_row_model(calls=calls)
+    stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
+    row = np.concatenate([start.x, start.v, start.p, [start.pt], np.zeros(2)])
+    y = stepper._guess(row, 0.05)
+    r0 = stepper._residual_fn(start.t, row, 0.05)(y)
+    stacked = stepper._stacked_residual_fn(start.t, row, 0.05)
+    blocks = []
+
+    def counted(Y):
+        blocks.append(len(Y))
+        return stacked(Y)
+
+    del calls[:]
+    lu = stepper._factor(counted, y, r0)
+    N = y.size  # 3 n + 1 + m = 12 unknowns
+    assert blocks == [N]
+    assert calls == [("d_x", (N, 3)), ("rows", (N, 3)), ("rows", (N, 3))]
+    monkeypatch.setattr(geometry, "_BLOCK", 5)
+    del calls[:], blocks[:]
+    lu5 = stepper._factor(counted, y, r0)
+    assert blocks == [5, 5, 2]
+    assert [name for name, _ in calls] == ["d_x", "rows", "rows"] * 3
+    assert all(len(shape) == 2 for _, shape in calls)
+    assert lu5[0].tobytes() == lu[0].tobytes() and lu5[1].tobytes() == lu[1].tobytes()
+
+
+def test_a_wide_stack_runs_in_blocks_and_matches_the_per_column_jacobian(monkeypatch):
+    # An ideal gas with n_q = 200 has 617 step unknowns: five blocks of at
+    # most 128 perturbed iterates, whose Jacobian is the per-column one.
+    from diracsim import thermo
+
+    sys0 = thermo.ideal_gas_fixture(n_q=200, friction=thermo.linear_friction(0.1))
+    rng = np.random.default_rng(0)
+    ts0 = thermo.ThermoState(
+        q=rng.uniform(-0.5, 0.5, 200), v_q=rng.uniform(-0.5, 0.5, 200),
+        S=1.0, N=1.0, Gamma=0.0, W=0.0, Sigma=0.0,
+    )
+    stepper = ImplicitMidpointStepper(
+        "pontryagin",
+        lagrangian=thermo.build_extended_lagrangian(sys0),
+        constraints=thermo.build_constraints(sys0),
+        points=thermo._mixed_points(sys0, False),
+    )
+    traj = stepper.run(thermo.initial_pontryagin_state(sys0, 0.0, ts0), 1e-3, 2)
+    blocks = []
+    stacked_fn = stepper._stacked_residual_fn
+
+    def counted_fn(t, row, h):
+        stacked = stacked_fn(t, row, h)
+        return lambda Y: blocks.append(len(Y)) or stacked(Y)
+
+    monkeypatch.setattr(stepper, "_stacked_residual_fn", counted_fn)
+    assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, (0, 1))
+    assert blocks[:5] == [128, 128, 128, 128, 617 - 4 * 128]
+
+
+def test_a_domain_error_inside_a_stack_fails_the_step_as_the_map_does():
+    # The rows leave the domain past the guess's x_0, which only the first
+    # perturbed iterate crosses: through the stack its block reads NaN, and
+    # the step fails in the words of the per-point map.
+    messages = []
+    for broadcasts in (True, False):
+        L, C, start = two_row_model(broadcasts)
+        stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
+        row = np.concatenate([start.x, start.v, start.p, [start.pt], np.zeros(2)])
+        limit = float(stepper._guess(row, 0.05)[0])
+        assert start.v[0] > 0.0  # the midpoint's x_0 stays inside
+        L, C, start = two_row_model(broadcasts, x0_limit=limit)
+        stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
+        with pytest.raises(StepFailureError) as info:
+            stepper.run(start, 0.05, 3)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        "step 0 (t = 0.2) failed: the finite-difference step Jacobian is not finite"
+    )
+
+
+def test_stepper_rejects_a_force_beside_points():
+    # The point record carries the open system's force; a second one beside
+    # it would be ignored.
+    from diracsim import cli, thermo
+
+    problem = cli.build_problem(cli.load_config(FORCED_PISTON))
+    points = thermo._mixed_points(problem.system, False)
+    with pytest.raises(ValueError, match="points carries the force"):
+        ImplicitMidpointStepper(
+            "pontryagin", lagrangian=problem.L, constraints=problem.vel_constraints,
+            f_ext=problem.f_ext_force, points=points,
+        )

@@ -443,9 +443,10 @@ class ChordNewton:
         try:
             with warnings.catch_warnings():
                 # The diagonal inspection below turns exact singularity into a
-                # typed error; scipy's advance warning would be redundant.
+                # typed error; scipy's advance warning would be redundant, and
+                # so would its finiteness check, since J was tested above.
                 warnings.simplefilter("ignore", LinAlgWarning)
-                lu = lu_factor(J)
+                lu = lu_factor(J, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(str(exc)) from exc
         d = np.abs(np.diag(lu[0]))

@@ -19,6 +19,7 @@ treated as a modeling error and raises.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -721,41 +722,55 @@ def run_reduced(
     the run reads its t, pt, the q, S, N, Gamma, W and Sigma slots of x and
     the q slots of v, so the trajectory's first node is start. Each step
     solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's chord
-    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL) from an
-    explicit Euler guess, in the loop the stepper shares: step k starts at
-    t0 + k h, and a failure raises StepFailureError naming "reduced step k
-    (t = ...)". h must be positive and finite. The momentum conjugate to
-    time advances with the midpoint rate -(P_M + P_H). The returned
-    trajectory is lifted to the full bundle arrays (velocities of the
-    bookkeeping slots are the reduced rates, momenta the fiber derivative,
-    multiplier exactly 1), with formulation "reduced". newton_iters counts
-    each step's Newton updates, polish iterations included.
+    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL), in the loop
+    the stepper shares: step k starts at t0 + k h, and a failure raises
+    StepFailureError naming "reduced step k (t = ...)". h must be positive
+    and finite. The momentum conjugate to time advances with the midpoint
+    rate -(P_M + P_H). The returned trajectory is lifted to the full bundle
+    arrays (velocities of the bookkeeping slots are the reduced rates,
+    momenta the fiber derivative, multiplier exactly 1), with formulation
+    "reduced". newton_iters counts each step's Newton updates, polish
+    iterations included.
 
-    A step evaluates the field once per Newton residual plus once at its
-    start node, for the Euler guess and the lift alike. pt is integrated
-    after the march, from one balance over the accepted midpoints
-    (y_k + y_k+1)/2 at t_k + h/2: the midpoint states and times the
-    residuals used, so the sum is the step recursion bit for bit.
+    Newton starts from the polynomial through the accepted nodes, extrapolated
+    one step (Hairer-Wanner, Solving ODEs II, IV.8): step 0 from the explicit
+    Euler guess y_0 + h f(t_0, y_0), the run's one field evaluation outside
+    Newton; step 1 from 2 y_1 - y_0; step k >= 2 from the quadratic
+    3 y_k - 3 y_k-1 + y_k-2. A guess outside the model's domain fails its
+    step. The lift reads the node rates from one balance over the node
+    states, and pt is integrated after the march from one balance over the
+    accepted midpoints (y_k + y_k+1)/2 at t_k + h/2: the midpoint states and
+    times the residuals used, so the sum is the step recursion bit for bit.
     """
 
     n_q, lay, K = sys.n_q, sys.layout, int(n_steps)
-    fields = np.empty((K + 1, 2 * n_q + 5))  # the field at each node
     solver = ChordNewton(_REDUCED_NEWTON_TOL)
+    accepted = deque(maxlen=2)  # the nodes y_k-2 and y_k-1 before step k's start y_k
 
     def advance(k, t, y0):
-        f0 = fields[k] = _reduced_field(sys, t, y0)
+        if k == 0:
+            guess = y0 + h * _reduced_field(sys, t, y0)
+        elif k == 1:
+            guess = 2.0 * y0 - accepted[-1]
+        else:
+            guess = 3.0 * y0 - 3.0 * accepted[-1] + accepted[-2]
+        accepted.append(y0)
         tm = t + 0.5 * h
 
         def residual(y1):
             return (y1 - y0) / h - _reduced_field(sys, tm, 0.5 * (y0 + y1))
 
-        y, _, iters = solver._newton(residual, y0 + h * f0)
+        y, _, iters = solver._newton(residual, guess)
         return y, iters
 
+    def times():
+        return start.t + h * np.arange(K + 1)
+
     def lift(ys):
-        fields[K] = _reduced_field(sys, start.t + K * h, ys[K])
-        x, v = _lift(n_q, ys, fields[:, 2 * n_q :])
-        p = momenta_from_state(sys, _reduced_state_from_vector(sys, ys))
+        ts = _reduced_state_from_vector(sys, ys)
+        rates = np.stack(_bookkeeping_rates(_balance(sys, times(), ts)), axis=-1)
+        x, v = _lift(n_q, ys, rates)
+        p = momenta_from_state(sys, ts)
         # pt advances by h times the rate -(P_M + P_H) at each step's accepted
         # midpoint; cumsum adds in sequence, as the step recursion does.
         tm = start.t + h * np.arange(K) + 0.5 * h
@@ -764,7 +779,7 @@ def run_reduced(
         return x, v, p, pts, np.ones((K, 1))
 
     y0 = np.concatenate([start.x[lay.q], start.v[lay.q], start.x[lay.S :]])
-    return _march("reduced", advance, lift, y0, h, lambda: start.t + h * np.arange(K + 1))
+    return _march("reduced", advance, lift, y0, h, times)
 
 
 def lifted_midpoint_samples(sys: SimpleOpenSystem, traj: Trajectory):

@@ -826,8 +826,13 @@ def refreshed_jacobian(monkeypatch, stepper, t, row, h, y):
     # the solver's map of the point residual over the perturbed iterates.
     seen = []
     original = dynamics_module.lu_factor
+
+    def recording(J, **kwargs):
+        seen.append(J.copy())
+        return original(J, **kwargs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics_module, "lu_factor", lambda J: seen.append(J.copy()) or original(J))
+        patch.setattr(dynamics_module, "lu_factor", recording)
         stepper._lu = None
         stepper._newton(stepper._residual_fn(t, row, h), y, stepper._stacked_residual_fn(t, row, h))
     return seen[0]

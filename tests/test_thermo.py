@@ -608,9 +608,9 @@ def count_factorizations(monkeypatch):
     calls = []
     original = dynamics_module.lu_factor
 
-    def counting(J):
+    def counting(J, **kwargs):
         calls.append(J.shape)
-        return original(J)
+        return original(J, **kwargs)
 
     monkeypatch.setattr(dynamics_module, "lu_factor", counting)
     return calls
@@ -1419,13 +1419,55 @@ def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch)
     sys0 = small_open_system()
     start = dataclasses.replace(initial_pontryagin_state(sys0, 0.0, small_initial()), pt=0.0)
     calls = count_field_evaluations(monkeypatch)
-    run_reduced(sys0, start, 1e-3, 100)
-    # 101 nodes (the Euler guess of a step and the lift of its start node
-    # share one evaluation) plus 411 Newton residuals, FD columns included.
-    # A separate Euler guess, midpoint ptdot and lift evaluation per step
-    # would add 200; a second residual at the base point of each of the
-    # run's 2 Jacobians would add 2.
-    assert len(calls) == 101 + 411
+    traj = run_reduced(sys0, start, 1e-3, 100)
+    # Step 0's Euler guess, then 349 Newton residuals: one at each step's
+    # guess (100), one per Newton update (135), one per step at its rejected
+    # polish trial (100), and the 7 columns of each of the run's 2 Jacobians.
+    # The lift evaluates no field; a field evaluation at each node, as the
+    # Euler guess of every step once took, would add 100.
+    assert traj.newton_iters.sum() == 135
+    assert len(calls) == 1 + 100 + 135 + 100 + 2 * 7
+
+
+@pytest.mark.parametrize("name", THERMO_BUILTINS + [FORCED_PISTON])
+def test_lifted_node_velocities_are_the_field_at_each_node_bitwise(name):
+    # The lift reads the bookkeeping velocities from one balance over all
+    # nodes; each equals the field's rates at that node alone.
+    problem = cli_problem(name)
+    sys0, n_q = problem.system, problem.system.n_q
+    traj = run_reduced(sys0, problem.initial, problem.h, 20)
+    for k in range(traj.n_steps + 1):
+        ts = state_from_arrays(sys0, traj.x[k], traj.v[k])
+        want = reduced_rhs(sys0, traj.t[k], ts)[2 * n_q :]
+        assert traj.v[k, n_q:].tobytes() == want.tobytes(), k
+
+
+def test_extrapolated_guess_crosses_a_schedule_kink(monkeypatch):
+    # Port 1's inflow holds at -0.006 until t = 0.05, then falls with slope
+    # -100 to -5.006 at t = 0.1. The quadratic through the last nodes
+    # extrapolates across both kinks, and Newton must still converge without
+    # a stall restart.
+    from diracsim import cli
+
+    cfg = cli.BUILTINS["two_port_piston"]()
+    cfg["system"]["ports"][1]["J"] = [[0.0, -0.006], [0.05, -0.006], [0.1, -5.006]]
+    cfg["integrator"].update(h=1e-3, horizon=0.2)
+    pontryagin = cli.run_formulation(cli.build_problem(cfg, "pontryagin"), "pontryagin")
+    problem = cli.build_problem(cfg, "reduced")
+    factors, calls = count_factorizations(monkeypatch), count_field_evaluations(monkeypatch)
+    traj = cli.run_formulation(problem, "reduced")
+    assert traj.n_steps == 200
+    # Steps 0, 50, 100 and 150; a stalled step would add one.
+    assert len(factors) == 4
+    # An Euler guess at every step took 5.96 field evaluations per step here
+    # (1191 in all); the extrapolated guess takes about 4.45.
+    assert len(calls) < 5.0 * traj.n_steps
+    worst = max(
+        np.max(np.abs(traj.x - pontryagin.x)),
+        np.max(np.abs(traj.p - pontryagin.p)),
+        np.max(np.abs(traj.pt - pontryagin.pt)),
+    )
+    assert worst <= 1e-6  # diracsim compare's default tolerance
 
 
 def test_reduced_pt_uses_the_accepted_iterate_midpoint_rate():

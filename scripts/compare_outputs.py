@@ -28,6 +28,7 @@ holds no rule that bounds nothing.
 import argparse
 import csv
 import fnmatch
+import functools
 import json
 import math
 from pathlib import Path
@@ -44,6 +45,12 @@ def _delta(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     return abs(a - b)
+
+
+def _max(a: float, b: float) -> float:
+    # The larger of a and b, NaN if either is: max(0.0, nan) is 0.0, which
+    # would drop a NaN delta from the report and from the bounds.
+    return b if math.isnan(b) or b > a else a
 
 
 def _scale(*values: float) -> float:
@@ -97,13 +104,13 @@ def _compare_csv(a: Path, b: Path, rel: str, bounds: Bounds | None):
             fx, fy = float(x), float(y)
             scale[j] = max(scale[j], _scale(fx, fy))
             if x != y:
-                col[j] = max(col[j], _delta(fx, fy))
+                col[j] = _max(col[j], _delta(fx, fy))
     lines = [f"  {name:<32} {d:.3g}" for name, d in zip(header, col) if d]
     lines.append(f"  equal columns: {col.count(0.0)} of {len(col)}")
     if bounds is not None:
         for name, d, s in zip(header, col, scale):
             bounds.check(f"{rel} column {name}", d, s, bounds.column(name))
-    return True, max(col, default=0.0), lines
+    return True, functools.reduce(_max, col, 0.0), lines
 
 
 def _compare_text(a: Path, b: Path, rel: str, bounds: Bounds | None):
@@ -124,7 +131,7 @@ def _compare_text(a: Path, b: Path, rel: str, bounds: Bounds | None):
             if nu is None or nv is None:
                 same_shape &= u == v
             else:
-                worst = max(worst, _delta(nu, nv))
+                worst = _max(worst, _delta(nu, nv))
                 if bounds is not None:
                     where = f"{rel} line {i} number {u}"
                     bounds.check(where, _delta(nu, nv), _scale(nu, nv), bounds.text_numbers)

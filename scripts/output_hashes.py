@@ -14,7 +14,9 @@ copy of the script in another checkout fingerprints that checkout:
 
     python3 scripts/output_hashes.py /tmp/out > hashes.txt
 
-Takes a few minutes: the thermodynamic runs are 10 000 steps each.
+Exits 1 if any run or check exits nonzero, after printing the listing.
+Takes about a minute (57-68 s on 2 vCPUs, Python 3.11): the thermodynamic
+runs are 10 000 steps each.
 """
 
 import argparse

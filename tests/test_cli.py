@@ -1035,49 +1035,6 @@ def test_run_external_force_rejected_on_lagrange_dirac(tmp_path):
     assert "pontryagin or reduced" in all_text(result)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--scenario", "nonholonomic_particle", "--formulation", "reduced"],
-        ["--scenario", "two_port_piston", "--formulation", "hamilton-dirac"],
-        ["--formulation", "bogus"],
-        ["--h0", "0"],
-        ["--h0", "nan"],
-        ["--horizon", "nan"],
-        ["--h0=-1e-3"],
-        ["--h0", "inf"],
-        ["--horizon", "-1"],
-        ["--levels", "0"],
-    ],
-    ids=[
-        "reduced-mechanical", "hamilton-dirac-thermo", "unknown",
-        "h0-zero", "h0-nan", "horizon-nan", "h0-negative", "h0-inf", "horizon-negative",
-        "levels-zero",
-    ],
-)
-def test_convergence_study_rejects_an_unsupported_formulation_in_one_line(args):
-    result = run_convergence_study(*args)
-    assert result.returncode == 2, result.stderr
-    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
-
-
-def test_convergence_study_exits_3_in_one_line_on_a_failed_step():
-    # A step of 100 on the piston does not converge; the level loop runs
-    # inside cli._exit_codes(), as `diracsim run` does.
-    result = run_convergence_study("--h0", "100", "--horizon", "100", "--levels", "1")
-    assert result.returncode == 3, result.stderr
-    assert result.stderr.startswith("step 0 (t = 0.0) failed: Newton did not converge")
-    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
-
-
-def run_convergence_study(*args):
-    root = Path(__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, str(root / "scripts" / "convergence_study.py"), *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
-    )
-
-
 def test_run_unknown_config_name():
     result = invoke("run", "no_such_scenario")
     assert result.exit_code == 2

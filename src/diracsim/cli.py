@@ -57,7 +57,7 @@ from .lagrangian import (
     _covariant_differential,
     check_derivatives,
     covariant_legendre,
-    legendre_dual,
+    legendre_dual,  # noqa: F401 (the benchmark tracer patches it here)
 )
 from . import thermo as th
 
@@ -618,13 +618,10 @@ def run_formulation(problem: Problem, formulation: str) -> Trajectory:
 def _stepper(problem: Problem, formulation: str) -> ImplicitMidpointStepper:
     # The stepper of a DAE formulation; on the open system it reads the
     # system's one-pass point record.
-    model = {"lagrangian": problem.L}
-    if formulation == "hamilton-dirac":
-        model = {"hamiltonian": legendre_dual(problem.L)}
-    if problem.system is not None:
-        model["points"] = th._mixed_points(problem.system, formulation == "lagrange-dirac")
+    system = problem.system
+    points = None if system is None else th._mixed_points(system, formulation == "lagrange-dirac")
     C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
-    return ImplicitMidpointStepper(formulation, constraints=C, **model)
+    return ImplicitMidpointStepper(formulation, problem.L, C, points=points)
 
 
 # -- output ---------------------------------------------------------------
@@ -769,6 +766,15 @@ def _make_outdir(outdir: Path) -> None:
         ) from None
 
 
+def _write(path: Path, writer, *args) -> None:
+    # writer(path, *args); an output that cannot be written (a directory in
+    # its place, say) is an error of --out, found after the run.
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {str(path)!r} ({exc.strerror or exc})") from None
+
+
 def _run_and_report(problem: Problem, outdir: Path, tol_override):
     _make_outdir(outdir)
     traj = run_formulation(problem, problem.formulation)
@@ -776,8 +782,8 @@ def _run_and_report(problem: Problem, outdir: Path, tol_override):
         problem.L, problem.vel_constraints, traj, thermo_system=problem.system
     )
     prefix = problem.prefix
-    write_trajectory_csv(outdir / f"{prefix}_trajectory.csv", problem, traj, inv)
-    write_invariants_csv(outdir / f"{prefix}_invariants.csv", inv)
+    _write(outdir / f"{prefix}_trajectory.csv", write_trajectory_csv, problem, traj, inv)
+    _write(outdir / f"{prefix}_invariants.csv", write_invariants_csv, inv)
     passed, lines = evaluate_tolerances(problem, inv, tol_override)
     head = [
         f"system: {problem.kind}",
@@ -785,8 +791,7 @@ def _run_and_report(problem: Problem, outdir: Path, tol_override):
         f"steps: {problem.n_steps}  h: {_fmt(problem.h)}",
     ]
     summary = head + lines + [f"overall: {'PASS' if passed else 'FAIL'}"]
-    with open(outdir / f"{prefix}_summary.txt", "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write(outdir / f"{prefix}_summary.txt", Path.write_text, "\n".join(summary) + "\n")
     return passed, summary, traj
 
 
@@ -892,11 +897,12 @@ def compare(config, formulations, out, tol):
         f"max pointwise divergence: {_fmt(worst)} (tol {_fmt(tol)}) "
         f"{'PASS' if ok else 'FAIL'}"
     )
+    if out is not None:
+        with _exit_codes():
+            report = "\n".join(lines) + "\n"
+            _write(Path(out) / f"{problem.prefix}_compare.txt", Path.write_text, report)
     for line in lines:
         click.echo(line)
-    if out is not None:
-        with open(Path(out) / f"{problem.prefix}_compare.txt", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
     raise SystemExit(0 if ok else 1)
 
 

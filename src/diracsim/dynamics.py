@@ -8,9 +8,11 @@ Three equivalent local formulations are supported:
 * "lagrange-dirac": the same unknowns with momentum-side constraint
   coefficients evaluated at (t, x, p).
 * "hamilton-dirac": unknowns (x, p, pt) on T*Y for a hyperregular
-  Hamiltonian.
+  Lagrangian, whose velocity is the fiber velocity v(t, x, p) of L.
 
-Each formulation's rows are written once, in _mixed_rows or _phase_rows.
+Every formulation's rows are written once, in _mixed_rows: on T*Y they are
+the mixed-bundle rows at v(t, x, p) without the fiber row, and the public
+hamilton_dirac_residual reads them through a record of H.
 The integrator is a fixed-step implicit midpoint rule: a step's rows are the
 formulation's instantaneous residual at the averaged midpoint, on the
 difference quotients across the step, with the kinematic row taken at the new
@@ -47,6 +49,7 @@ from .lagrangian import (
     TimeLagrangian,
     _chord_solve,
     lagrangian_energy,
+    legendre_dual,
 )
 
 __all__ = [
@@ -178,19 +181,6 @@ def _matvecs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b[..., None])[..., 0]
 
 
-def _phase_rows(H, C, t, x, p, dx, dp, dpt, lam):
-    # The T*Y rows at (t, x, p) on the rate (dx, dp, dpt): velocity match,
-    # momentum balance and pt balance; then A and B at (t, x, p) and w = dH/dp.
-    n = H.n
-    A = C.A(t, x, p)
-    B = C.B(t, x, p)
-    w = np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
-    r_vel = dx - w
-    r_mom = dp + np.asarray(H.d_x(t, x, p), dtype=float).reshape(n) - A.T @ lam
-    r_pt = dpt + float(H.d_t(t, x, p)) - float(B @ lam)
-    return r_vel, r_mom, r_pt, A, B, w
-
-
 def pontryagin_dirac_residual(
     L: TimeLagrangian,
     constraints: ConstraintSet,
@@ -259,9 +249,18 @@ def hamilton_dirac_residual(
     """
 
     _check_section(rate.dt)
-    lam = np.asarray(lam, dtype=float).reshape(momentum_constraints.m)
-    r_vel, r_mom, r_pt, A, B, w = _phase_rows(
-        H, momentum_constraints, z.t, z.x, z.p, rate.dx, rate.dp, rate.dpt, lam
+    n, C = H.n, momentum_constraints
+    lam = np.asarray(lam, dtype=float).reshape(C.m)
+
+    def at(t, x, v, p):
+        # H as a mixed-bundle record at v = dH/dp: -dH/dx and -dH/dt are L's
+        # partials there, dL/dv is p, and the rows are taken at p.
+        d_x = -np.asarray(H.d_x(t, x, p), dtype=float).reshape(n)
+        return d_x, p, -float(H.d_t(t, x, p)), C.A(t, x, p), C.B(t, x, p), None
+
+    w = np.asarray(H.d_p(z.t, z.x, z.p), dtype=float).reshape(n)
+    r_vel, _, r_mom, r_pt, A, B = _mixed_rows(
+        at, z.t, z.x, w, z.p, z.p, rate.dx, rate.dp, rate.dpt, lam
     )
     return np.concatenate([r_vel, [r_pt], r_mom, A @ w + B])
 
@@ -332,7 +331,7 @@ class Trajectory:
 
     Node arrays have K + 1 rows for K steps; lam holds the per-step midpoint
     multiplier (K rows). For the hamilton-dirac formulation the v column is
-    the reconstruction dH/dp at the nodes.
+    the fiber velocity v(t, x, p) of L at the nodes, which is dH/dp.
     """
 
     formulation: str
@@ -532,14 +531,17 @@ class ImplicitMidpointStepper(ChordNewton):
     A step advances a node row (x, v, p, pt, lam): the state at a node and
     the multiplier of the step that ends there (zero at the start). Its
     Newton unknowns are the new row itself on the mixed bundle, and the row
-    without v on T*Y, where v is dH/dp at the node. Each step is one
+    without v on T*Y, where v is the lagrangian's fiber velocity v(t, x, p)
+    at the node: legendre_dual's inversion, so a lagrangian that is not
+    hyperregular raises HyperregularityError here. Each step is one
     ChordNewton solve to tolerance _NEWTON_TOL, so a stepper instance owns
     its Newton workspace and must not be shared across threads.
 
-    On the mixed bundle a step residual evaluates the model once at its
-    midpoint and its row once at its new node: through points, the open
-    system's one-pass record of the same model (thermo._mixed_points), or
-    else one call of each of the lagrangian's, constraints' and f_ext's.
+    Every formulation reads one model record: a step residual evaluates the
+    model once at its midpoint and its row once at its new node, through
+    points, the open system's one-pass record of the same model
+    (thermo._mixed_points), or else one call of each of the lagrangian's,
+    constraints' and f_ext's. On T*Y the record is read at v(t, x, p).
     Given points, f_ext must be None: the record carries the force. A
     Jacobian refresh evaluates the step residual at its perturbed iterates
     in one stacked call of points (per block of columns) when it broadcasts,
@@ -550,7 +552,6 @@ class ImplicitMidpointStepper(ChordNewton):
         self,
         formulation: str,
         lagrangian: TimeLagrangian | None = None,
-        hamiltonian: TimeHamiltonian | None = None,
         constraints: ConstraintSet | None = None,
         f_ext: ExternalForce | None = None,
         points: _MixedPoints | None = None,
@@ -559,17 +560,11 @@ class ImplicitMidpointStepper(ChordNewton):
             raise ValueError(
                 f"unknown formulation {formulation!r}; choose from {FORMULATIONS}"
             )
-        if formulation == "hamilton-dirac":
-            if hamiltonian is None:
-                raise ValueError("hamilton-dirac needs a TimeHamiltonian")
-            self.n = hamiltonian.n
-        else:
-            if lagrangian is None:
-                raise ValueError(f"{formulation} needs a TimeLagrangian")
-            self.n = lagrangian.n
+        if lagrangian is None:
+            raise ValueError(f"{formulation} needs a TimeLagrangian")
         if constraints is None:
             raise ValueError("a ConstraintSet is required (use unconstrained(n))")
-        if constraints.n != self.n:
+        if constraints.n != lagrangian.n:
             raise ValueError("constraint dimension does not match the system")
         if f_ext is not None and formulation != "pontryagin":
             raise ValueError("external forces are only supported on the pontryagin path")
@@ -578,68 +573,58 @@ class ImplicitMidpointStepper(ChordNewton):
 
         super().__init__(_NEWTON_TOL)
         self.formulation = formulation
+        self.n = n = lagrangian.n
         self.L = lagrangian
-        self.H = hamiltonian
         self.constraints = constraints
         self.f_ext = f_ext
-        # The slots of a row that are Newton unknowns: all but v on T*Y.
-        n, hd = self.n, formulation == "hamilton-dirac"
+        self._points = points or _callable_points(lagrangian, constraints, f_ext)
+        # The slots of a row the constraint coefficients are taken at: v or p.
+        self._side = slice(n, 2 * n) if formulation == "pontryagin" else slice(2 * n, 3 * n)
+        # On T*Y, v(t, x, p), and the slots of a row that are Newton
+        # unknowns: all but v.
+        hd = formulation == "hamilton-dirac"
+        self._velocity = legendre_dual(lagrangian).d_p if hd else None
         self._unknowns = np.r_[:n, 2 * n : 3 * n + 1 + constraints.m] if hd else slice(None)
-        if not hd and points is None:
-            points = _callable_points(lagrangian, constraints, f_ext)
-        self._points = points
 
     # -- residual assembly ------------------------------------------------
-
-    def _node_row(self) -> Callable:
-        # (t, x, v, p) -> (A, B, w) of the kinematic row A w + B at a node,
-        # with the formulation's coefficient point and w chosen here, once.
-        C = self.constraints
-        if self.formulation == "hamilton-dirac":
-            H, n = self.H, self.n
-            return lambda t, x, v, p: (
-                C.A(t, x, p), C.B(t, x, p), np.asarray(H.d_p(t, x, p), dtype=float).reshape(n)
-            )
-        row, momentum_side = self._points.row, self.formulation == "lagrange-dirac"
-        return lambda t, x, v, p: (*row(t, x, p if momentum_side else v), v)
 
     def _residual_fn(self, t: float, row: np.ndarray, h: float) -> Callable:
         # The formulation's rows at the averaged midpoint, on the difference
         # quotients across the step from the node row at t, closed by the kinematic
         # row at the new node. y = (x1, [v1,] p1, pt1, lam); z stacks node values.
-        n = self.n
+        n, side, v = self.n, self._side, self._velocity
+        at, node_row, _ = self._points
         t1, tm = t + h, t + 0.5 * h
 
-        if self.formulation == "hamilton-dirac":
-            H, C, node = self.H, self.constraints, self._node_row()
+        if v is not None:
+            # T*Y: the record at the midpoint's v(tm, xm, pm), less its fiber
+            # row, and the node row on v(t1, x1, p1).
             z0 = row[self._unknowns[: 2 * n + 1]]
 
             def residual(y: np.ndarray) -> np.ndarray:
                 z1 = y[: 2 * n + 1]
                 zm = 0.5 * (z0 + z1)
                 dz = (z1 - z0) / h
-                r_vel, r_mom, r_pt, *_ = _phase_rows(
-                    H, C, tm, zm[:n], zm[n:-1], dz[:n], dz[n:-1], dz[-1], y[2 * n + 1 :]
+                xm, pm, x1, p1 = zm[:n], zm[n:-1], y[:n], y[n : 2 * n]
+                r_vel, _, r_mom, r_pt, *_ = _mixed_rows(
+                    at, tm, xm, v(tm, xm, pm), pm, pm, dz[:n], dz[n:-1], dz[-1], y[2 * n + 1 :]
                 )
-                A1, B1, w1 = node(t1, y[:n], None, y[n : 2 * n])
-                return np.concatenate([r_vel, r_mom, A1 @ w1 + B1, [r_pt]])
+                A1, B1 = node_row(t1, x1, p1)
+                return np.concatenate([r_vel, r_mom, A1 @ v(t1, x1, p1) + B1, [r_pt]])
 
             return residual
 
-        at, node_row, _ = self._points
         z0 = row[: 3 * n + 1]
-        # The slots the constraint coefficients are taken at: v or p.
-        w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
 
         def residual(y: np.ndarray) -> np.ndarray:
             z1 = y[: 3 * n + 1]
             zm = 0.5 * (z0 + z1)
             dz = (z1 - z0) / h
             r_vel, r_fib, r_mom, r_pt, *_ = _mixed_rows(
-                at, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[w],
+                at, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[side],
                 dz[:n], dz[2 * n : -1], dz[-1], y[3 * n + 1 :],
             )
-            A1, B1 = node_row(t1, y[:n], y[w])
+            A1, B1 = node_row(t1, y[:n], y[side])
             return np.concatenate([r_vel, r_fib, r_mom, A1 @ y[n : 2 * n] + B1, [r_pt]])
 
         return residual
@@ -648,29 +633,37 @@ class ImplicitMidpointStepper(ChordNewton):
         # _residual_fn's residual at K stacked iterates, the rows of Y (K, N),
         # from one evaluation of the model over them: row k of the result is
         # the residual at Y[k], bit for bit, since numpy's stacked matmul runs
-        # the point's kernel on each slice. None unless the model broadcasts.
-        points = self._points
-        if points is None or not points.broadcasts:
+        # the point's kernel on each slice. On T*Y each iterate's v is
+        # inverted point by point, at its new node into its row and at its
+        # midpoint in place of the average, and the fiber row is left out.
+        # None unless the model broadcasts.
+        at, node_row, broadcasts = self._points
+        if not broadcasts:
             return None
-        at, node_row, _ = points
-        n = self.n
-        w = slice(2 * n, 3 * n) if self.formulation == "lagrange-dirac" else slice(n, 2 * n)
+        n, side, v = self.n, self._side, self._velocity
+        t1, tm = t + h, t + 0.5 * h
+        z0 = row[: 3 * n + 1]
 
         def stacked(Y: np.ndarray) -> np.ndarray:
-            z0, Z1, lam = row[: 3 * n + 1], Y[:, : 3 * n + 1], Y[:, 3 * n + 1 :]
+            if v is not None:
+                V1 = [v(t1, y[:n], y[n : 2 * n]) for y in Y]
+                Y = np.concatenate([Y[:, :n], V1, Y[:, n:]], axis=1)
+            Z1, lam = Y[:, : 3 * n + 1], Y[:, 3 * n + 1 :]
             Zm = 0.5 * (z0 + Z1)
             dZ = (Z1 - z0) / h
-            d_x, d_v, d_t, A, B, F = at(t + 0.5 * h, Zm[:, :n], Zm[:, n : 2 * n], Zm[:, w])
+            if v is not None:
+                Zm[:, n : 2 * n] = [v(tm, z[:n], z[2 * n : 3 * n]) for z in Zm]
+            d_x, d_v, d_t, A, B, F = at(tm, Zm[:, :n], Zm[:, n : 2 * n], Zm[:, side])
             r_mom = dZ[:, 2 * n : -1] - d_x - _matvecs(np.swapaxes(A, -1, -2), lam)
             if F is not None:
                 r_mom = r_mom - F
             r_pt = dZ[:, -1] - d_t - _matvecs(B[..., None, :], lam)[..., 0]
-            A1, B1 = node_row(t + h, Y[:, :n], Y[:, w])
-            return np.concatenate(
-                [dZ[:, :n] - Zm[:, n : 2 * n], Zm[:, 2 * n : -1] - d_v, r_mom,
-                 _matvecs(A1, Y[:, n : 2 * n]) + B1, r_pt[:, None]],
-                axis=1,
-            )
+            A1, B1 = node_row(t1, Y[:, :n], Y[:, side])
+            rows = [dZ[:, :n] - Zm[:, n : 2 * n], Zm[:, 2 * n : -1] - d_v, r_mom,
+                    _matvecs(A1, Y[:, n : 2 * n]) + B1, r_pt[:, None]]
+            if v is not None:
+                del rows[1]
+            return np.concatenate(rows, axis=1)
 
         return stacked
 
@@ -687,37 +680,36 @@ class ImplicitMidpointStepper(ChordNewton):
         """Advance the node row at time t by one step of size h.
 
         The returned row is the node at t + h, with the step's midpoint
-        multiplier as its lam. On T*Y its v is dH/dp at the new node.
+        multiplier as its lam. On T*Y its v is v(t, x, p) at the new node.
         """
 
         y, rn, iters = self._newton(
             self._residual_fn(t, row, h), self._guess(row, h), self._stacked_residual_fn(t, row, h)
         )
-        if self.formulation == "hamilton-dirac":
+        if self._velocity is not None:
             n = self.n
-            w = np.asarray(self.H.d_p(t + h, y[:n], y[n : 2 * n]), dtype=float).reshape(n)
-            y = np.concatenate([y[:n], w, y[n:]])
+            y = np.concatenate([y[:n], self._velocity(t + h, y[:n], y[n : 2 * n]), y[n:]])
         return StepResult(y, iters, rn)
 
     def run(self, start: PontryaginState, h: float, n_steps: int) -> Trajectory:
         """Integrate n_steps fixed steps from start.
 
         start is a mixed-bundle state on every formulation; the first node
-        row is start with a zero multiplier, and on hamilton-dirac with
-        v = dH/dp in place of start.v. A start off the kinematic constraint
-        raises InconsistentInitialStateError. One call of step per step, in
-        the loop the reduced path shares: step k starts at t0 + h added k
-        times, h must be positive and finite, and a failed step k, or one
-        whose model meets an OutsideDomainError, raises StepFailureError
-        naming "step k (t = ...)".
+        row is start with a zero multiplier, and on hamilton-dirac with the
+        fiber velocity v(t, x, p) in place of start.v. A start off the
+        kinematic constraint raises InconsistentInitialStateError. One call
+        of step per step, in the loop the reduced path shares: step k starts
+        at t0 + h added k times, h must be positive and finite, and a failed
+        step k, or one whose model meets an OutsideDomainError, raises
+        StepFailureError naming "step k (t = ...)".
         """
 
         n, m, K = self.n, self.constraints.m, int(n_steps)
-        # The start's kinematic row A w + B; w is the start row's v (on T*Y
-        # dH/dp, and the row ignores start.v).
-        A, B, w = self._node_row()(start.t, start.x, start.v, start.p)
-        _require_on_constraint(A, B, w)
-        row = np.concatenate([start.x, w, start.p, [start.pt], np.zeros(m)])
+        # The start row and its kinematic row A v + B; on T*Y start.v is
+        # not read.
+        v = start.v if self._velocity is None else self._velocity(start.t, start.x, start.p)
+        row = np.concatenate([start.x, v, start.p, [start.pt], np.zeros(m)])
+        _require_on_constraint(*self._points.row(start.t, start.x, row[self._side]), v)
         # A fresh workspace: no Jacobian carries over from an earlier run.
         self._lu, self._steps_since_refresh = None, 0
 

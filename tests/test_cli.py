@@ -778,6 +778,23 @@ def test_an_out_path_that_is_a_file_fails_before_integrating(tmp_path, monkeypat
     ]
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [(["run"], "nonholonomic_particle_trajectory.csv"),
+     (["compare", "--formulations", "pontryagin"], "nonholonomic_particle_compare.txt")],
+    ids=["run", "compare"],
+)
+def test_an_output_that_cannot_be_written_is_a_config_error(tmp_path, command, name):
+    # A directory where an output file goes is found only when the file is
+    # written, after the run: exit 2 in one line, not a traceback.
+    (tmp_path / name).mkdir()
+    result = invoke(command[0], "nonholonomic_particle", *command[1:], "--out", str(tmp_path))
+    assert result.exit_code == 2, all_text(result)
+    assert result.stderr.strip().splitlines() == [
+        f"config error at --out: cannot write {str(tmp_path / name)!r} (Is a directory)"
+    ]
+
+
 INF, NAN = float("inf"), float("nan")
 
 

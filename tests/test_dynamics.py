@@ -43,6 +43,7 @@ from diracsim.geometry import (
 )
 from diracsim.lagrangian import (
     ExternalForce,
+    HyperregularityError,
     TimeHamiltonian,
     TimeLagrangian,
     covariant_legendre,
@@ -399,20 +400,13 @@ def test_midpoint_conserves_quadratic_invariant():
 def test_three_formulations_agree():
     L = free_particle()
     C = affine_constraint()
-    H = TimeHamiltonian(
-        n=2,
-        value=lambda t, x, p: 0.5 * float(p @ p),
-        d_t=lambda t, x, p: 0.0,
-        d_x=lambda t, x, p: np.zeros(2),
-        d_p=lambda t, x, p: p,
-    )
     s0 = nonholonomic_initial()
     h, K = 1e-2, 100
     tp = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C).run(s0, h, K)
     tl = ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C).run(
         s0, h, K
     )
-    th_ = ImplicitMidpointStepper("hamilton-dirac", hamiltonian=H, constraints=C).run(
+    th_ = ImplicitMidpointStepper("hamilton-dirac", lagrangian=L, constraints=C).run(
         s0, h, K
     )
     for other in (tl, th_):
@@ -448,8 +442,9 @@ def test_stepper_validates_inputs():
         ImplicitMidpointStepper("leapfrog", lagrangian=L, constraints=C)
     with pytest.raises(ValueError):
         ImplicitMidpointStepper("pontryagin", constraints=C)
-    with pytest.raises(ValueError):
-        ImplicitMidpointStepper("hamilton-dirac", lagrangian=L, constraints=C)
+    degenerate = dataclasses.replace(L, regular_block=(0,))
+    with pytest.raises(HyperregularityError):
+        ImplicitMidpointStepper("hamilton-dirac", lagrangian=degenerate, constraints=C)
     with pytest.raises(ValueError):
         ImplicitMidpointStepper("pontryagin", lagrangian=L)
     F = ExternalForce(n=2, value=lambda t, x, v: np.zeros(2))
@@ -682,27 +677,25 @@ def test_monitor_invariants_shapes():
     assert inv.summary()["max_abs_energy_balance_residual"] < 1e-10
 
 
-def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
-    # 200 steps of the bundled particle refresh the Jacobian 101 times: at the
-    # first step and at 100 stall restarts. The residual at the point a
-    # Jacobian is built around is its finite-difference base and the first
-    # Newton residual at once, and a restart reuses its stalled attempt's
-    # residual at the guess: 2182 evaluations, where a second evaluation at
-    # each base point would make 2283 and one more per restart 2383. The
-    # particle broadcasts, so each Jacobian's 8 perturbed iterates are one
-    # stacked call: 2182 - 101 * 8 point calls and 101 stacked ones.
+def count_step_calls(monkeypatch, formulation):
+    # The point residuals, the stacked residuals with the rows of each, and
+    # the factorizations of 200 steps of the bundled particle.
     from diracsim import dynamics
     from diracsim.cli import BUILTINS, build_problem, run_formulation
 
-    calls = {"residual": 0, "stacked": 0, "factor": 0}
+    calls = {"residual": 0, "stacked": 0, "factor": 0, "rows": set()}
     factor = dynamics.ChordNewton._factor
 
     def counting(name, build):
         def counting_fn(self, *args):
             fn = build(self, *args)
+            if fn is None:  # no stacked residual: the solver maps the point one
+                return None
 
             def residual(y):
                 calls[name] += 1
+                if name == "stacked":
+                    calls["rows"].add(len(y))
                 return fn(y)
 
             return residual
@@ -721,8 +714,34 @@ def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
     monkeypatch.setattr(dynamics.ChordNewton, "_factor", counting_factor)
     cfg = BUILTINS["nonholonomic_particle"]()
     cfg["integrator"]["horizon"] = 0.2
-    run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
-    assert calls == {"residual": 2383 - 101 - 100 - 101 * 8, "stacked": 101, "factor": 101}
+    traj = run_formulation(build_problem(cfg, formulation), formulation)
+    return calls, int(traj.newton_iters.sum())
+
+
+def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
+    # 200 steps of the bundled particle refresh the Jacobian 101 times: at the
+    # first step and at 100 stall restarts. The residual at the point a
+    # Jacobian is built around is its finite-difference base and the first
+    # Newton residual at once, and a restart reuses its stalled attempt's
+    # residual at the guess: 2182 evaluations, where a second evaluation at
+    # each base point would make 2283 and one more per restart 2383. The
+    # particle broadcasts, so each Jacobian's 8 perturbed iterates are one
+    # stacked call: 2182 - 101 * 8 point calls and 101 stacked ones.
+    calls, _ = count_step_calls(monkeypatch, "pontryagin")
+    assert calls == {
+        "residual": 2383 - 101 - 100 - 101 * 8, "stacked": 101, "factor": 101, "rows": {8}
+    }
+
+
+def test_a_hamilton_dirac_refresh_is_one_stacked_call(monkeypatch):
+    # On T*Y the particle refreshes its Jacobian 101 times as well, each in
+    # one stacked call over its N = 2n + 1 + m = 6 perturbed iterates, and
+    # no point residual is evaluated for them: the 1371 point calls are
+    # pontryagin's 1374 less the 3 Newton updates it makes fewer (777, where
+    # pontryagin makes 780).
+    calls, updates = count_step_calls(monkeypatch, "hamilton-dirac")
+    assert updates == 780 - 3
+    assert calls == {"residual": 1374 - 3, "stacked": 101, "factor": 101, "rows": {6}}
 
 
 def test_stalled_solve_evaluates_the_guess_residual_once():
@@ -869,15 +888,14 @@ STACK_CASES = [
 def test_stacked_step_jacobian_is_the_per_column_jacobian_bitwise(monkeypatch, name, formulation):
     # Every builtin and the forced piston, as cli.run_formulation builds
     # their steppers: the open systems read the one-pass point record and
-    # the particle its broadcasting callables in one stacked call;
-    # hamilton-dirac's point-only Hamiltonian goes through the map.
+    # the particle its broadcasting callables in one stacked call, on
+    # hamilton-dirac too, with its velocities inverted point by point.
     from diracsim import cli
 
     problem = cli.build_problem(cli.load_config(name), formulation)
     stepper = cli._stepper(problem, formulation)
     traj = stepper.run(problem.initial, problem.h, 12)
-    stacked = stepper._stacked_residual_fn(float(traj.t[0]), node_row(traj, 0), problem.h)
-    assert (stacked is None) == (formulation == "hamilton-dirac")
+    assert stepper._stacked_residual_fn(float(traj.t[0]), node_row(traj, 0), problem.h)
     assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, (0, 5, 11))
 
 

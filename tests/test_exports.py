@@ -8,9 +8,10 @@ module (`th.run_reduced`); a variable, field or attribute of another object
 with the same name is no caller. Names that only other tests use do not
 count, so an export nothing runs fails here. The exceptions are the paper's T*Y and Lagrange-Dirac
 definitions that `diracsim check` is still to call (ROADMAP item I), listed
-in HOLDOVERS. Every defaulted parameter of an exported function must be
-passed by some call in those files, bar the ones in KEPT_DEFAULTS, so an
-option nothing sets fails here too. Every module's `__all__` must name only
+in HOLDOVERS. Every defaulted parameter of an exported function, or of the
+`__init__` an exported class defines, must be passed by some call in those
+files, bar the ones in KEPT_DEFAULTS, so an option nothing sets fails here
+too. Every module's `__all__` must name only
 attributes the module has.
 """
 
@@ -36,12 +37,15 @@ HOLDOVERS = (
 )
 
 
-# Defaulted parameters of exported functions that no program caller passes,
-# kept because the public function is wrong without them: the external force
-# of the residual and of the multiplier recovery on forced systems.
+# Defaulted parameters of exported functions and classes that no program
+# caller passes, kept because the public function is wrong without them: the
+# external force of the residual, of the multiplier recovery and of the
+# stepper on forced systems given as callables (the CLI hands the stepper the
+# open system's point record, which carries the force).
 KEPT_DEFAULTS = (
     "pontryagin_dirac_residual.f_ext",
     "recover_multipliers.f_ext",
+    "ImplicitMidpointStepper.f_ext",
 )
 
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
@@ -192,7 +196,8 @@ def _passes(call: ast.Call, index: int | None, param: str) -> bool:
 
 def _unpassed_defaults() -> set[str]:
     # "function.parameter" for each defaulted parameter of an exported
-    # function, holdovers aside, that no call in the caller files passes.
+    # function, or of an exported class's own __init__ (whose self no call
+    # passes), holdovers aside, that no call in the caller files passes.
     trees = {path: ast.parse(path.read_text()) for path in _caller_files()}
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
@@ -201,10 +206,13 @@ def _unpassed_defaults() -> set[str]:
     out = set()
     for name, module in _exports().items():
         definition = _definition(trees[PACKAGE / f"{module}.py"], name)
+        bound = isinstance(definition, ast.ClassDef)
+        if bound:
+            definition = _definition(definition, "__init__")
         if name in HOLDOVERS or not isinstance(definition, ast.FunctionDef):
             continue
         args = definition.args
-        positional = args.posonlyargs + args.args
+        positional = (args.posonlyargs + args.args)[bound:]
         first = len(positional) - len(args.defaults)
         defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
             (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None

@@ -30,12 +30,14 @@ from diracsim.dynamics import (
     pontryagin_dirac_residual,
 )
 from diracsim.geometry import (
+    ConstraintSet,
     PhasePoint,
     PontryaginState,
     TangentP,
     TangentTstarY,
+    _dot,
 )
-from diracsim.lagrangian import check_derivatives, legendre_dual
+from diracsim.lagrangian import TimeLagrangian, check_derivatives, covariant_legendre, legendre_dual
 from diracsim.thermo import (
     HeatSourceModel,
     MechanicalLagrangian,
@@ -820,8 +822,10 @@ def count_row_builds(monkeypatch):
 
 def start_row(stepper, s):
     # The node row (x, v, p, pt, lam) that stepper.run starts from at s: a
-    # zero multiplier, and on hamilton-dirac v = dH/dp.
-    w = stepper._node_row()(s.t, s.x, s.v, s.p)[2]
+    # zero multiplier, and on hamilton-dirac v = dH/dp, the fiber velocity.
+    w = s.v
+    if stepper.formulation == "hamilton-dirac":
+        w = legendre_dual(stepper.L).d_p(s.t, s.x, s.p)
     return np.concatenate([s.x, w, s.p, [s.pt], np.zeros(stepper.constraints.m)])
 
 
@@ -879,7 +883,7 @@ def step_residual_from_public_rows(stepper, s0, h, y, f_ext=None):
     tm, t1 = s0.t + 0.5 * h, s0.t + h
     lam = y[y.size - m :]
     if stepper.formulation == "hamilton-dirac":
-        H = stepper.H
+        H = legendre_dual(stepper.L)
         x1, p1, pt1 = y[:n], y[n : 2 * n], y[2 * n]
         zm = PhasePoint(t=tm, x=0.5 * (s0.x + x1), pt=0.5 * (s0.pt + pt1), p=0.5 * (s0.p + p1))
         rate = TangentTstarY(
@@ -921,12 +925,47 @@ def particle_stepper(formulation):
     from diracsim.cli import BUILTINS, build_problem
 
     problem = build_problem(BUILTINS["nonholonomic_particle"]())
-    if formulation == "hamilton-dirac":
-        model = {"hamiltonian": legendre_dual(problem.L)}
-    else:
-        model = {"lagrangian": problem.L}
     C = problem.vel_constraints if formulation == "pontryagin" else problem.mom_constraints
-    return ImplicitMidpointStepper(formulation, constraints=C, **model), problem.initial, problem.h
+    return ImplicitMidpointStepper(formulation, problem.L, C), problem.initial, problem.h
+
+
+def time_spring(mass=2.0):
+    # L = m|v|^2/2 - k(t)|x|^2/2 with k(t) = 1 + t^2/2, so dL/dx = -k x and
+    # dL/dt = -t|x|^2/2 are nonzero, under the particle's affine row
+    # t xdot1 - xdot2 + 0.3 sin t = 0; both broadcast over stacked points.
+    def k(t):
+        return (1.0 + 0.5 * np.square(t))[..., None]
+
+    L = TimeLagrangian(
+        n=2,
+        value=lambda t, x, v: 0.5 * mass * _dot(v, v) - 0.5 * k(t)[..., 0] * _dot(x, x),
+        d_t=lambda t, x, v: -0.5 * t * _dot(x, x),
+        d_x=lambda t, x, v: -k(t) * x,
+        d_v=lambda t, x, v: mass * v,
+        d_vv=lambda t, x, v: mass * np.eye(2),
+        broadcasts=True,
+    )
+
+    def eval_rows(t, x, w):
+        t = np.asarray(t, dtype=float)
+        A = np.stack([t, np.full_like(t, -1.0)], axis=-1)[..., None, :]
+        return A, (0.3 * np.sin(t))[..., None]
+
+    C = ConstraintSet(
+        n=2, m=1, eval_A=lambda t, x, w: eval_rows(t, x, w)[0],
+        eval_B=lambda t, x, w: eval_rows(t, x, w)[1], eval_rows=eval_rows,
+    )
+    return L, C
+
+
+def spring_stepper(formulation):
+    # The time spring from x = (0.3, -0.2) and v = (1, 0), which lie on its
+    # row at t = 0, with the momenta of their covariant Legendre image.
+    L, C = time_spring()
+    x0, v0 = np.array([0.3, -0.2]), np.array([1.0, 0.0])
+    z = covariant_legendre(L, 0.0, x0, v0)
+    s0 = PontryaginState(t=0.0, x=x0, v=v0, pt=z.pt, p=z.p)
+    return ImplicitMidpointStepper(formulation, L, C), s0, 1e-2
 
 
 def open_system_stepper(formulation, builder=None):
@@ -968,6 +1007,9 @@ THERMO_MIXED_CASES = [
         (particle_stepper, "pontryagin"),
         (particle_stepper, "lagrange-dirac"),
         (particle_stepper, "hamilton-dirac"),
+        (spring_stepper, "pontryagin"),
+        (spring_stepper, "lagrange-dirac"),
+        (spring_stepper, "hamilton-dirac"),
         (open_system_stepper, "pontryagin"),
         (open_system_stepper, "lagrange-dirac"),
         *((Path(name).stem, f) for name, f in THERMO_MIXED_CASES),
@@ -995,6 +1037,51 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
         want = step_residual_from_public_rows(stepper, s0, h, y, f_ext)
         assert got.shape == want.shape == guess.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_hamilton_dirac_rows_of_the_time_spring_by_hand():
+    # m = 2 and k(0.5) = 1.125 at x = (0.2, -0.4), p = (0.6, 1.0): the fiber
+    # velocity is p/m = (0.3, 0.5), dH/dx = k x = (0.225, -0.45) and
+    # dH/dt = t|x|^2/2 = 0.05, the negatives of L's partials there.
+    L, C = time_spring()
+    z = PhasePoint(t=0.5, x=np.array([0.2, -0.4]), pt=0.1, p=np.array([0.6, 1.0]))
+    rate = TangentTstarY(dt=1.0, dx=np.array([0.9, -1.1]), dpt=0.05, dp=np.array([0.4, -0.2]))
+    r = hamilton_dirac_residual(legendre_dual(L), C, z, rate, np.array([2.0]))
+    B = 0.3 * np.sin(0.5)
+    # Rows: xdot - dH/dp | ptdot + dH/dt - lam B | pdot + dH/dx - lam A |
+    # A dH/dp + B, with A = (0.5, -1).
+    expected = [0.6, -1.6, 0.05 + 0.05 - 2.0 * B, 0.4 + 0.225 - 1.0, -0.2 - 0.45 + 2.0,
+                0.15 - 0.5 + B]
+    npt.assert_allclose(r, expected, rtol=0.0, atol=1e-14)
+
+
+def test_three_formulations_follow_the_time_spring_reference():
+    # DOP853 on the index-reduced equations m vdot = -k x + lam (t, -1),
+    # ptdot = dL/dt + lam B, where differentiating the row along them gives
+    # lam = (k (t x1 - x2) - m (v1 + 0.3 cos t)) / (1 + t^2). Each
+    # formulation is second order: 0.132 h^2 from it at h = 1e-2 and at
+    # 5e-3. The three agree to round-off, as the free particle's do.
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        x, v = y[:2], y[2:4]
+        k = 1.0 + 0.5 * t * t
+        lam = (k * (t * x[0] - x[1]) - 2.0 * (v[0] + 0.3 * np.cos(t))) / (1.0 + t * t)
+        a = (-k * x + lam * np.array([t, -1.0])) / 2.0
+        return [*v, *a, -0.5 * t * float(x @ x) + lam * 0.3 * np.sin(t)]
+
+    runs = {}
+    for formulation in ("pontryagin", "lagrange-dirac", "hamilton-dirac"):
+        stepper, s0, h = spring_stepper(formulation)
+        runs[formulation] = traj = stepper.run(s0, h, 100)
+    ref = solve_ivp(rhs, (0.0, traj.t[-1]), [*s0.x, *s0.v, s0.pt], method="DOP853",
+                    rtol=1e-13, atol=1e-13, t_eval=traj.t)
+    assert ref.success
+    want = np.column_stack([ref.y[:4].T, ref.y[4]])
+    got = {f: np.column_stack([traj.x, traj.v, traj.pt]) for f, traj in runs.items()}
+    for formulation in runs:
+        assert np.abs(got[formulation] - want).max() <= 0.2 * h * h, formulation
+        assert np.abs(got[formulation] - got["pontryagin"]).max() <= 1e-10, formulation
 
 
 def counted_calls(calls, name, fn):

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Fingerprint every output of the bundled scenarios, for bit-identity checks.
 
-Runs `diracsim run` on every builtin scenario with each formulation it
-supports, and on configs/forced_piston.json with pontryagin and reduced, all
-at their default horizons; then `diracsim check <builtin> --seed 0`. Each run
-writes into OUTDIR/<scenario>__<formulation>/ (its CSVs, its summary, and its
-standard output as stdout.txt), each check into OUTDIR/check/<builtin>.txt.
-Prints `sha256  relpath` for every file under OUTDIR, sorted by path, so the
-listings of two source trees can be compared with diff.
+Runs `diracsim run` on every builtin scenario with each formulation its
+system kind runs on (`cli.FORMULATIONS_BY_KIND`), at its default horizon, then
+`diracsim check <builtin> --seed 0`: 18 runs and 6 checks. Each run writes
+into OUTDIR/<builtin>__<formulation>/ (its CSVs, its summary, and its
+standard output as stdout.txt), each check into OUTDIR/check/<builtin>.txt:
+78 files. Prints `sha256  relpath` for every file under OUTDIR, sorted by
+path, so the listings of two source trees can be compared with diff.
 
 The package is imported from the src/ directory next to this script, so a
 copy of the script in another checkout fingerprints that checkout:
@@ -15,7 +15,7 @@ copy of the script in another checkout fingerprints that checkout:
     python3 scripts/output_hashes.py /tmp/out > hashes.txt
 
 Exits 1 if any run or check exits nonzero, after printing the listing.
-Takes about a minute (57-68 s on 2 vCPUs, Python 3.11): the thermodynamic
+Takes about a minute (55-59 s on 2 vCPUs, Python 3.11): the thermodynamic
 runs are 10 000 steps each.
 """
 
@@ -28,15 +28,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-THERMO = ("pontryagin", "lagrange-dirac", "reduced")
+sys.path.insert(0, str(ROOT / "src"))
+from diracsim.cli import BUILTINS, FORMULATIONS_BY_KIND, load_config  # noqa: E402
+
 RUNS = [
-    *((name, f) for name in ("closed_piston", "conduction_piston",
-                             "matched_port_piston", "two_port_piston") for f in THERMO),
-    *(("nonholonomic_particle", f) for f in ("pontryagin", "lagrange-dirac", "hamilton-dirac")),
-    *((str(ROOT / "configs" / "forced_piston.json"), f) for f in ("pontryagin", "reduced")),
+    (name, f)
+    for name in sorted(BUILTINS)
+    for f in FORMULATIONS_BY_KIND[load_config(name)["system"]["kind"]]
 ]
-CHECKS = ("closed_piston", "conduction_piston", "matched_port_piston",
-          "nonholonomic_particle", "two_port_piston")
+CHECKS = sorted(BUILTINS)
 
 
 def _cli(args: list[str], stdout_path: Path) -> int:
@@ -54,12 +54,12 @@ def main() -> int:
     out = args.outdir
 
     failed = []
-    for config, formulation in RUNS:
-        rundir = out / f"{Path(config).stem}__{formulation}"
+    for name, formulation in RUNS:
+        rundir = out / f"{name}__{formulation}"
         rundir.mkdir(parents=True, exist_ok=True)
-        cmd = ["run", config, "--formulation", formulation, "--out", str(rundir)]
+        cmd = ["run", name, "--formulation", formulation, "--out", str(rundir)]
         if _cli(cmd, rundir / "stdout.txt") != 0:
-            failed.append(f"{Path(config).stem} {formulation}")
+            failed.append(f"{name} {formulation}")
     (out / "check").mkdir(parents=True, exist_ok=True)
     for name in CHECKS:
         if _cli(["check", name, "--seed", "0"], out / "check" / f"{name}.txt") != 0:

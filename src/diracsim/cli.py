@@ -61,7 +61,12 @@ from .lagrangian import (
 )
 from . import thermo as th
 
-FORMULATIONS_THERMO = ("pontryagin", "lagrange-dirac", "reduced")
+# The formulations each system kind runs on, in the order `compare` runs them
+# by default: build_problem accepts these and no others.
+FORMULATIONS_BY_KIND = {
+    "ideal_gas": ("pontryagin", "lagrange-dirac", "reduced"),
+    "nonholonomic_particle": FORMULATIONS,
+}
 
 HAMILTON_DIRAC_THERMO_MESSAGE = (
     "hamilton-dirac is unavailable for open thermodynamic systems: the "
@@ -301,6 +306,7 @@ BUILTINS = {
         "conduction_piston",
         "matched_port_piston",
         "closed_piston",
+        "forced_piston",
         "nonholonomic_particle",
     )
 }
@@ -500,13 +506,18 @@ def _finite_initial(state: PontryaginState) -> PontryaginState:
     return state
 
 
+def _kind(cfg: dict) -> str:
+    kind = _get(cfg, "system.kind", required=True)
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError("system.kind", f"unknown kind {kind!r}")
+    return kind
+
+
 # A start whose energy or rates overflow shows it in its values, which
 # _finite_initial rejects; numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem:
-    kind = _get(cfg, "system.kind", required=True)
-    if not isinstance(kind, str) or kind not in _KIND_KEYS:
-        raise ConfigError("system.kind", f"unknown kind {kind!r}")
+    kind = _kind(cfg)
     for field, keys in {**_KEYS, **_KIND_KEYS[kind]}.items():
         _known(cfg.get(field, {}) if field else cfg, field, keys)
     h = _positive(cfg, "integrator.h")
@@ -523,9 +534,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             "integrator.horizon",
             f"{horizon!r} is not a whole number of steps of h = {h!r}",
         )
-    formulation = formulation_override or _get(
-        cfg, "integrator.formulation", "pontryagin"
-    )
+    formulation = formulation_override or _get(cfg, "integrator.formulation", "pontryagin")
     t0 = _number(cfg, "initial.t0", 0.0)
     # The end time is finite, and a step of h, at least the float spacing of
     # the grid's largest time, moves every time.
@@ -537,16 +546,18 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         kind=kind, h=h, n_steps=n_steps, formulation=formulation,
         tolerances=_tolerances(cfg), prefix=_prefix(cfg),
     )
+    formulations = FORMULATIONS_BY_KIND[kind]
+    if formulation not in formulations:
+        if kind == "nonholonomic_particle":
+            msg = f"{formulation!r} not valid for a mechanical system (choose from {formulations})"
+        elif formulation == "hamilton-dirac":
+            msg = HAMILTON_DIRAC_THERMO_MESSAGE
+        else:
+            msg = f"{formulation!r} not in {formulations}"
+        raise ConfigError("integrator.formulation", msg)
 
     if kind == "ideal_gas":
         system, n_q = _build_thermo_system(cfg)
-        if formulation not in FORMULATIONS_THERMO:
-            if formulation == "hamilton-dirac":
-                raise ConfigError("integrator.formulation", HAMILTON_DIRAC_THERMO_MESSAGE)
-            raise ConfigError(
-                "integrator.formulation",
-                f"{formulation!r} not in {FORMULATIONS_THERMO}",
-            )
         ts0 = th.ThermoState(
             q=_vector(cfg, "initial.q", n_q),
             v_q=_vector(cfg, "initial.v_q", n_q),
@@ -557,14 +568,7 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
             Sigma=_number(cfg, "initial.Sigma", 0.0),
         )
         L = th.build_extended_lagrangian(system)
-        force = None
-        if system.f_ext is not None:
-            if formulation == "lagrange-dirac":
-                raise ConfigError(
-                    "system.external_force",
-                    "external forces run on the pontryagin or reduced path",
-                )
-            force = th.build_external_force(system)
+        force = None if system.f_ext is None else th.build_external_force(system)
         try:
             initial = th.initial_pontryagin_state(system, t0, ts0)
         except th.NonpositiveTemperatureError as exc:
@@ -581,12 +585,6 @@ def build_problem(cfg: dict, formulation_override: str | None = None) -> Problem
         )
 
     # kind == "nonholonomic_particle"
-    if formulation not in FORMULATIONS:
-        raise ConfigError(
-            "integrator.formulation",
-            f"{formulation!r} not valid for a mechanical system "
-            f"(choose from {FORMULATIONS})",
-        )
     L, constraints = _nonholonomic_setup(cfg)
     x0 = _vector(cfg, "initial.x", 2)
     v0 = _vector(cfg, "initial.v", 2)
@@ -854,8 +852,8 @@ def run(config, formulation, out, tol):
 @click.argument("config")
 @click.option(
     "--formulations",
-    default="pontryagin,lagrange-dirac,reduced",
-    help="Comma-separated formulations to run and compare.",
+    default=None,
+    help="Comma-separated formulations to run and compare (default: all of the config's kind).",
 )
 @click.option("--out", default=None, help="Optional output directory for a report.")
 @click.option(
@@ -866,11 +864,12 @@ def compare(config, formulations, out, tol):
     """Run several formulations of one scenario and compare pointwise."""
 
     tol = 1e-6 if tol is None else tol
-    names = [f.strip() for f in formulations.split(",") if f.strip()]
-    if not names:
+    names = [f.strip() for f in (formulations or "").split(",") if f.strip()]
+    if formulations is not None and not names:
         _fail(ConfigError("--formulations", "need at least one formulation"), 2)
     with _exit_codes():
         cfg = load_config(config)
+        names = names or list(FORMULATIONS_BY_KIND[_kind(cfg)])
         # One problem per name validates every name before anything runs.
         problems = {name: build_problem(cfg, name) for name in names}
         if out is not None:

@@ -542,10 +542,11 @@ class ImplicitMidpointStepper(ChordNewton):
     points, the open system's one-pass record of the same model
     (thermo._mixed_points), or else one call of each of the lagrangian's,
     constraints' and f_ext's. On T*Y the record is read at v(t, x, p).
-    Given points, f_ext must be None: the record carries the force. A
-    Jacobian refresh evaluates the step residual at its perturbed iterates
-    in one stacked call of points (per block of columns) when it broadcasts,
-    and one call per iterate otherwise.
+    The record's momentum row subtracts the external force, so a force acts
+    on all three formulations. Given points, f_ext must be None: the record
+    carries the force. A Jacobian refresh evaluates the step residual at its
+    perturbed iterates in one stacked call of points (per block of columns)
+    when it broadcasts, and one call per iterate otherwise.
     """
 
     def __init__(
@@ -566,8 +567,6 @@ class ImplicitMidpointStepper(ChordNewton):
             raise ValueError("a ConstraintSet is required (use unconstrained(n))")
         if constraints.n != lagrangian.n:
             raise ValueError("constraint dimension does not match the system")
-        if f_ext is not None and formulation != "pontryagin":
-            raise ValueError("external forces are only supported on the pontryagin path")
         if f_ext is not None and points is not None:
             raise ValueError("give f_ext or points, not both: points carries the force")
 

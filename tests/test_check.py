@@ -27,7 +27,6 @@ from diracsim.geometry import RANK_RTOL, ConstraintSet, DegenerateConstraintErro
 from diracsim.lagrangian import TimeLagrangian, check_derivatives
 
 ROOT = Path(__file__).resolve().parents[1]
-FORCED = str(ROOT / "configs" / "forced_piston.json")
 
 
 # -- the per-point reference ---------------------------------------------------
@@ -344,7 +343,7 @@ def run_check(config, seed, samples, steps, corrupt=0.0):
 # -- the command against the reference ----------------------------------------------
 
 
-CONFIGS = sorted(BUILTINS) + [FORCED]
+CONFIGS = sorted(BUILTINS)
 
 
 @pytest.mark.parametrize("config", CONFIGS)

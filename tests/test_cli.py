@@ -332,9 +332,7 @@ def test_an_overflowing_particle_start_is_one_config_error_line(tmp_path, warnin
     assert "Warning" not in result.stderr and result.stdout == ""
 
 
-@pytest.mark.parametrize(
-    "source", [*BUILTINS, str(Path(__file__).parent.parent / "configs" / "forced_piston.json")]
-)
+@pytest.mark.parametrize("source", list(BUILTINS))
 def test_every_start_is_the_covariant_legendre_image(source):
     problem = build_problem(load_config(source))
     s = problem.initial
@@ -384,13 +382,11 @@ def test_run_mole_number_rate_equals_port_flows(tmp_path):
 
 # -- convergence order -----------------------------------------------------
 
-FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
-THERMO_BUILTINS = [name for name in BUILTINS if name != "nonholonomic_particle"]
-ORDER_CASES = [
-    *((name, f) for name in THERMO_BUILTINS for f in cli.FORMULATIONS_THERMO),
-    *(("nonholonomic_particle", f) for f in cli.FORMULATIONS),
-    (FORCED_PISTON, "pontryagin"),
-    (FORCED_PISTON, "reduced"),
+# Every (builtin, formulation) pair the formulation table accepts.
+SUPPORTED = [
+    (name, f)
+    for name in BUILTINS
+    for f in cli.FORMULATIONS_BY_KIND[load_config(name)["system"]["kind"]]
 ]
 # A component whose difference between the two coarsest levels is below
 # _ROUND_OFF * max(1, max |value|) sits at round-off and shows no order.
@@ -410,9 +406,7 @@ def level_difference(name, coarse, fine):
     return float(np.max(np.abs(coarse - fine), initial=0.0))
 
 
-@pytest.mark.parametrize(
-    "source, formulation", ORDER_CASES, ids=[f"{Path(s).stem}-{f}" for s, f in ORDER_CASES]
-)
+@pytest.mark.parametrize("source, formulation", SUPPORTED)
 def test_every_scenario_and_formulation_is_second_order(source, formulation):
     # Four levels h = 0.02 / 2^k to t = 0.2: the differences of successive
     # levels shrink by 4 per halving on x, p and pt at the final node and on
@@ -845,8 +839,6 @@ def test_run_rejects_partial_last_step(tmp_path):
 def test_whole_step_horizons_still_load():
     for name in BUILTINS:
         build_problem(load_config(name))
-    for path in sorted((Path(__file__).parent.parent / "configs").glob("*.json")):
-        build_problem(load_config(str(path)))
     # Horizons written as steps * h, as scripts generate them.
     for h in (1e-3, 2e-3, 5e-4, 0.01, 0.3):
         for steps in range(1, 3000, 37):
@@ -964,13 +956,6 @@ def test_reduced_run_records_newton_iterations():
     assert np.all(traj.newton_iters >= 1)
 
 
-SUPPORTED = [
-    (name, f)
-    for name in sorted(BUILTINS)
-    for f in (cli.FORMULATIONS if name == "nonholonomic_particle" else cli.FORMULATIONS_THERMO)
-]
-
-
 @pytest.mark.parametrize("name, formulation", SUPPORTED)
 def test_every_path_starts_at_its_start_point(name, formulation):
     # The first node of every path is problem.initial, bit for bit; the
@@ -1040,16 +1025,6 @@ def test_run_hamilton_dirac_unavailable_for_thermo(tmp_path):
     assert "hamilton-dirac is unavailable" in all_text(result)
     assert "degenerate" in all_text(result)
     assert result.stderr.startswith("config error at integrator.formulation")
-
-
-def test_run_external_force_rejected_on_lagrange_dirac(tmp_path):
-    cfg = thermo_cfg()
-    cfg["system"]["external_force"] = 0.1
-    cfg["integrator"]["formulation"] = "lagrange-dirac"
-    path = write_cfg(tmp_path, cfg)
-    result = invoke("run", path, "--out", str(tmp_path))
-    assert result.exit_code == 2
-    assert "pontryagin or reduced" in all_text(result)
 
 
 def test_run_unknown_config_name():
@@ -1230,17 +1205,11 @@ def test_compare_needs_a_formulation(tmp_path):
 
 @pytest.mark.parametrize(
     "config, formulations, field",
-    [
-        ("closed_piston", "reduced,foo", "integrator.formulation"),
-        ("forced_piston", "pontryagin,lagrange-dirac", "system.external_force"),
-        ("forced_piston", "lagrange-dirac,pontryagin", "system.external_force"),
-    ],
+    [("closed_piston", "reduced,foo", "integrator.formulation")],
 )
 def test_compare_validates_every_formulation(config, formulations, field):
     # Each name is checked against the scenario before anything runs, not only
-    # the first: lagrange-dirac would silently drop the external force.
-    if config == "forced_piston":
-        config = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
+    # the first.
     result = invoke("compare", config, "--formulations", formulations)
     assert result.exit_code == 2, all_text(result)
     lines = result.stderr.strip().splitlines()
@@ -1263,6 +1232,26 @@ def test_compare_mechanical(tmp_path):
         "compare", path, "--formulations", "pontryagin,lagrange-dirac,hamilton-dirac"
     )
     assert result.exit_code == 0, all_text(result)
+
+
+@pytest.mark.parametrize(
+    "name, formulations",
+    [
+        ("nonholonomic_particle", "pontryagin, lagrange-dirac, hamilton-dirac"),
+        ("forced_piston", "pontryagin, lagrange-dirac, reduced"),
+    ],
+)
+def test_compare_defaults_to_the_formulations_of_the_system_kind(tmp_path, name, formulations):
+    # Each builtin to t = 1. The model record carries the forced piston's
+    # force on both DAE formulations, so they agree to round-off.
+    cfg = BUILTINS[name]()
+    cfg["integrator"]["horizon"] = 1.0
+    result = invoke("compare", write_cfg(tmp_path, cfg))
+    assert result.exit_code == 0, all_text(result)
+    lines = result.output.splitlines()
+    assert lines[0].startswith(f"compare: {formulations} over 1000 steps")
+    assert lines[1].startswith("pontryagin vs lagrange-dirac:")
+    assert float(lines[1].rsplit(" ", 1)[1]) <= 1e-12
 
 
 # -- check -----------------------------------------------------------------
@@ -1515,10 +1504,9 @@ def valid_configs(draw):
 @settings(max_examples=30, deadline=None)
 @given(cfg=valid_configs(), command=st.sampled_from(["run", "compare", "check"]))
 def test_commands_end_in_a_documented_exit_code_in_one_line(tmp_path_factory, cfg, command):
-    # run, compare and check end in exit 0, 1, 2 or 3, never in a traceback;
-    # a config or solver error is one line on stderr, with no numpy warning.
-    # The configs load, so only compare exits 2: its default formulations
-    # include lagrange-dirac, which rejects a force.
+    # run, compare and check end in exit 0, 1 or 3, never in a traceback; a
+    # solver error is one line on stderr, with no numpy warning. The configs
+    # load, so no command exits 2.
     out = tmp_path_factory.mktemp("out")
     path = write_cfg(out, cfg)
     args = {
@@ -1530,6 +1518,6 @@ def test_commands_end_in_a_documented_exit_code_in_one_line(tmp_path_factory, cf
         warnings.simplefilter("error")
         result = invoke(command, path, *args)
     assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
-    assert result.exit_code in ((0, 1, 2, 3) if command == "compare" else (0, 1, 3)), all_text(result)
-    if result.exit_code in (2, 3):
+    assert result.exit_code in (0, 1, 3), all_text(result)
+    if result.exit_code == 3:
         assert len(result.stderr.strip().splitlines()) == 1, all_text(result)

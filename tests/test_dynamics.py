@@ -7,7 +7,6 @@ integration (DOP853 at tolerance 1e-13) of the index-reduced equations of the
 affine nonholonomic test system."""
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -447,9 +446,6 @@ def test_stepper_validates_inputs():
         ImplicitMidpointStepper("hamilton-dirac", lagrangian=degenerate, constraints=C)
     with pytest.raises(ValueError):
         ImplicitMidpointStepper("pontryagin", lagrangian=L)
-    F = ExternalForce(n=2, value=lambda t, x, v: np.zeros(2))
-    with pytest.raises(ValueError):
-        ImplicitMidpointStepper("lagrange-dirac", lagrangian=L, constraints=C, f_ext=F)
 
 
 def test_run_rejects_inconsistent_initial_state():
@@ -823,9 +819,6 @@ def test_trial_iterates_outside_the_domain_in_both_attempts_fail_the_step():
 # -- the stacked step Jacobian ---------------------------------------------
 
 
-FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
-
-
 def per_column_jacobian(residual, y):
     # The finite-difference step Jacobian at y from one residual call per
     # column: column j perturbs y_j by 1.49e-8 (1 + |y_j|).
@@ -877,16 +870,16 @@ def assert_stacked_jacobians_are_per_column(monkeypatch, stepper, traj, steps):
 
 
 STACK_CASES = [
-    *((name, f) for name in ("closed_piston", "conduction_piston", "matched_port_piston",
-                             "two_port_piston") for f in ("pontryagin", "lagrange-dirac")),
-    (FORCED_PISTON, "pontryagin"),
+    *((name, f) for name in ("closed_piston", "conduction_piston", "forced_piston",
+                             "matched_port_piston", "two_port_piston")
+      for f in ("pontryagin", "lagrange-dirac")),
     *(("nonholonomic_particle", f) for f in ("pontryagin", "lagrange-dirac", "hamilton-dirac")),
 ]
 
 
 @pytest.mark.parametrize("name, formulation", STACK_CASES)
 def test_stacked_step_jacobian_is_the_per_column_jacobian_bitwise(monkeypatch, name, formulation):
-    # Every builtin and the forced piston, as cli.run_formulation builds
+    # Every builtin on each DAE formulation, as cli.run_formulation builds
     # their steppers: the open systems read the one-pass point record and
     # the particle its broadcasting callables in one stacked call, on
     # hamilton-dirac too, with its velocities inverted point by point.
@@ -901,7 +894,7 @@ def test_stacked_step_jacobian_is_the_per_column_jacobian_bitwise(monkeypatch, n
 
 @pytest.mark.parametrize(
     "name, formulation",
-    [(FORCED_PISTON, "pontryagin"), ("two_port_piston", "lagrange-dirac")],
+    [("forced_piston", "pontryagin"), ("two_port_piston", "lagrange-dirac")],
 )
 def test_stacked_jacobian_of_an_open_system_given_as_callables(monkeypatch, name, formulation):
     # The open system's L, constraint set and force handed to the stepper as
@@ -1079,7 +1072,7 @@ def test_stepper_rejects_a_force_beside_points():
     # it would be ignored.
     from diracsim import cli, thermo
 
-    problem = cli.build_problem(cli.load_config(FORCED_PISTON))
+    problem = cli.build_problem(cli.load_config("forced_piston"))
     points = thermo._mixed_points(problem.system, False)
     with pytest.raises(ValueError, match="points carries the force"):
         ImplicitMidpointStepper(

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from diracsim import cli
 from diracsim.cli import BUILTINS, ConfigError, build_problem
 from diracsim.dynamics import FORMULATIONS
 
@@ -108,7 +107,7 @@ def test_a_columns_rule_that_matches_no_header_fails(tmp_path, monkeypatch, caps
 
 def accepted_formulations(cfg):
     accepted = []
-    for formulation in sorted({*FORMULATIONS, *cli.FORMULATIONS_THERMO}):
+    for formulation in sorted({*FORMULATIONS, "reduced"}):
         try:
             build_problem(cfg, formulation)
         except ConfigError:
@@ -121,9 +120,7 @@ def test_output_hashes_runs_every_scenario_and_formulation_the_cli_accepts():
     # output_hashes.py is the one runner of the bundled scenarios, for the
     # bounds gate and for CI's smoke step: a scenario or formulation missing
     # from its lists would go unchecked by both.
-    forced = str(ROOT / "configs" / "forced_piston.json")
     expected = [(name, f) for name in BUILTINS for f in accepted_formulations(BUILTINS[name]())]
-    expected += [(forced, f) for f in accepted_formulations(cli.load_config(forced))]
     assert sorted(output_hashes.RUNS) == sorted(expected)
     assert len(set(output_hashes.RUNS)) == len(output_hashes.RUNS)
     assert list(output_hashes.CHECKS) == sorted(BUILTINS)

@@ -10,7 +10,6 @@ T_source = 320. Then P_M = 0.4 + 3.1 = 3.5, P_H = 3.2, and the production
 I = 2/300 + 0.5/300 + 0.2/300 = 0.009."""
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,7 +36,13 @@ from diracsim.geometry import (
     TangentTstarY,
     _dot,
 )
-from diracsim.lagrangian import TimeLagrangian, check_derivatives, covariant_legendre, legendre_dual
+from diracsim.lagrangian import (
+    ExternalForce,
+    TimeLagrangian,
+    check_derivatives,
+    covariant_legendre,
+    legendre_dual,
+)
 from diracsim.thermo import (
     HeatSourceModel,
     MechanicalLagrangian,
@@ -958,14 +963,14 @@ def time_spring(mass=2.0):
     return L, C
 
 
-def spring_stepper(formulation):
+def spring_stepper(formulation, f_ext=None):
     # The time spring from x = (0.3, -0.2) and v = (1, 0), which lie on its
     # row at t = 0, with the momenta of their covariant Legendre image.
     L, C = time_spring()
     x0, v0 = np.array([0.3, -0.2]), np.array([1.0, 0.0])
     z = covariant_legendre(L, 0.0, x0, v0)
     s0 = PontryaginState(t=0.0, x=x0, v=v0, pt=z.pt, p=z.p)
-    return ImplicitMidpointStepper(formulation, L, C), s0, 1e-2
+    return ImplicitMidpointStepper(formulation, L, C, f_ext=f_ext), s0, 1e-2
 
 
 def open_system_stepper(formulation, builder=None):
@@ -984,20 +989,19 @@ def open_system_stepper(formulation, builder=None):
 
 
 def builtin_stepper(name, formulation):
-    # A builtin's (or configs/*.json's) stepper as cli.run_formulation builds
-    # it, and the problem's external force, which its point record carries.
+    # A builtin's stepper as cli.run_formulation builds it, and the
+    # problem's external force, which its point record carries.
     from diracsim import cli
 
     problem = cli.build_problem(cli.load_config(name))
     return cli._stepper(problem, formulation), problem.initial, problem.h, problem.f_ext_force
 
 
-FORCED_PISTON = str(Path(__file__).resolve().parents[1] / "configs" / "forced_piston.json")
-THERMO_BUILTINS = ["closed_piston", "conduction_piston", "matched_port_piston", "two_port_piston"]
-# Every open-system scenario on each mixed formulation it runs.
+THERMO_BUILTINS = ["closed_piston", "conduction_piston", "forced_piston", "matched_port_piston",
+                   "two_port_piston"]
+# Every open-system scenario on each mixed formulation.
 THERMO_MIXED_CASES = [
-    *((name, f) for name in THERMO_BUILTINS for f in ("pontryagin", "lagrange-dirac")),
-    (FORCED_PISTON, "pontryagin"),
+    (name, f) for name in THERMO_BUILTINS for f in ("pontryagin", "lagrange-dirac")
 ]
 
 
@@ -1012,7 +1016,7 @@ THERMO_MIXED_CASES = [
         (spring_stepper, "hamilton-dirac"),
         (open_system_stepper, "pontryagin"),
         (open_system_stepper, "lagrange-dirac"),
-        *((Path(name).stem, f) for name, f in THERMO_MIXED_CASES),
+        *(case for case in THERMO_MIXED_CASES if case != ("forced_piston", "lagrange-dirac")),
     ],
 )
 def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation):
@@ -1020,10 +1024,11 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
     # for bit, at random points around its first Newton guess, on a step
     # that starts away from t = 0. The open systems' steppers read the
     # one-pass point record; the public residuals call the model's L, C and
-    # f_ext through the adapter of models given as callables.
+    # f_ext through the adapter of models given as callables. The forced
+    # piston runs on pontryagin only: the public lagrange_dirac_residual
+    # takes no force.
     if isinstance(build, str):
-        name = FORCED_PISTON if build == "forced_piston" else build
-        stepper, s0, h, f_ext = builtin_stepper(name, formulation)
+        stepper, s0, h, f_ext = builtin_stepper(build, formulation)
     else:
         (stepper, s0, h), f_ext = build(formulation), None
     s0 = dataclasses.replace(s0, t=0.9)
@@ -1056,32 +1061,44 @@ def test_hamilton_dirac_rows_of_the_time_spring_by_hand():
 
 
 def test_three_formulations_follow_the_time_spring_reference():
-    # DOP853 on the index-reduced equations m vdot = -k x + lam (t, -1),
+    # DOP853 on the index-reduced equations m vdot = -k x + lam (t, -1) + F,
     # ptdot = dL/dt + lam B, where differentiating the row along them gives
-    # lam = (k (t x1 - x2) - m (v1 + 0.3 cos t)) / (1 + t^2). Each
-    # formulation is second order: 0.132 h^2 from it at h = 1e-2 and at
-    # 5e-3. The three agree to round-off, as the free particle's do.
+    # lam = (k (t x1 - x2) - (t F1 - F2) - m (v1 + 0.3 cos t)) / (1 + t^2).
+    # Without a force and with F(t) = (cos 2t, sin t) / 2, given as callables
+    # that the record carries on all three formulations, each is second
+    # order: 0.132 h^2 and 0.122 h^2 from it at h = 1e-2 and at 5e-3. The
+    # three agree to round-off, as the free particle's do. The force moves
+    # the end state by 0.105, so a formulation that dropped it would miss
+    # the bound.
     from scipy.integrate import solve_ivp
 
-    def rhs(t, y):
-        x, v = y[:2], y[2:4]
-        k = 1.0 + 0.5 * t * t
-        lam = (k * (t * x[0] - x[1]) - 2.0 * (v[0] + 0.3 * np.cos(t))) / (1.0 + t * t)
-        a = (-k * x + lam * np.array([t, -1.0])) / 2.0
-        return [*v, *a, -0.5 * t * float(x @ x) + lam * 0.3 * np.sin(t)]
+    force = ExternalForce(
+        n=2, value=lambda t, x, v: 0.5 * np.stack([np.cos(2.0 * t), np.sin(t)], axis=-1),
+        broadcasts=True,
+    )
+    for f_ext in (None, force):
 
-    runs = {}
-    for formulation in ("pontryagin", "lagrange-dirac", "hamilton-dirac"):
-        stepper, s0, h = spring_stepper(formulation)
-        runs[formulation] = traj = stepper.run(s0, h, 100)
-    ref = solve_ivp(rhs, (0.0, traj.t[-1]), [*s0.x, *s0.v, s0.pt], method="DOP853",
-                    rtol=1e-13, atol=1e-13, t_eval=traj.t)
-    assert ref.success
-    want = np.column_stack([ref.y[:4].T, ref.y[4]])
-    got = {f: np.column_stack([traj.x, traj.v, traj.pt]) for f, traj in runs.items()}
-    for formulation in runs:
-        assert np.abs(got[formulation] - want).max() <= 0.2 * h * h, formulation
-        assert np.abs(got[formulation] - got["pontryagin"]).max() <= 1e-10, formulation
+        def rhs(t, y):
+            x, v = y[:2], y[2:4]
+            F = np.zeros(2) if f_ext is None else f_ext.value(t, x, v)
+            k = 1.0 + 0.5 * t * t
+            lam = (k * (t * x[0] - x[1]) - (t * F[0] - F[1]) - 2.0 * (v[0] + 0.3 * np.cos(t)))
+            lam /= 1.0 + t * t
+            a = (-k * x + lam * np.array([t, -1.0]) + F) / 2.0
+            return [*v, *a, -0.5 * t * float(x @ x) + lam * 0.3 * np.sin(t)]
+
+        runs = {}
+        for formulation in ("pontryagin", "lagrange-dirac", "hamilton-dirac"):
+            stepper, s0, h = spring_stepper(formulation, f_ext)
+            runs[formulation] = traj = stepper.run(s0, h, 100)
+        ref = solve_ivp(rhs, (0.0, traj.t[-1]), [*s0.x, *s0.v, s0.pt], method="DOP853",
+                        rtol=1e-13, atol=1e-13, t_eval=traj.t)
+        assert ref.success
+        want = np.column_stack([ref.y[:4].T, ref.y[4]])
+        got = {f: np.column_stack([traj.x, traj.v, traj.pt]) for f, traj in runs.items()}
+        for formulation in runs:
+            assert np.abs(got[formulation] - want).max() <= 0.2 * h * h, (formulation, f_ext)
+            assert np.abs(got[formulation] - got["pontryagin"]).max() <= 1e-10, formulation
 
 
 def counted_calls(calls, name, fn):
@@ -1096,7 +1113,7 @@ def counted_calls(calls, name, fn):
 @pytest.mark.parametrize(
     "name, formulation",
     [
-        *((Path(name).stem, f) for name, f in THERMO_MIXED_CASES),
+        *THERMO_MIXED_CASES,
         ("nonholonomic_particle", "pontryagin"),
         ("nonholonomic_particle", "lagrange-dirac"),
     ],
@@ -1109,7 +1126,7 @@ def test_step_residual_evaluates_the_model_once_per_point(monkeypatch, name, for
     # with one temperature. A particle's L and C are called once each.
     from diracsim import cli
 
-    problem = cli_problem(FORCED_PISTON if name == "forced_piston" else name)
+    problem = cli_problem(name)
     t0, h = problem.initial.t, problem.h
     tm, t1 = t0 + 0.5 * h, t0 + h
     calls = []
@@ -1450,7 +1467,7 @@ def bits(values):
 def builtin_systems():
     from diracsim import cli
 
-    problems = [cli.build_problem(cli.load_config(n)) for n in THERMO_BUILTINS + [FORCED_PISTON]]
+    problems = [cli.build_problem(cli.load_config(n)) for n in THERMO_BUILTINS]
     return [(p.system, p.ts0) for p in problems]
 
 
@@ -1516,7 +1533,7 @@ def test_reduced_run_evaluates_the_field_once_per_node_and_residual(monkeypatch)
     assert len(calls) == 1 + 100 + 135 + 100 + 2 * 7
 
 
-@pytest.mark.parametrize("name", THERMO_BUILTINS + [FORCED_PISTON])
+@pytest.mark.parametrize("name", THERMO_BUILTINS)
 def test_lifted_node_velocities_are_the_field_at_each_node_bitwise(name):
     # The lift reads the bookkeeping velocities from one balance over all
     # nodes; each equals the field's rates at that node alone.

@@ -15,7 +15,7 @@ copy of the script in another checkout fingerprints that checkout:
     python3 scripts/output_hashes.py /tmp/out > hashes.txt
 
 Exits 1 if any run or check exits nonzero, after printing the listing.
-Takes about a minute (55-59 s on 2 vCPUs, Python 3.11): the thermodynamic
+Takes under a minute (45-47 s on 2 vCPUs, Python 3.11): the thermodynamic
 runs are 10 000 steps each.
 """
 

@@ -383,6 +383,10 @@ class Trajectory:
 
 # Residual floor for the polish iterations after the main tolerance is met.
 _POLISH_FLOOR = 1e-15
+# Polish iterations of a converged stepper solve. The entropy diagnostic of
+# monitor_invariants amplifies Newton's round-off by 1/h (ROADMAP G), so the
+# DAE paths keep them.
+_STEPPER_POLISH = 3
 # Converged steps after which the cached Jacobian is rebuilt even if the
 # chord iteration has not stalled.
 _JACOBIAN_REFRESH = 50
@@ -404,14 +408,17 @@ class ChordNewton:
     evaluates the residual at its perturbed iterates through one stacked
     residual per block of them, which the caller may give and which is
     otherwise a map of the point residual; a perturbed iterate outside the
-    domain fails the rebuild as a non-finite Jacobian. A
-    converged solve is polished toward _POLISH_FLOOR. The convergence test is
-    the max-norm of the residual against tol. An instance must not be shared
+    domain fails the rebuild as a non-finite Jacobian. The convergence test is
+    the max-norm of the residual against tol. A converged solve then makes at
+    most polish more chord iterations toward _POLISH_FLOOR, each kept only if
+    it lowers the residual; with polish = 0 it stops at convergence, as
+    Hairer-Wanner's simplified Newton does. An instance must not be shared
     across threads.
     """
 
-    def __init__(self, tol: float):
+    def __init__(self, tol: float, polish: int):
         self.tol = float(tol)
+        self.polish = int(polish)
         self._lu = None
         self._steps_since_refresh = 0
 
@@ -501,9 +508,9 @@ class ChordNewton:
                     # Chord iteration stalled; retry once with a fresh Jacobian.
                     break
             if converged:
-                # Free polish iterations push the residual toward round-off so
+                # Polish iterations push the residual toward round-off so
                 # per-step errors stay far below the monitoring tolerances.
-                for _ in range(3):
+                for _ in range(self.polish):
                     if rn <= _POLISH_FLOOR:
                         break
                     y2 = y - _chord_solve(lu, r)
@@ -534,8 +541,9 @@ class ImplicitMidpointStepper(ChordNewton):
     without v on T*Y, where v is the lagrangian's fiber velocity v(t, x, p)
     at the node: legendre_dual's inversion, so a lagrangian that is not
     hyperregular raises HyperregularityError here. Each step is one
-    ChordNewton solve to tolerance _NEWTON_TOL, so a stepper instance owns
-    its Newton workspace and must not be shared across threads.
+    ChordNewton solve to tolerance _NEWTON_TOL, then up to _STEPPER_POLISH
+    polish iterations, so a stepper instance owns its Newton workspace and
+    must not be shared across threads.
 
     Every formulation reads one model record: a step residual evaluates the
     model once at its midpoint and its row once at its new node, through
@@ -570,7 +578,7 @@ class ImplicitMidpointStepper(ChordNewton):
         if f_ext is not None and points is not None:
             raise ValueError("give f_ext or points, not both: points carries the force")
 
-        super().__init__(_NEWTON_TOL)
+        super().__init__(_NEWTON_TOL, _STEPPER_POLISH)
         self.formulation = formulation
         self.n = n = lagrangian.n
         self.L = lagrangian

@@ -722,15 +722,17 @@ def run_reduced(
     the run reads its t, pt, the q, S, N, Gamma, W and Sigma slots of x and
     the q slots of v, so the trajectory's first node is start. Each step
     solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's chord
-    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL), in the loop
-    the stepper shares: step k starts at t0 + k h, and a failure raises
-    StepFailureError naming "reduced step k (t = ...)". h must be positive
+    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL). It stops at
+    convergence, with no polish: no output of this path amplifies the last
+    round-off, and a polish trial, rejected on nearly every step, would cost
+    one field evaluation. The steps run in the loop the stepper shares: step
+    k starts at t0 + k h, and a failure raises StepFailureError naming
+    "reduced step k (t = ...)". h must be positive
     and finite. The momentum conjugate to time advances with the midpoint
     rate -(P_M + P_H). The returned trajectory is lifted to the full bundle
     arrays (velocities of the bookkeeping slots are the reduced rates,
     momenta the fiber derivative, multiplier exactly 1), with formulation
-    "reduced". newton_iters counts each step's Newton updates, polish
-    iterations included.
+    "reduced". newton_iters counts each step's Newton updates.
 
     Newton starts from the polynomial through the accepted nodes, extrapolated
     one step (Hairer-Wanner, Solving ODEs II, IV.8): step 0 from the explicit
@@ -744,7 +746,7 @@ def run_reduced(
     """
 
     n_q, lay, K = sys.n_q, sys.layout, int(n_steps)
-    solver = ChordNewton(_REDUCED_NEWTON_TOL)
+    solver = ChordNewton(_REDUCED_NEWTON_TOL, polish=0)
     accepted = deque(maxlen=2)  # the nodes y_k-2 and y_k-1 before step k's start y_k
 
     def advance(k, t, y0):

@@ -740,6 +740,50 @@ def test_a_hamilton_dirac_refresh_is_one_stacked_call(monkeypatch):
     assert calls == {"residual": 1374 - 3, "stacked": 101, "factor": 101, "rows": {6}}
 
 
+@pytest.mark.parametrize(
+    "name, trials",
+    [("nonholonomic_particle", (215, 194, 780)), ("two_port_piston", (173, 197, 691))],
+)
+def test_a_converged_stepper_solve_makes_its_polish_trials(monkeypatch, name, trials):
+    # The stepper polishes after convergence, where the reduced path stops:
+    # the DAE entropy diagnostic amplifies Newton's round-off by 1/h. Over
+    # 200 pontryagin steps every step makes at least one polish trial after
+    # its first residual within tol, and at most one is rejected, which ends
+    # the polish. Pinned as (accepted, rejected, Newton updates); accepted
+    # trials count as Newton updates.
+    from diracsim import dynamics
+    from diracsim.cli import BUILTINS, build_problem, run_formulation
+
+    steps = []
+    stepper = dynamics.ImplicitMidpointStepper
+    residual_fn = stepper._residual_fn
+
+    def recording(self, *args):
+        fn, norms = residual_fn(self, *args), []
+        steps.append(norms)
+
+        def residual(y):
+            r = fn(y)
+            norms.append(float(np.max(np.abs(r))))
+            return r
+
+        return residual
+
+    monkeypatch.setattr(stepper, "_residual_fn", recording)
+    cfg = BUILTINS[name]()
+    cfg["integrator"]["horizon"] = 200 * cfg["integrator"]["h"]
+    traj = run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
+    assert len(steps) == 200
+    accepted = rejected = 0
+    for norms in steps:
+        first = next(i for i, rn in enumerate(norms) if rn <= dynamics._NEWTON_TOL)
+        after = norms[first + 1 :]
+        kept = [b < a for a, b in zip(norms[first:], after)]
+        assert after and False not in kept[:-1], norms
+        accepted, rejected = accepted + kept.count(True), rejected + kept.count(False)
+    assert (accepted, rejected, int(traj.newton_iters.sum())) == trials
+
+
 def test_stalled_solve_evaluates_the_guess_residual_once():
     # A stale Jacobian of 20 times the true one makes each chord update cut
     # the error by only 5%, so the first attempt stalls after two updates and
@@ -762,8 +806,8 @@ def test_stalled_solve_evaluates_the_guess_residual_once():
 
         return solver._newton(residual, guess), points
 
-    (y_fresh, rn_fresh, it_fresh), fresh = solve(ChordNewton(1e-11))
-    stale = ChordNewton(1e-11)
+    (y_fresh, rn_fresh, it_fresh), fresh = solve(ChordNewton(1e-11, polish=3))
+    stale = ChordNewton(1e-11, polish=3)
     stale._lu = lu_factor(20.0 * M)
     (y, rn, iters), stalled = solve(stale)
     assert len(stalled) == len(fresh) + 2
@@ -793,8 +837,8 @@ def test_trial_iterate_outside_the_domain_stalls_and_refreshes():
 
     residual = outside_below_zero(lambda y: (y - 2.0) + 0.1 * (y - 2.0) ** 2)
     guess = np.array([3.0])
-    y_fresh, rn_fresh, it_fresh = ChordNewton(1e-12)._newton(residual, guess)
-    stale = ChordNewton(1e-12)
+    y_fresh, rn_fresh, it_fresh = ChordNewton(1e-12, polish=3)._newton(residual, guess)
+    stale = ChordNewton(1e-12, polish=3)
     stale._lu = lu_factor(np.array([[0.1]]))
     y, rn, iters = stale._newton(residual, guess)
     assert abs(y_fresh[0] - 2.0) < 1e-12
@@ -809,7 +853,7 @@ def test_trial_iterates_outside_the_domain_in_both_attempts_fail_the_step():
 
     residual = outside_below_zero(lambda y: y + 1.0)
     with pytest.raises(StepFailureError) as info:
-        ChordNewton(1e-12)._newton(residual, np.array([1.0]))
+        ChordNewton(1e-12, polish=3)._newton(residual, np.array([1.0]))
     message = str(info.value)
     assert message.startswith("Newton did not converge: residual nan")
     assert "; a trial iterate was outside the domain: temperature -dL/dS = -1.0" in message

@@ -10,6 +10,7 @@ T_source = 320. Then P_M = 0.4 + 3.1 = 3.5, P_H = 3.2, and the production
 I = 2/300 + 0.5/300 + 0.2/300 = 0.009."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -566,6 +567,54 @@ def test_reduced_entropy_decomposition_is_exact():
         thermo_system=sys0,
     )
     assert inv.summary()["max_abs_entropy_decomposition_residual"] < 1e-12
+
+
+def two_port_dae_run(formulation, h):
+    # The two-port piston on a DAE formulation at step h over t in [0, 0.2],
+    # and its invariants.
+    from diracsim import cli
+
+    cfg = cli.BUILTINS["two_port_piston"]()
+    cfg["integrator"].update(h=h, horizon=0.2)
+    problem = cli.build_problem(cfg, formulation)
+    traj = cli.run_formulation(problem, formulation)
+    inv = monitor_invariants(problem.L, problem.vel_constraints, traj, problem.system)
+    return problem, traj, inv
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4])
+@pytest.mark.parametrize("formulation", ["pontryagin", "lagrange-dirac"])
+def test_dae_entropy_decomposition_is_the_midpoint_fiber_row(formulation, h):
+    # The column is the Gamma slot of the fiber row, p_Gamma - (S - Sigma),
+    # at each step's averaged midpoint, where the stepper solves it: it reads
+    # Newton's round-off at every h, not that round-off over h.
+    problem, traj, inv = two_port_dae_run(formulation, h)
+    column = inv.entropy_decomposition_residual
+    assert column.shape == (traj.n_steps,)
+    assert np.max(np.abs(column)) < 1e-13
+    n, gamma = traj.n, problem.system.layout.Gamma
+    for k, (state, rate, lam) in enumerate(itertools.islice(traj.midpoint_samples(), 20)):
+        r = pontryagin_dirac_residual(problem.L, problem.vel_constraints, state, rate, lam)
+        assert column[k] == r[n + gamma], k
+
+
+def test_dae_entropy_decomposition_shows_a_shifted_entropy():
+    # S moved by 1e-8 from node 100 on leaves the fiber row off by that much
+    # at every later midpoint, and the run's verdict fails on that line.
+    from diracsim import cli
+
+    problem, traj, _ = two_port_dae_run("pontryagin", 1e-3)
+    lay = problem.system.layout
+    x = traj.x.copy()
+    x[100:, lay.S] += 1e-8
+    traj = dataclasses.replace(traj, x=x)
+    inv = monitor_invariants(problem.L, problem.vel_constraints, traj, problem.system)
+    assert np.max(np.abs(inv.entropy_decomposition_residual)) > 1e-9
+    passed, lines = cli.evaluate_tolerances(problem, inv, None)
+    assert not passed
+    assert [ln for ln in lines if ln.endswith("FAIL")] == [
+        ln for ln in lines if ln.startswith("max |entropy decomposition residual|")
+    ]
 
 
 def test_lifted_midpoint_residual_vanishes():

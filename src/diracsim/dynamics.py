@@ -16,16 +16,19 @@ hamilton_dirac_residual reads them through a record of H.
 The integrator is a fixed-step implicit midpoint rule: a step's rows are the
 formulation's instantaneous residual at the averaged midpoint, on the
 difference quotients across the step, with the kinematic row taken at the new
-node instead. The multiplier is a per-step algebraic unknown reported at the
-midpoint. The nonlinear system is solved by a chord Newton iteration with a
-finite-difference Jacobian that is reused across steps and refreshed when
-convergence degrades.
+node instead. Its unknowns are the step's increments, so the quotients are
+the increments over h, and its multiplier is a per-step algebraic unknown
+reported at the midpoint. The nonlinear system is solved by a chord Newton
+iteration with a finite-difference Jacobian that is reused across steps and
+refreshed when convergence degrades, from a guess extrapolated from the last
+two steps.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -308,16 +311,21 @@ def _recovered_multipliers(L, A, t, x, v, dp, f_ext) -> tuple[np.ndarray, np.nda
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one implicit step: the node row (x, v, p, pt, lam) it ends
-    on, lam being the step's midpoint multiplier, and its Newton solve."""
+    on, lam being the step's midpoint multiplier, and its Newton solve, whose
+    solution holds the step's increments of the unknown slots (x, v, p, pt,
+    without v on T*Y) and then lam."""
 
     row: np.ndarray
     newton_iters: int
     residual_norm: float
+    solution: np.ndarray
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
     # The average of each pair of consecutive nodes: a step's midpoint value.
-    return 0.5 * (a[:-1] + a[1:])
+    # Halved before the sum, which then cannot overflow; for normal numbers
+    # the bits are those of 0.5 (a0 + a1), both rounded once.
+    return 0.5 * a[:-1] + 0.5 * a[1:]
 
 
 def _rate(t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -393,8 +401,11 @@ _STEPPER_POLISH = 1
 _JACOBIAN_REFRESH = 50
 # Chord iterations per attempt before the attempt counts as stalled.
 _MAX_ITER = 50
-# Max-norm residual tolerance of the stepper's Newton iteration.
-_NEWTON_TOL = 1e-11
+# Max-norm residual tolerance of the stepper's Newton iteration. From an
+# extrapolated guess the particle converges on a Jacobian it refreshes only
+# every _JACOBIAN_REFRESH steps; at 1e-11 its lam would then move 5e-10
+# relative, past the outputs' 1e-12 bound, where at 1e-13 it moves 5e-13.
+_NEWTON_TOL = 1e-13
 
 
 class ChordNewton:
@@ -538,14 +549,16 @@ class ImplicitMidpointStepper(ChordNewton):
 
     A step advances a node row (x, v, p, pt, lam): the state at a node and
     the multiplier of the step that ends there (zero at the start). Its
-    Newton unknowns are the new row itself on the mixed bundle, and the row
-    without v on T*Y, where v is the lagrangian's fiber velocity v(t, x, p)
-    at the node: legendre_dual's inversion, so a lagrangian that is not
-    hyperregular raises HyperregularityError here. Each step is one
-    ChordNewton solve to tolerance _NEWTON_TOL, then at most _STEPPER_POLISH
-    (one) polish trial, kept only if it lowers the residual, so a stepper
-    instance owns its Newton workspace and must not be shared across
-    threads.
+    Newton unknowns are the step's increments d = z1 - z0 of x, v, p and pt,
+    then the new lam; on T*Y there is no v slot, and v is the lagrangian's
+    fiber velocity v(t, x, p) at the node: legendre_dual's inversion, so a
+    lagrangian that is not hyperregular raises HyperregularityError here.
+    The quotients d/h are exact, so Newton's floor is the round-off of the
+    rates, not ulp(z0)/h (Hairer-Wanner, Solving ODEs II, IV.8). Each step
+    is one ChordNewton solve to tolerance _NEWTON_TOL, then at most
+    _STEPPER_POLISH (one) polish trial, kept only if it lowers the residual,
+    so a stepper instance owns its Newton workspace and must not be shared
+    across threads.
 
     Every formulation reads one model record: a step residual evaluates the
     model once at its midpoint and its row once at its new node, through
@@ -589,52 +602,49 @@ class ImplicitMidpointStepper(ChordNewton):
         self._points = points or _callable_points(lagrangian, constraints, f_ext)
         # The slots of a row the constraint coefficients are taken at: v or p.
         self._side = slice(n, 2 * n) if formulation == "pontryagin" else slice(2 * n, 3 * n)
-        # On T*Y, v(t, x, p), and the slots of a row that are Newton
-        # unknowns: all but v.
+        # On T*Y, v(t, x, p), and the slots of a row whose increments are
+        # Newton unknowns, before lam: x, v, p and pt, without v on T*Y.
         hd = formulation == "hamilton-dirac"
         self._velocity = legendre_dual(lagrangian).d_p if hd else None
-        self._unknowns = np.r_[:n, 2 * n : 3 * n + 1 + constraints.m] if hd else slice(None)
+        self._increments = np.r_[:n, 2 * n : 3 * n + 1] if hd else np.r_[: 3 * n + 1]
 
     # -- residual assembly ------------------------------------------------
 
     def _residual_fn(self, t: float, row: np.ndarray, h: float) -> Callable:
-        # The formulation's rows at the averaged midpoint, on the difference
-        # quotients across the step from the node row at t, closed by the kinematic
-        # row at the new node. y = (x1, [v1,] p1, pt1, lam); z stacks node values.
+        # The formulation's rows at the midpoint zm = z0 + d/2, on the
+        # quotients dz = d/h, closed by the kinematic row at the new node
+        # z1 = z0 + d. y = (d, lam), d the increments of (x, [v,] p, pt) from
+        # the node row at t; z stacks node values.
         n, side, v = self.n, self._side, self._velocity
         at, node_row, _ = self._points
         t1, tm = t + h, t + 0.5 * h
+        z0 = row[self._increments]
+        k = z0.size
 
         if v is not None:
             # T*Y: the record at the midpoint's v(tm, xm, pm), less its fiber
             # row, and the node row on v(t1, x1, p1).
-            z0 = row[self._unknowns[: 2 * n + 1]]
-
             def residual(y: np.ndarray) -> np.ndarray:
-                z1 = y[: 2 * n + 1]
-                zm = 0.5 * (z0 + z1)
-                dz = (z1 - z0) / h
-                xm, pm, x1, p1 = zm[:n], zm[n:-1], y[:n], y[n : 2 * n]
+                d = y[:k]
+                zm, z1, dz = z0 + 0.5 * d, z0 + d, d / h
+                xm, pm, x1, p1 = zm[:n], zm[n:-1], z1[:n], z1[n:-1]
                 r_vel, _, r_mom, r_pt, *_ = _mixed_rows(
-                    at, tm, xm, v(tm, xm, pm), pm, pm, dz[:n], dz[n:-1], dz[-1], y[2 * n + 1 :]
+                    at, tm, xm, v(tm, xm, pm), pm, pm, dz[:n], dz[n:-1], dz[-1], y[k:]
                 )
                 A1, B1 = node_row(t1, x1, p1)
                 return np.concatenate([r_vel, r_mom, A1 @ v(t1, x1, p1) + B1, [r_pt]])
 
             return residual
 
-        z0 = row[: 3 * n + 1]
-
         def residual(y: np.ndarray) -> np.ndarray:
-            z1 = y[: 3 * n + 1]
-            zm = 0.5 * (z0 + z1)
-            dz = (z1 - z0) / h
+            d = y[:k]
+            zm, z1, dz = z0 + 0.5 * d, z0 + d, d / h
             r_vel, r_fib, r_mom, r_pt, *_ = _mixed_rows(
                 at, tm, zm[:n], zm[n : 2 * n], zm[2 * n : -1], zm[side],
-                dz[:n], dz[2 * n : -1], dz[-1], y[3 * n + 1 :],
+                dz[:n], dz[2 * n : -1], dz[-1], y[k:],
             )
-            A1, B1 = node_row(t1, y[:n], y[side])
-            return np.concatenate([r_vel, r_fib, r_mom, A1 @ y[n : 2 * n] + B1, [r_pt]])
+            A1, B1 = node_row(t1, z1[:n], z1[side])
+            return np.concatenate([r_vel, r_fib, r_mom, A1 @ z1[n : 2 * n] + B1, [r_pt]])
 
         return residual
 
@@ -655,21 +665,21 @@ class ImplicitMidpointStepper(ChordNewton):
 
         def stacked(Y: np.ndarray) -> np.ndarray:
             if v is not None:
-                V1 = [v(t1, y[:n], y[n : 2 * n]) for y in Y]
-                Y = np.concatenate([Y[:, :n], V1, Y[:, n:]], axis=1)
-            Z1, lam = Y[:, : 3 * n + 1], Y[:, 3 * n + 1 :]
-            Zm = 0.5 * (z0 + Z1)
-            dZ = (Z1 - z0) / h
+                # A zero increment in the v slots, which v(t, x, p) fills.
+                Y = np.concatenate([Y[:, :n], np.zeros((len(Y), n)), Y[:, n:]], axis=1)
+            D, lam = Y[:, : 3 * n + 1], Y[:, 3 * n + 1 :]
+            Zm, Z1, dZ = z0 + 0.5 * D, z0 + D, D / h
             if v is not None:
+                Z1[:, n : 2 * n] = [v(t1, z[:n], z[2 * n : 3 * n]) for z in Z1]
                 Zm[:, n : 2 * n] = [v(tm, z[:n], z[2 * n : 3 * n]) for z in Zm]
             d_x, d_v, d_t, A, B, F = at(tm, Zm[:, :n], Zm[:, n : 2 * n], Zm[:, side])
             r_mom = dZ[:, 2 * n : -1] - d_x - _matvecs(np.swapaxes(A, -1, -2), lam)
             if F is not None:
                 r_mom = r_mom - F
             r_pt = dZ[:, -1] - d_t - _matvecs(B[..., None, :], lam)[..., 0]
-            A1, B1 = node_row(t1, Y[:, :n], Y[:, side])
+            A1, B1 = node_row(t1, Z1[:, :n], Z1[:, side])
             rows = [dZ[:, :n] - Zm[:, n : 2 * n], Zm[:, 2 * n : -1] - d_v, r_mom,
-                    _matvecs(A1, Y[:, n : 2 * n]) + B1, r_pt[:, None]]
+                    _matvecs(A1, Z1[:, n : 2 * n]) + B1, r_pt[:, None]]
             if v is not None:
                 del rows[1]
             return np.concatenate(rows, axis=1)
@@ -679,26 +689,37 @@ class ImplicitMidpointStepper(ChordNewton):
     # -- stepping ---------------------------------------------------------
 
     def _guess(self, row: np.ndarray, h: float) -> np.ndarray:
-        # The unknowns of the row with x advanced by h v; lam is the last
-        # step's multiplier.
-        guess = row.copy()
-        guess[: self.n] += h * row[self.n : 2 * self.n]
-        return guess[self._unknowns]
+        # The unknowns from the row alone: the increment h v in x, none
+        # elsewhere, and the row's lam, the last step's multiplier.
+        n, k = self.n, self._increments.size
+        guess = np.zeros(k + self.constraints.m)
+        guess[:n] = h * row[n : 2 * n]
+        guess[k:] = row[3 * n + 1 :]
+        return guess
 
-    def step(self, t: float, row: np.ndarray, h: float) -> StepResult:
+    def step(
+        self, t: float, row: np.ndarray, h: float, guess: np.ndarray | None = None
+    ) -> StepResult:
         """Advance the node row at time t by one step of size h.
 
         The returned row is the node at t + h, with the step's midpoint
         multiplier as its lam. On T*Y its v is v(t, x, p) at the new node.
+        Newton starts from guess, in the layout of StepResult.solution, or
+        by default from the row: an increment of h v in x, none elsewhere,
+        and the row's lam.
         """
 
+        if guess is None:
+            guess = self._guess(row, h)
         y, rn, iters = self._newton(
-            self._residual_fn(t, row, h), self._guess(row, h), self._stacked_residual_fn(t, row, h)
+            self._residual_fn(t, row, h), guess, self._stacked_residual_fn(t, row, h)
         )
+        n, k, new = self.n, self._increments.size, row.copy()
+        new[self._increments] += y[:k]
+        new[3 * n + 1 :] = y[k:]
         if self._velocity is not None:
-            n = self.n
-            y = np.concatenate([y[:n], self._velocity(t + h, y[:n], y[n : 2 * n]), y[n:]])
-        return StepResult(y, iters, rn)
+            new[n : 2 * n] = self._velocity(t + h, new[:n], new[2 * n : 3 * n])
+        return StepResult(new, iters, rn, y)
 
     def run(self, start: PontryaginState, h: float, n_steps: int) -> Trajectory:
         """Integrate n_steps fixed steps from start.
@@ -710,7 +731,11 @@ class ImplicitMidpointStepper(ChordNewton):
         of step per step, in the loop the reduced path shares: step k starts
         at t0 + h added k times, h must be positive and finite, and a failed
         step k, or one whose model meets an OutsideDomainError, raises
-        StepFailureError naming "step k (t = ...)".
+        StepFailureError naming "step k (t = ...)". Newton starts from the
+        last solutions extrapolated, as on the reduced path (_extrapolated):
+        step 0 from step's own guess, step 1 from step 0's solution, and
+        step k >= 2 from 2 y_k-1 - y_k-2 of the last two, which extrapolates
+        the increments and lam linearly.
         """
 
         n, m, K = self.n, self.constraints.m, int(n_steps)
@@ -721,9 +746,11 @@ class ImplicitMidpointStepper(ChordNewton):
         _require_on_constraint(*self._points.row(start.t, start.x, row[self._side]), v)
         # A fresh workspace: no Jacobian carries over from an earlier run.
         self._lu, self._steps_since_refresh = None, 0
+        solved = deque(maxlen=2)  # the solutions of steps k-2 and k-1 before step k
 
         def advance(k, t, row):
-            result = self.step(t, row, h)
+            result = self.step(t, row, h, _extrapolated(solved, lambda: self._guess(row, h)))
+            solved.append(result.solution)
             return result.row, result.newton_iters
 
         def lift(ys):
@@ -735,6 +762,19 @@ class ImplicitMidpointStepper(ChordNewton):
             # cumsum adds in sequence, t0 + h + h + ..., as the steps do.
             lambda: np.cumsum(np.concatenate([[start.t], np.full(K, h)])),
         )
+
+
+def _extrapolated(solved: deque, first: Callable[[], np.ndarray]) -> np.ndarray:
+    # Newton's start for a step from the solutions of the last two steps,
+    # solved (up to two, oldest first): first() with none, the last one with
+    # one, and the line through both, 2 y_k-1 - y_k-2, with two. Increments
+    # extrapolated linearly are nodes extrapolated quadratically,
+    # 3 y_k - 3 y_k-1 + y_k-2 (Hairer-Wanner, Solving ODEs II, IV.8).
+    if not solved:
+        return first()
+    if len(solved) == 1:
+        return solved[-1]
+    return 2.0 * solved[-1] - solved[-2]
 
 
 # Overflow in a trial evaluation shows in the values, which the Newton

@@ -30,6 +30,7 @@ from .dynamics import (
     ChordNewton,
     OutsideDomainError,
     Trajectory,
+    _extrapolated,
     _march,
     _MixedPoints,
     monitor_invariants,
@@ -721,11 +722,12 @@ def run_reduced(
     start is a mixed-bundle state such as initial_pontryagin_state returns;
     the run reads its t, pt, the q, S, N, Gamma, W and Sigma slots of x and
     the q slots of v, so the trajectory's first node is start. Each step
-    solves y1 - y0 = h f(t + h/2, (y0 + y1)/2) with the stepper's chord
-    Newton solver (ChordNewton, tolerance _REDUCED_NEWTON_TOL). It stops at
-    convergence, with no polish: no output of this path amplifies the last
-    round-off, and a polish trial, rejected on nearly every step, would cost
-    one field evaluation. The steps run in the loop the stepper shares: step
+    solves d/h = f(t + h/2, y0 + d/2) for its increment d = y1 - y0, whose
+    quotient d/h is exact, with the stepper's chord Newton solver
+    (ChordNewton, tolerance _REDUCED_NEWTON_TOL), and ends on y0 + d. It
+    stops at convergence, with no polish: no output of this path amplifies
+    the last round-off, and a polish trial, rejected on nearly every step,
+    would cost one field evaluation. The steps run in the loop the stepper shares: step
     k starts at t0 + k h, and a failure raises StepFailureError naming
     "reduced step k (t = ...)". h must be positive
     and finite. The momentum conjugate to time advances with the midpoint
@@ -735,35 +737,31 @@ def run_reduced(
     "reduced". newton_iters counts each step's Newton updates.
 
     Newton starts from the polynomial through the accepted nodes, extrapolated
-    one step (Hairer-Wanner, Solving ODEs II, IV.8): step 0 from the explicit
-    Euler guess y_0 + h f(t_0, y_0), the run's one field evaluation outside
-    Newton; step 1 from 2 y_1 - y_0; step k >= 2 from the quadratic
-    3 y_k - 3 y_k-1 + y_k-2. A guess outside the model's domain fails its
-    step. The lift reads the node rates from one balance over the node
-    states, and pt is integrated after the march from one balance over the
-    accepted midpoints (y_k + y_k+1)/2 at t_k + h/2: the midpoint states and
-    times the residuals used, so the sum is the step recursion bit for bit.
+    one step, as the stepper's run does (dynamics._extrapolated): step 0 from
+    the explicit Euler increment h f(t_0, y_0), the run's one field
+    evaluation outside Newton; step 1 from step 0's increment d_0; step
+    k >= 2 from 2 d_k-1 - d_k-2, which is the quadratic 3 y_k - 3 y_k-1 +
+    y_k-2. A guess outside the model's domain fails its step. The lift
+    reads the node rates from one balance over the node states, and pt is
+    integrated after the march from one balance over the accepted midpoints
+    (y_k + y_k+1)/2 at t_k + h/2, which are the residuals' y_k + d_k/2 to
+    round-off, so the sum is a step recursion bit for bit.
     """
 
     n_q, lay, K = sys.n_q, sys.layout, int(n_steps)
     solver = ChordNewton(_REDUCED_NEWTON_TOL, polish=0)
-    accepted = deque(maxlen=2)  # the nodes y_k-2 and y_k-1 before step k's start y_k
+    solved = deque(maxlen=2)  # the increments of steps k-2 and k-1 before step k
 
     def advance(k, t, y0):
-        if k == 0:
-            guess = y0 + h * _reduced_field(sys, t, y0)
-        elif k == 1:
-            guess = 2.0 * y0 - accepted[-1]
-        else:
-            guess = 3.0 * y0 - 3.0 * accepted[-1] + accepted[-2]
-        accepted.append(y0)
+        guess = _extrapolated(solved, lambda: h * _reduced_field(sys, t, y0))
         tm = t + 0.5 * h
 
-        def residual(y1):
-            return (y1 - y0) / h - _reduced_field(sys, tm, 0.5 * (y0 + y1))
+        def residual(d):
+            return d / h - _reduced_field(sys, tm, y0 + 0.5 * d)
 
-        y, _, iters = solver._newton(residual, guess)
-        return y, iters
+        d, _, iters = solver._newton(residual, guess)
+        solved.append(d)
+        return y0 + d, iters
 
     def times():
         return start.t + h * np.arange(K + 1)

@@ -715,39 +715,41 @@ def count_step_calls(monkeypatch, formulation):
 
 
 def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
-    # 200 steps of the bundled particle refresh the Jacobian 101 times: at the
-    # first step and at 100 stall restarts. The residual at the point a
+    # 200 steps of the bundled particle from extrapolated guesses build the
+    # Jacobian 4 times: at the first step and after each 50 converged steps
+    # (_JACOBIAN_REFRESH), with no stall restart. The residual at the point a
     # Jacobian is built around is its finite-difference base and the first
-    # Newton residual at once, and a restart reuses its stalled attempt's
-    # residual at the guess: 1973 evaluations, where a second evaluation at
-    # each base point would make 2074 and one more per restart 2174. The
-    # particle broadcasts, so each Jacobian's 8 perturbed iterates are one
-    # stacked call: 1973 - 101 * 8 point calls and 101 stacked ones.
-    calls, _ = count_step_calls(monkeypatch, "pontryagin")
-    assert calls == {
-        "residual": 2174 - 101 - 100 - 101 * 8, "stacked": 101, "factor": 101, "rows": {8}
-    }
+    # Newton residual at once: one evaluation per guess and one per Newton
+    # update (every polish trial is kept), 200 + 1149, where a second
+    # evaluation at each base point would make 4 more. The particle
+    # broadcasts, so each Jacobian's 8 perturbed iterates are one stacked
+    # call. A restart's reuse of its guess residual is
+    # test_stalled_solve_evaluates_the_guess_residual_once.
+    calls, updates = count_step_calls(monkeypatch, "pontryagin")
+    assert updates == 1149
+    assert calls == {"residual": 200 + 1149, "stacked": 4, "factor": 4, "rows": {8}}
 
 
 def test_a_hamilton_dirac_refresh_is_one_stacked_call(monkeypatch):
-    # On T*Y the particle refreshes its Jacobian 101 times as well, each in
-    # one stacked call over its N = 2n + 1 + m = 6 perturbed iterates, and
-    # no point residual is evaluated for them: the point calls and the Newton
-    # updates are pontryagin's, 1165 and 708.
+    # On T*Y the particle builds its Jacobian 4 times as well, each in one
+    # stacked call over its N = 2n + 1 + m = 6 perturbed iterates, and no
+    # point residual is evaluated for them: the point calls and the Newton
+    # updates are pontryagin's, 1349 and 1149.
     calls, updates = count_step_calls(monkeypatch, "hamilton-dirac")
-    assert updates == 708
-    assert calls == {"residual": 1165, "stacked": 101, "factor": 101, "rows": {6}}
+    assert updates == 1149
+    assert calls == {"residual": 1349, "stacked": 4, "factor": 4, "rows": {6}}
 
 
 @pytest.mark.parametrize(
     "name, trials",
-    [("nonholonomic_particle", (143, 57, 708)), ("two_port_piston", (129, 71, 647))],
+    [("nonholonomic_particle", (178, 0, 22, 1149)), ("two_port_piston", (79, 0, 121, 400))],
 )
 def test_a_converged_stepper_solve_makes_its_polish_trials(monkeypatch, name, trials):
     # The stepper's polish budget is one trial, where the reduced path makes
     # none: over 200 pontryagin steps every step makes exactly one polish
     # trial after its first residual within tol, kept only if it lowers the
-    # residual. Pinned as (accepted, rejected, Newton updates); accepted
+    # residual, unless that residual is already at _POLISH_FLOOR. Pinned as
+    # (accepted, rejected, steps at the floor, Newton updates); accepted
     # trials count as Newton updates.
     from diracsim import dynamics
     from diracsim.cli import BUILTINS, build_problem, run_formulation
@@ -772,14 +774,16 @@ def test_a_converged_stepper_solve_makes_its_polish_trials(monkeypatch, name, tr
     cfg["integrator"]["horizon"] = 200 * cfg["integrator"]["h"]
     traj = run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
     assert len(steps) == 200
-    accepted = rejected = 0
+    accepted = rejected = floor = 0
     for norms in steps:
         first = next(i for i, rn in enumerate(norms) if rn <= dynamics._NEWTON_TOL)
         after = norms[first + 1 :]
         kept = [b < a for a, b in zip(norms[first:], after)]
-        assert len(after) == 1, norms
+        at_floor = norms[first] <= dynamics._POLISH_FLOOR
+        assert len(after) == (0 if at_floor else 1), norms
         accepted, rejected = accepted + kept.count(True), rejected + kept.count(False)
-    assert (accepted, rejected, int(traj.newton_iters.sum())) == trials
+        floor += at_floor
+    assert (accepted, rejected, floor, int(traj.newton_iters.sum())) == trials
 
 
 def test_stalled_solve_evaluates_the_guess_residual_once():
@@ -1088,15 +1092,16 @@ def test_a_wide_stack_runs_in_blocks_and_matches_the_per_column_jacobian(monkeyp
 
 
 def test_a_domain_error_inside_a_stack_fails_the_step_as_the_map_does():
-    # The rows leave the domain past the guess's x_0, which only the first
-    # perturbed iterate crosses: through the stack its block reads NaN, and
-    # the step fails in the words of the per-point map.
+    # The rows leave the domain past the guess's new x_0, the start's plus
+    # its increment, which only the first perturbed iterate crosses: through
+    # the stack its block reads NaN, and the step fails in the words of the
+    # per-point map.
     messages = []
     for broadcasts in (True, False):
         L, C, start = two_row_model(broadcasts)
         stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)
         row = np.concatenate([start.x, start.v, start.p, [start.pt], np.zeros(2)])
-        limit = float(stepper._guess(row, 0.05)[0])
+        limit = float(row[0] + stepper._guess(row, 0.05)[0])
         assert start.v[0] > 0.0  # the midpoint's x_0 stays inside
         L, C, start = two_row_model(broadcasts, x0_limit=limit)
         stepper = ImplicitMidpointStepper("pontryagin", lagrangian=L, constraints=C)

@@ -1070,12 +1070,13 @@ THERMO_MIXED_CASES = [
 )
 def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation):
     # The stepper solves the formulation's own instantaneous equations, bit
-    # for bit, at random points around its first Newton guess, on a step
-    # that starts away from t = 0. The open systems' steppers read the
-    # one-pass point record; the public residuals call the model's L, C and
-    # f_ext through the adapter of models given as callables. The forced
-    # piston runs on pontryagin only: the public lagrange_dirac_residual
-    # takes no force.
+    # for bit, at random new nodes around its first Newton guess, on a step
+    # that starts away from t = 0. Its unknowns are the increments y - z0
+    # from the start's node values z0, then lam. The open systems' steppers
+    # read the one-pass point record; the public residuals call the model's
+    # L, C and f_ext through the adapter of models given as callables. The
+    # forced piston runs on pontryagin only: the public
+    # lagrange_dirac_residual takes no force.
     if isinstance(build, str):
         stepper, s0, h, f_ext = builtin_stepper(build, formulation)
     else:
@@ -1084,10 +1085,11 @@ def test_step_residual_is_the_public_residual_at_the_midpoint(build, formulation
     row = start_row(stepper, s0)
     residual = stepper._residual_fn(s0.t, row, h)
     guess = stepper._guess(row, h)
+    z0 = np.r_[row[stepper._increments], np.zeros(stepper.constraints.m)]  # lam is absolute
     rng = np.random.default_rng(5)
     for _ in range(5):
-        y = guess + 1e-3 * (1.0 + np.abs(guess)) * rng.standard_normal(guess.size)
-        got = residual(y)
+        y = z0 + guess + 1e-3 * (1.0 + np.abs(z0 + guess)) * rng.standard_normal(guess.size)
+        got = residual(y - z0)
         want = step_residual_from_public_rows(stepper, s0, h, y, f_ext)
         assert got.shape == want.shape == guess.shape
         assert got.tobytes() == want.tobytes()

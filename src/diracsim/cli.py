@@ -848,6 +848,26 @@ def run(config, formulation, out, tol):
     raise SystemExit(0 if passed else 1)
 
 
+# The DAE formulations solve the same midpoint rows, so compare holds their
+# state columns to round-off, where its --tol also admits reduced's O(h^2)
+# difference (README, "Numerical method").
+ONE_FLOW_TOL = 1e-12
+
+
+def state_columns(problem: Problem, traj: Trajectory) -> tuple[np.ndarray, ...]:
+    """The trajectory CSV's state columns: x, v, p and pt, where the open
+    system's v is v_q alone; its bookkeeping velocities are in no output."""
+
+    v = traj.v if problem.system is None else traj.v[:, problem.system.layout.q]
+    return traj.x, v, traj.p, traj.pt
+
+
+def flow_gap(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
+    """The worst |a - b| / (1 + |a|) over two runs' state_columns."""
+
+    return max(float(np.max(np.abs(y - x) / (1.0 + np.abs(x)))) for x, y in zip(a, b))
+
+
 @main.command()
 @click.argument("config")
 @click.option(
@@ -896,6 +916,16 @@ def compare(config, formulations, out, tol):
         f"max pointwise divergence: {_fmt(worst)} (tol {_fmt(tol)}) "
         f"{'PASS' if ok else 'FAIL'}"
     )
+    dae = [name for name in names if name != "reduced"]
+    if len(dae) >= 2:
+        columns = [state_columns(problems[name], trajs[name]) for name in dae]
+        gap = max(flow_gap(a, b) for i, a in enumerate(columns) for b in columns[i + 1 :])
+        one = gap <= ONE_FLOW_TOL
+        ok &= one
+        lines.append(
+            f"one DAE flow, max |a - b|/(1 + |a|) over x, v, p, pt: {_fmt(gap)} "
+            f"(tol {_fmt(ONE_FLOW_TOL)}) {'PASS' if one else 'FAIL'}"
+        )
     if out is not None:
         with _exit_codes():
             report = "\n".join(lines) + "\n"

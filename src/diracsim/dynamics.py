@@ -313,7 +313,10 @@ class StepResult:
     """Outcome of one implicit step: the node row (x, v, p, pt, lam) it ends
     on, lam being the step's midpoint multiplier, and its Newton solve, whose
     solution holds the step's increments of the unknown slots (x, v, p, pt,
-    without v on T*Y) and then lam."""
+    without v on T*Y) and then lam. newton_iters counts the solve's chord
+    updates, the final one included; residual_norm is the max-norm of the
+    residual at the last iterate the solve evaluated, the one before the
+    final update, whose own residual is not evaluated."""
 
     row: np.ndarray
     newton_iters: int
@@ -389,13 +392,8 @@ class Trajectory:
             yield state, TangentP(1.0, dx[k], dv[k], dpt[k], dp[k]), self.lam[k]
 
 
-# Residual floor for the polish iterations after the main tolerance is met.
+# Residual at or below which a converged solve makes no final update.
 _POLISH_FLOOR = 1e-15
-# Polish trials of a converged stepper solve: one, where the reduced path
-# makes none. Stopping at convergence would move the thermo runs' W by up to
-# 9.1e-11 relative over 10 000 steps, past the outputs' 1e-12 bound
-# (scripts/output_bounds.json); one trial keeps every column within it.
-_STEPPER_POLISH = 1
 # Converged steps after which the cached Jacobian is rebuilt even if the
 # chord iteration has not stalled.
 _JACOBIAN_REFRESH = 50
@@ -421,16 +419,17 @@ class ChordNewton:
     residual per block of them, which the caller may give and which is
     otherwise a map of the point residual; a perturbed iterate outside the
     domain fails the rebuild as a non-finite Jacobian. The convergence test is
-    the max-norm of the residual against tol. A converged solve then makes at
-    most polish more chord iterations toward _POLISH_FLOOR, each kept only if
-    it lowers the residual, and the first one that does not ends them; with
-    polish = 0 it stops at convergence, as Hairer-Wanner's simplified Newton
-    does. An instance must not be shared across threads.
+    the max-norm of the residual against tol. With polish, a solve that
+    converges with a residual above _POLISH_FLOOR ends on one more chord
+    update, y - J^-1 r, and evaluates no residual at it, as Hairer-Wanner's
+    simplified Newton takes its last iterate; the solve's residual norm is
+    then that of the iterate before it. Without polish it stops at
+    convergence. An instance must not be shared across threads.
     """
 
-    def __init__(self, tol: float, polish: int):
+    def __init__(self, tol: float, polish: bool):
         self.tol = float(tol)
-        self.polish = int(polish)
+        self.polish = bool(polish)
         self._lu = None
         self._steps_since_refresh = 0
 
@@ -489,7 +488,7 @@ class ChordNewton:
 
         def trial(y):
             # Outside the domain the residual reads NaN, which ends the
-            # attempt like a stall and rejects a polish iterate.
+            # attempt like a stall.
             try:
                 return residual(y)
             except OutsideDomainError as exc:
@@ -520,17 +519,9 @@ class ChordNewton:
                     # Chord iteration stalled; retry once with a fresh Jacobian.
                     break
             if converged:
-                # Polish trials push the residual toward round-off, each
-                # kept only if it lowers it.
-                for _ in range(self.polish):
-                    if rn <= _POLISH_FLOOR:
-                        break
-                    y2 = y - _chord_solve(lu, r)
-                    r2 = trial(y2)
-                    rn2 = _max_norm(r2)
-                    if not rn2 < rn:
-                        break
-                    y, r, rn = y2, r2, rn2
+                if self.polish and rn > _POLISH_FLOOR:
+                    # The final update, taken without evaluating its residual.
+                    y = y - _chord_solve(lu, r)
                     iters += 1
                 self._steps_since_refresh += 1
                 return y, rn, iters
@@ -555,10 +546,10 @@ class ImplicitMidpointStepper(ChordNewton):
     lagrangian that is not hyperregular raises HyperregularityError here.
     The quotients d/h are exact, so Newton's floor is the round-off of the
     rates, not ulp(z0)/h (Hairer-Wanner, Solving ODEs II, IV.8). Each step
-    is one ChordNewton solve to tolerance _NEWTON_TOL, then at most
-    _STEPPER_POLISH (one) polish trial, kept only if it lowers the residual,
-    so a stepper instance owns its Newton workspace and must not be shared
-    across threads.
+    is one ChordNewton solve to tolerance _NEWTON_TOL, then one final chord
+    update whose residual is not evaluated, none when the residual is
+    already at _POLISH_FLOOR, so a stepper instance owns its Newton
+    workspace and must not be shared across threads.
 
     Every formulation reads one model record: a step residual evaluates the
     model once at its midpoint and its row once at its new node, through
@@ -593,7 +584,10 @@ class ImplicitMidpointStepper(ChordNewton):
         if f_ext is not None and points is not None:
             raise ValueError("give f_ext or points, not both: points carries the force")
 
-        super().__init__(_NEWTON_TOL, _STEPPER_POLISH)
+        # The final update: stopping at convergence would move the particle's
+        # lam by 1.2e-11 relative over its 1000 steps, past the outputs'
+        # 1e-12 bound (scripts/output_bounds.json).
+        super().__init__(_NEWTON_TOL, polish=True)
         self.formulation = formulation
         self.n = n = lagrangian.n
         self.L = lagrangian
@@ -732,10 +726,11 @@ class ImplicitMidpointStepper(ChordNewton):
         at t0 + h added k times, h must be positive and finite, and a failed
         step k, or one whose model meets an OutsideDomainError, raises
         StepFailureError naming "step k (t = ...)". Newton starts from the
-        last solutions extrapolated, as on the reduced path (_extrapolated):
-        step 0 from step's own guess, step 1 from step 0's solution, and
-        step k >= 2 from 2 y_k-1 - y_k-2 of the last two, which extrapolates
-        the increments and lam linearly.
+        last three solutions extrapolated (_extrapolated): step 0 from
+        step's own guess, step 1 from step 0's solution, step 2 from
+        2 y_1 - y_0, and step k >= 3 from 3 y_k-1 - 3 y_k-2 + y_k-3, which
+        extrapolates the increments and lam quadratically. The reduced path
+        keeps the line through its last two.
         """
 
         n, m, K = self.n, self.constraints.m, int(n_steps)
@@ -746,7 +741,7 @@ class ImplicitMidpointStepper(ChordNewton):
         _require_on_constraint(*self._points.row(start.t, start.x, row[self._side]), v)
         # A fresh workspace: no Jacobian carries over from an earlier run.
         self._lu, self._steps_since_refresh = None, 0
-        solved = deque(maxlen=2)  # the solutions of steps k-2 and k-1 before step k
+        solved = deque(maxlen=3)  # the solutions of steps k-3 to k-1 before step k
 
         def advance(k, t, row):
             result = self.step(t, row, h, _extrapolated(solved, lambda: self._guess(row, h)))
@@ -765,16 +760,19 @@ class ImplicitMidpointStepper(ChordNewton):
 
 
 def _extrapolated(solved: deque, first: Callable[[], np.ndarray]) -> np.ndarray:
-    # Newton's start for a step from the solutions of the last two steps,
-    # solved (up to two, oldest first): first() with none, the last one with
-    # one, and the line through both, 2 y_k-1 - y_k-2, with two. Increments
-    # extrapolated linearly are nodes extrapolated quadratically,
-    # 3 y_k - 3 y_k-1 + y_k-2 (Hairer-Wanner, Solving ODEs II, IV.8).
+    # Newton's start for a step from the solutions of the last steps, solved
+    # (oldest first; its maxlen sets the order): first() with none, the last
+    # one with one, the line through two, 2 y_k-1 - y_k-2, and the quadratic
+    # through three, 3 y_k-1 - 3 y_k-2 + y_k-3. Increments extrapolated with
+    # degree j are nodes extrapolated with degree j + 1 (Hairer-Wanner,
+    # Solving ODEs II, IV.8): the reduced path keeps two, the stepper three.
     if not solved:
         return first()
     if len(solved) == 1:
         return solved[-1]
-    return 2.0 * solved[-1] - solved[-2]
+    if len(solved) == 2:
+        return 2.0 * solved[-1] - solved[-2]
+    return 3.0 * solved[-1] - 3.0 * solved[-2] + solved[-3]
 
 
 # Overflow in a trial evaluation shows in the values, which the Newton

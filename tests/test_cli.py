@@ -1254,6 +1254,43 @@ def test_compare_defaults_to_the_formulations_of_the_system_kind(tmp_path, name,
     assert float(lines[1].rsplit(" ", 1)[1]) <= 1e-12
 
 
+def test_compare_holds_the_dae_formulations_to_one_flow(tmp_path, monkeypatch):
+    # With two or more DAE formulations compare prints one more verdict: the
+    # worst |a - b| / (1 + |a|) over the state columns against 1e-12, which
+    # counts in the exit code. reduced is left out of it. lagrange-dirac's
+    # momentum row moved by 1e-10 passes the 1e-6 line and fails this one.
+    from diracsim import dynamics
+
+    cfg = BUILTINS["nonholonomic_particle"]()
+    cfg["integrator"]["horizon"] = 0.2
+    path = write_cfg(tmp_path, cfg)
+    result = invoke("compare", path)
+    assert result.exit_code == 0, all_text(result)
+    last = result.output.splitlines()[-1]
+    assert last.startswith("one DAE flow, max |a - b|/(1 + |a|) over x, v, p, pt: ")
+    assert last.endswith(" (tol 1e-12) PASS")
+    assert float(last.split(": ")[1].split(" ")[0]) <= 1e-12
+
+    thermo = write_cfg(tmp_path, thermo_cfg(), "thermo.json")
+    result = invoke("compare", thermo, "--formulations", "pontryagin,reduced")
+    assert result.exit_code == 0 and "one DAE flow" not in result.output, all_text(result)
+
+    residual_fn = dynamics.ImplicitMidpointStepper._residual_fn
+
+    def moved(self, *args):
+        residual = residual_fn(self, *args)
+        if self.formulation != "lagrange-dirac":
+            return residual
+        return lambda y: residual(y) + np.r_[np.zeros(2 * self.n), np.full(self.n, 1e-10),
+                                             np.zeros(y.size - 3 * self.n)]
+
+    monkeypatch.setattr(dynamics.ImplicitMidpointStepper, "_residual_fn", moved)
+    result = invoke("compare", path)
+    assert result.exit_code == 1, all_text(result)
+    *_, divergence, last = result.output.splitlines()
+    assert divergence.endswith(" PASS") and last.endswith(" (tol 1e-12) FAIL")
+
+
 # -- check -----------------------------------------------------------------
 
 

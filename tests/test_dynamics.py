@@ -720,37 +720,38 @@ def test_jacobian_refresh_reuses_the_residual_at_its_base_point(monkeypatch):
     # (_JACOBIAN_REFRESH), with no stall restart. The residual at the point a
     # Jacobian is built around is its finite-difference base and the first
     # Newton residual at once: one evaluation per guess and one per Newton
-    # update (every polish trial is kept), 200 + 1149, where a second
-    # evaluation at each base point would make 4 more. The particle
+    # update but the final update of the 177 steps that make one,
+    # 200 + 848 - 177, where a second evaluation at each base point would
+    # make 4 more. The particle
     # broadcasts, so each Jacobian's 8 perturbed iterates are one stacked
     # call. A restart's reuse of its guess residual is
     # test_stalled_solve_evaluates_the_guess_residual_once.
     calls, updates = count_step_calls(monkeypatch, "pontryagin")
-    assert updates == 1149
-    assert calls == {"residual": 200 + 1149, "stacked": 4, "factor": 4, "rows": {8}}
+    assert updates == 848
+    assert calls == {"residual": 200 + 848 - 177, "stacked": 4, "factor": 4, "rows": {8}}
 
 
 def test_a_hamilton_dirac_refresh_is_one_stacked_call(monkeypatch):
     # On T*Y the particle builds its Jacobian 4 times as well, each in one
     # stacked call over its N = 2n + 1 + m = 6 perturbed iterates, and no
     # point residual is evaluated for them: the point calls and the Newton
-    # updates are pontryagin's, 1349 and 1149.
+    # updates are pontryagin's, 871 and 848.
     calls, updates = count_step_calls(monkeypatch, "hamilton-dirac")
-    assert updates == 1149
-    assert calls == {"residual": 1349, "stacked": 4, "factor": 4, "rows": {6}}
+    assert updates == 848
+    assert calls == {"residual": 871, "stacked": 4, "factor": 4, "rows": {6}}
 
 
 @pytest.mark.parametrize(
     "name, trials",
-    [("nonholonomic_particle", (178, 0, 22, 1149)), ("two_port_piston", (79, 0, 121, 400))],
+    [("nonholonomic_particle", (177, 0, 23, 848)), ("two_port_piston", (49, 0, 151, 253))],
 )
 def test_a_converged_stepper_solve_makes_its_polish_trials(monkeypatch, name, trials):
-    # The stepper's polish budget is one trial, where the reduced path makes
-    # none: over 200 pontryagin steps every step makes exactly one polish
-    # trial after its first residual within tol, kept only if it lowers the
-    # residual, unless that residual is already at _POLISH_FLOOR. Pinned as
-    # (accepted, rejected, steps at the floor, Newton updates); accepted
-    # trials count as Newton updates.
+    # The stepper's polish is one final chord update, where the reduced path
+    # makes none: over 200 pontryagin steps every step ends on one update
+    # after its first residual within tol, unless that residual is already
+    # at _POLISH_FLOOR, and evaluates no residual after it. Pinned as (final
+    # updates, residuals after the first within tol, steps at the floor,
+    # Newton updates); final updates count as Newton updates.
     from diracsim import dynamics
     from diracsim.cli import BUILTINS, build_problem, run_formulation
 
@@ -774,16 +775,83 @@ def test_a_converged_stepper_solve_makes_its_polish_trials(monkeypatch, name, tr
     cfg["integrator"]["horizon"] = 200 * cfg["integrator"]["h"]
     traj = run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
     assert len(steps) == 200
-    accepted = rejected = floor = 0
-    for norms in steps:
+    final = after = floor = 0
+    for norms, iters in zip(steps, traj.newton_iters.tolist()):
         first = next(i for i, rn in enumerate(norms) if rn <= dynamics._NEWTON_TOL)
-        after = norms[first + 1 :]
-        kept = [b < a for a, b in zip(norms[first:], after)]
         at_floor = norms[first] <= dynamics._POLISH_FLOOR
-        assert len(after) == (0 if at_floor else 1), norms
-        accepted, rejected = accepted + kept.count(True), rejected + kept.count(False)
+        # The step's updates before its first residual within tol are first.
+        assert iters - first == (0 if at_floor else 1), (norms, iters)
+        final, after = final + iters - first, after + len(norms) - first - 1
         floor += at_floor
-    assert (accepted, rejected, floor, int(traj.newton_iters.sum())) == trials
+    assert (final, after, floor, int(traj.newton_iters.sum())) == trials
+
+
+def test_a_converged_solve_ends_on_one_unevaluated_update(monkeypatch):
+    # 200 pontryagin steps of two_port_piston, as a sequence of point
+    # residuals ("r") and chord updates ("u") per step: each step alternates
+    # from the residual at its guess, and ends on one update after its last
+    # residual, within tol, unless that residual is at _POLISH_FLOOR. No
+    # residual is evaluated at the final update's iterate. That makes 2.02
+    # point residuals per step; evaluating the final iterate would make 2.26.
+    from diracsim import dynamics
+    from diracsim.cli import BUILTINS, build_problem, run_formulation
+
+    steps = []
+    stepper = dynamics.ImplicitMidpointStepper
+    residual_fn, chord_solve = stepper._residual_fn, dynamics._chord_solve
+
+    def recording(self, *args):
+        fn, events = residual_fn(self, *args), []
+        steps.append(events)
+
+        def residual(y):
+            r = fn(y)
+            events.append(("r", float(np.max(np.abs(r)))))
+            return r
+
+        return residual
+
+    def solve(lu, r):
+        steps[-1].append(("u", None))
+        return chord_solve(lu, r)
+
+    monkeypatch.setattr(stepper, "_residual_fn", recording)
+    monkeypatch.setattr(dynamics, "_chord_solve", solve)
+    cfg = BUILTINS["two_port_piston"]()
+    cfg["integrator"]["horizon"] = 200 * cfg["integrator"]["h"]
+    traj = run_formulation(build_problem(cfg, "pontryagin"), "pontryagin")
+    assert len(steps) == 200
+    for events, iters in zip(steps, traj.newton_iters.tolist()):
+        kinds = "".join(kind for kind, _ in events)
+        norms = [rn for kind, rn in events if kind == "r"]
+        assert norms[-1] <= dynamics._NEWTON_TOL
+        final = "" if norms[-1] <= dynamics._POLISH_FLOOR else "u"
+        assert kinds == "ru" * (len(norms) - 1) + "r" + final, kinds
+        assert iters == kinds.count("u")
+    assert sum(kind == "r" for events in steps for kind, _ in events) == 404
+
+
+def test_three_solutions_extrapolate_quadratic_increments():
+    # Increments quadratic in k, d_k = a + b k + c k^2: from the last three,
+    # 3 d_k-1 - 3 d_k-2 + d_k-3 is d_k to round-off, where the line through
+    # the last two misses it by 2c. A deque of two, as the reduced path
+    # keeps, still gives the line.
+    from collections import deque
+
+    from diracsim.dynamics import _extrapolated
+
+    rng = np.random.default_rng(7)
+    a, b, c = rng.normal(size=(3, 5))
+    d = [a + b * k + c * k**2 for k in range(8)]
+
+    def first():
+        raise AssertionError("no solution to extrapolate from is needed")
+
+    for k in range(3, 8):
+        guess = _extrapolated(deque(d[k - 3 : k], maxlen=3), first)
+        np.testing.assert_allclose(guess, d[k], rtol=0, atol=1e-13 * np.max(np.abs(d[k])))
+        line = _extrapolated(deque(d[k - 3 : k], maxlen=2), first)
+        np.testing.assert_allclose(line, d[k] - 2.0 * c, rtol=0, atol=1e-13 * np.max(np.abs(d[k])))
 
 
 def test_stalled_solve_evaluates_the_guess_residual_once():
@@ -808,8 +876,8 @@ def test_stalled_solve_evaluates_the_guess_residual_once():
 
         return solver._newton(residual, guess), points
 
-    (y_fresh, rn_fresh, it_fresh), fresh = solve(ChordNewton(1e-11, polish=3))
-    stale = ChordNewton(1e-11, polish=3)
+    (y_fresh, rn_fresh, it_fresh), fresh = solve(ChordNewton(1e-11, polish=True))
+    stale = ChordNewton(1e-11, polish=True)
     stale._lu = lu_factor(20.0 * M)
     (y, rn, iters), stalled = solve(stale)
     assert len(stalled) == len(fresh) + 2
@@ -839,8 +907,8 @@ def test_trial_iterate_outside_the_domain_stalls_and_refreshes():
 
     residual = outside_below_zero(lambda y: (y - 2.0) + 0.1 * (y - 2.0) ** 2)
     guess = np.array([3.0])
-    y_fresh, rn_fresh, it_fresh = ChordNewton(1e-12, polish=3)._newton(residual, guess)
-    stale = ChordNewton(1e-12, polish=3)
+    y_fresh, rn_fresh, it_fresh = ChordNewton(1e-12, polish=True)._newton(residual, guess)
+    stale = ChordNewton(1e-12, polish=True)
     stale._lu = lu_factor(np.array([[0.1]]))
     y, rn, iters = stale._newton(residual, guess)
     assert abs(y_fresh[0] - 2.0) < 1e-12
@@ -855,7 +923,7 @@ def test_trial_iterates_outside_the_domain_in_both_attempts_fail_the_step():
 
     residual = outside_below_zero(lambda y: y + 1.0)
     with pytest.raises(StepFailureError) as info:
-        ChordNewton(1e-12, polish=3)._newton(residual, np.array([1.0]))
+        ChordNewton(1e-12, polish=True)._newton(residual, np.array([1.0]))
     message = str(info.value)
     assert message.startswith("Newton did not converge: residual nan")
     assert "; a trial iterate was outside the domain: temperature -dL/dS = -1.0" in message

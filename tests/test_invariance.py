@@ -16,7 +16,15 @@ import pytest
 from click.testing import CliRunner
 
 from diracsim import dynamics
-from diracsim.cli import FORMULATIONS_BY_KIND, build_problem, load_config, main, run_formulation
+from diracsim.cli import (
+    FORMULATIONS_BY_KIND,
+    build_problem,
+    flow_gap,
+    load_config,
+    main,
+    run_formulation,
+    state_columns,
+)
 
 THERMO = ["closed_piston", "conduction_piston", "forced_piston", "matched_port_piston",
           "two_port_piston"]
@@ -128,27 +136,19 @@ def test_a_long_or_far_run_passes(tmp_path, name, formulation, config):
 # -- one discrete flow ------------------------------------------------------
 
 
-def state_columns(problem, traj):
-    # The state columns of the trajectory CSV: x, v, p and pt, where the
-    # open system's v is v_q alone. Its bookkeeping velocities are in no
-    # output; each step's velocity row sets them as 2 d/h - v0, which
-    # carries every step's round-off on, and the formulations' differ by up
-    # to 1e-9 relative there over 200 steps.
-    v = traj.v if problem.system is None else traj.v[:, problem.system.layout.q]
-    return traj.x, v, traj.p, traj.pt
-
-
 def worst_formulation_gap(name):
     # 200 steps of a builtin on every DAE formulation of its kind: the worst
-    # |a - b| / (1 + |a|) over the state columns, against pontryagin's a.
+    # |a - b| / (1 + |a|) over the CSV's state columns (x, v, p, pt, the
+    # open system's v being v_q alone), over each pair, as `diracsim compare`
+    # reads it. The open system's bookkeeping velocities are in no output;
+    # each step's velocity row sets them as 2 d/h - v0, which carries every
+    # step's round-off on, and the formulations' differ by up to 1e-9
+    # relative there over 200 steps.
     cfg = steps(load_config(name), 200)
     problems = [build_problem(cfg, f)
                 for f in FORMULATIONS_BY_KIND[cfg["system"]["kind"]] if f != "reduced"]
     columns = [state_columns(p, run_formulation(p, p.formulation)) for p in problems]
-    return max(
-        float(np.max(np.abs(b - a) / (1.0 + np.abs(a))))
-        for other in columns[1:] for a, b in zip(columns[0], other)
-    )
+    return max(flow_gap(a, b) for i, a in enumerate(columns) for b in columns[i + 1 :])
 
 
 BUILTINS = [*THERMO, "nonholonomic_particle"]
